@@ -1,6 +1,6 @@
 # Convenience targets; the repo needs only the Go toolchain.
 
-.PHONY: build test lint verify verify-parallel trace-demo telemetry-demo errmap-demo tune-demo bench benchdiff chaos chaos-race chaos-recovery chaos-shrink fuzz clean
+.PHONY: build test lint loc verify verify-parallel trace-demo telemetry-demo errmap-demo tune-demo bench benchdiff chaos chaos-race chaos-recovery chaos-shrink fuzz clean
 
 build:
 	go build ./...
@@ -46,6 +46,17 @@ lint:
 	else \
 		echo "lint: staticcheck not installed; go vet only"; \
 	fi
+
+# loc prints non-test and test Go lines per package under internal/ and
+# cmd/ — the numbers ROADMAP.md's size budgets quote, so a simplicity PR
+# states its before/after from one command.
+loc:
+	@printf '%-28s %8s %8s\n' package non-test test
+	@for d in $$(find internal cmd -name '*.go' -exec dirname {} \; | sort -u); do \
+		printf '%-28s %8d %8d\n' $$d \
+			$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) \
+			$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+	done | awk '{print; n += $$2; t += $$3} END {printf "%-28s %8d %8d\n", "total", n, t}'
 
 # verify-parallel re-runs the tier-1 tests with NETSIM_PARALLEL=1, which
 # forces every netsim run in the tree onto the parallel engine — the

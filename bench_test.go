@@ -90,7 +90,7 @@ func BenchmarkFig3NodeBandwidth(b *testing.B) {
 			b.Run(fmt.Sprintf("%s-%dgpus", algo, gpus), func(b *testing.B) {
 				var bw float64
 				for i := 0; i < b.N; i++ {
-					bw = exchange.NodeBandwidth(netsim.Summit(gpus/6), algo, msg, 1)
+					bw = exchange.NodeBandwidthSpec(nil, netsim.Summit(gpus/6), exchange.Spec{Algo: algo}, msg, 1)
 				}
 				b.ReportMetric(bw/1e9, "GB/s")
 			})
@@ -206,7 +206,7 @@ func BenchmarkAblationPipeline(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var t float64
 			for i := 0; i < b.N; i++ {
-				t = exchange.CompressedExchangeTime(cfg, compress.Cast32{}, 8, 20000, 1, pipelined)
+				t = exchange.CompressedExchangeTimeWith(nil, cfg, compress.Cast32{}, 8, 20000, 1, pipelined)
 			}
 			b.ReportMetric(t*1e3, "ms/exchange")
 		})
@@ -219,7 +219,7 @@ func BenchmarkAblationNodeAwareRing(b *testing.B) {
 		b.Run(algo, func(b *testing.B) {
 			var bw float64
 			for i := 0; i < b.N; i++ {
-				bw = exchange.NodeBandwidth(netsim.Summit(8), algo, 80*1024, 1)
+				bw = exchange.NodeBandwidthSpec(nil, netsim.Summit(8), exchange.Spec{Algo: algo}, 80*1024, 1)
 			}
 			b.ReportMetric(bw/1e9, "GB/s")
 		})

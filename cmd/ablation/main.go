@@ -198,8 +198,8 @@ func ablateWindow(cfg netsim.Config) {
 }
 
 func ablatePermute(cfg netsim.Config, msg int) {
-	aware := exchange.NodeBandwidthWith(rec.grab("permute/node-aware"), cfg, exchange.AlgoOSC, msg, 2)
-	naive := exchange.NodeBandwidthWith(rec.grab("permute/naive"), cfg, exchange.AlgoOSCNaive, msg, 2)
+	aware := exchange.NodeBandwidthSpec(rec.grab("permute/node-aware"), cfg, exchange.Spec{Algo: exchange.AlgoOSC}, msg, 2)
+	naive := exchange.NodeBandwidthSpec(rec.grab("permute/naive"), cfg, exchange.Spec{Algo: exchange.AlgoOSCNaive}, msg, 2)
 	fmt.Printf("# node-aware permutation: ring %.2f GB/s vs naive %.2f GB/s (%.2fx)\n",
 		aware/1e9, naive/1e9, aware/naive)
 }

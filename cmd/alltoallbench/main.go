@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,7 +72,7 @@ func main() {
 	msg := flag.Int("msg", 80*1024, "message size per process pair in bytes")
 	iters := flag.Int("iters", 2, "measured iterations per point")
 	gpusFlag := flag.String("gpus", "6,12,24,48,96,192,384,768,1536", "comma-separated GPU counts (multiples of 6)")
-	algosFlag := flag.String("algos", "linear,osc", "algorithms: linear,pairwise,bruck,osc,osc-naive,osc-comp")
+	algosFlag := flag.String("algos", "linear,osc", "algorithms: "+strings.Join(exchange.Algos, ","))
 	doPlot := flag.Bool("plot", false, "render the figure as an ASCII chart")
 	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the last measured cell to this file")
 	metricsFlag := flag.Bool("metrics", false, "print the metrics report of the last measured cell")
@@ -86,6 +87,15 @@ func main() {
 	tuneProbeFlag := flag.Int("tuneprobe", 2, "probe the best K predicted candidates with short simulation runs (0 = predictor only)")
 	tf := telemetry.RegisterFlags(nil)
 	flag.Parse()
+
+	// A misspelt algorithm is a usage error, caught before anything runs.
+	algos := strings.Split(*algosFlag, ",")
+	for _, a := range algos {
+		if !slices.Contains(exchange.Algos, a) {
+			fmt.Fprintf(os.Stderr, "alltoallbench: unknown algorithm %q in -algos (valid: %s)\n", a, strings.Join(exchange.Algos, ", "))
+			os.Exit(2)
+		}
+	}
 
 	// -json artifacts embed the per-stage error-attribution ledger, so
 	// force the error tracker on for artifact runs even without -errtrack.
@@ -107,7 +117,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "alltoallbench:", err)
 		os.Exit(1)
 	}
-	algos := strings.Split(*algosFlag, ",")
 	// Tuning modes: -autotune computes a plan (and saves it to -tuneplan
 	// when given); -tuneplan alone loads a saved plan and replays its
 	// decisions. Either adds the "tuned" column to the table.

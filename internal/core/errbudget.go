@@ -16,7 +16,7 @@ import (
 func StageBounds(opts Options, inverse bool) []errtrack.StageBudget {
 	o := opts.withDefaults()
 	bound := 0.0
-	if o.Backend == BackendCompressed || o.Backend == BackendCompressedTwoSided {
+	if o.Backend.compressed() {
 		bound = o.Method.ErrorBound()
 	}
 	stages := 4
@@ -37,7 +37,7 @@ func StageBounds(opts Options, inverse bool) []errtrack.StageBudget {
 		if o.Tune != nil {
 			if ch, ok := o.Tune.Choice(label); ok {
 				b = 0
-				if (ch.Backend == BackendCompressed || ch.Backend == BackendCompressedTwoSided) && ch.Method != nil {
+				if ch.Backend.compressed() && ch.Method != nil {
 					b = ch.Method.ErrorBound()
 				}
 			}

@@ -82,14 +82,12 @@ func PredictExchanges(cfg netsim.Config, n [3]int, opts Options, elemBytes int) 
 	s := opts.SimScale
 	ns := [3]int{s * n[0], s * n[1], s * n[2]}
 	var boxes [5][]grid.Box
-	boxes[0] = grid.Bricks(ns, grid.Factor3(p))
-	boxes[1] = grid.Pencils(ns, 0, p)
-	boxes[2] = grid.Pencils(ns, 1, p)
-	boxes[3] = grid.Pencils(ns, 2, p)
-	boxes[4] = boxes[0]
+	for st := range boxes {
+		boxes[st] = stageBoxes(ns, st, p)
+	}
 
 	ratio := 1.0
-	if opts.Backend == BackendCompressed || opts.Backend == BackendCompressedTwoSided {
+	if opts.Backend.compressed() {
 		ratio = opts.Method.Ratio()
 	}
 	oneSided := opts.Backend == BackendOSC || opts.Backend == BackendCompressed

@@ -57,6 +57,12 @@ func (b Backend) String() string {
 	return "unknown"
 }
 
+// compressed reports whether the backend ships compressed float64 values
+// (and so needs a Method and the FP64 pipeline).
+func (b Backend) compressed() bool {
+	return b == BackendCompressed || b == BackendCompressedTwoSided
+}
+
 // ExchangeChoice is one reshape's resolved exchange configuration — the
 // unit of the autotuner's decisions. Method must be non-nil for the
 // compressed backends and is ignored by the lossless ones; Chunks == 0
@@ -91,9 +97,10 @@ type Options struct {
 	// Chunks is the §V-B pipeline depth (compression kernels per
 	// exchange). 0 selects the default of 8.
 	Chunks int
-	// Pipelined disables the compression/communication overlap when
-	// false... it defaults to true via NewPlan; set DisablePipeline to
-	// turn it off for ablations.
+	// DisablePipeline turns off the §V-B overlap of compression kernels
+	// with the puts of BackendCompressed (the kernels are synchronized
+	// before any put is issued) — the ablation baseline. The zero value
+	// keeps the pipeline on.
 	DisablePipeline bool
 	// Device is the GPU model; the zero value selects gpu.V100().
 	Device gpu.Device
@@ -136,7 +143,7 @@ func (o Options) withDefaults() Options {
 	if o.Device == (gpu.Device{}) {
 		o.Device = gpu.V100()
 	}
-	if (o.Backend == BackendCompressed || o.Backend == BackendCompressedTwoSided) && o.Method == nil {
+	if o.Backend.compressed() && o.Method == nil {
 		o.Method = compress.FromTolerance(o.Tolerance)
 	}
 	return o

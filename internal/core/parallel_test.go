@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/mpi"
 	"repro/internal/netsim"
 )
 
@@ -43,6 +44,51 @@ func TestParallelMeasureMatchesSequential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(seq.Profile, par.Profile) {
 				t.Errorf("profiles differ:\nseq %+v\npar %+v", seq.Profile, par.Profile)
+			}
+		})
+	}
+}
+
+// TestParallelR2CMatchesSequential puts the real transform — its two
+// float64 reshapes included — inside the same contract: a forward and a
+// backward PlanR2C transform give bit-identical clocks, wire statistics,
+// profiles and data under both engines.
+func TestParallelR2CMatchesSequential(t *testing.T) {
+	type outcome struct {
+		Res     netsim.Result
+		Profile Profile
+		Spec    []complex128
+		Back    []float64
+	}
+	n := [3]int{16, 16, 16}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"osc", Options{Backend: BackendOSC, SimScale: 2}},
+		{"compressed-32", Options{Backend: BackendCompressed, Method: compress.Cast32{}, SimScale: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(parallel bool) outcome {
+				cfg := netsim.Summit(2)
+				cfg.Parallel = parallel
+				var out outcome
+				out.Res = mpi.Run(cfg, func(c *mpi.Comm) {
+					pl := NewPlanR2C[complex128](c, n, tc.opts)
+					in := make([]float64, pl.InBox().Count())
+					fillRealBrick(in, pl.InBox(), 13)
+					spec := append([]complex128(nil), pl.Forward(in)...)
+					back := pl.Backward(spec)
+					if c.Rank() == 0 {
+						out.Profile = pl.LastProfile()
+						out.Spec = spec
+						out.Back = append([]float64(nil), back...)
+					}
+				})
+				return out
+			}
+			if seq, par := run(false), run(true); !reflect.DeepEqual(seq, par) {
+				t.Errorf("engines disagree:\nseq %+v %+v\npar %+v %+v", seq.Res, seq.Profile, par.Res, par.Profile)
 			}
 		})
 	}

@@ -23,13 +23,16 @@ import (
 // reuse. Plans are collective: all ranks must construct with identical
 // arguments.
 type Plan[C fft.Complex] struct {
-	c      *mpi.Comm
-	n      [3]int
-	opts   Options
-	stream *gpu.Stream
+	pipe
+	n [3]int
 
 	boxes  [5][]grid.Box // in, x-pencils, y-pencils, z-pencils, out
 	orders [5]grid.Order
+	// first and last are the input and output stages: the bricks 0 and 4
+	// of the general configuration, or — with Options.PencilIO, x-pencil
+	// input and z-pencil output — 1 and 3, which leaves only the x→y and
+	// y→z redistributions.
+	first, last int
 	// simBoxes mirror boxes for the SimScale-enlarged grid; the time
 	// plane draws message sizes and kernel volumes from these while the
 	// data plane uses boxes.
@@ -40,13 +43,11 @@ type Plan[C fft.Complex] struct {
 
 	fftPlans [3]*fft.Plan[C]
 	batch    [3]int
-	precBits int
 	// epoch counts completed reshape steps across the plan's lifetime —
 	// the granularity of the crash-recovery checkpoints (Options.Recovery).
 	epoch int
 	// pencilScratch holds the PencilIO first-stage working copy.
 	pencilScratch []C
-	profile       Profile
 }
 
 // Profile breaks one transform's virtual time into phases — the
@@ -82,45 +83,34 @@ func (pl *Plan[C]) LastProfile() Profile { return pl.profile }
 func NewPlan[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *Plan[C] {
 	opts = opts.withDefaults()
 	p := c.Size()
-	pl := &Plan[C]{c: c, n: n, opts: opts}
+	pl := &Plan[C]{pipe: pipe{c: c, opts: opts, precBits: 64}, n: n}
 	var zero C
-	pl.precBits = 64
 	if _, ok := any(zero).(complex64); ok {
-		pl.precBits = 32
-		if opts.Backend == BackendCompressed || opts.Backend == BackendCompressedTwoSided {
-			panic("core: compressed backends require the FP64 pipeline")
-		}
+		pl.precBits = 32 // newReshape refuses compressed choices on this pipeline
 	}
 	pl.stream = gpu.NewStream(opts.Device, c)
 	pl.stream.SetObserver(c.Obs())
 
-	pl.boxes[0] = grid.Bricks(n, grid.Factor3(p))
-	pl.boxes[1] = grid.Pencils(n, 0, p)
-	pl.boxes[2] = grid.Pencils(n, 1, p)
-	pl.boxes[3] = grid.Pencils(n, 2, p)
-	pl.boxes[4] = pl.boxes[0]
 	ns := [3]int{opts.SimScale * n[0], opts.SimScale * n[1], opts.SimScale * n[2]}
-	pl.simBoxes[0] = grid.Bricks(ns, grid.Factor3(p))
-	pl.simBoxes[1] = grid.Pencils(ns, 0, p)
-	pl.simBoxes[2] = grid.Pencils(ns, 1, p)
-	pl.simBoxes[3] = grid.Pencils(ns, 2, p)
-	pl.simBoxes[4] = pl.simBoxes[0]
+	for s := 0; s < 4; s++ {
+		pl.boxes[s] = stageBoxes(n, s, p)
+		pl.simBoxes[s] = stageBoxes(ns, s, p)
+	}
+	// The output bricks are the input bricks: one table, not two.
+	pl.boxes[4], pl.simBoxes[4] = pl.boxes[0], pl.simBoxes[0]
 	pl.orders = [5]grid.Order{grid.Natural, grid.ForAxis(0), grid.ForAxis(1), grid.ForAxis(2), grid.Natural}
 
+	wire := complexCodec[C](pl.elemSize())
+	stage := func(s int) layout { return layout{s, pl.boxes[s], pl.simBoxes[s], pl.orders[s]} }
+	pl.first, pl.last = 0, 4
 	if opts.PencilIO {
-		// Reduced-reshape configuration: x-pencil input, z-pencil
-		// output, so only the x→y and y→z redistributions remain.
-		pl.fwd[0] = newReshape[C](pl, 1, 2, "fwd0")
-		pl.fwd[1] = newReshape[C](pl, 2, 3, "fwd1")
-		pl.bwd[0] = newReshape[C](pl, 3, 2, "bwd0")
-		pl.bwd[1] = newReshape[C](pl, 2, 1, "bwd1")
-	} else {
-		for s := 0; s < 4; s++ {
-			pl.fwd[s] = newReshape[C](pl, s, s+1, "fwd"+strconv.Itoa(s))
-		}
-		for s := 0; s < 4; s++ {
-			pl.bwd[s] = newReshape[C](pl, 4-s, 3-s, "bwd"+strconv.Itoa(s))
-		}
+		pl.first, pl.last = 1, 3
+	}
+	for s := 0; s < pl.last-pl.first; s++ {
+		pl.fwd[s] = newReshape(&pl.pipe, wire, stage(pl.first+s), stage(pl.first+s+1), "fwd"+strconv.Itoa(s))
+	}
+	for s := 0; s < pl.last-pl.first; s++ {
+		pl.bwd[s] = newReshape(&pl.pipe, wire, stage(pl.last-s), stage(pl.last-s-1), "bwd"+strconv.Itoa(s))
 	}
 	me := c.Rank()
 	for axis := 0; axis < 3; axis++ {
@@ -136,42 +126,20 @@ func NewPlan[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *Plan[C] {
 // InBox returns this rank's share of the input decomposition: a brick in
 // the general configuration, an x-pencil with Options.PencilIO. The
 // input of Forward is its data laid out with InOrder.
-func (pl *Plan[C]) InBox() grid.Box {
-	if pl.opts.PencilIO {
-		return pl.boxes[1][pl.c.Rank()]
-	}
-	return pl.boxes[0][pl.c.Rank()]
-}
+func (pl *Plan[C]) InBox() grid.Box { return pl.boxes[pl.first][pl.c.Rank()] }
 
 // InOrder returns the memory layout of Forward's input (natural order in
 // both configurations — an x-pencil is stride-1 in x already).
-func (pl *Plan[C]) InOrder() grid.Order { return pl.orders[pl.inStage()] }
+func (pl *Plan[C]) InOrder() grid.Order { return pl.orders[pl.first] }
 
 // OutBox returns this rank's share of the output decomposition: equal to
 // InBox in the general four-reshape configuration, a z-pencil with
 // Options.PencilIO.
-func (pl *Plan[C]) OutBox() grid.Box {
-	if pl.opts.PencilIO {
-		return pl.boxes[3][pl.c.Rank()]
-	}
-	return pl.boxes[4][pl.c.Rank()]
-}
+func (pl *Plan[C]) OutBox() grid.Box { return pl.boxes[pl.last][pl.c.Rank()] }
 
 // OutOrder returns the memory layout of Forward's output (z-fastest for
 // the z-pencil output of the PencilIO configuration).
-func (pl *Plan[C]) OutOrder() grid.Order {
-	if pl.opts.PencilIO {
-		return pl.orders[3]
-	}
-	return pl.orders[4]
-}
-
-func (pl *Plan[C]) inStage() int {
-	if pl.opts.PencilIO {
-		return 1
-	}
-	return 0
-}
+func (pl *Plan[C]) OutOrder() grid.Order { return pl.orders[pl.last] }
 
 // N returns the global transform shape.
 func (pl *Plan[C]) N() [3]int { return pl.n }
@@ -179,7 +147,7 @@ func (pl *Plan[C]) N() [3]int { return pl.n }
 // Method returns the compression method the reshapes use (None for the
 // uncompressed backends).
 func (pl *Plan[C]) Method() compress.Method {
-	if pl.opts.Backend == BackendCompressed || pl.opts.Backend == BackendCompressedTwoSided {
+	if pl.opts.Backend.compressed() {
 		return pl.opts.Method
 	}
 	return compress.None{}
@@ -209,79 +177,73 @@ func (pl *Plan[C]) Backward(in []C) []C {
 	}
 	out := pl.run(in, fft.Inverse)
 	scale := 1 / float64(pl.n[0]*pl.n[1]*pl.n[2])
-	s := complexAs[C](scale)
-	simCount := pl.simBoxes[pl.inStage()][pl.c.Rank()].Count()
-	rk := pl.c.Obs()
-	t0 := pl.c.Now()
-	rk.Begin(obs.TrackHost, obs.PhaseScale, t0)
-	pl.stream.LaunchTagged(obs.PhaseScale, pl.opts.Device.CopyCost(simCount*pl.elemSize()), func() {
+	s := C(complex(scale, 0))
+	simCount := pl.simBoxes[pl.first][pl.c.Rank()].Count()
+	pl.kernel(obs.PhaseScale, &pl.profile.Scale, 0, pl.opts.Device.CopyCost(simCount*pl.elemSize()), func() {
 		for i := range out {
 			out[i] *= s
 		}
 	})
-	pl.stream.Synchronize()
-	pl.profile.Scale += pl.c.Now() - t0
-	rk.End(pl.c.Now(), 0)
 	return out
 }
 
+// run drives the pipeline through its reshapes, each followed by its FFT
+// stage (see step). Pencil-shaped input (Options.PencilIO) is ready for
+// its first FFT stage before any reshape; that stage must not modify the
+// caller's buffer, so it transforms a scratch copy.
 func (pl *Plan[C]) run(in []C, sign int) []C {
 	pl.profile = Profile{}
-	if pl.opts.PencilIO {
-		return pl.runPencil(in, sign)
+	reshapes, inStage := pl.fwd, pl.first
+	if sign == fft.Inverse {
+		reshapes, inStage = pl.bwd, pl.last
 	}
 	data := in
-	if sign == fft.Forward {
-		for axis := 0; axis < 3; axis++ {
-			data = pl.step(pl.fwd[axis], data, axis, sign)
-		}
-		return pl.step(pl.fwd[3], data, -1, sign)
+	if pl.opts.PencilIO {
+		data = append(pl.pencilScratch[:0], in...)
+		pl.fftStage(data, inStage-1, sign)
 	}
-	for s := 0; s < 4; s++ {
-		axis := -1
-		if s < 3 {
-			axis = 2 - s
+	for _, r := range reshapes {
+		if r != nil {
+			data = pl.step(r, data, sign)
 		}
-		data = pl.step(pl.bwd[s], data, axis, sign)
 	}
 	return data
 }
 
 // step runs one recovery epoch of the pipeline: the reshape, the FFT
-// stage that follows it (axis ≥ 0), and — when a recovery runtime is
-// attached — the epoch checkpoint. On a resumed attempt, epochs the
-// committed checkpoint covers are skipped entirely (no communication,
-// no kernels: every rank skips the same epochs, so the collectives
-// stay matched); the committed epoch itself re-materializes its output
-// and healing ledgers from the snapshot instead of executing.
-func (pl *Plan[C]) step(r *reshape[C], data []C, axis, sign int) []C {
+// stage that follows it when it lands on pencils (stage s+1 holds the
+// pencils stride-1 along axis s; stages 0 and 4 are bricks), and — when
+// a recovery runtime is attached — the epoch checkpoint. On a resumed
+// attempt, epochs the committed checkpoint covers are skipped entirely
+// (no communication, no kernels: every rank skips the same epochs, so
+// the collectives stay matched); the committed epoch itself
+// re-materializes its output and healing ledgers from the snapshot
+// instead of executing.
+func (pl *Plan[C]) step(r *reshape[C], data []C, sign int) []C {
 	pl.epoch++
 	rk := pl.opts.Recovery
-	if rk == nil {
-		data = r.execute(data)
-		if axis >= 0 {
-			pl.fftStage(data, axis, sign)
+	if rk != nil {
+		if resume := rk.Resume(); pl.epoch <= resume {
+			if pl.epoch < resume {
+				return data // effects subsumed by the committed snapshot
+			}
+			if rk.Migrating() {
+				return pl.migrateSnapshot(r)
+			}
+			snap, err := rk.Restore()
+			if err != nil {
+				panic(fmt.Sprintf("core: rank %d cannot restore epoch %d: %v", pl.c.Rank(), pl.epoch, err))
+			}
+			return pl.restoreSnapshot(r, snap)
 		}
-		return data
-	}
-	if resume := rk.Resume(); pl.epoch <= resume {
-		if pl.epoch < resume {
-			return data // effects subsumed by the committed snapshot
-		}
-		if rk.Migrating() {
-			return pl.migrateSnapshot(r)
-		}
-		snap, err := rk.Restore()
-		if err != nil {
-			panic(fmt.Sprintf("core: rank %d cannot restore epoch %d: %v", pl.c.Rank(), pl.epoch, err))
-		}
-		return pl.restoreSnapshot(r, snap)
 	}
 	data = r.execute(data)
-	if axis >= 0 {
+	if axis := r.toStage - 1; axis >= 0 && axis < 3 {
 		pl.fftStage(data, axis, sign)
 	}
-	rk.Checkpoint(pl.epoch, pl.snapshot(data))
+	if rk != nil {
+		rk.Checkpoint(pl.epoch, pl.snapshot(data))
+	}
 	return data
 }
 
@@ -289,31 +251,14 @@ func (pl *Plan[C]) step(r *reshape[C], data []C, axis, sign int) []C {
 // rank-independent order — the ledger sections of a snapshot.
 func (pl *Plan[C]) ledgers() []ledgered {
 	var out []ledgered
-	add := func(r *reshape[C]) {
-		if r == nil {
-			return
+	for _, rs := range [2][4]*reshape[C]{pl.fwd, pl.bwd} {
+		for _, r := range rs {
+			if r != nil && r.x.ledger != nil {
+				out = append(out, r.x.ledger)
+			}
 		}
-		if r.osc != nil {
-			out = append(out, r.osc)
-		}
-		if r.cosc != nil {
-			out = append(out, r.cosc)
-		}
-	}
-	for _, r := range pl.fwd {
-		add(r)
-	}
-	for _, r := range pl.bwd {
-		add(r)
 	}
 	return out
-}
-
-// ledgered is the checkpointable part of an exchange (OSC and
-// CompressedOSC implement it).
-type ledgered interface {
-	LedgerState() []byte
-	RestoreLedger([]byte) error
 }
 
 // snapshot serializes this rank's recovery state after one completed
@@ -329,17 +274,11 @@ func (pl *Plan[C]) snapshot(data []C) []byte {
 		states[i] = l.LedgerState()
 		size += 4 + len(states[i])
 	}
-	buf := make([]byte, 0, size)
-	var w [4]byte
-	u32 := func(v int) {
-		binary.LittleEndian.PutUint32(w[:], uint32(v))
-		buf = append(buf, w[:]...)
-	}
-	u32(len(body))
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(body)))
 	buf = append(buf, body...)
-	u32(len(states))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(states)))
 	for _, st := range states {
-		u32(len(st))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st)))
 		buf = append(buf, st...)
 	}
 	return buf
@@ -353,37 +292,22 @@ func (pl *Plan[C]) restoreSnapshot(r *reshape[C], snap []byte) []C {
 	fail := func(msg string) {
 		panic(fmt.Sprintf("core: rank %d epoch %d: %s", pl.c.Rank(), pl.epoch, msg))
 	}
-	if len(snap) < 8 {
-		fail("snapshot truncated")
+	body, states, err := snapshotSections(snap)
+	if err != nil {
+		fail(err.Error())
 	}
-	n := int(binary.LittleEndian.Uint32(snap))
-	pos := 4
-	if n != len(r.outBuf)*pl.elemSize() || pos+n > len(snap) {
-		fail(fmt.Sprintf("snapshot holds %d data bytes, reshape needs %d", n, len(r.outBuf)*pl.elemSize()))
+	if want := len(r.outBuf) * pl.elemSize(); len(body) != want {
+		fail(fmt.Sprintf("snapshot holds %d data bytes, reshape needs %d", len(body), want))
 	}
-	bytesToComplex(snap[pos:pos+n], r.outBuf)
-	pos += n
+	bytesToComplex(body, r.outBuf)
 	leds := pl.ledgers()
-	if pos+4 > len(snap) {
-		fail("snapshot truncated before ledgers")
+	if len(states) != len(leds) {
+		fail(fmt.Sprintf("snapshot holds %d ledgers, plan has %d", len(states), len(leds)))
 	}
-	if got := int(binary.LittleEndian.Uint32(snap[pos:])); got != len(leds) {
-		fail(fmt.Sprintf("snapshot holds %d ledgers, plan has %d", got, len(leds)))
-	}
-	pos += 4
-	for _, l := range leds {
-		if pos+4 > len(snap) {
-			fail("snapshot truncated in ledger section")
-		}
-		ln := int(binary.LittleEndian.Uint32(snap[pos:]))
-		pos += 4
-		if pos+ln > len(snap) {
-			fail("ledger overruns snapshot")
-		}
-		if err := l.RestoreLedger(snap[pos : pos+ln]); err != nil {
+	for i, l := range leds {
+		if err := l.RestoreLedger(states[i]); err != nil {
 			fail(err.Error())
 		}
-		pos += ln
 	}
 	return r.outBuf
 }
@@ -418,15 +342,14 @@ func snapshotSections(snap []byte) (body []byte, leds [][]byte, err error) {
 	return body, leds, nil
 }
 
-// stageBoxes returns a pipeline stage's decomposition for an arbitrary
-// rank count: the layout the previous membership checkpointed under,
-// rebuilt during a shrink migration (stages 0 and 4 are the brick
-// input/output, stages 1..3 the axis pencils).
-func (pl *Plan[C]) stageBoxes(stage, p int) []grid.Box {
+// stageBoxes returns a pipeline stage's decomposition of an n grid over
+// p ranks: stages 0 and 4 are the brick input/output, stages 1..3 the
+// axis pencils.
+func stageBoxes(n [3]int, stage, p int) []grid.Box {
 	if stage == 0 || stage == 4 {
-		return grid.Bricks(pl.n, grid.Factor3(p))
+		return grid.Bricks(n, grid.Factor3(p))
 	}
-	return grid.Pencils(pl.n, stage-1, p)
+	return grid.Pencils(n, stage-1, p)
 }
 
 // migrateSnapshot re-materializes the resume epoch on a shrunken
@@ -446,7 +369,8 @@ func (pl *Plan[C]) migrateSnapshot(r *reshape[C]) []C {
 		panic(fmt.Sprintf("core: rank %d epoch %d migration: %s", pl.c.Rank(), pl.epoch, msg))
 	}
 	prevP := rk.PrevSize()
-	oldBoxes := pl.stageBoxes(r.toStage, prevP)
+	// The layout the previous membership checkpointed under.
+	oldBoxes := stageBoxes(pl.n, r.toStage, prevP)
 	elem := pl.elemSize()
 	var migrated int64
 	var scratch, tile []C
@@ -504,25 +428,6 @@ func (pl *Plan[C]) migrateSnapshot(r *reshape[C]) []C {
 	return r.outBuf
 }
 
-// runPencil is the two-reshape pipeline: the first FFT stage runs
-// directly on the pencil-shaped input (forward) or output (inverse).
-// The first stage must not modify the caller's buffer, so it transforms
-// into a scratch copy.
-func (pl *Plan[C]) runPencil(in []C, sign int) []C {
-	if sign == fft.Forward {
-		data := append(pl.pencilScratch[:0], in...)
-		pl.fftStage(data, 0, sign)
-		data = pl.step(pl.fwd[0], data, 1, sign) // x → y pencils
-		data = pl.step(pl.fwd[1], data, 2, sign) // y → z pencils
-		return data
-	}
-	data := append(pl.pencilScratch[:0], in...)
-	pl.fftStage(data, 2, sign)
-	data = pl.step(pl.bwd[0], data, 1, sign) // z → y pencils
-	data = pl.step(pl.bwd[1], data, 0, sign) // y → x pencils
-	return data
-}
-
 // fftStage runs the batched 1-D FFTs of one direction on the GPU
 // timeline (data is pencil-resident with the transform axis stride-1).
 // In scaled-volume mode the kernel cost is that of the simulated pencil
@@ -531,339 +436,13 @@ func (pl *Plan[C]) fftStage(data []C, axis, sign int) {
 	s := pl.opts.SimScale
 	simLen := s * pl.n[axis]
 	simBatch := pl.simBoxes[axis+1][pl.c.Rank()].Count() / simLen
-	cost := pl.opts.Device.FFTCost(simLen, simBatch, pl.precBits)
-	rk := pl.c.Obs()
-	t0 := pl.c.Now()
-	rk.Begin(obs.TrackHost, obs.PhaseFFT, t0)
-	pl.stream.LaunchTagged(obs.PhaseFFT, cost, func() {
+	pl.kernel(obs.PhaseFFT, &pl.profile.FFT, 0, pl.opts.Device.FFTCost(simLen, simBatch, pl.precBits), func() {
 		pl.fftPlans[axis].Batch(data, pl.batch[axis], sign)
 	})
-	pl.stream.Synchronize()
-	pl.profile.FFT += pl.c.Now() - t0
-	rk.End(pl.c.Now(), 0)
 }
 
-func (pl *Plan[C]) elemSize() int {
-	if pl.precBits == 32 {
-		return 8
-	}
-	return 16
-}
-
-// reshape moves data between two decompositions through the configured
-// all-to-all backend.
-type reshape[C fft.Complex] struct {
-	pl        *Plan[C]
-	plan      grid.Plan
-	fromBox   grid.Box
-	fromOrder grid.Order
-	toBox     grid.Box
-	toOrder   grid.Order
-	// Simulated volumes of this rank's pack/unpack (scaled-volume mode).
-	simSendTotal, simRecvTotal int
-	// simLogical gives per-destination logical wire bytes.
-	simLogical []int
-	// logicalTotal is the sum of simLogical — the uncompressed bytes this
-	// rank contributes to the wire, attributed to the exchange span.
-	logicalTotal int64
-	// metricTime is the precomputed histogram name for this reshape's
-	// measured exchange time ("exchange/<label>/time_s"), which the bench
-	// artifacts compare against the cost model's prediction. label is the
-	// reshape's name (fwd0..3 / bwd0..3), stamped on telemetry events.
-	metricTime string
-	label      string
-	// toStage identifies the output decomposition stage (index into
-	// pl.boxes/orders) — the shrink migration rebuilds the same stage's
-	// layout for the previous membership's rank count.
-	toStage int
-
-	// backend and method are this reshape's resolved exchange choice:
-	// the fixed Options configuration, or the tune plan's winner for
-	// this label (Options.Tune). Everything below keys off these, never
-	// off pl.opts, so a tuned stage is constructed and executed exactly
-	// like the same fixed-config stage.
-	backend Backend
-	method  compress.Method
-
-	// Byte backends.
-	sendBytes   [][]byte
-	recvNonzero []bool
-	osc         *exchange.OSC
-	// Bruck: uniform padded blocks (real and logical sizes in bytes).
-	bruckSend    [][]byte
-	bruckBlock   int
-	bruckLogical int
-	// Compressed backends.
-	sendVals [][]float64
-	cosc     *exchange.CompressedOSC
-	c2s      *exchange.TwoSidedCompressed
-	// Scratch for packing into complex elements before conversion.
-	packBuf []C
-	outBuf  []C
-}
-
-func newReshape[C fft.Complex](pl *Plan[C], fromStage, toStage int, label string) *reshape[C] {
-	from, to := pl.boxes[fromStage], pl.boxes[toStage]
-	simFrom, simTo := pl.simBoxes[fromStage], pl.simBoxes[toStage]
-	fromOrder, toOrder := pl.orders[fromStage], pl.orders[toStage]
-	me := pl.c.Rank()
-	r := &reshape[C]{
-		pl:         pl,
-		plan:       grid.NewPlan(me, from, to),
-		fromBox:    from[me],
-		fromOrder:  fromOrder,
-		toBox:      to[me],
-		toOrder:    toOrder,
-		metricTime: "exchange/" + label + "/time_s",
-		label:      label,
-		toStage:    toStage,
-	}
-	p := pl.c.Size()
-	elem := pl.elemSize()
-	overlap := func(dst, src int) int { return grid.Intersect(from[src], to[dst]).Count() }
-	simOverlap := func(dst, src int) int { return grid.Intersect(simFrom[src], simTo[dst]).Count() }
-	simPlan := grid.NewPlan(me, simFrom, simTo)
-	r.simSendTotal, r.simRecvTotal = simPlan.SendTotal, simPlan.RecvTotal
-	r.simLogical = make([]int, p)
-	for _, t := range simPlan.Send {
-		r.simLogical[t.Rank] = elem * t.Count
-		r.logicalTotal += int64(elem * t.Count)
-	}
-
-	maxPack := 0
-	for _, t := range r.plan.Send {
-		if t.Count > maxPack {
-			maxPack = t.Count
-		}
-	}
-	for _, t := range r.plan.Recv {
-		if t.Count > maxPack {
-			maxPack = t.Count
-		}
-	}
-	r.packBuf = make([]C, maxPack)
-	r.outBuf = make([]C, r.toBox.Count())
-
-	// Resolve this reshape's exchange choice: the fixed Options, unless
-	// an attached tune plan covers the label. Every field below keys off
-	// the choice, so a tuned stage is bit-identical to the same stage
-	// under fixed Options.
-	choice := ExchangeChoice{Backend: pl.opts.Backend, Chunks: pl.opts.Chunks, Method: pl.opts.Method}
-	if pl.opts.Tune != nil {
-		if ch, ok := pl.opts.Tune.Choice(label); ok {
-			choice = ch
-			if choice.Chunks == 0 {
-				choice.Chunks = pl.opts.Chunks
-			}
-		}
-	}
-	r.backend = choice.Backend
-	r.method = choice.Method
-	if choice.Backend == BackendCompressed || choice.Backend == BackendCompressedTwoSided {
-		if choice.Method == nil {
-			panic("core: compressed exchange choice for " + label + " has no method")
-		}
-		if pl.precBits == 32 {
-			panic("core: compressed backends require the FP64 pipeline")
-		}
-	}
-
-	switch choice.Backend {
-	case BackendAlltoallv:
-		r.sendBytes = make([][]byte, p)
-		r.recvNonzero = make([]bool, p)
-		for _, t := range r.plan.Recv {
-			r.recvNonzero[t.Rank] = true
-		}
-	case BackendOSC:
-		r.sendBytes = make([][]byte, p)
-		r.osc = exchange.NewOSC(pl.c, func(dst, src int) int { return elem * overlap(dst, src) }, true)
-		if pl.opts.SimScale > 1 {
-			r.osc.Logical = func(dst, src int) int { return elem * simOverlap(dst, src) }
-		}
-	case BackendBruck:
-		r.sendBytes = make([][]byte, p)
-		// Bruck requires uniform blocks: pad every pairwise payload to
-		// the global maximum overlap. The maximum is reduced
-		// collectively (every pair appears in its source's send list, so
-		// the send-side maximum covers all pairs), which keeps the block
-		// size — and hence every round's message sizes — identical on
-		// all ranks.
-		maxCnt := 0
-		for _, t := range r.plan.Send {
-			if t.Count > maxCnt {
-				maxCnt = t.Count
-			}
-		}
-		maxCnt = int(pl.c.AllreduceFloat64("max", float64(maxCnt)))
-		r.bruckBlock = elem * maxCnt
-		r.bruckLogical = r.bruckBlock
-		if pl.opts.SimScale > 1 {
-			simMax := 0
-			for _, t := range simPlan.Send {
-				if t.Count > simMax {
-					simMax = t.Count
-				}
-			}
-			simMax = int(pl.c.AllreduceFloat64("max", float64(simMax)))
-			r.bruckLogical = elem * simMax
-		}
-		r.bruckSend = make([][]byte, p)
-		for d := range r.bruckSend {
-			r.bruckSend[d] = make([]byte, r.bruckBlock)
-		}
-	case BackendCompressed:
-		r.sendVals = make([][]float64, p)
-		// Scale the pipeline depth to the payload: one chunk per 256 KB
-		// of send data (capped at the configured depth) so that tiny
-		// exchanges do not pay per-kernel overhead for overlap they
-		// cannot use.
-		chunks := r.simSendTotal * elem / (256 << 10)
-		if chunks < 1 {
-			chunks = 1
-		}
-		if chunks > choice.Chunks {
-			chunks = choice.Chunks
-		}
-		r.cosc = exchange.NewCompressedOSC(pl.c, choice.Method, pl.stream, chunks,
-			func(dst, src int) int { return 2 * overlap(dst, src) })
-		r.cosc.SetLabel(label)
-		r.cosc.Pipelined = !pl.opts.DisablePipeline
-		if pl.opts.SimScale > 1 {
-			r.cosc.SimCounts = func(dst, src int) int { return 2 * simOverlap(dst, src) }
-		}
-	case BackendCompressedTwoSided:
-		r.sendVals = make([][]float64, p)
-		r.c2s = exchange.NewTwoSidedCompressed(pl.c, choice.Method, pl.stream,
-			func(dst, src int) int { return 2 * overlap(dst, src) })
-		r.c2s.SetLabel(label)
-		if pl.opts.SimScale > 1 {
-			r.c2s.SimCounts = func(dst, src int) int { return 2 * simOverlap(dst, src) }
-		}
-	}
-	return r
-}
-
-// execute performs the reshape: pack (GPU), exchange (backend), unpack
-// (GPU). The returned buffer is owned by the reshape and valid until its
-// next execution.
-func (r *reshape[C]) execute(local []C) []C {
-	pl := r.pl
-	dev := pl.opts.Device
-	me := pl.c.Rank()
-	rk := pl.c.Obs()
-	tPack := pl.c.Now()
-	rk.Begin(obs.TrackHost, obs.PhasePack, tPack)
-
-	// Pack every destination's overlap, reordered to the target layout.
-	switch r.backend {
-	case BackendCompressed, BackendCompressedTwoSided:
-		for i := range r.sendVals {
-			r.sendVals[i] = nil
-		}
-		pl.stream.LaunchTagged(obs.PhasePack, dev.CopyCost(r.simSendTotal*pl.elemSize()), func() {
-			for _, t := range r.plan.Send {
-				buf := make([]float64, 2*t.Count)
-				grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, r.packBuf[:t.Count])
-				complexToFloats(r.packBuf[:t.Count], buf)
-				r.sendVals[t.Rank] = buf
-			}
-		})
-		// Fill empty destinations with zero-length slices (plan demands
-		// exact counts).
-		for d := range r.sendVals {
-			if r.sendVals[d] == nil {
-				r.sendVals[d] = []float64{}
-			}
-		}
-	default:
-		for i := range r.sendBytes {
-			r.sendBytes[i] = nil
-		}
-		pl.stream.LaunchTagged(obs.PhasePack, dev.CopyCost(r.simSendTotal*pl.elemSize()), func() {
-			for _, t := range r.plan.Send {
-				grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, r.packBuf[:t.Count])
-				r.sendBytes[t.Rank] = complexToBytes(r.packBuf[:t.Count])
-			}
-		})
-		for d := range r.sendBytes {
-			if r.sendBytes[d] == nil {
-				r.sendBytes[d] = []byte{}
-			}
-		}
-	}
-	pl.stream.Synchronize()
-	tExchange := pl.c.Now()
-	pl.profile.Pack += tExchange - tPack
-	rk.End(tExchange, int64(r.simSendTotal*pl.elemSize()))
-	rk.Begin(obs.TrackHost, obs.PhaseExchange, tExchange)
-
-	// Exchange.
-	var recvBytes [][]byte
-	var recvVals [][]float64
-	switch r.backend {
-	case BackendAlltoallv:
-		var logical []int
-		if pl.opts.SimScale > 1 {
-			logical = r.simLogical
-		}
-		recvBytes = pl.c.AlltoallvSparse(r.sendBytes, r.recvNonzero, logical)
-	case BackendOSC:
-		recvBytes = r.osc.Exchange(r.sendBytes)
-	case BackendBruck:
-		if r.bruckBlock > 0 {
-			// Pad every pairwise payload into its uniform block (bytes
-			// past the overlap travel but are never unpacked).
-			for d := range r.bruckSend {
-				copy(r.bruckSend[d], r.sendBytes[d])
-			}
-			recvBytes = exchange.BruckAlltoallLogical(pl.c, r.bruckSend, r.bruckBlock, r.bruckLogical)
-		} else {
-			recvBytes = r.bruckSend
-		}
-	case BackendCompressed:
-		recvVals = r.cosc.Exchange(r.sendVals)
-	case BackendCompressedTwoSided:
-		recvVals = r.c2s.Exchange(r.sendVals)
-	}
-
-	tUnpack := pl.c.Now()
-	pl.profile.Exchange += tUnpack - tExchange
-	rk.End(tUnpack, r.logicalTotal)
-	rk.Observe(r.metricTime, tUnpack-tExchange)
-	rk.Emit(obs.Event{
-		T: tUnpack, Kind: obs.EventExchange, Label: r.label, Peer: -1,
-		Value: tUnpack - tExchange,
-	})
-	rk.Begin(obs.TrackHost, obs.PhaseUnpack, tUnpack)
-
-	// Unpack into the target layout.
-	pl.stream.LaunchTagged(obs.PhaseUnpack, dev.CopyCost(r.simRecvTotal*pl.elemSize()), func() {
-		for _, t := range r.plan.Recv {
-			switch r.backend {
-			case BackendCompressed, BackendCompressedTwoSided:
-				floatsToComplex(recvVals[t.Rank], r.packBuf[:t.Count])
-			default:
-				bytesToComplex(recvBytes[t.Rank], r.packBuf[:t.Count])
-			}
-			grid.Unpack(r.packBuf[:t.Count], t.Sub, r.outBuf, r.toBox, r.toOrder)
-		}
-	})
-	pl.stream.Synchronize()
-	pl.profile.Unpack += pl.c.Now() - tUnpack
-	rk.End(pl.c.Now(), int64(r.simRecvTotal*pl.elemSize()))
-	_ = me
-	return r.outBuf
-}
-
-// complexAs builds a C from a real scalar.
-func complexAs[C fft.Complex](re float64) C {
-	var z C
-	if _, ok := any(z).(complex64); ok {
-		return C(complex(float32(re), 0))
-	}
-	return C(complex(re, 0))
-}
+// elemSize is the bytes of one pipeline element: two precBits-wide parts.
+func (pl *Plan[C]) elemSize() int { return 2 * pl.precBits / 8 }
 
 // complexToFloats flattens complex values into interleaved re/im float64s.
 func complexToFloats[C fft.Complex](src []C, dst []float64) {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/exchange"
 	"repro/internal/fft"
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -13,36 +12,27 @@ import (
 // with half-length real FFTs into the non-redundant half spectrum
 // (n0/2+1 bins), and the remaining stages run the complex pipeline on
 // the reduced grid. Real input halves both the first reshape's volume
-// and the first transform stage's work; all reshape backends (including
-// the compressed one-sided exchange) apply.
+// and the first transform stage's work. The real reshape and its
+// backward mirror are the same reshape the complex stages use, over
+// float64 elements, so every backend and tune plan applies to them
+// (labels r2c-real and r2c-real-back).
 //
 // Output is left as z-pencils of the reduced grid in OutOrder layout
 // (the reduced-reshape configuration); Backward accepts the same.
 type PlanR2C[C fft.Complex] struct {
-	c    *mpi.Comm
-	opts Options
-	n    [3]int // real grid
-	nr   [3]int // reduced spectrum grid {n0/2+1, n1, n2}
+	n  [3]int // real grid
+	nr [3]int // reduced spectrum grid {n0/2+1, n1, n2}
 
 	inner *Plan[C] // complex pipeline over nr (PencilIO configuration)
 
-	// Real reshape: bricks of n → x-pencils of n, carrying float64s.
-	realFrom, realTo []grid.Box
-	rplan            grid.Plan
-	simLogical       []int
-	simSend, simRecv int
-	recvNonzero      []bool
-	sendBytes        [][]byte
-	sendVals         [][]float64
-	realOSC          *exchange.OSC
-	realCOSC         *exchange.CompressedOSC
-	packBuf          []float64
-	pencil           []float64 // x-pencil real data
-	spec             []C       // r2c output (x̃-pencil of nr)
-	realOut          []float64 // backward result (brick of n)
+	// Real reshapes: bricks of n → x-pencils of n, and back.
+	fwd, bwd *reshape[float64]
+	pencil   []float64 // c2r output (x-pencil of n)
+	spec     []C       // r2c output (x̃-pencil of nr)
 
 	r2c    *fft.PlanR2C[C]
 	xbatch int
+	cost   float64 // one r2c/c2r kernel stage on the simulated grid
 }
 
 // NewPlanR2C collectively builds a real-transform plan for an even
@@ -51,108 +41,47 @@ func NewPlanR2C[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *PlanR2C[C] 
 	if n[0]%2 != 0 {
 		panic("core: r2c requires an even first dimension")
 	}
-	opts = opts.withDefaults()
 	if opts.PencilIO {
 		panic("core: PlanR2C implies pencil output; do not set PencilIO")
+	}
+	if opts.Recovery != nil {
+		// The stages here drive the reshapes directly, not through
+		// Plan.step, so nothing would be checkpointed.
+		panic("core: PlanR2C does not support Options.Recovery")
 	}
 	p := c.Size()
 	me := c.Rank()
 	nr := [3]int{n[0]/2 + 1, n[1], n[2]}
 
-	innerOpts := opts
-	innerOpts.PencilIO = true
+	opts.PencilIO = true
 	pl := &PlanR2C[C]{
-		c:    c,
-		opts: opts,
-		n:    n,
-		nr:   nr,
+		n:  n,
+		nr: nr,
 		// The inner plan owns the complex reshapes, FFT stages, stream,
 		// and window caches over the reduced grid.
-		inner: NewPlan[C](c, nr, innerOpts),
+		inner: NewPlan[C](c, nr, opts),
 	}
+	pp := &pl.inner.pipe
 
-	pl.realFrom = grid.Bricks(n, grid.Factor3(p))
-	pl.realTo = grid.Pencils(n, 0, p)
-	pl.rplan = grid.NewPlan(me, pl.realFrom, pl.realTo)
-	overlap := func(dst, src int) int { return grid.Intersect(pl.realFrom[src], pl.realTo[dst]).Count() }
-
-	s := opts.SimScale
+	s := pp.opts.SimScale
 	ns := [3]int{s * n[0], s * n[1], s * n[2]}
-	simFrom := grid.Bricks(ns, grid.Factor3(p))
-	simTo := grid.Pencils(ns, 0, p)
-	simPlan := grid.NewPlan(me, simFrom, simTo)
-	simOverlap := func(dst, src int) int { return grid.Intersect(simFrom[src], simTo[dst]).Count() }
-	pl.simSend, pl.simRecv = simPlan.SendTotal, simPlan.RecvTotal
-
-	elem := pl.realElem()
-	pl.simLogical = make([]int, p)
-	for _, t := range simPlan.Send {
-		pl.simLogical[t.Rank] = elem * t.Count
-	}
-
-	maxPack := 0
-	for _, t := range pl.rplan.Send {
-		if t.Count > maxPack {
-			maxPack = t.Count
-		}
-	}
-	for _, t := range pl.rplan.Recv {
-		if t.Count > maxPack {
-			maxPack = t.Count
-		}
-	}
-	pl.packBuf = make([]float64, maxPack)
-	pl.pencil = make([]float64, pl.realTo[me].Count())
-	pl.realOut = make([]float64, pl.realFrom[me].Count())
-
-	switch opts.Backend {
-	case BackendAlltoallv, BackendCompressedTwoSided:
-		pl.sendBytes = make([][]byte, p)
-		pl.recvNonzero = make([]bool, p)
-		for _, t := range pl.rplan.Recv {
-			pl.recvNonzero[t.Rank] = true
-		}
-	case BackendOSC:
-		pl.sendBytes = make([][]byte, p)
-		pl.realOSC = exchange.NewOSC(c, func(dst, src int) int { return elem * overlap(dst, src) }, true)
-		if s > 1 {
-			pl.realOSC.Logical = func(dst, src int) int { return elem * simOverlap(dst, src) }
-		}
-	case BackendCompressed:
-		pl.sendVals = make([][]float64, p)
-		chunks := simPlan.SendTotal * elem / (256 << 10)
-		if chunks < 1 {
-			chunks = 1
-		}
-		if chunks > opts.Chunks {
-			chunks = opts.Chunks
-		}
-		pl.realCOSC = exchange.NewCompressedOSC(c, pl.inner.opts.Method, pl.inner.stream, chunks, overlap)
-		pl.realCOSC.SetLabel("r2c-real")
-		pl.realCOSC.Pipelined = !opts.DisablePipeline
-		if s > 1 {
-			pl.realCOSC.SimCounts = simOverlap
-		}
-	}
+	brick := layout{0, stageBoxes(n, 0, p), stageBoxes(ns, 0, p), grid.Natural}
+	pencil := layout{1, stageBoxes(n, 1, p), stageBoxes(ns, 1, p), grid.Natural}
+	wire := realCodec(pp.precBits)
+	pl.fwd = newReshape(pp, wire, brick, pencil, "r2c-real")
+	pl.bwd = newReshape(pp, wire, pencil, brick, "r2c-real-back")
 
 	pl.r2c = fft.NewPlanR2C[C](n[0])
-	pl.xbatch = pl.realTo[me].Count() / n[0]
+	pl.xbatch = pencil.boxes[me].Count() / n[0]
+	pl.pencil = make([]float64, pencil.boxes[me].Count())
 	pl.spec = make([]C, pl.xbatch*pl.r2c.SpectrumLen())
+	// r2c along x on the GPU: half-length complex FFTs plus untangle.
+	pl.cost = pp.opts.Device.FFTCost(s*n[0]/2, pl.xbatch*s*s, pp.precBits)
 	return pl
 }
 
-// realElem is the wire size of one real value (4 bytes in the FP32
-// pipeline, 8 in FP64).
-func (pl *PlanR2C[C]) realElem() int {
-	var zero C
-	if _, ok := any(zero).(complex64); ok {
-		return 4
-	}
-	return 8
-}
-
 // InBox returns this rank's real input brick (natural order).
-func (pl *PlanR2C[C]) InBox() grid.Box { return pl.realFrom[pl.c.Rank()] }
+func (pl *PlanR2C[C]) InBox() grid.Box { return pl.fwd.fromBox }
 
 // OutBox returns this rank's share of the reduced spectrum grid
 // (a z-pencil of {n0/2+1, n1, n2}).
@@ -171,21 +100,10 @@ func (pl *PlanR2C[C]) SpectrumN() [3]int { return pl.nr }
 func (pl *PlanR2C[C]) Forward(in []float64) []C {
 	inner := pl.inner
 	inner.profile = Profile{}
-	pl.reshapeReal(in)
-
-	// r2c along x on the GPU: half-length complex FFTs plus untangle.
-	s := pl.opts.SimScale
-	simBatch := pl.xbatch * s * s
-	cost := inner.opts.Device.FFTCost(s*pl.n[0]/2, simBatch, inner.precBits)
-	rk := pl.c.Obs()
-	t0 := pl.c.Now()
-	rk.Begin(obs.TrackHost, obs.PhaseFFT, t0)
-	inner.stream.LaunchTagged(obs.PhaseFFT, cost, func() {
-		pl.r2c.ForwardBatch(pl.pencil, pl.spec, pl.xbatch)
+	pencil := pl.fwd.execute(in)
+	inner.kernel(obs.PhaseFFT, &inner.profile.FFT, 0, pl.cost, func() {
+		pl.r2c.ForwardBatch(pencil, pl.spec, pl.xbatch)
 	})
-	inner.stream.Synchronize()
-	inner.profile.FFT += pl.c.Now() - t0
-	rk.End(pl.c.Now(), 0)
 
 	// Remaining complex stages on the reduced grid (skip inner's axis-0
 	// FFT: the r2c stage replaced it).
@@ -197,7 +115,8 @@ func (pl *PlanR2C[C]) Forward(in []float64) []C {
 }
 
 // Backward inverts Forward (scaled by 1/(n0·n1·n2)): z-pencil spectrum
-// in, real brick out. spec is not modified.
+// in, real brick out. spec is not modified. The result is owned by the
+// plan and valid until the next call.
 func (pl *PlanR2C[C]) Backward(spec []C) []float64 {
 	inner := pl.inner
 	inner.profile = Profile{}
@@ -208,150 +127,15 @@ func (pl *PlanR2C[C]) Backward(spec []C) []float64 {
 	data = inner.bwd[1].execute(data)
 
 	// c2r along x (includes the 1/n0 factor), then 1/(n1·n2).
-	s := pl.opts.SimScale
-	simBatch := pl.xbatch * s * s
-	cost := inner.opts.Device.FFTCost(s*pl.n[0]/2, simBatch, inner.precBits)
-	rk := pl.c.Obs()
-	t0 := pl.c.Now()
-	rk.Begin(obs.TrackHost, obs.PhaseFFT, t0)
-	inner.stream.LaunchTagged(obs.PhaseFFT, cost, func() {
+	inner.kernel(obs.PhaseFFT, &inner.profile.FFT, 0, pl.cost, func() {
 		pl.r2c.InverseBatch(data, pl.pencil, pl.xbatch)
 		scale := 1 / float64(pl.n[1]*pl.n[2])
 		for i := range pl.pencil {
 			pl.pencil[i] *= scale
 		}
 	})
-	inner.stream.Synchronize()
-	inner.profile.FFT += pl.c.Now() - t0
-	rk.End(pl.c.Now(), 0)
-
-	pl.reshapeRealBack()
-	return pl.realOut
+	return pl.bwd.execute(pl.pencil)
 }
 
 // LastProfile returns the inner pipeline's phase breakdown.
 func (pl *PlanR2C[C]) LastProfile() Profile { return pl.inner.profile }
-
-// reshapeReal moves this rank's real brick into its x-pencil (pl.pencil).
-func (pl *PlanR2C[C]) reshapeReal(in []float64) {
-	pl.runRealReshape(in, pl.pencil, pl.rplan, pl.realFrom, pl.realTo, false)
-}
-
-// reshapeRealBack moves the x-pencil back to the brick (pl.realOut).
-func (pl *PlanR2C[C]) reshapeRealBack() {
-	back := grid.NewPlan(pl.c.Rank(), pl.realTo, pl.realFrom)
-	pl.runRealReshape(pl.pencil, pl.realOut, back, pl.realTo, pl.realFrom, true)
-}
-
-// runRealReshape is the float64 analogue of reshape.execute. The
-// backward direction reuses the forward exchange objects' windows only
-// for the two-sided backends; the one-sided backends fall back to the
-// two-sided exchange for the (non-performance-critical) inverse-side
-// real reshape to keep window bookkeeping simple.
-func (pl *PlanR2C[C]) runRealReshape(src, dst []float64, plan grid.Plan, from, to []grid.Box, backward bool) {
-	inner := pl.inner
-	dev := inner.opts.Device
-	me := pl.c.Rank()
-	elem := pl.realElem()
-	srcBox, dstBox := from[me], to[me]
-
-	rk := pl.c.Obs()
-	tPack := pl.c.Now()
-	rk.Begin(obs.TrackHost, obs.PhasePack, tPack)
-	// Every backend ships real bytes except the compressed one-sided
-	// exchange's forward direction, which consumes float64 payloads.
-	useBytes := pl.opts.Backend != BackendCompressed || backward
-	packCost := dev.CopyCost(pl.simSend * elem)
-	sendBytes := make([][]byte, pl.c.Size())
-	sendVals := make([][]float64, pl.c.Size())
-	inner.stream.LaunchTagged(obs.PhasePack, packCost, func() {
-		for _, t := range plan.Send {
-			buf := pl.packBuf[:t.Count]
-			grid.Pack(src, srcBox, grid.Natural, t.Sub, grid.Natural, buf)
-			if useBytes {
-				sendBytes[t.Rank] = pl.realToBytes(buf)
-			} else {
-				sendVals[t.Rank] = append([]float64(nil), buf...)
-			}
-		}
-	})
-	for d := range sendBytes {
-		if useBytes && sendBytes[d] == nil {
-			sendBytes[d] = []byte{}
-		}
-		if !useBytes && sendVals[d] == nil {
-			sendVals[d] = []float64{}
-		}
-	}
-	inner.stream.Synchronize()
-	tEx := pl.c.Now()
-	inner.profile.Pack += tEx - tPack
-	rk.End(tEx, int64(pl.simSend*elem))
-	rk.Begin(obs.TrackHost, obs.PhaseExchange, tEx)
-
-	recvNonzero := make([]bool, pl.c.Size())
-	for _, t := range plan.Recv {
-		recvNonzero[t.Rank] = true
-	}
-	var logical []int
-	if pl.opts.SimScale > 1 {
-		logical = pl.simLogical
-		if backward {
-			logical = nil // conservative: charge real sizes on the way back
-		}
-	}
-
-	var recvBytes [][]byte
-	var recvVals [][]float64
-	switch {
-	case useBytes:
-		recvBytes = pl.c.AlltoallvSparse(sendBytes, recvNonzero, logical)
-	case pl.opts.Backend == BackendOSC:
-		recvBytes = pl.realOSC.Exchange(sendBytes)
-	default: // BackendCompressed forward
-		recvVals = pl.realCOSC.Exchange(sendVals)
-	}
-	tUn := pl.c.Now()
-	inner.profile.Exchange += tUn - tEx
-	rk.End(tUn, int64(pl.simSend*elem))
-	rk.Begin(obs.TrackHost, obs.PhaseUnpack, tUn)
-
-	inner.stream.LaunchTagged(obs.PhaseUnpack, dev.CopyCost(pl.simRecv*elem), func() {
-		for _, t := range plan.Recv {
-			var vals []float64
-			if recvVals != nil {
-				vals = recvVals[t.Rank]
-			} else {
-				vals = pl.realFromBytes(recvBytes[t.Rank], t.Count)
-			}
-			grid.Unpack(vals, t.Sub, dst, dstBox, grid.Natural)
-		}
-	})
-	inner.stream.Synchronize()
-	inner.profile.Unpack += pl.c.Now() - tUn
-	rk.End(pl.c.Now(), int64(pl.simRecv*elem))
-}
-
-// realToBytes serializes reals at the pipeline's wire precision.
-func (pl *PlanR2C[C]) realToBytes(vals []float64) []byte {
-	if pl.realElem() == 4 {
-		f32 := make([]float32, len(vals))
-		for i, v := range vals {
-			f32[i] = float32(v)
-		}
-		return mpi.Float32sToBytes(f32)
-	}
-	return mpi.Float64sToBytes(vals)
-}
-
-func (pl *PlanR2C[C]) realFromBytes(b []byte, count int) []float64 {
-	if pl.realElem() == 4 {
-		f32 := mpi.BytesToFloat32s(b)
-		out := make([]float64, count)
-		for i := range out {
-			out[i] = float64(f32[i])
-		}
-		return out
-	}
-	return mpi.BytesToFloat64s(b)
-}

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/fft"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	recov "repro/internal/recover"
 )
 
 // realField returns the deterministic real input at (i,j,k).
@@ -260,4 +265,190 @@ func TestR2CFasterThanC2C(t *testing.T) {
 	if tR2C >= tC2C {
 		t.Errorf("r2c %.3g not faster than c2c %.3g", tR2C, tC2C)
 	}
+}
+
+// tuneMap is a fixed TunePlan: label → choice.
+type tuneMap map[string]ExchangeChoice
+
+func (m tuneMap) Choice(label string) (ExchangeChoice, bool) {
+	ch, ok := m[label]
+	return ch, ok
+}
+
+// r2cRun builds a PlanR2C on 12 ranks and runs fwd forward transforms
+// followed by bwd backward ones, returning the worst forward deviation
+// from the serial reference, the worst round-trip deviation (both
+// relative to the largest reference magnitude), and the run's wire
+// statistics. check == false skips the comparisons.
+func r2cRun(t *testing.T, rec *obs.Recorder, n [3]int, opts Options, fwd, bwd int, check bool) (fwdErr, rtErr float64, stats netsim.Stats) {
+	t.Helper()
+	var want []complex128
+	if check {
+		want = serialR2CReference(n, 11)
+	}
+	var fwdDiff, fwdMax, rtDiff, rtMax float64
+	res := mpi.RunWith(machine(12), rec, func(c *mpi.Comm) {
+		pl := NewPlanR2C[complex128](c, n, opts)
+		in := make([]float64, pl.InBox().Count())
+		fillRealBrick(in, pl.InBox(), 11)
+		var spec []complex128
+		for i := 0; i < fwd; i++ {
+			spec = append(spec[:0], pl.Forward(in)...)
+		}
+		var back []float64
+		for i := 0; i < bwd; i++ {
+			back = pl.Backward(spec)
+		}
+		if !check {
+			return
+		}
+		b, o := pl.OutBox(), pl.OutOrder()
+		var d, m float64
+		for i := b.Lo[0]; i < b.Hi[0]; i++ {
+			for j := b.Lo[1]; j < b.Hi[1]; j++ {
+				for k := b.Lo[2]; k < b.Hi[2]; k++ {
+					ref := want[i+n[0]*(j+n[1]*k)]
+					d = math.Max(d, cmplx.Abs(spec[o.Index(b, [3]int{i, j, k})]-ref))
+					m = math.Max(m, cmplx.Abs(ref))
+				}
+			}
+		}
+		fd, fm := c.AllreduceFloat64("max", d), c.AllreduceFloat64("max", m)
+		d, m = 0, 0
+		for i := range back {
+			d = math.Max(d, math.Abs(back[i]-in[i]))
+			m = math.Max(m, math.Abs(in[i]))
+		}
+		rd, rm := c.AllreduceFloat64("max", d), c.AllreduceFloat64("max", m)
+		if c.Rank() == 0 {
+			fwdDiff, fwdMax, rtDiff, rtMax = fd, fm, rd, rm
+		}
+	})
+	if check {
+		fwdErr, rtErr = fwdDiff/fwdMax, rtDiff/rtMax
+	}
+	return fwdErr, rtErr, res.Stats
+}
+
+// TestR2CUsesItsBackend: the real transform matches the serial reference
+// and round-trips under every backend and under a tune plan covering the
+// real reshape — and the real reshapes really go through the configured
+// exchange in both directions, not through a two-sided stand-in.
+func TestR2CUsesItsBackend(t *testing.T) {
+	n := [3]int{16, 16, 16}
+	cast := compress.Cast32{}
+	rawReal, _, _ := obs.CompressMetricNames("r2c-real")
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		lossy bool
+	}{
+		{"alltoallv", Options{Backend: BackendAlltoallv}, false},
+		{"osc", Options{Backend: BackendOSC}, false},
+		{"bruck", Options{Backend: BackendBruck}, false},
+		{"compressed", Options{Backend: BackendCompressed, Method: cast}, true},
+		{"compressed-2s", Options{Backend: BackendCompressedTwoSided, Method: cast}, true},
+		{"tuned-real-osc", Options{Backend: BackendAlltoallv, Tune: tuneMap{
+			"r2c-real":      {Backend: BackendOSC},
+			"r2c-real-back": {Backend: BackendCompressed, Method: cast},
+		}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.New(obs.Options{Metrics: true})
+			fwdErr, rtErr, stats := r2cRun(t, rec, n, tc.opts, 1, 1, true)
+			tol := 1e-12
+			if tc.lossy {
+				tol = 1e-5
+			}
+			if fwdErr > tol || rtErr > tol {
+				t.Errorf("forward error %g, round-trip error %g; want ≤ %g", fwdErr, rtErr, tol)
+			}
+			if tc.lossy && rtErr < 1e-10 {
+				t.Errorf("round-trip error %g: the lossy exchange was not used", rtErr)
+			}
+			raw := rec.Metrics().Counter(rawReal)
+			switch tc.name {
+			case "compressed", "compressed-2s":
+				if raw == 0 {
+					t.Errorf("%s counter is zero: the real reshape bypassed the compressed exchange", rawReal)
+				}
+			case "tuned-real-osc":
+				// Everything but the two real reshapes is two-sided here.
+				if stats.Puts == 0 {
+					t.Error("no puts: the tune plan's choices for the real reshapes were ignored")
+				}
+			}
+		})
+	}
+
+	// Under BackendOSC each direction issues more puts than the inner
+	// complex PencilIO plan alone: the real reshape uses its window.
+	innerPuts := func(fwd, bwd int) int {
+		nr := [3]int{n[0]/2 + 1, n[1], n[2]}
+		res := mpi.Run(machine(12), func(c *mpi.Comm) {
+			pl := NewPlan[complex128](c, nr, Options{Backend: BackendOSC, PencilIO: true})
+			in := make([]complex128, pl.InBox().Count())
+			for i := 0; i < fwd; i++ {
+				pl.Forward(in)
+			}
+			out := make([]complex128, pl.OutBox().Count())
+			for i := 0; i < bwd; i++ {
+				pl.Backward(out)
+			}
+		})
+		return res.Stats.Puts
+	}
+	r2cPuts := func(fwd, bwd int) int {
+		_, _, stats := r2cRun(t, nil, n, Options{Backend: BackendOSC}, fwd, bwd, false)
+		return stats.Puts
+	}
+	if got, inner := r2cPuts(1, 0), innerPuts(1, 0); got <= inner {
+		t.Errorf("forward: %d puts, inner complex plan alone %d — real reshape not one-sided", got, inner)
+	}
+	if got, inner := r2cPuts(1, 1)-r2cPuts(1, 0), innerPuts(1, 1)-innerPuts(1, 0); got <= inner {
+		t.Errorf("backward: %d puts, inner complex plan alone %d — mirror reshape not one-sided", got, inner)
+	}
+}
+
+// TestR2CBackwardMirrorsForwardOnTimePlane: with a lossless backend in
+// scaled-volume mode, one Backward moves exactly the bytes one Forward
+// does — the mirror reshape is charged at SimScale like every other.
+func TestR2CBackwardMirrorsForwardOnTimePlane(t *testing.T) {
+	moved := func(fwd, bwd int) int64 {
+		_, _, s := r2cRun(t, nil, [3]int{16, 16, 16}, Options{Backend: BackendAlltoallv, SimScale: 4}, fwd, bwd, false)
+		return s.BytesInter + s.BytesIntra + s.BytesLocal
+	}
+	setup, one, both := moved(0, 0), moved(1, 0), moved(1, 1)
+	if f, b := one-setup, both-one; f == 0 || f != b {
+		t.Errorf("forward moved %d bytes, backward %d; want equal and non-zero", f, b)
+	}
+}
+
+// TestR2CRefusesWhatItCannotHonour: options PlanR2C cannot implement
+// fail at construction, naming the field, instead of being dropped.
+func TestR2CRefusesWhatItCannotHonour(t *testing.T) {
+	cast := compress.Cast32{}
+	expectPanic := func(name, want string, build func(c *mpi.Comm)) {
+		t.Helper()
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q does not mention %q", name, msg, want)
+			}
+		}()
+		mpi.Run(machine(1), build)
+	}
+	n := [3]int{8, 8, 8}
+	expectPanic("recovery", "Options.Recovery", func(c *mpi.Comm) {
+		NewPlanR2C[complex128](c, n, Options{Recovery: new(recov.Rank)})
+	})
+	expectPanic("pencil io", "PencilIO", func(c *mpi.Comm) {
+		NewPlanR2C[complex128](c, n, Options{PencilIO: true})
+	})
+	expectPanic("fp32 + compressed", "FP64 pipeline", func(c *mpi.Comm) {
+		NewPlanR2C[complex64](c, n, Options{Backend: BackendCompressed, Method: cast})
+	})
+	expectPanic("fp32 + tuned compressed real reshape", "FP64 pipeline", func(c *mpi.Comm) {
+		NewPlanR2C[complex64](c, n, Options{Tune: tuneMap{"r2c-real": {Backend: BackendCompressed, Method: cast}}})
+	})
 }

@@ -2,6 +2,8 @@ package exchange
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/compress"
 	"repro/internal/gpu"
@@ -24,6 +26,10 @@ const (
 	AlgoOSCComp = "osc-comp"
 )
 
+// Algos lists every algorithm name the bandwidth harness accepts, so
+// drivers can validate user input before a run starts.
+var Algos = []string{AlgoLinear, AlgoPairwise, AlgoBruck, AlgoOSC, AlgoOSCNaive, AlgoOSCComp}
+
 // Spec parameterizes the bandwidth harness beyond the named algorithm
 // presets: the compressed algorithm's method and pipeline depth become
 // selectable (the autotuner's winners need both). The zero Method /
@@ -35,85 +41,89 @@ type Spec struct {
 	Chunks int             // AlgoOSCComp only; 0 selects 4
 }
 
-func (s Spec) withDefaults() Spec {
+// resolve fills the defaults and rejects an algorithm the harness does
+// not know — on the caller's goroutine, before any rank starts.
+func (s Spec) resolve() (Spec, error) {
 	if s.Method == nil {
 		s.Method = compress.Cast32{}
 	}
 	if s.Chunks == 0 {
 		s.Chunks = 4
 	}
-	return s
+	if slices.Contains(Algos, s.Algo) {
+		return s, nil
+	}
+	return s, fmt.Errorf("exchange: unknown algorithm %q (valid: %s)", s.Algo, strings.Join(Algos, ", "))
 }
 
-// NodeBandwidth runs a uniform all-to-all (msgBytes per pair, phantom
-// payloads) iters times on the machine and returns the average node
-// bandwidth in bytes/s — the Fig. 3 metric: total bytes sent divided by
-// the exchange time and the node count. Setup (window creation, warmup
-// iteration) is excluded from the measured window.
-func NodeBandwidth(cfg netsim.Config, algo string, msgBytes, iters int) float64 {
-	return NodeBandwidthWith(nil, cfg, algo, msgBytes, iters)
-}
-
-// NodeBandwidthWith is NodeBandwidth with an observability recorder
-// attached to the run (nil behaves exactly like NodeBandwidth).
-func NodeBandwidthWith(rec *obs.Recorder, cfg netsim.Config, algo string, msgBytes, iters int) float64 {
-	return NodeBandwidthSpec(rec, cfg, Spec{Algo: algo}, msgBytes, iters)
-}
-
-// NodeBandwidthSpec is NodeBandwidthWith over a full Spec.
-func NodeBandwidthSpec(rec *obs.Recorder, cfg netsim.Config, spec Spec, msgBytes, iters int) float64 {
-	spec = spec.withDefaults()
-	algo := spec.Algo
-	p := cfg.Ranks()
-	var start, end float64
-	mpi.RunWith(cfg, rec, func(c *mpi.Comm) {
-		sizes := make([]int, p)
+// newCell builds one rank's side of a bandwidth cell: run performs one
+// uniform all-to-all of msgBytes per pair (phantom payloads, except the
+// compressed exchange, which needs real data); cosc is that compressed
+// exchange — the only algorithm here with a healing ledger to
+// checkpoint — and nil otherwise. Collective: everything sizes itself
+// off the live communicator.
+func newCell(c *mpi.Comm, spec Spec, msgBytes int) (run func(), cosc *CompressedOSC) {
+	switch spec.Algo {
+	case AlgoLinear, AlgoPairwise:
+		sizes := make([]int, c.Size())
 		for i := range sizes {
 			sizes[i] = msgBytes
 		}
-		var osc *OSC
-		var cosc *CompressedOSC
-		var send [][]float64
-		switch algo {
-		case AlgoOSC:
-			osc = NewOSCPhantom(c, Uniform(msgBytes), true)
-		case AlgoOSCNaive:
-			osc = NewOSCPhantom(c, Uniform(msgBytes), false)
-		case AlgoOSCComp:
-			count := msgBytes / 8
-			if count < 1 {
-				count = 1
-			}
-			stream := gpu.NewStream(gpu.V100(), c)
-			stream.SetObserver(c.Obs())
-			cosc = NewCompressedOSC(c, spec.Method, stream, spec.Chunks, UniformCount(count))
-			cosc.SetLabel("bench")
-			send = benchPayload(c.Rank(), p, count)
+		if spec.Algo == AlgoLinear {
+			return func() { c.AlltoallvN(sizes) }, nil
 		}
-		run := func() {
-			switch algo {
-			case AlgoLinear:
-				LinearAlltoallvN(c, sizes)
-			case AlgoPairwise:
-				PairwiseAlltoallvN(c, sizes)
-			case AlgoBruck:
-				BruckAlltoallN(c, msgBytes)
-			case AlgoOSC, AlgoOSCNaive:
-				osc.ExchangeN()
-			case AlgoOSCComp:
-				cosc.Exchange(send)
-			default:
-				panic(fmt.Sprintf("exchange: unknown algorithm %q", algo))
-			}
+		return func() { PairwiseAlltoallvN(c, sizes) }, nil
+	case AlgoBruck:
+		return func() { BruckAlltoallN(c, msgBytes) }, nil
+	case AlgoOSC, AlgoOSCNaive:
+		return NewOSCPhantom(c, Uniform(msgBytes), spec.Algo == AlgoOSC).ExchangeN, nil
+	case AlgoOSCComp:
+		count := msgBytes / 8
+		if count < 1 {
+			count = 1
 		}
-		run() // warmup
-		c.Barrier()
-		t0 := c.AllreduceFloat64("min", c.Now())
-		for i := 0; i < iters; i++ {
-			run()
-		}
-		c.Barrier()
-		t1 := c.AllreduceFloat64("max", c.Now())
+		stream := gpu.NewStream(gpu.V100(), c)
+		stream.SetObserver(c.Obs())
+		cosc = NewCompressedOSC(c, spec.Method, stream, spec.Chunks, UniformCount(count))
+		cosc.SetLabel("bench")
+		send := benchPayload(c.Rank(), c.Size(), count)
+		return func() { cosc.Exchange(send) }, cosc
+	}
+	panic("exchange: unresolved algorithm " + spec.Algo)
+}
+
+// timedLoop is the measurement window every harness shares: one warmup
+// step, then iters measured steps between barriers. It returns the
+// earliest start and the latest end over all ranks (virtual seconds).
+func timedLoop(c *mpi.Comm, iters int, step func(measured bool)) (t0, t1 float64) {
+	step(false) // warmup
+	c.Barrier()
+	t0 = c.AllreduceFloat64("min", c.Now())
+	for i := 0; i < iters; i++ {
+		step(true)
+	}
+	c.Barrier()
+	t1 = c.AllreduceFloat64("max", c.Now())
+	return t0, t1
+}
+
+// NodeBandwidthSpec runs a uniform all-to-all (msgBytes per pair) iters
+// times on the machine, with the recorder attached (nil records
+// nothing), and returns the average node bandwidth in bytes/s — the
+// Fig. 3 metric: total bytes sent divided by the exchange time and the
+// node count. Setup (window creation, warmup iteration) is excluded
+// from the measured window. It panics on an unknown Spec.Algo before
+// the simulation starts.
+func NodeBandwidthSpec(rec *obs.Recorder, cfg netsim.Config, spec Spec, msgBytes, iters int) float64 {
+	spec, err := spec.resolve()
+	if err != nil {
+		panic(err.Error())
+	}
+	p := cfg.Ranks()
+	var start, end float64
+	mpi.RunWith(cfg, rec, func(c *mpi.Comm) {
+		run, _ := newCell(c, spec, msgBytes)
+		t0, t1 := timedLoop(c, iters, func(bool) { run() })
 		if c.Rank() == 0 {
 			start, end = t0, t1
 		}
@@ -122,76 +132,34 @@ func NodeBandwidthSpec(rec *obs.Recorder, cfg netsim.Config, spec Spec, msgBytes
 	return total / (end - start) / float64(cfg.Nodes)
 }
 
-// NodeBandwidthRecoverable is NodeBandwidthWith under the crash-recovery
-// runtime (docs/ROBUSTNESS.md): every iteration ends with an epoch
-// checkpoint carrying the exchange's healing ledger, and on a watchdog
-// crash verdict the controller rolls back, respawns, and resumes the
-// sweep instead of failing it. The bandwidth is computed over the
-// iterations the final attempt actually executed (replayed iterations
-// are restored, not re-run), so a recovered measurement stays
-// well-defined.
-func NodeBandwidthRecoverable(rec *obs.Recorder, cfg netsim.Config, algo string, msgBytes, iters int, pol recov.Policy) (float64, recov.Outcome, error) {
-	return NodeBandwidthRecoverableSpec(rec, cfg, Spec{Algo: algo}, msgBytes, iters, pol)
-}
-
-// NodeBandwidthRecoverableSpec is NodeBandwidthRecoverable over a full
-// Spec.
+// NodeBandwidthRecoverableSpec is NodeBandwidthSpec under the
+// crash-recovery runtime (docs/ROBUSTNESS.md): every iteration ends with
+// an epoch checkpoint carrying the exchange's healing ledger, and on a
+// watchdog crash verdict the controller rolls back, respawns, and
+// resumes the sweep instead of failing it. The bandwidth is computed
+// over the iterations the final attempt actually executed (replayed
+// iterations are restored, not re-run), so a recovered measurement
+// stays well-defined. An unknown Spec.Algo is an error, returned before
+// the simulation starts.
 func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spec, msgBytes, iters int, pol recov.Policy) (float64, recov.Outcome, error) {
-	spec = spec.withDefaults()
-	algo := spec.Algo
+	spec, err := spec.resolve()
+	if err != nil {
+		return 0, recov.Outcome{}, err
+	}
 	var start, end float64
 	var performed, pFinal int
 	ct := &recov.Controller{Policy: pol}
 	out, err := ct.Run(cfg, rec, func(c *mpi.Comm, rk *recov.Rank) {
 		// After an elastic shrink the communicator is smaller than the
-		// machine; everything below sizes itself off the live membership.
-		p := c.Size()
-		sizes := make([]int, p)
-		for i := range sizes {
-			sizes[i] = msgBytes
-		}
-		var osc *OSC
-		var cosc *CompressedOSC
-		var send [][]float64
-		switch algo {
-		case AlgoOSC:
-			osc = NewOSCPhantom(c, Uniform(msgBytes), true)
-		case AlgoOSCNaive:
-			osc = NewOSCPhantom(c, Uniform(msgBytes), false)
-		case AlgoOSCComp:
-			count := msgBytes / 8
-			if count < 1 {
-				count = 1
-			}
-			stream := gpu.NewStream(gpu.V100(), c)
-			stream.SetObserver(c.Obs())
-			cosc = NewCompressedOSC(c, spec.Method, stream, spec.Chunks, UniformCount(count))
-			cosc.SetLabel("bench")
-			send = benchPayload(c.Rank(), p, count)
-		}
-		run := func() {
-			switch algo {
-			case AlgoLinear:
-				LinearAlltoallvN(c, sizes)
-			case AlgoPairwise:
-				PairwiseAlltoallvN(c, sizes)
-			case AlgoBruck:
-				BruckAlltoallN(c, msgBytes)
-			case AlgoOSC, AlgoOSCNaive:
-				osc.ExchangeN()
-			case AlgoOSCComp:
-				cosc.Exchange(send)
-			default:
-				panic(fmt.Sprintf("exchange: unknown algorithm %q", algo))
-			}
-		}
+		// machine; the cell sizes itself off the live membership.
+		run, cosc := newCell(c, spec, msgBytes)
 		// One iteration = one recovery epoch: epochs the committed
 		// checkpoint covers are skipped (their ledger state is restored),
 		// the rest execute and checkpoint. myPerformed is rank-local (the
 		// bodies run concurrently under the parallel engine); rank 0
 		// publishes it after the closing barrier.
 		epoch, myPerformed := 0, 0
-		step := func(measured bool) {
+		t0, t1 := timedLoop(c, iters, func(measured bool) {
 			epoch++
 			if resume := rk.Resume(); epoch <= resume {
 				if epoch == resume && cosc != nil {
@@ -226,19 +194,11 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 				snap = cosc.LedgerState()
 			}
 			rk.Checkpoint(epoch, snap)
-		}
-		step(false) // warmup
-		c.Barrier()
-		t0 := c.AllreduceFloat64("min", c.Now())
-		for i := 0; i < iters; i++ {
-			step(true)
-		}
-		c.Barrier()
-		t1 := c.AllreduceFloat64("max", c.Now())
+		})
 		if c.Rank() == 0 {
 			start, end = t0, t1
 			performed = myPerformed
-			pFinal = p
+			pFinal = c.Size()
 		}
 	})
 	if err != nil {
@@ -268,33 +228,19 @@ func benchPayload(rank, p, count int) [][]float64 {
 	return send
 }
 
-// CompressedExchangeTime measures one compressed OSC exchange of count
-// float64 values per pair on real random-like data and returns the
-// exchange time (excluding construction and warmup).
-func CompressedExchangeTime(cfg netsim.Config, method compress.Method, chunks, count, iters int, pipelined bool) float64 {
-	return CompressedExchangeTimeWith(nil, cfg, method, chunks, count, iters, pipelined)
-}
-
-// CompressedExchangeTimeWith is CompressedExchangeTime with an
-// observability recorder attached to the run (nil behaves exactly like
-// CompressedExchangeTime).
+// CompressedExchangeTimeWith measures one compressed OSC exchange of
+// count float64 values per pair on real random-like data, with the
+// recorder attached (nil records nothing), and returns the exchange
+// time (excluding construction and warmup).
 func CompressedExchangeTimeWith(rec *obs.Recorder, cfg netsim.Config, method compress.Method, chunks, count, iters int, pipelined bool) float64 {
-	p := cfg.Ranks()
 	var start, end float64
 	mpi.RunWith(cfg, rec, func(c *mpi.Comm) {
 		stream := gpu.NewStream(gpu.V100(), c)
 		stream.SetObserver(c.Obs())
 		x := NewCompressedOSC(c, method, stream, chunks, UniformCount(count))
 		x.Pipelined = pipelined
-		send := benchPayload(c.Rank(), p, count)
-		x.Exchange(send) // warmup
-		c.Barrier()
-		t0 := c.AllreduceFloat64("min", c.Now())
-		for i := 0; i < iters; i++ {
-			x.Exchange(send)
-		}
-		c.Barrier()
-		t1 := c.AllreduceFloat64("max", c.Now())
+		send := benchPayload(c.Rank(), c.Size(), count)
+		t0, t1 := timedLoop(c, iters, func(bool) { x.Exchange(send) })
 		if c.Rank() == 0 {
 			start, end = t0, t1
 		}

@@ -10,22 +10,16 @@ const tagBruck = 104
 // for far fewer messages. It is the classic choice for the small-message
 // regime where the per-message costs that Fig. 3 exposes dominate.
 // Every rank contributes one block of blockSize bytes per destination.
-func BruckAlltoall(c *mpi.Comm, send [][]byte, blockSize int) [][]byte {
-	return BruckAlltoallLogical(c, send, blockSize, blockSize)
-}
-
-// BruckAlltoallLogical is BruckAlltoall charging logicalBlock wire
-// bytes per block — the scaled-volume mode: payloads stay real at
-// blockSize while the time plane sees each block as logicalBlock bytes.
-// logicalBlock == blockSize reproduces BruckAlltoall exactly.
-func BruckAlltoallLogical(c *mpi.Comm, send [][]byte, blockSize, logicalBlock int) [][]byte {
+// Each block is charged logicalBlock wire bytes — the scaled-volume
+// mode: payloads stay real at blockSize while the time plane sees each
+// block as logicalBlock bytes; pass blockSize for an unscaled exchange.
+func BruckAlltoall(c *mpi.Comm, send [][]byte, blockSize, logicalBlock int) [][]byte {
 	p := c.Size()
 	r := c.Rank()
-	for d, b := range send {
+	for _, b := range send {
 		if len(b) != blockSize {
 			panic("exchange: BruckAlltoall requires uniform block sizes")
 		}
-		_ = d
 	}
 
 	// Phase 1 — local rotation: slot j holds the block destined to rank

@@ -83,9 +83,9 @@ func TestBruckMatchesTwoSidedPayloads(t *testing.T) {
 		})
 		return out
 	}
-	twosided := gather(LinearAlltoallv)
+	twosided := gather((*mpi.Comm).Alltoallv)
 	bruck := gather(func(c *mpi.Comm, send [][]byte) [][]byte {
-		return BruckAlltoall(c, send, bs)
+		return BruckAlltoall(c, send, bs, bs)
 	})
 	for r := 0; r < p; r++ {
 		for s := 0; s < p; s++ {
@@ -109,7 +109,7 @@ func TestBruckLogicalPayloadsAndTiming(t *testing.T) {
 			for d := 0; d < p; d++ {
 				send[d] = payload(c.Rank(), d, bs)
 			}
-			recv := BruckAlltoallLogical(c, send, bs, logical)
+			recv := BruckAlltoall(c, send, bs, logical)
 			for s := 0; s < p; s++ {
 				if !bytes.Equal(recv[s], payload(s, c.Rank(), bs)) {
 					t.Errorf("logical=%d rank %d from %d corrupt", logical, c.Rank(), s)

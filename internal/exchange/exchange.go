@@ -1,6 +1,7 @@
 // Package exchange implements the all-to-all algorithms compared in the
-// paper: the default linear MPI_Alltoallv (the baseline whose bandwidth
-// collapses at scale in Fig. 3), a pairwise ring, the one-sided
+// paper next to the default linear MPI_Alltoallv (mpi.Comm.Alltoallv, the
+// baseline whose bandwidth collapses at scale in Fig. 3): a pairwise
+// ring, the log-round Bruck algorithm, the one-sided
 // OSC_Alltoall of Algorithm 3 with node-aware ordering and window
 // caching, and the compressed OSC exchange with the §V-B pipeline that
 // overlaps GPU compression kernels with RDMA puts.
@@ -12,10 +13,7 @@ import (
 
 // Fixed user tags; message matching is FIFO per (src, tag) so reuse
 // across successive collective calls is safe.
-const (
-	tagLinear   = 101
-	tagPairwise = 102
-)
+const tagPairwise = 102
 
 // Metric names of the exchange layer (constants so hot paths record
 // without allocating).
@@ -24,18 +22,6 @@ const (
 	metricFlushStallS  = "exchange/flush_stall_s"
 	metricOverlapStall = "exchange/overlap_stall_s"
 )
-
-// LinearAlltoallv is the default generalized all-to-all: every send is
-// posted up front, then every receive drained (Open MPI basic linear).
-// send[d] is the payload for rank d; the result is indexed by source.
-func LinearAlltoallv(c *mpi.Comm, send [][]byte) [][]byte {
-	return c.Alltoallv(send)
-}
-
-// LinearAlltoallvN is the phantom (timing-only) variant.
-func LinearAlltoallvN(c *mpi.Comm, sizes []int) {
-	c.AlltoallvN(sizes)
-}
 
 // PairwiseAlltoallv is the classic ring: p steps; at step j each rank
 // sends to (r+j) mod p and receives from (r−j) mod p, completing each

@@ -3,12 +3,14 @@ package exchange
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
+	recov "repro/internal/recover"
 )
 
 func machine(nodes int) netsim.Config { return netsim.Summit(nodes) }
@@ -42,7 +44,7 @@ func checkAlltoall(t *testing.T, name string, run func(c *mpi.Comm, send [][]byt
 }
 
 func TestLinearAlltoallv(t *testing.T) {
-	checkAlltoall(t, "linear", LinearAlltoallv)
+	checkAlltoall(t, "linear", (*mpi.Comm).Alltoallv)
 }
 
 func TestPairwiseAlltoallv(t *testing.T) {
@@ -214,8 +216,8 @@ func TestCompressedOSCVariableRate(t *testing.T) {
 func TestCompressedFasterThanUncompressedOSC(t *testing.T) {
 	cfg := machine(4) // 24 ranks: communication-dominated
 	count := 10000    // 80 KB per pair
-	tNone := CompressedExchangeTime(cfg, compress.None{}, 4, count, 2, true)
-	tCast := CompressedExchangeTime(cfg, compress.Cast32{}, 4, count, 2, true)
+	tNone := CompressedExchangeTimeWith(nil, cfg, compress.None{}, 4, count, 2, true)
+	tCast := CompressedExchangeTimeWith(nil, cfg, compress.Cast32{}, 4, count, 2, true)
 	if tCast >= tNone {
 		t.Errorf("compression not faster: FP32 %.3g vs FP64 %.3g", tCast, tNone)
 	}
@@ -230,8 +232,8 @@ func TestCompressedFasterThanUncompressedOSC(t *testing.T) {
 func TestPipelineBeatsSynchronousCompression(t *testing.T) {
 	cfg := machine(2)
 	count := 20000
-	tPipe := CompressedExchangeTime(cfg, compress.Cast32{}, 8, count, 2, true)
-	tSync := CompressedExchangeTime(cfg, compress.Cast32{}, 8, count, 2, false)
+	tPipe := CompressedExchangeTimeWith(nil, cfg, compress.Cast32{}, 8, count, 2, true)
+	tSync := CompressedExchangeTimeWith(nil, cfg, compress.Cast32{}, 8, count, 2, false)
 	if tPipe > tSync*1.02 {
 		t.Errorf("pipelined %.3g slower than synchronous %.3g", tPipe, tSync)
 	}
@@ -240,20 +242,38 @@ func TestPipelineBeatsSynchronousCompression(t *testing.T) {
 func TestNodeBandwidthOSCBeatsLinearAtScale(t *testing.T) {
 	cfg := machine(16) // 96 ranks
 	msg := 80 * 1024
-	bwLinear := NodeBandwidth(cfg, AlgoLinear, msg, 1)
-	bwOSC := NodeBandwidth(cfg, AlgoOSC, msg, 1)
+	bwLinear := NodeBandwidthSpec(nil, cfg, Spec{Algo: AlgoLinear}, msg, 1)
+	bwOSC := NodeBandwidthSpec(nil, cfg, Spec{Algo: AlgoOSC}, msg, 1)
 	if bwOSC <= bwLinear {
 		t.Errorf("OSC %.3g GB/s not above linear %.3g GB/s", bwOSC/1e9, bwLinear/1e9)
 	}
 }
 
-func TestNodeBandwidthUnknownAlgoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+// TestNodeBandwidthUnknownAlgoRejectedUpFront: a misspelt algorithm is
+// refused on the caller's goroutine, naming the valid ones, before any
+// simulation exists — the zero machine config would not survive a run.
+func TestNodeBandwidthUnknownAlgoRejectedUpFront(t *testing.T) {
+	wantMsg := func(msg string) {
+		t.Helper()
+		if !strings.Contains(msg, `unknown algorithm "nope"`) {
+			t.Errorf("diagnostic %q does not name the bad algorithm", msg)
 		}
+		for _, a := range Algos {
+			if !strings.Contains(msg, a) {
+				t.Errorf("diagnostic %q does not list %q", msg, a)
+			}
+		}
+	}
+	_, out, err := NodeBandwidthRecoverableSpec(nil, netsim.Config{}, Spec{Algo: "nope"}, 1024, 1, recov.Policy{})
+	if err == nil || out.Attempts != 0 {
+		t.Fatalf("recoverable harness: err=%v attempts=%d, want an error before the first attempt", err, out.Attempts)
+	}
+	wantMsg(err.Error())
+	defer func() {
+		msg, _ := recover().(string)
+		wantMsg(msg)
 	}()
-	NodeBandwidth(machine(1), "nope", 1024, 1)
+	NodeBandwidthSpec(nil, netsim.Config{}, Spec{Algo: "nope"}, 1024, 1)
 }
 
 func TestSplitGroups(t *testing.T) {
@@ -400,7 +420,7 @@ func TestBruckAlltoallCorrectness(t *testing.T) {
 			for d := 0; d < p; d++ {
 				send[d] = payload(c.Rank(), d, bs)
 			}
-			recv := BruckAlltoall(c, send, bs)
+			recv := BruckAlltoall(c, send, bs, bs)
 			for s := 0; s < p; s++ {
 				if !bytes.Equal(recv[s], payload(s, c.Rank(), bs)) {
 					t.Errorf("p=%d rank %d from %d corrupt", p, c.Rank(), s)
@@ -430,8 +450,8 @@ func TestBruckMessageCountLogarithmic(t *testing.T) {
 func TestBruckWinsAtSmallMessages(t *testing.T) {
 	cfg := machine(32) // 192 ranks
 	small := 64        // bytes per pair
-	bwLinear := NodeBandwidth(cfg, AlgoLinear, small, 1)
-	bwBruck := NodeBandwidth(cfg, AlgoBruck, small, 1)
+	bwLinear := NodeBandwidthSpec(nil, cfg, Spec{Algo: AlgoLinear}, small, 1)
+	bwBruck := NodeBandwidthSpec(nil, cfg, Spec{Algo: AlgoBruck}, small, 1)
 	if bwBruck <= bwLinear {
 		t.Errorf("bruck %.3g not above linear %.3g at small messages", bwBruck, bwLinear)
 	}
@@ -448,6 +468,6 @@ func TestBruckNonUniformPanics(t *testing.T) {
 		for d := range send {
 			send[d] = make([]byte, d+1)
 		}
-		BruckAlltoall(c, send, 1)
+		BruckAlltoall(c, send, 1, 1)
 	})
 }

@@ -174,7 +174,7 @@ func TestAlgorithmsAgreeOnTime(t *testing.T) {
 		for d := range send {
 			send[d] = make([]byte, msg)
 		}
-		LinearAlltoallv(c, send)
+		c.Alltoallv(send)
 		c.Barrier()
 		if c.Rank() == 0 {
 			tReal = c.Now()
@@ -185,7 +185,7 @@ func TestAlgorithmsAgreeOnTime(t *testing.T) {
 		for i := range sizes {
 			sizes[i] = msg
 		}
-		LinearAlltoallvN(c, sizes)
+		c.AlltoallvN(sizes)
 		c.Barrier()
 		if c.Rank() == 0 {
 			tPhantom = c.Now()

@@ -75,11 +75,11 @@ func runWorkload(kind string, seed int64, faults, parallel bool) capture {
 			}
 			switch kind {
 			case "linear":
-				flat(LinearAlltoallv(cm, send))
+				flat(cm.Alltoallv(send))
 			case "pairwise":
 				flat(PairwiseAlltoallv(cm, send))
 			case "bruck":
-				flat(BruckAlltoall(cm, send, msgBytes))
+				flat(BruckAlltoall(cm, send, msgBytes, msgBytes))
 			}
 		case "osc":
 			o := NewOSC(cm, Uniform(msgBytes), seed%2 == 0)

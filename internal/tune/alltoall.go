@@ -9,7 +9,7 @@ import (
 )
 
 // Alltoall tunes the uniform all-to-all of the bandwidth harness:
-// msgBytes per process pair (self included, matching NodeBandwidth's
+// msgBytes per process pair (self included, matching NodeBandwidthSpec's
 // accounting). The cell has a single "alltoall" stage; its winner maps
 // onto the harness with Cell.BenchSpec. Probes (ProbeTopK > 0) run the
 // harness itself and select by measured exchange time.
@@ -75,7 +75,7 @@ func probeAlltoall(cfg netsim.Config, msgBytes int, sp Space, scored []Scored) (
 		spec := candidateSpec(best.Candidate)
 		bw := exchange.NodeBandwidthSpec(nil, cfg, spec, msgBytes, sp.ProbeIters)
 		if bw > 0 {
-			// NodeBandwidth divides total bytes by time and node count;
+			// NodeBandwidthSpec divides total bytes by time and node count;
 			// invert it back to seconds per measured exchange.
 			best.Probed = total / (bw * float64(cfg.Nodes)) / float64(sp.ProbeIters)
 		}

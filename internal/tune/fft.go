@@ -143,15 +143,8 @@ func candidateOptions(base core.Options, cand Candidate) core.Options {
 	if cand.Chunks > 0 {
 		opts.Chunks = cand.Chunks
 	}
-	switch cand.Algo {
-	case TwoSided:
-		opts.Backend = core.BackendAlltoallv
-	case Bruck:
-		opts.Backend = core.BackendBruck
-	case OSC:
-		opts.Backend = core.BackendOSC
-	case CompressedOSC:
-		opts.Backend = core.BackendCompressed
+	if b, ok := cand.Algo.backend(); ok {
+		opts.Backend = b
 	}
 	return opts
 }

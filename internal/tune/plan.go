@@ -98,22 +98,17 @@ func MethodByName(name string) (compress.Method, error) {
 // exchangeChoice maps the serialized choice onto core's backend space.
 func (ch Choice) exchangeChoice() (core.ExchangeChoice, error) {
 	out := core.ExchangeChoice{Chunks: ch.Chunks}
-	switch Algorithm(ch.Algo) {
-	case TwoSided:
-		out.Backend = core.BackendAlltoallv
-	case Bruck:
-		out.Backend = core.BackendBruck
-	case OSC:
-		out.Backend = core.BackendOSC
-	case CompressedOSC:
-		out.Backend = core.BackendCompressed
+	b, ok := Algorithm(ch.Algo).backend()
+	if !ok {
+		return out, fmt.Errorf("unknown algorithm %q", ch.Algo)
+	}
+	out.Backend = b
+	if Algorithm(ch.Algo) == CompressedOSC {
 		m, err := MethodByName(ch.Method)
 		if err != nil {
 			return out, err
 		}
 		out.Method = m
-	default:
-		return out, fmt.Errorf("unknown algorithm %q", ch.Algo)
 	}
 	return out, nil
 }

@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"repro/internal/compress"
+	"repro/internal/core"
 )
 
 // Algorithm names the exchange algorithms the tuner chooses between
@@ -56,6 +57,22 @@ func (a Algorithm) order() int {
 }
 
 func (a Algorithm) valid() bool { return a.order() >= 0 }
+
+// backend maps the algorithm onto core's backend space; ok is false for
+// a name outside the tuner's vocabulary.
+func (a Algorithm) backend() (b core.Backend, ok bool) {
+	switch a {
+	case TwoSided:
+		return core.BackendAlltoallv, true
+	case Bruck:
+		return core.BackendBruck, true
+	case OSC:
+		return core.BackendOSC, true
+	case CompressedOSC:
+		return core.BackendCompressed, true
+	}
+	return 0, false
+}
 
 // Candidate is one point of the tuner's search space.
 type Candidate struct {
