@@ -1,6 +1,6 @@
 # Convenience targets; the repo needs only the Go toolchain.
 
-.PHONY: build test lint loc verify verify-parallel trace-demo telemetry-demo errmap-demo tune-demo bench benchdiff chaos chaos-race chaos-recovery chaos-shrink fuzz clean
+.PHONY: build test lint loc strays verify verify-parallel trace-demo telemetry-demo errmap-demo tune-demo bench benchdiff chaos chaos-race chaos-recovery chaos-shrink fuzz clean
 
 build:
 	go build ./...
@@ -16,7 +16,8 @@ test:
 # all of them must be race-clean), the fixed-seed determinism smoke
 # proving the parallel engine bit-identical to the sequential one, and
 # fixed-seed chaos sweeps — one per engine mode, plus one under the
-# race detector.
+# race detector. The last step, strays, fails the recipe if anything it
+# (or anyone else) started from this module is still running.
 verify:
 	go build ./...
 	go test ./...
@@ -33,6 +34,20 @@ verify:
 	$(MAKE) telemetry-demo
 	$(MAKE) errmap-demo
 	$(MAKE) tune-demo
+	$(MAKE) strays
+
+# strays fails, listing them, if a process whose executable is one of
+# this module's binaries — benchmark, a cmd/* driver, a test binary — is
+# alive: a demo sidecar, a -serve listener or a backgrounded run left
+# behind. It matches executable names in `ps -eo pid,comm`; `pgrep -f`
+# would match the shell that runs the check. Prints nothing when clean.
+STRAY_NAMES = benchmark $(filter-out internal,$(notdir $(wildcard cmd/*)))
+strays:
+	@out=$$(ps -eo pid,comm | awk -v names="$(STRAY_NAMES)" \
+		'BEGIN { n = split(names, a, " "); for (i = 1; i <= n; i++) ours[a[i]] = 1 } \
+		 NR > 1 && ($$2 in ours || $$2 ~ /\.test$$/)'); \
+	if [ -n "$$out" ]; then \
+		echo "strays: processes of this module are still running:"; echo "$$out"; exit 1; fi
 
 # lint: formatting and static analysis. gofmt must report nothing,
 # go vet must be clean, and staticcheck runs when installed (the repo

@@ -17,165 +17,110 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"strings"
+	"io"
+	"slices"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exchange"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
-// recording carries the -trace/-metrics state: each ablation run may
-// grab a fresh recorder, and the last one is exported at exit.
-type recording struct {
-	on       bool
-	lastRec  *obs.Recorder
-	lastCell string
+// bench is what every ablation measures on: the session handing out
+// recorders, the machine, and the per-pair message size of the exchange
+// ablations.
+type bench struct {
+	*driver.Session
+	cfg netsim.Config
+	msg int
 }
 
-var rec recording
+func (b *bench) grab(cell string) *obs.Recorder { return b.Recorder(cell, cell) }
 
-// tel is the live-telemetry session of the -serve/-eventlog/-slo flags
-// (nil-safe when they are all off).
-var tel *telemetry.Session
-
-func (r *recording) grab(cell string) *obs.Recorder {
-	if !r.on && !tel.Enabled() {
-		return nil
-	}
-	c := obs.New(obs.Options{Trace: r.on, Metrics: true})
-	tel.StartRun(cell)
-	tel.Attach(c)
-	if r.on {
-		r.lastRec, r.lastCell = c, cell
-	}
-	return c
+// ablation is one -which name; ablations lists them in the order they run.
+type ablation struct {
+	name string
+	run  func(*bench)
 }
 
-func main() {
-	which := flag.String("which", "all", "comma list: window,permute,pipeline,chunks,flush,eager,transport,reshapes")
-	gpus := flag.Int("gpus", 96, "GPU count (multiple of 6)")
-	msg := flag.Int("msg", 80*1024, "message size per pair for exchange ablations")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the last measured run to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the metrics report of the last measured run")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
-
-	var err error
-	if tel, err = tf.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "ablation:", err)
-		os.Exit(1)
-	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("# telemetry: serving http://%s\n", tel.Addr())
-	}
-	if *gpus%6 != 0 {
-		fmt.Fprintln(os.Stderr, "ablation: -gpus must be a multiple of 6")
-		os.Exit(1)
-	}
-	rec.on = *traceFlag != "" || *metricsFlag
-	cfg := netsim.Summit(*gpus / 6)
-	want := map[string]bool{}
-	for _, w := range strings.Split(*which, ",") {
-		want[strings.TrimSpace(w)] = true
-	}
-	all := want["all"]
-
-	if all || want["window"] {
-		ablateWindow(cfg)
-	}
-	if all || want["permute"] {
-		ablatePermute(cfg, *msg)
-	}
-	if all || want["pipeline"] {
-		ablatePipeline(cfg)
-	}
-	if all || want["chunks"] {
-		ablateChunks(cfg)
-	}
-	if all || want["flush"] {
-		ablateFlush(cfg, *msg)
-	}
-	if all || want["eager"] {
-		ablateEager(cfg, *msg)
-	}
-	if all || want["transport"] {
-		ablateTransport(cfg)
-	}
-	if all || want["reshapes"] {
-		ablateReshapes(cfg)
-	}
-
-	if *metricsFlag && rec.lastRec != nil {
-		fmt.Printf("\n# metrics report — %s\n", rec.lastCell)
-		rec.lastRec.WriteReport(os.Stdout)
-	}
-	if *traceFlag != "" && rec.lastRec != nil {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ablation:", err)
-			os.Exit(1)
-		}
-		if err := rec.lastRec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ablation:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# trace written: %s (%s)\n", *traceFlag, rec.lastCell)
-	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ablation: telemetry:", err)
-			os.Exit(1)
-		}
-	}
+var ablations = []ablation{
+	{"window", (*bench).window},
+	{"permute", (*bench).permute},
+	{"pipeline", (*bench).pipeline},
+	{"chunks", (*bench).chunks},
+	{"flush", (*bench).flush},
+	{"eager", (*bench).eager},
+	{"transport", (*bench).transport},
+	{"reshapes", (*bench).reshapes},
 }
 
-// ablateTransport separates the two contributions: compression over the
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("ablation", stdout, stderr, driver.Observe)
+	s.Lazy = true
+	which := s.Flags.String("which", "all", "comma list: window,permute,pipeline,chunks,flush,eager,transport,reshapes")
+	s.Flags.Int("gpus", 96, "GPU count (multiple of 6)")
+	msg := s.Flags.Int("msg", 80*1024, "message size per pair for exchange ablations")
+	s.Help("trace", "write a Chrome-trace JSON of the last measured run to this file")
+	s.Help("metrics", "print the metrics report of the last measured run")
+	if err := s.Parse(args); err != nil {
+		return err
+	}
+	want, err := driver.Pick("which", "ablation", *which, append(ablations, ablation{name: "all"}), func(a ablation) string { return a.name })
+	if err != nil {
+		return err
+	}
+	if err := s.Start(); err != nil {
+		return err
+	}
+	b := &bench{Session: s, cfg: s.Machine(s.GPUs[0]), msg: *msg}
+	for _, a := range ablations {
+		if slices.ContainsFunc(want, func(w ablation) bool { return w.name == "all" || w.name == a.name }) {
+			a.run(b)
+		}
+	}
+	return s.Finish()
+}
+
+func main() { driver.Main("ablation", run) }
+
+// transport separates the two contributions: compression over the
 // one-sided pipelined transport vs the same compression over the
 // classical two-sided all-to-all.
-func ablateTransport(cfg netsim.Config) {
+func (b *bench) transport() {
 	n := [3]int{64, 64, 64}
-	osc := core.MeasureWith[complex128](rec.grab("transport/one-sided"), cfg, n, core.Options{
+	osc := core.MeasureWith[complex128](b.grab("transport/one-sided"), b.cfg, n, core.Options{
 		Backend: core.BackendCompressed, Method: compress.Cast32{}, SimScale: 8,
 	}, 2, false).ForwardTime
-	two := core.MeasureWith[complex128](rec.grab("transport/two-sided"), cfg, n, core.Options{
+	two := core.MeasureWith[complex128](b.grab("transport/two-sided"), b.cfg, n, core.Options{
 		Backend: core.BackendCompressedTwoSided, Method: compress.Cast32{}, SimScale: 8,
 	}, 2, false).ForwardTime
-	fmt.Printf("# transport (FP64→FP32 compression on both): one-sided %.2f ms vs two-sided %.2f ms (%.2fx)\n",
+	fmt.Fprintf(b.Stdout, "# transport (FP64→FP32 compression on both): one-sided %.2f ms vs two-sided %.2f ms (%.2fx)\n",
 		osc*1e3, two*1e3, two/osc)
 }
 
-// ablateReshapes quantifies the four- vs two-reshape configurations
+// reshapes quantifies the four- vs two-reshape configurations
 // (brick vs pencil input/output).
-func ablateReshapes(cfg netsim.Config) {
+func (b *bench) reshapes() {
 	n := [3]int{64, 64, 64}
-	brick := core.MeasureWith[complex128](rec.grab("reshapes/brick"), cfg, n, core.Options{
+	brick := core.MeasureWith[complex128](b.grab("reshapes/brick"), b.cfg, n, core.Options{
 		Backend: core.BackendAlltoallv, SimScale: 8,
 	}, 2, false).ForwardTime
-	pencil := core.MeasureWith[complex128](rec.grab("reshapes/pencil"), cfg, n, core.Options{
+	pencil := core.MeasureWith[complex128](b.grab("reshapes/pencil"), b.cfg, n, core.Options{
 		Backend: core.BackendAlltoallv, SimScale: 8, PencilIO: true,
 	}, 2, false).ForwardTime
-	fmt.Printf("# reshape count: brick I/O (4 reshapes) %.2f ms vs pencil I/O (2 reshapes) %.2f ms (%.2fx)\n",
+	fmt.Fprintf(b.Stdout, "# reshape count: brick I/O (4 reshapes) %.2f ms vs pencil I/O (2 reshapes) %.2f ms (%.2fx)\n",
 		brick*1e3, pencil*1e3, brick/pencil)
 }
 
-func ablateWindow(cfg netsim.Config) {
+func (b *bench) window() {
 	const iters = 8
 	timed := func(cached bool, cell string) float64 {
 		var t float64
-		mpi.RunWith(cfg, rec.grab(cell), func(c *mpi.Comm) {
+		mpi.RunWith(b.cfg, b.grab(cell), func(c *mpi.Comm) {
 			c.Barrier()
 			start := c.Now()
 			var win *mpi.Win
@@ -193,44 +138,43 @@ func ablateWindow(cfg netsim.Config) {
 		return t
 	}
 	cachedT, freshT := timed(true, "window/cached"), timed(false, "window/fresh")
-	fmt.Printf("# window caching (§V-A): epoch cost with cached window %.1f µs, re-created %.1f µs (%.2fx)\n",
+	fmt.Fprintf(b.Stdout, "# window caching (§V-A): epoch cost with cached window %.1f µs, re-created %.1f µs (%.2fx)\n",
 		cachedT*1e6, freshT*1e6, freshT/cachedT)
 }
 
-func ablatePermute(cfg netsim.Config, msg int) {
-	aware := exchange.NodeBandwidthSpec(rec.grab("permute/node-aware"), cfg, exchange.Spec{Algo: exchange.AlgoOSC}, msg, 2)
-	naive := exchange.NodeBandwidthSpec(rec.grab("permute/naive"), cfg, exchange.Spec{Algo: exchange.AlgoOSCNaive}, msg, 2)
-	fmt.Printf("# node-aware permutation: ring %.2f GB/s vs naive %.2f GB/s (%.2fx)\n",
+func (b *bench) permute() {
+	aware := exchange.NodeBandwidthSpec(b.grab("permute/node-aware"), b.cfg, exchange.Spec{Algo: exchange.AlgoOSC}, b.msg, 2)
+	naive := exchange.NodeBandwidthSpec(b.grab("permute/naive"), b.cfg, exchange.Spec{Algo: exchange.AlgoOSCNaive}, b.msg, 2)
+	fmt.Fprintf(b.Stdout, "# node-aware permutation: ring %.2f GB/s vs naive %.2f GB/s (%.2fx)\n",
 		aware/1e9, naive/1e9, aware/naive)
 }
 
-func ablatePipeline(cfg netsim.Config) {
+func (b *bench) pipeline() {
 	n := [3]int{64, 64, 64}
-	on := core.MeasureWith[complex128](rec.grab("pipeline/overlapped"), cfg, n, core.Options{
+	on := core.MeasureWith[complex128](b.grab("pipeline/overlapped"), b.cfg, n, core.Options{
 		Backend: core.BackendCompressed, Method: compress.Cast32{}, SimScale: 8,
 	}, 2, false).ForwardTime
-	off := core.MeasureWith[complex128](rec.grab("pipeline/synchronous"), cfg, n, core.Options{
+	off := core.MeasureWith[complex128](b.grab("pipeline/synchronous"), b.cfg, n, core.Options{
 		Backend: core.BackendCompressed, Method: compress.Cast32{}, SimScale: 8, DisablePipeline: true,
 	}, 2, false).ForwardTime
-	fmt.Printf("# §V-B pipeline: overlapped %.2f ms vs synchronous %.2f ms per transform (%.2fx)\n",
+	fmt.Fprintf(b.Stdout, "# §V-B pipeline: overlapped %.2f ms vs synchronous %.2f ms per transform (%.2fx)\n",
 		on*1e3, off*1e3, off/on)
 }
 
-func ablateChunks(cfg netsim.Config) {
-	fmt.Println("# pipeline depth sweep (compressed exchange, 512^3-equivalent volume):")
+func (b *bench) chunks() {
+	fmt.Fprintln(b.Stdout, "# pipeline depth sweep (compressed exchange, 512^3-equivalent volume):")
 	for _, k := range []int{1, 2, 4, 8, 16} {
-		t := exchange.CompressedExchangeTimeWith(rec.grab(fmt.Sprintf("chunks/%d", k)),
-			cfg, compress.Cast32{}, k, 40000, 2, true)
-		fmt.Printf("#   chunks=%2d: %.3f ms\n", k, t*1e3)
+		t := exchange.CompressedExchangeTimeWith(b.grab(fmt.Sprintf("chunks/%d", k)),
+			b.cfg, compress.Cast32{}, k, 40000, 2, true)
+		fmt.Fprintf(b.Stdout, "#   chunks=%2d: %.3f ms\n", k, t*1e3)
 	}
 }
 
-func ablateFlush(cfg netsim.Config, msg int) {
+func (b *bench) flush() {
 	timed := func(flush int, cell string) float64 {
-		p := cfg.Ranks()
 		var start, end float64
-		mpi.RunWith(cfg, rec.grab(cell), func(c *mpi.Comm) {
-			o := exchange.NewOSCPhantom(c, exchange.Uniform(msg), true)
+		mpi.RunWith(b.cfg, b.grab(cell), func(c *mpi.Comm) {
+			o := exchange.NewOSCPhantom(c, exchange.Uniform(b.msg), true)
 			o.FlushEvery = flush
 			o.ExchangeN()
 			c.Barrier()
@@ -243,25 +187,24 @@ func ablateFlush(cfg netsim.Config, msg int) {
 				start, end = t0, t1
 			}
 		})
-		_ = p
 		return (end - start) / 2
 	}
-	stepped := timed(cfg.GPUsPerNode, "flush/stepped")
+	stepped := timed(b.cfg.GPUsPerNode, "flush/stepped")
 	upfront := timed(0, "flush/upfront")
-	fmt.Printf("# per-node-step flush: stepped %.3f ms vs all-upfront %.3f ms per exchange (%.2fx)\n",
+	fmt.Fprintf(b.Stdout, "# per-node-step flush: stepped %.3f ms vs all-upfront %.3f ms per exchange (%.2fx)\n",
 		stepped*1e3, upfront*1e3, upfront/stepped)
 }
 
-func ablateEager(cfg netsim.Config, msg int) {
-	fmt.Println("# eager/rendezvous threshold sweep (two-sided linear all-to-all):")
-	p := cfg.Ranks()
+func (b *bench) eager() {
+	fmt.Fprintln(b.Stdout, "# eager/rendezvous threshold sweep (two-sided linear all-to-all):")
+	p := b.cfg.Ranks()
 	for _, thr := range []int{1024, 8192, 65536, 1 << 20} {
 		var start, end float64
-		mpi.RunWith(cfg, rec.grab(fmt.Sprintf("eager/%d", thr)), func(c *mpi.Comm) {
+		mpi.RunWith(b.cfg, b.grab(fmt.Sprintf("eager/%d", thr)), func(c *mpi.Comm) {
 			c.SetEagerThreshold(thr)
 			sizes := make([]int, p)
 			for i := range sizes {
-				sizes[i] = msg
+				sizes[i] = b.msg
 			}
 			c.AlltoallvN(sizes)
 			c.Barrier()
@@ -273,6 +216,6 @@ func ablateEager(cfg netsim.Config, msg int) {
 				start, end = t0, t1
 			}
 		})
-		fmt.Printf("#   threshold=%7d B: %.3f ms\n", thr, (end-start)*1e3)
+		fmt.Fprintf(b.Stdout, "#   threshold=%7d B: %.3f ms\n", thr, (end-start)*1e3)
 	}
 }

@@ -18,156 +18,88 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
+	"io"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
-// recording carries the -trace/-metrics state: every measurement gets a
-// fresh recorder, and the last one is exported after the tables.
-type recording struct {
-	on       bool
-	lastRec  *obs.Recorder
-	lastCell string
-}
-
-var rec recording
-
-// tel is the live-telemetry session of the -serve/-eventlog/-slo flags
-// (nil-safe when they are all off).
-var tel *telemetry.Session
-
-// measure runs one cell with a recorder attached when recording or live
-// telemetry is on.
-func (r *recording) measure(cell string) *obs.Recorder {
-	if !r.on && !tel.Enabled() {
-		return nil
-	}
-	c := obs.New(obs.Options{Trace: r.on, Metrics: true})
-	tel.StartRun(cell)
-	tel.Attach(c)
-	if r.on {
-		r.lastRec, r.lastCell = c, cell
-	}
-	return c
-}
-
-func main() {
-	table2 := flag.Bool("table2", false, "reproduce Table II")
-	fig2 := flag.Bool("fig2", false, "reproduce Fig. 2")
-	nFlag := flag.Int("n", 64, "cubic problem size per dimension")
-	gpusFlag := flag.String("gpus", "12,24,48,96,192,384,768,1536", "GPU counts for -table2 (multiples of 6)")
-	fig2GPUs := flag.Int("fig2gpus", 12, "GPU count for the -fig2 sweep")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the last measured cell to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the metrics report of the last measured cell")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
-
-	var err error
-	if tel, err = tf.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "accuracy:", err)
-		os.Exit(1)
-	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("# telemetry: serving http://%s\n", tel.Addr())
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("accuracy", stdout, stderr, driver.Observe)
+	s.Lazy = true
+	table2 := s.Flags.Bool("table2", false, "reproduce Table II")
+	fig2 := s.Flags.Bool("fig2", false, "reproduce Fig. 2")
+	nFlag := s.Flags.Int("n", 64, "cubic problem size per dimension")
+	s.Flags.String("gpus", "12,24,48,96,192,384,768,1536", "GPU counts for -table2 (multiples of 6)")
+	fig2GPUs := s.Flags.Int("fig2gpus", 12, "GPU count for the -fig2 sweep")
+	if err := s.Parse(args); err != nil {
+		return err
 	}
 	if !*table2 && !*fig2 {
 		*table2, *fig2 = true, true
 	}
-	rec.on = *traceFlag != "" || *metricsFlag
-
+	if *fig2 {
+		if err := driver.CheckGPUs("-fig2gpus", *fig2GPUs); err != nil {
+			return err
+		}
+	}
+	if err := s.Start(); err != nil {
+		return err
+	}
 	n := [3]int{*nFlag, *nFlag, *nFlag}
 	if *table2 {
-		runTable2(n, *gpusFlag)
+		runTable2(s, n)
 	}
 	if *fig2 {
-		runFig2(n, *fig2GPUs)
+		runFig2(s, n, *fig2GPUs)
 	}
+	return s.Finish()
+}
 
-	if *metricsFlag && rec.lastRec != nil {
-		fmt.Printf("\n# metrics report — %s\n", rec.lastCell)
-		rec.lastRec.WriteReport(os.Stdout)
+func main() { driver.Main("accuracy", run) }
+
+// references measures the three reference pipelines both tables quote —
+// FP64, FP32 and the mixed-precision FP64→FP32 compressed exchange — and
+// returns their round-trip errors.
+func references(s *driver.Session, n [3]int, g int) (e64, e32, eMP float64) {
+	cfg := s.Machine(g)
+	cell := func(name string) *obs.Recorder {
+		c := fmt.Sprintf("%s @ %d GPUs", name, g)
+		return s.Recorder(c, c)
 	}
-	if *traceFlag != "" && rec.lastRec != nil {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "accuracy:", err)
-			os.Exit(1)
-		}
-		if err := rec.lastRec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "accuracy:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# trace written: %s (%s)\n", *traceFlag, rec.lastCell)
-	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "accuracy: telemetry:", err)
-			os.Exit(1)
-		}
+	e64 = core.MeasureWith[complex128](cell("fp64"), cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
+	e32 = core.MeasureWith[complex64](cell("fp32"), cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
+	eMP = core.MeasureWith[complex128](cell("fp64-32"), cfg, n, core.Options{
+		Backend: core.BackendCompressed, Method: compress.Cast32{},
+	}, 0, true).RelErr
+	return e64, e32, eMP
+}
+
+func runTable2(s *driver.Session, n [3]int) {
+	fmt.Fprintf(s.Stdout, "# Table II — relative FFT error ‖x − IFFT(FFT(x))‖/‖x‖, %d^3 problem\n", n[0])
+	fmt.Fprintf(s.Stdout, "%8s%14s%14s%14s\n", "GPUs", "FP64", "FP32", "FP64->FP32")
+	for _, g := range s.GPUs {
+		e64, e32, eMP := references(s, n, g)
+		fmt.Fprintf(s.Stdout, "%8d%14.2e%14.2e%14.2e\n", g, e64, e32, eMP)
 	}
 }
 
-func runTable2(n [3]int, gpus string) {
-	fmt.Printf("# Table II — relative FFT error ‖x − IFFT(FFT(x))‖/‖x‖, %d^3 problem\n", n[0])
-	fmt.Printf("%8s%14s%14s%14s\n", "GPUs", "FP64", "FP32", "FP64->FP32")
-	for _, gs := range strings.Split(gpus, ",") {
-		g, err := strconv.Atoi(strings.TrimSpace(gs))
-		if err != nil || g%6 != 0 {
-			fmt.Fprintf(os.Stderr, "accuracy: skipping invalid GPU count %q\n", gs)
-			continue
-		}
-		cfg := netsim.Summit(g / 6)
-		e64 := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("fp64 @ %d GPUs", g)),
-			cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
-		e32 := core.MeasureWith[complex64](rec.measure(fmt.Sprintf("fp32 @ %d GPUs", g)),
-			cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
-		eMP := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("fp64-32 @ %d GPUs", g)),
-			cfg, n, core.Options{
-				Backend: core.BackendCompressed, Method: compress.Cast32{},
-			}, 0, true).RelErr
-		fmt.Printf("%8d%14.2e%14.2e%14.2e\n", g, e64, e32, eMP)
-	}
-}
-
-func runFig2(n [3]int, gpus int) {
-	if gpus%6 != 0 {
-		fmt.Fprintln(os.Stderr, "accuracy: -fig2gpus must be a multiple of 6")
-		os.Exit(1)
-	}
-	cfg := netsim.Summit(gpus / 6)
-	fmt.Printf("\n# Fig. 2 — accuracy vs bits in the communicated values, %d^3 problem, %d GPUs\n", n[0], gpus)
-	fmt.Printf("# (bits = 1 sign + 11 exponent + M mantissa; theoretical speedup = 64/bits)\n")
-	fmt.Printf("%8s%10s%14s%14s\n", "bits", "mantissa", "rel.err", "speedup")
+func runFig2(s *driver.Session, n [3]int, gpus int) {
+	cfg := s.Machine(gpus)
+	fmt.Fprintf(s.Stdout, "\n# Fig. 2 — accuracy vs bits in the communicated values, %d^3 problem, %d GPUs\n", n[0], gpus)
+	fmt.Fprintf(s.Stdout, "# (bits = 1 sign + 11 exponent + M mantissa; theoretical speedup = 64/bits)\n")
+	fmt.Fprintf(s.Stdout, "%8s%10s%14s%14s\n", "bits", "mantissa", "rel.err", "speedup")
 	for m := 52; m >= 4; m -= 4 {
 		method := compress.Trim{M: uint(m)}
-		r := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("trim-%d @ %d GPUs", m, gpus)),
-			cfg, n, core.Options{
-				Backend: core.BackendCompressed, Method: method,
-			}, 0, true)
-		fmt.Printf("%8d%10d%14.2e%14.2f\n", method.BitsPerValue(), m, r.RelErr, 64/float64(method.BitsPerValue()))
+		cell := fmt.Sprintf("trim-%d @ %d GPUs", m, gpus)
+		r := core.MeasureWith[complex128](s.Recorder(cell, cell), cfg, n, core.Options{
+			Backend: core.BackendCompressed, Method: method,
+		}, 0, true)
+		fmt.Fprintf(s.Stdout, "%8d%10d%14.2e%14.2f\n", method.BitsPerValue(), m, r.RelErr, 64/float64(method.BitsPerValue()))
 	}
-	e64 := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("fp64 @ %d GPUs", gpus)),
-		cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
-	e32 := core.MeasureWith[complex64](rec.measure(fmt.Sprintf("fp32 @ %d GPUs", gpus)),
-		cfg, n, core.Options{Backend: core.BackendAlltoallv}, 0, true).RelErr
-	eMP := core.MeasureWith[complex128](rec.measure(fmt.Sprintf("fp64-32 @ %d GPUs", gpus)),
-		cfg, n, core.Options{
-			Backend: core.BackendCompressed, Method: compress.Cast32{},
-		}, 0, true).RelErr
-	fmt.Printf("# references: FP64 %.2e | FP32 (full pipeline) %.2e | MP 64/32 %.2e\n", e64, e32, eMP)
+	e64, e32, eMP := references(s, n, gpus)
+	fmt.Fprintf(s.Stdout, "# references: FP64 %.2e | FP32 (full pipeline) %.2e | MP 64/32 %.2e\n", e64, e32, eMP)
 }

@@ -34,21 +34,20 @@ package main
 
 import (
 	"errors"
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/exchange"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 	recov "repro/internal/recover"
 )
 
@@ -107,50 +106,6 @@ func pbyte(src, dst, i int) byte { return byte(src*7 + dst*13 + i) }
 // a healthy lossy delivery is still bit-identical to the reference.
 func pval(src, dst, i int) float64 { return float64((src*31 + dst*17 + i*5) % 256) }
 
-func checkBytes(rep *report, me int, got [][]byte) {
-	for s := range got {
-		for i, b := range got[s] {
-			if b != pbyte(s, me, i) {
-				rep.bad("rank %d from %d byte %d corrupt", me, s, i)
-				break
-			}
-		}
-	}
-}
-
-func checkVals(rep *report, me int, got [][]float64) {
-	for s := range got {
-		for i, v := range got[s] {
-			if v != pval(s, me, i) {
-				rep.bad("rank %d from %d value %d corrupt (%g != %g)", me, s, i, v, pval(s, me, i))
-				break
-			}
-		}
-	}
-}
-
-func sendBytes(me, p int) [][]byte {
-	out := make([][]byte, p)
-	for d := 0; d < p; d++ {
-		out[d] = make([]byte, msgBytes)
-		for i := range out[d] {
-			out[d][i] = pbyte(me, d, i)
-		}
-	}
-	return out
-}
-
-func sendVals(me, p int) [][]float64 {
-	out := make([][]float64, p)
-	for d := 0; d < p; d++ {
-		out[d] = make([]float64, msgVals)
-		for i := range out[d] {
-			out[d][i] = pval(me, d, i)
-		}
-	}
-	return out
-}
-
 // emitExchange stamps one completed exchange on the live event stream —
 // the latency observations the SLO engine's "latency" objectives
 // consume. A no-op (one pointer test) when telemetry is off.
@@ -161,71 +116,120 @@ func emitExchange(c *mpi.Comm, label string, t0 float64) {
 	})
 }
 
-// workloads maps a name to a body exercising one exchange algorithm
-// (two iterations, so window reuse and fallback escalation both run).
-var workloads = map[string]func(c *mpi.Comm, rep *report){
-	"linear": func(c *mpi.Comm, rep *report) {
-		for it := 0; it < 2; it++ {
-			t0 := c.Now()
-			got := c.Alltoallv(sendBytes(c.Rank(), c.Size()))
-			emitExchange(c, "linear", t0)
-			checkBytes(rep, c.Rank(), got)
-		}
-	},
-	"pairwise": func(c *mpi.Comm, rep *report) {
-		for it := 0; it < 2; it++ {
-			t0 := c.Now()
-			got := exchange.PairwiseAlltoallv(c, sendBytes(c.Rank(), c.Size()))
-			emitExchange(c, "pairwise", t0)
-			checkBytes(rep, c.Rank(), got)
-		}
-	},
-	"osc": func(c *mpi.Comm, rep *report) {
-		o := exchange.NewOSC(c, exchange.Uniform(msgBytes), true)
-		for it := 0; it < 2; it++ {
-			t0 := c.Now()
-			got := o.Exchange(sendBytes(c.Rank(), c.Size()))
-			emitExchange(c, "osc", t0)
-			checkBytes(rep, c.Rank(), got)
-		}
-		rep.degraded(o.Health())
-	},
-	"osc-comp": func(c *mpi.Comm, rep *report) {
-		x := exchange.NewCompressedOSC(c, compress.Lossless{}, gpu.NewStream(gpu.V100(), c), 3, exchange.UniformCount(msgVals))
-		x.SetLabel("osc-comp")
-		for it := 0; it < 2; it++ {
-			t0 := c.Now()
-			got := x.Exchange(sendVals(c.Rank(), c.Size()))
-			emitExchange(c, "osc-comp", t0)
-			checkVals(rep, c.Rank(), got)
-		}
-		rep.degraded(x.Health())
-	},
-	"osc-comp16": func(c *mpi.Comm, rep *report) {
-		x := exchange.NewCompressedOSC(c, compress.Cast16{}, gpu.NewStream(gpu.V100(), c), 3, exchange.UniformCount(msgVals))
-		x.SetLabel("osc-comp16")
-		for it := 0; it < 2; it++ {
-			t0 := c.Now()
-			got := x.Exchange(sendVals(c.Rank(), c.Size()))
-			emitExchange(c, "osc-comp16", t0)
-			checkVals(rep, c.Rank(), got)
-		}
-		rep.degraded(x.Health())
-	},
-}
-
-// recoveryLedger is the exchange state an epoch checkpoint carries
-// (the healing ledger of internal/exchange's one-sided algorithms).
-type recoveryLedger interface {
+// ledger is the healing state of a one-sided exchange: what an epoch
+// checkpoint carries, and what a finished run reports as degradation.
+type ledger interface {
 	LedgerState() []byte
 	RestoreLedger([]byte) error
+	Health() exchange.Degradation
+}
+
+// algorithm sets one exchange algorithm up on a communicator: step runs
+// one exchange, stamped label, and checks the delivery; led is nil for
+// the stateless two-sided algorithms.
+type algorithm func(c *mpi.Comm, rep *report, label string) (step func(), led ledger)
+
+// step returns one exchange over exch: send n elements of pattern pat to
+// every peer, stamp the exchange on the event stream, check the delivery.
+func step[T comparable](c *mpi.Comm, rep *report, label string, n int, pat func(src, dst, i int) T, exch func([][]T) [][]T) func() {
+	return func() {
+		me := c.Rank()
+		send := make([][]T, c.Size())
+		for d := range send {
+			send[d] = make([]T, n)
+			for i := range send[d] {
+				send[d][i] = pat(me, d, i)
+			}
+		}
+		t0 := c.Now()
+		got := exch(send)
+		emitExchange(c, label, t0)
+		for s := range got {
+			for i, v := range got[s] {
+				if v != pat(s, me, i) {
+					rep.bad("rank %d from %d element %d corrupt (%v != %v)", me, s, i, v, pat(s, me, i))
+					break
+				}
+			}
+		}
+	}
+}
+
+func linear(c *mpi.Comm, rep *report, label string) (func(), ledger) {
+	return step(c, rep, label, msgBytes, pbyte, c.Alltoallv), nil
+}
+
+func pairwise(c *mpi.Comm, rep *report, label string) (func(), ledger) {
+	return step(c, rep, label, msgBytes, pbyte, func(send [][]byte) [][]byte { return exchange.PairwiseAlltoallv(c, send) }), nil
+}
+
+func osc(c *mpi.Comm, rep *report, label string) (func(), ledger) {
+	o := exchange.NewOSC(c, exchange.Uniform(msgBytes), true)
+	return step(c, rep, label, msgBytes, pbyte, o.Exchange), o
+}
+
+func compressed(m compress.Method) algorithm {
+	return func(c *mpi.Comm, rep *report, label string) (func(), ledger) {
+		x := exchange.NewCompressedOSC(c, m, gpu.NewStream(gpu.V100(), c), 3, exchange.UniformCount(msgVals))
+		x.SetLabel(label)
+		return step(c, rep, label, msgVals, pval, x.Exchange), x
+	}
+}
+
+// workload is one -workloads cell: an exchange algorithm and the runner
+// it goes through. The recover-* cells run the same exchange contracts
+// under recov.Controller with per-epoch checkpoints, so crash seeds
+// exercise rollback/respawn (including crash-during-checkpoint,
+// double-fault, and budget-exhaustion paths); the kill-* cells are the
+// kill-permanent stratum over the same bodies (recoveryEpochs already
+// migrates the healing ledger across a membership change). Both are kept
+// out of the default -workloads list and driven by `make chaos-recovery`
+// and `make chaos-shrink`.
+type workload struct {
+	name string
+	algo algorithm
+	run  func(cell, workload) (outcome, string)
+}
+
+var workloads = []workload{
+	{"linear", linear, cell.runOne},
+	{"pairwise", pairwise, cell.runOne},
+	{"osc", osc, cell.runOne},
+	{"osc-comp", compressed(compress.Lossless{}), cell.runOne},
+	{"osc-comp16", compressed(compress.Cast16{}), cell.runOne},
+	{"recover-osc", osc, cell.runRecoverOne},
+	{"recover-comp", compressed(compress.Lossless{}), cell.runRecoverOne},
+	{"kill-osc", osc, cell.runShrinkOne},
+	{"kill-comp", compressed(compress.Lossless{}), cell.runShrinkOne},
+}
+
+// label stamps the cell's exchanges in telemetry; the kill cells are the
+// recovery cells' bodies and keep their labels.
+func (w workload) label() string { return strings.Replace(w.name, "kill-", "recover-", 1) }
+
+// plain is the body of a fault-sweep cell: two iterations, so window
+// reuse and fallback escalation both run.
+func (w workload) plain(c *mpi.Comm, rep *report) {
+	step, led := w.algo(c, rep, w.label())
+	step()
+	step()
+	if led != nil {
+		rep.degraded(led.Health())
+	}
+}
+
+// epochs is the body of a recovery or kill cell: four checkpointed epochs.
+func (w workload) epochs(c *mpi.Comm, rk *recov.Rank, rep *report) {
+	step, led := w.algo(c, rep, w.label())
+	recoveryEpochs(c, rk, 4, led, step)
+	rep.degraded(led.Health())
 }
 
 // recoveryEpochs drives iters exchange epochs under the checkpoint
 // protocol: epochs covered by the committed cut are skipped (the resume
 // epoch restores the healing ledger instead of re-running), the rest
 // execute and checkpoint.
-func recoveryEpochs(c *mpi.Comm, rk *recov.Rank, iters int, led recoveryLedger, run func()) {
+func recoveryEpochs(c *mpi.Comm, rk *recov.Rank, iters int, led ledger, run func()) {
 	for epoch := 1; epoch <= iters; epoch++ {
 		if resume := rk.Resume(); epoch <= resume {
 			if epoch == resume {
@@ -256,36 +260,6 @@ func recoveryEpochs(c *mpi.Comm, rk *recov.Rank, iters int, led recoveryLedger, 
 	}
 }
 
-// recoveryWorkloads are the crash-recovery sweep cells: the same
-// exchange contracts, run under recov.Controller with per-epoch
-// checkpoints, so crash seeds exercise rollback/respawn (including
-// crash-during-checkpoint, double-fault, and budget-exhaustion paths).
-// They are kept out of the default -workloads list and driven by
-// `make chaos-recovery`.
-var recoveryWorkloads = map[string]func(c *mpi.Comm, rk *recov.Rank, rep *report){
-	"recover-osc": func(c *mpi.Comm, rk *recov.Rank, rep *report) {
-		o := exchange.NewOSC(c, exchange.Uniform(msgBytes), true)
-		recoveryEpochs(c, rk, 4, o, func() {
-			t0 := c.Now()
-			got := o.Exchange(sendBytes(c.Rank(), c.Size()))
-			emitExchange(c, "recover-osc", t0)
-			checkBytes(rep, c.Rank(), got)
-		})
-		rep.degraded(o.Health())
-	},
-	"recover-comp": func(c *mpi.Comm, rk *recov.Rank, rep *report) {
-		x := exchange.NewCompressedOSC(c, compress.Lossless{}, gpu.NewStream(gpu.V100(), c), 3, exchange.UniformCount(msgVals))
-		x.SetLabel("recover-comp")
-		recoveryEpochs(c, rk, 4, x, func() {
-			t0 := c.Now()
-			got := x.Exchange(sendVals(c.Rank(), c.Size()))
-			emitExchange(c, "recover-comp", t0)
-			checkVals(rep, c.Rank(), got)
-		})
-		rep.degraded(x.Health())
-	},
-}
-
 // explicit reports whether err is an attributed fault diagnostic rather
 // than a stray panic: every collected failure is a typed *mpi.FaultError
 // (or the run ended in a deadlock report).
@@ -305,52 +279,102 @@ func explicit(err error) bool {
 	return len(re.Failures) > 0
 }
 
-// runOne executes one (seed, workload) cell under a wall-clock hang
-// guard and classifies the outcome.
-func runOne(seed int64, name string, body func(*mpi.Comm, *report), timeout time.Duration, verbose, parallel bool, rec *obs.Recorder) (outcome, string) {
+// cell is the per-cell configuration the runners share.
+type cell struct {
+	seed     int64
+	timeout  time.Duration
+	verbose  bool
+	parallel bool
+	rec      *obs.Recorder
+}
+
+// machine is the cell's one-node simulated machine under its seeded
+// fault plan. RandomPlan times crashes for benchmark-scale runs; they
+// are rescaled (deterministically) into this harness's microsecond-scale
+// workloads so crash plans actually kill a rank mid-exchange.
+func (cl cell) machine() netsim.Config {
 	cfg := netsim.Summit(1)
-	cfg.Parallel = parallel
-	cfg.Faults = netsim.RandomPlan(seed)
+	cfg.Parallel = cl.parallel
+	cfg.Faults = netsim.RandomPlan(cl.seed)
 	if cfg.Faults.CrashAt > 0 {
-		// RandomPlan times crashes for benchmark-scale runs; rescale into
-		// this harness's microsecond-scale workloads (deterministically)
-		// so crash plans actually kill a rank mid-exchange.
-		cfg.Faults.CrashAt = 0.5e-6 * float64(1+seed%40)
+		cfg.Faults.CrashAt = 0.5e-6 * float64(1+cl.seed%40)
 	}
-	rep := &report{}
-	type res struct{ err error }
-	ch := make(chan res, 1)
+	return cfg
+}
+
+// result is what one guarded run hands to the classifier; bad is a
+// violation the harness found itself (hang, stray panic, engine mismatch).
+type result struct {
+	out recov.Outcome
+	rep *report
+	err error
+	bad string
+}
+
+// guarded runs fn under the wall-clock hang guard; fn's result travels
+// through the channel, so a hung fn shares nothing with the caller.
+func (cl cell) guarded(fn func() result) result {
+	ch := make(chan result, 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				ch <- res{fmt.Errorf("harness panic: %v", r)}
+				ch <- result{bad: fmt.Sprintf("unattributed failure: harness panic: %v", r)}
 			}
 		}()
-		_, err := mpi.RunWithChecked(cfg, rec, func(c *mpi.Comm) { body(c, rep) })
-		ch <- res{err}
+		ch <- fn()
 	}()
-	var err error
 	select {
 	case r := <-ch:
-		err = r.err
-	case <-time.After(timeout):
-		return outBad, fmt.Sprintf("wall-clock hang (> %v)", timeout)
+		return r
+	case <-time.After(cl.timeout):
+		return result{bad: fmt.Sprintf("wall-clock hang (> %v)", cl.timeout)}
 	}
+}
+
+// classify maps a finished run onto the robustness contract: bit-
+// identical completion (clean, degraded, recovered or shrunk) or an
+// explicit typed diagnostic; anything else is a violation. mustSurvive
+// marks a shrink-armed run, for which giving up is a violation too.
+func (cl cell) classify(r result, mustSurvive bool) (outcome, string) {
+	var ue *recov.UnrecoverableError
 	switch {
-	case err == nil && len(rep.mismatch) > 0:
-		return outBad, "silent corruption: " + strings.Join(rep.mismatch, "; ")
-	case err == nil && (rep.repairs > 0 || rep.fallback > 0):
-		return outDegraded, fmt.Sprintf("%d repairs, %d fallback links", rep.repairs, rep.fallback)
-	case err == nil:
+	case r.bad != "":
+		return outBad, r.bad
+	case r.err == nil && len(r.rep.mismatch) > 0:
+		return outBad, "silent corruption: " + strings.Join(r.rep.mismatch, "; ")
+	case r.err == nil && len(r.out.Shrinks) > 0:
+		sh := r.out.Shrinks[len(r.out.Shrinks)-1]
+		return outShrunk, fmt.Sprintf("%d->%d ranks (lost %v), MTTR %.3gs, %d repairs",
+			r.out.Shrinks[0].FromSize, sh.ToSize, sh.Dead, r.out.MTTRSeconds, r.rep.repairs)
+	case r.err == nil && len(r.out.Recoveries) > 0:
+		return outRecovered, fmt.Sprintf("%d rollback(s), MTTR %.3gs, %d repairs, %d fallback links",
+			len(r.out.Recoveries), r.out.MTTRSeconds, r.rep.repairs, r.rep.fallback)
+	case r.err == nil && (r.rep.repairs > 0 || r.rep.fallback > 0):
+		return outDegraded, fmt.Sprintf("%d repairs, %d fallback links", r.rep.repairs, r.rep.fallback)
+	case r.err == nil:
 		return outClean, ""
-	case explicit(err):
-		if verbose {
-			return outError, err.Error()
+	case errors.As(r.err, &ue) && mustSurvive:
+		// With Shrink armed a lone permanent kill is survivable: giving
+		// up is a contract violation, not an explicit diagnostic.
+		return outBad, "shrink-enabled run gave up: " + firstLine(r.err.Error())
+	case errors.As(r.err, &ue), explicit(r.err):
+		if cl.verbose {
+			return outError, r.err.Error()
 		}
-		return outError, firstLine(err.Error())
+		return outError, firstLine(r.err.Error())
 	default:
-		return outBad, "unattributed failure: " + err.Error()
+		return outBad, "unattributed failure: " + r.err.Error()
 	}
+}
+
+// runOne executes one plain (seed, workload) cell.
+func (cl cell) runOne(w workload) (outcome, string) {
+	cfg := cl.machine()
+	return cl.classify(cl.guarded(func() result {
+		rep := &report{}
+		_, err := mpi.RunWithChecked(cfg, cl.rec, func(c *mpi.Comm) { w.plain(c, rep) })
+		return result{rep: rep, err: err}
+	}), false)
 }
 
 // runRecoverOne executes one recovery cell under the crash-recovery
@@ -361,83 +385,35 @@ func runOne(seed int64, name string, body func(*mpi.Comm, *report), timeout time
 // timeline is identical to the real run up to the second crash), and
 // the rest recover normally. The contract extends the sweep's: a crash
 // either recovers bit-identically or yields a typed diagnosis.
-func runRecoverOne(seed int64, name string, body func(*mpi.Comm, *recov.Rank, *report), timeout time.Duration, verbose, parallel bool, rec *obs.Recorder) (outcome, string) {
-	cfg := netsim.Summit(1)
-	cfg.Parallel = parallel
-	cfg.Faults = netsim.RandomPlan(seed)
-	pol := recov.Policy{Seed: seed}
+func (cl cell) runRecoverOne(w workload) (outcome, string) {
+	cfg := cl.machine()
+	pol := recov.Policy{Seed: cl.seed}
 	doubleFault := false
 	if cfg.Faults.CrashAt > 0 {
-		// Rescale benchmark-scale crash times into this harness's
-		// microsecond-scale workloads, as runOne does.
-		cfg.Faults.CrashAt = 0.5e-6 * float64(1+seed%40)
-		switch seed % 3 {
+		switch cl.seed % 3 {
 		case 0:
 			pol.MaxRestarts = -1
 		case 1:
 			doubleFault = true
 		}
 	}
-	rep := &report{}
-	type res struct {
-		out recov.Outcome
-		err error
-	}
-	ch := make(chan res, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- res{err: fmt.Errorf("harness panic: %v", r)}
-			}
-		}()
+	return cl.classify(cl.guarded(func() result {
 		if doubleFault {
 			// Probe with the first crash alone (no recorder: its events and
 			// counters would double-count) to learn where attempt 2 runs in
 			// virtual time, then aim the second crash at its middle.
 			ct := &recov.Controller{Policy: pol}
-			pout, perr := ct.Run(cfg, nil, func(c *mpi.Comm, rk *recov.Rank) { body(c, rk, &report{}) })
+			pout, perr := ct.Run(cfg, nil, func(c *mpi.Comm, rk *recov.Rank) { w.epochs(c, rk, &report{}) })
 			if perr == nil && len(pout.Recoveries) > 0 {
 				second := (pout.Recoveries[0].ResumeT + pout.Result.Time) / 2
-				cfg.Faults.CrashSchedule = []netsim.CrashSpec{{Rank: int((seed + 2) % 6), At: second}}
+				cfg.Faults.CrashSchedule = []netsim.CrashSpec{{Rank: int((cl.seed + 2) % 6), At: second}}
 			}
 		}
+		rep := &report{}
 		ct := &recov.Controller{Policy: pol}
-		out, err := ct.Run(cfg, rec, func(c *mpi.Comm, rk *recov.Rank) { body(c, rk, rep) })
-		ch <- res{out, err}
-	}()
-	var r res
-	select {
-	case r = <-ch:
-	case <-time.After(timeout):
-		return outBad, fmt.Sprintf("wall-clock hang (> %v)", timeout)
-	}
-	var ue *recov.UnrecoverableError
-	switch {
-	case r.err == nil && len(rep.mismatch) > 0:
-		return outBad, "silent corruption: " + strings.Join(rep.mismatch, "; ")
-	case r.err == nil && len(r.out.Recoveries) > 0:
-		return outRecovered, fmt.Sprintf("%d rollback(s), MTTR %.3gs, %d repairs, %d fallback links",
-			len(r.out.Recoveries), r.out.MTTRSeconds, rep.repairs, rep.fallback)
-	case r.err == nil && (rep.repairs > 0 || rep.fallback > 0):
-		return outDegraded, fmt.Sprintf("%d repairs, %d fallback links", rep.repairs, rep.fallback)
-	case r.err == nil:
-		return outClean, ""
-	case errors.As(r.err, &ue), explicit(r.err):
-		if verbose {
-			return outError, r.err.Error()
-		}
-		return outError, firstLine(r.err.Error())
-	default:
-		return outBad, "unattributed failure: " + r.err.Error()
-	}
-}
-
-// shrinkWorkloads are the kill-permanent stratum's cells; the bodies
-// are the recovery workloads' own (recoveryEpochs already migrates the
-// healing ledger across a membership change).
-var shrinkWorkloads = map[string]func(c *mpi.Comm, rk *recov.Rank, rep *report){
-	"kill-osc":  recoveryWorkloads["recover-osc"],
-	"kill-comp": recoveryWorkloads["recover-comp"],
+		out, err := ct.Run(cfg, cl.rec, func(c *mpi.Comm, rk *recov.Rank) { w.epochs(c, rk, rep) })
+		return result{out: out, rep: rep, err: err}
+	}), false)
 }
 
 // runShrinkOne executes one kill-permanent cell: a seeded plan kills a
@@ -447,88 +423,40 @@ var shrinkWorkloads = map[string]func(c *mpi.Comm, rk *recov.Rank, rep *report){
 // must finish bit-identically. Every cell runs on BOTH engines and
 // cross-checks the outcomes (times, shrink records, survivors), so the
 // determinism contract is asserted per seed rather than per sweep.
-func runShrinkOne(seed int64, name string, body func(*mpi.Comm, *recov.Rank, *report), timeout time.Duration, verbose bool, rec *obs.Recorder) (outcome, string) {
-	pol := recov.Policy{Seed: seed, MaxRestarts: 1, Shrink: seed%3 != 0}
-	type res struct {
-		out recov.Outcome
-		err error
-		rep *report
-	}
-	runEngine := func(par bool, r *obs.Recorder) res {
+func (cl cell) runShrinkOne(w workload) (outcome, string) {
+	pol := recov.Policy{Seed: cl.seed, MaxRestarts: 1, Shrink: cl.seed%3 != 0}
+	runEngine := func(par bool, rec *obs.Recorder) result {
 		cfg := netsim.Summit(1)
 		cfg.Parallel = par
-		// A pure permanent-kill plan, timed like runOne's crash rescale so
+		// A pure permanent-kill plan, timed like machine's crash rescale so
 		// roughly half the seeds kill mid-sweep (the rest finish first and
 		// classify clean — the kill never fires).
-		cfg.Faults = &netsim.FaultPlan{Seed: seed, KillRank: int(seed % 6), KillAt: 0.5e-6 * float64(1+seed%40)}
+		cfg.Faults = &netsim.FaultPlan{Seed: cl.seed, KillRank: int(cl.seed % 6), KillAt: 0.5e-6 * float64(1+cl.seed%40)}
 		rep := &report{}
 		ct := &recov.Controller{Policy: pol}
-		out, err := ct.Run(cfg, r, func(c *mpi.Comm, rk *recov.Rank) { body(c, rk, rep) })
-		return res{out, err, rep}
+		out, err := ct.Run(cfg, rec, func(c *mpi.Comm, rk *recov.Rank) { w.epochs(c, rk, rep) })
+		return result{out: out, rep: rep, err: err}
 	}
-	ch := make(chan [2]res, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- [2]res{{err: fmt.Errorf("harness panic: %v", r)}, {err: fmt.Errorf("harness panic: %v", r)}}
-			}
-		}()
-		seq := runEngine(false, rec) // only one engine feeds the recorder
+	return cl.classify(cl.guarded(func() result {
+		seq := runEngine(false, cl.rec) // only one engine feeds the recorder
 		par := runEngine(true, nil)
-		ch <- [2]res{seq, par}
-	}()
-	var seq, par res
-	select {
-	case r := <-ch:
-		seq, par = r[0], r[1]
-	case <-time.After(timeout):
-		return outBad, fmt.Sprintf("wall-clock hang (> %v)", timeout)
-	}
-	// Engine equivalence first: identical success/failure, virtual time,
-	// shrink records, and final membership.
-	if (seq.err == nil) != (par.err == nil) {
-		return outBad, fmt.Sprintf("engines disagree: sequential err=%v, parallel err=%v", seq.err, par.err)
-	}
-	if seq.err == nil {
-		if seq.out.Result.Time != par.out.Result.Time {
-			return outBad, fmt.Sprintf("engines disagree on time: %.9g != %.9g", seq.out.Result.Time, par.out.Result.Time)
+		// Engine equivalence first: identical success/failure, virtual
+		// time, shrink records, and final membership.
+		if (seq.err == nil) != (par.err == nil) {
+			return result{bad: fmt.Sprintf("engines disagree: sequential err=%v, parallel err=%v", seq.err, par.err)}
 		}
-		if fmt.Sprintf("%+v", seq.out.Shrinks) != fmt.Sprintf("%+v", par.out.Shrinks) ||
-			fmt.Sprintf("%v", seq.out.Survivors) != fmt.Sprintf("%v", par.out.Survivors) {
-			return outBad, fmt.Sprintf("engines disagree on shrink history: %+v/%v != %+v/%v",
-				seq.out.Shrinks, seq.out.Survivors, par.out.Shrinks, par.out.Survivors)
+		if seq.err == nil {
+			if seq.out.Result.Time != par.out.Result.Time {
+				return result{bad: fmt.Sprintf("engines disagree on time: %.9g != %.9g", seq.out.Result.Time, par.out.Result.Time)}
+			}
+			if fmt.Sprintf("%+v", seq.out.Shrinks) != fmt.Sprintf("%+v", par.out.Shrinks) ||
+				fmt.Sprintf("%v", seq.out.Survivors) != fmt.Sprintf("%v", par.out.Survivors) {
+				return result{bad: fmt.Sprintf("engines disagree on shrink history: %+v/%v != %+v/%v",
+					seq.out.Shrinks, seq.out.Survivors, par.out.Shrinks, par.out.Survivors)}
+			}
 		}
-	}
-	var ue *recov.UnrecoverableError
-	switch {
-	case seq.err == nil && len(seq.rep.mismatch) > 0:
-		return outBad, "silent corruption: " + strings.Join(seq.rep.mismatch, "; ")
-	case seq.err == nil && len(seq.out.Shrinks) > 0:
-		sh := seq.out.Shrinks[len(seq.out.Shrinks)-1]
-		return outShrunk, fmt.Sprintf("%d->%d ranks (lost %v), MTTR %.3gs, %d repairs",
-			seq.out.Shrinks[0].FromSize, sh.ToSize, sh.Dead, seq.out.MTTRSeconds, seq.rep.repairs)
-	case seq.err == nil && len(seq.out.Recoveries) > 0:
-		return outRecovered, fmt.Sprintf("%d rollback(s), MTTR %.3gs", len(seq.out.Recoveries), seq.out.MTTRSeconds)
-	case seq.err == nil:
-		return outClean, ""
-	case errors.As(seq.err, &ue):
-		if pol.Shrink {
-			// With Shrink armed a lone permanent kill is survivable: giving
-			// up is a contract violation, not an explicit diagnostic.
-			return outBad, "shrink-enabled run gave up: " + firstLine(seq.err.Error())
-		}
-		if verbose {
-			return outError, seq.err.Error()
-		}
-		return outError, firstLine(seq.err.Error())
-	case explicit(seq.err):
-		if verbose {
-			return outError, seq.err.Error()
-		}
-		return outError, firstLine(seq.err.Error())
-	default:
-		return outBad, "unattributed failure: " + seq.err.Error()
-	}
+		return seq
+	}), pol.Shrink)
 }
 
 func firstLine(s string) string {
@@ -538,112 +466,88 @@ func firstLine(s string) string {
 	return s
 }
 
-func main() {
-	seeds := flag.Int("seeds", 60, "number of fault plans to sweep")
-	start := flag.Int64("start", 1, "first seed (plans are deterministic per seed)")
-	workloadsFlag := flag.String("workloads", "linear,pairwise,osc,osc-comp,osc-comp16", "exchange workloads to sweep (also: recover-osc,recover-comp — crash-recovery cells; kill-osc,kill-comp — permanent-kill elastic-shrink cells)")
-	timeout := flag.Duration("timeout", 60*time.Second, "wall-clock hang guard per run")
-	verbose := flag.Bool("v", false, "print every cell, not just summaries and violations")
-	parallel := flag.Bool("parallel", false, "run the simulator's parallel engine (verdicts are bit-identical; docs/DETERMINISM.md)")
-	scrape := flag.String("scrape", "", "with -serve: self-scrape /metrics mid-sweep into this file")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
-
-	tel, err := tf.Start()
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("chaos", stdout, stderr, driver.Telemetry|driver.Parallel)
+	seeds := s.Flags.Int("seeds", 60, "number of fault plans to sweep")
+	start := s.Flags.Int64("start", 1, "first seed (plans are deterministic per seed)")
+	workloadsFlag := s.Flags.String("workloads", "linear,pairwise,osc,osc-comp,osc-comp16", "exchange workloads to sweep (also: recover-osc,recover-comp — crash-recovery cells; kill-osc,kill-comp — permanent-kill elastic-shrink cells)")
+	timeout := s.Flags.Duration("timeout", 60*time.Second, "wall-clock hang guard per run")
+	verbose := s.Flags.Bool("v", false, "print every cell, not just summaries and violations")
+	scrape := s.Flags.String("scrape", "", "with -serve: self-scrape /metrics mid-sweep into this file")
+	s.Help("parallel", "run the simulator's parallel engine (verdicts are bit-identical; docs/DETERMINISM.md)")
+	if err := s.Parse(args); err != nil {
+		return err
+	}
+	picked, err := driver.Pick("workloads", "workload", *workloadsFlag, workloads, func(w workload) string { return w.name })
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		os.Exit(2)
+		return err
 	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("# telemetry: serving http://%s (/metrics /healthz /slo /events /debug/pprof)\n", tel.Addr())
+	if err := s.Start(); err != nil {
+		return err
 	}
-	var rec *obs.Recorder
-	if tel.Enabled() {
+	cl := cell{timeout: *timeout, verbose: *verbose, parallel: s.Parallel}
+	if s.Tel.Enabled() {
 		// One recorder for the whole soak: counters accumulate across
 		// cells, and every cell's events land in the same stream.
-		rec = obs.New(obs.Options{Metrics: true})
-		tel.Attach(rec)
-	}
-
-	var names []string
-	for _, n := range strings.Split(*workloadsFlag, ",") {
-		n = strings.TrimSpace(n)
-		_, plain := workloads[n]
-		_, recoverable := recoveryWorkloads[n]
-		_, shrinkable := shrinkWorkloads[n]
-		if !plain && !recoverable && !shrinkable {
-			fmt.Fprintf(os.Stderr, "chaos: unknown workload %q\n", n)
-			os.Exit(2)
-		}
-		names = append(names, n)
+		cl.rec = obs.New(obs.Options{Metrics: true})
+		s.Tel.Attach(cl.rec)
 	}
 
 	counts := map[string]map[outcome]int{}
 	scenarios := map[string]int{}
 	bad := 0
-	for s := int64(0); s < int64(*seeds); s++ {
-		seed := *start + s
-		scenario := netsim.RandomPlan(seed).Scenario()
+	for i := int64(0); i < int64(*seeds); i++ {
+		cl.seed = *start + i
+		scenario := netsim.RandomPlan(cl.seed).Scenario()
 		scenarios[scenario]++
-		for _, name := range names {
-			tel.StartRun(fmt.Sprintf("seed%d/%s", seed, name))
-			var out outcome
-			var detail string
-			if body, ok := workloads[name]; ok {
-				out, detail = runOne(seed, name, body, *timeout, *verbose, *parallel, rec)
-			} else if body, ok := shrinkWorkloads[name]; ok {
-				out, detail = runShrinkOne(seed, name, body, *timeout, *verbose, rec)
-			} else {
-				out, detail = runRecoverOne(seed, name, recoveryWorkloads[name], *timeout, *verbose, *parallel, rec)
+		for _, w := range picked {
+			s.Tel.StartRun(fmt.Sprintf("seed%d/%s", cl.seed, w.name))
+			out, detail := w.run(cl, w)
+			if counts[w.name] == nil {
+				counts[w.name] = map[outcome]int{}
 			}
-			if counts[name] == nil {
-				counts[name] = map[outcome]int{}
-			}
-			counts[name][out]++
+			counts[w.name][out]++
 			if out == outBad {
 				bad++
-				fmt.Printf("BAD  seed=%-4d %-10s %-12s %s\n", seed, name, scenario, detail)
+				fmt.Fprintf(stdout, "BAD  seed=%-4d %-10s %-12s %s\n", cl.seed, w.name, scenario, detail)
 			} else if *verbose {
-				fmt.Printf("%-4s seed=%-4d %-10s %-12s %s\n", out, seed, name, scenario, detail)
+				fmt.Fprintf(stdout, "%-4s seed=%-4d %-10s %-12s %s\n", out, cl.seed, w.name, scenario, detail)
 			}
 		}
-		if *scrape != "" && s == int64(*seeds/2) {
+		if *scrape != "" && i == int64(*seeds/2) {
 			// A mid-soak self-scrape: the exposition the acceptance check
 			// and `make telemetry-demo` lint.
-			if err := tel.ScrapeTo(*scrape); err != nil {
-				fmt.Fprintf(os.Stderr, "chaos: scrape: %v\n", err)
-				os.Exit(2)
+			if err := s.Tel.ScrapeTo(*scrape); err != nil {
+				return fmt.Errorf("scrape: %w", err)
 			}
 		}
 	}
 
-	fmt.Printf("# chaos sweep: %d seeds x %d workloads (seeds %d..%d)\n",
-		*seeds, len(names), *start, *start+int64(*seeds)-1)
+	fmt.Fprintf(stdout, "# chaos sweep: %d seeds x %d workloads (seeds %d..%d)\n",
+		*seeds, len(picked), *start, *start+int64(*seeds)-1)
 	var kinds []string
 	for k := range scenarios {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
-	fmt.Printf("# scenarios:")
+	fmt.Fprintf(stdout, "# scenarios:")
 	for _, k := range kinds {
-		fmt.Printf(" %s=%d", k, scenarios[k])
+		fmt.Fprintf(stdout, " %s=%d", k, scenarios[k])
 	}
-	fmt.Println()
-	fmt.Printf("%-12s %8s %10s %10s %8s %8s %6s\n", "workload", "clean", "degraded", "recovered", "shrunk", "error", "bad")
-	for _, name := range names {
-		c := counts[name]
-		fmt.Printf("%-12s %8d %10d %10d %8d %8d %6d\n", name, c[outClean], c[outDegraded], c[outRecovered], c[outShrunk], c[outError], c[outBad])
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "%-12s %8s %10s %10s %8s %8s %6s\n", "workload", "clean", "degraded", "recovered", "shrunk", "error", "bad")
+	for _, w := range picked {
+		c := counts[w.name]
+		fmt.Fprintf(stdout, "%-12s %8d %10d %10d %8d %8d %6d\n", w.name, c[outClean], c[outDegraded], c[outRecovered], c[outShrunk], c[outError], c[outBad])
 	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: telemetry: %v\n", err)
-			os.Exit(2)
-		}
+	if err := s.Finish(); err != nil {
+		return err
 	}
 	if bad > 0 {
-		fmt.Printf("chaos: %d contract violations\n", bad)
-		os.Exit(1)
+		return fmt.Errorf("%d contract violations", bad)
 	}
-	fmt.Println("chaos: all runs completed bit-identically or failed with an explicit diagnostic")
+	fmt.Fprintln(stdout, "chaos: all runs completed bit-identically or failed with an explicit diagnostic")
+	return nil
 }
+
+func main() { driver.Main("chaos", run) }

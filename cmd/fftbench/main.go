@@ -25,19 +25,15 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
+	"io"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/telemetry"
-	"repro/internal/plot"
 	recov "repro/internal/recover"
 	"repro/internal/tune"
 )
@@ -51,95 +47,36 @@ type config struct {
 	fp32 bool
 }
 
-func (c config) elemBytes() int {
-	if c.fp32 {
-		return 8
-	}
-	return 16
-}
-
-func (c config) run(rec *obs.Recorder, cfg netsim.Config, n [3]int, iters, simScale int) core.Result {
+// measure runs one cell; with -recover it runs under the crash-recovery
+// runtime: the plan checkpoints after every reshape and absorbs watchdog
+// crash verdicts by rolling back and respawning (docs/ROBUSTNESS.md).
+func (c config) measure(b *driver.Bench, rec *obs.Recorder, cell string, cfg netsim.Config, n [3]int, iters, simScale int) (core.Result, error) {
 	opts := c.opts
 	opts.SimScale = simScale
+	plain, recoverable := core.MeasureWith[complex128], core.MeasureRecoverable[complex128]
 	if c.fp32 {
-		return core.MeasureWith[complex64](rec, cfg, n, opts, iters, false)
+		plain, recoverable = core.MeasureWith[complex64], core.MeasureRecoverable[complex64]
 	}
-	return core.MeasureWith[complex128](rec, cfg, n, opts, iters, false)
+	if !b.Recover {
+		return plain(rec, cfg, n, opts, iters, false), nil
+	}
+	res, out, err := recoverable(rec, cfg, n, opts, iters, false, recov.Policy{Seed: b.Faults, Shrink: b.Shrink})
+	return res, b.Recovered(cell, out, err)
 }
 
-// runRecoverable is run under the crash-recovery runtime: the plan
-// checkpoints after every reshape and absorbs watchdog crash verdicts
-// by rolling back and respawning (docs/ROBUSTNESS.md).
-func (c config) runRecoverable(rec *obs.Recorder, cfg netsim.Config, n [3]int, iters, simScale int, pol recov.Policy) (core.Result, recov.Outcome, error) {
-	opts := c.opts
-	opts.SimScale = simScale
-	if c.fp32 {
-		return core.MeasureRecoverable[complex64](rec, cfg, n, opts, iters, false, pol)
-	}
-	return core.MeasureRecoverable[complex128](rec, cfg, n, opts, iters, false, pol)
-}
-
-func configByName(name string) (config, bool) {
-	switch name {
-	case "fp64":
-		return config{name: name, opts: core.Options{Backend: core.BackendAlltoallv}}, true
-	case "fp32":
-		return config{name: name, opts: core.Options{Backend: core.BackendAlltoallv}, fp32: true}, true
-	case "fp64-32":
-		return config{name: name, opts: core.Options{Backend: core.BackendCompressed, Method: compress.Cast32{}}}, true
-	case "fp64-16":
-		return config{name: name, opts: core.Options{Backend: core.BackendCompressed, Method: compress.Cast16{}}}, true
-	case "fp64-bf16":
-		return config{name: name, opts: core.Options{Backend: core.BackendCompressed, Method: compress.CastBF16{}}}, true
-	case "fp64-32-2s":
-		// Compression over the two-sided transport (ablation).
-		return config{name: name, opts: core.Options{Backend: core.BackendCompressedTwoSided, Method: compress.Cast32{}}}, true
-	case "osc":
-		// Uncompressed one-sided exchange (isolates the OSC gain).
-		return config{name: name, opts: core.Options{Backend: core.BackendOSC}}, true
-	case "fp64-pencil":
-		// Reduced-reshape configuration (pencil-shaped input/output).
-		return config{name: name, opts: core.Options{Backend: core.BackendAlltoallv, PencilIO: true}}, true
-	}
-	return config{}, false
-}
-
-// tuningRows pairs each tuned stage's decision record with the run's
-// measured exchange-time histogram, and publishes the decision and the
-// predicted-vs-measured gap as metrics on the run's recorder.
-func tuningRows(cell *tune.Cell, rec *obs.Recorder) []analyze.TuningRow {
-	out := make([]analyze.TuningRow, 0, len(cell.Stages))
-	for _, st := range cell.Stages {
-		tr := analyze.TuningRow{
-			Label: st.Label, Algo: st.Algo, Chunks: st.Chunks, Method: st.Method,
-			PredictedS: st.PredictedS, ProbedS: st.ProbedS, Candidates: st.Candidates,
-		}
-		if h, ok := rec.Metrics().Hist("exchange/" + st.Label + "/time_s"); ok && h.Count > 0 {
-			tr.MeasuredS = h.Mean()
-			if st.PredictedS > 0 {
-				tr.Gap = tr.MeasuredS / st.PredictedS
-			}
-		}
-		rec.Metrics().Set("tune/"+st.Label+"/predicted_s", st.PredictedS)
-		if tr.Gap > 0 {
-			rec.Metrics().Set("tune/"+st.Label+"/gap", tr.Gap)
-		}
-		rec.Metrics().Add("tune/candidates", int64(st.Candidates))
-		out = append(out, tr)
-	}
-	return out
-}
-
-// describeChoice formats one tuned stage for the console summary.
-func describeChoice(st tune.Choice) string {
-	s := st.Algo
-	if st.Method != "" {
-		s += "/" + st.Method
-	}
-	if st.Chunks > 0 && st.Algo == string(tune.CompressedOSC) {
-		s += fmt.Sprintf("/c%d", st.Chunks)
-	}
-	return s
+// configs are the named pipeline configurations -configs selects from.
+var configs = []config{
+	{name: "fp64", opts: core.Options{Backend: core.BackendAlltoallv}},
+	{name: "fp32", opts: core.Options{Backend: core.BackendAlltoallv}, fp32: true},
+	{name: "fp64-32", opts: core.Options{Backend: core.BackendCompressed, Method: compress.Cast32{}}},
+	{name: "fp64-16", opts: core.Options{Backend: core.BackendCompressed, Method: compress.Cast16{}}},
+	{name: "fp64-bf16", opts: core.Options{Backend: core.BackendCompressed, Method: compress.CastBF16{}}},
+	// Compression over the two-sided transport (ablation).
+	{name: "fp64-32-2s", opts: core.Options{Backend: core.BackendCompressedTwoSided, Method: compress.Cast32{}}},
+	// Uncompressed one-sided exchange (isolates the OSC gain).
+	{name: "osc", opts: core.Options{Backend: core.BackendOSC}},
+	// Reduced-reshape configuration (pencil-shaped input/output).
+	{name: "fp64-pencil", opts: core.Options{Backend: core.BackendAlltoallv, PencilIO: true}},
 }
 
 // modelDeltas pairs the cost model's per-reshape prediction with the
@@ -147,8 +84,12 @@ func describeChoice(st tune.Choice) string {
 func modelDeltas(rec *obs.Recorder, machine netsim.Config, n [3]int, c config, simScale int) []analyze.ModelDelta {
 	opts := c.opts
 	opts.SimScale = simScale
+	elemBytes := 16
+	if c.fp32 {
+		elemBytes = 8
+	}
 	var out []analyze.ModelDelta
-	for _, est := range core.PredictExchanges(machine, n, opts, c.elemBytes()) {
+	for _, est := range core.PredictExchanges(machine, n, opts, elemBytes) {
 		h, ok := rec.Metrics().Hist("exchange/" + est.Label + "/time_s")
 		if !ok || h.Count == 0 || est.Predicted <= 0 {
 			continue
@@ -160,295 +101,111 @@ func modelDeltas(rec *obs.Recorder, machine netsim.Config, n [3]int, c config, s
 	return out
 }
 
-func main() {
-	nFlag := flag.Int("n", 128, "cubic data size per dimension")
-	simFlag := flag.Int("sim", 1024, "simulated problem size per dimension (time plane; must be a multiple of -n)")
-	gpusFlag := flag.String("gpus", "12,24,48,96,192,384,768,1536", "comma-separated GPU counts (multiples of 6)")
-	iters := flag.Int("iters", 1, "measured iterations per point")
-	configsFlag := flag.String("configs", "fp64,fp32,fp64-32,fp64-16", "configurations")
-	doPlot := flag.Bool("plot", false, "render the figure as an ASCII chart")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the last measured cell to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the phase-breakdown/metrics report of the last measured cell")
-	jsonFlag := flag.String("json", "", "write the machine-readable bench artifact to this file")
-	faultsFlag := flag.Int64("faults", 0, "inject the seeded fault plan netsim.RandomPlan(seed); 0 disables (docs/ROBUSTNESS.md)")
-	recoverFlag := flag.Bool("recover", false, "run under the crash-recovery runtime: epoch checkpoints + rollback/respawn on crash verdicts (docs/ROBUSTNESS.md)")
-	shrinkFlag := flag.Bool("shrink", false, "with -recover: when a rank's respawn budget is exhausted, shrink onto the survivors instead of giving up (docs/ROBUSTNESS.md)")
-	parallelFlag := flag.Bool("parallel", false, "run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
-	autotuneFlag := flag.Bool("autotune", false, "tune the exchange configuration per machine and add a 'tuned' config (docs/TUNING.md)")
-	tuneTolFlag := flag.Float64("tunetol", 1e-3, "per-stage error budget for the autotuner's compressed candidates")
-	tunePlanFlag := flag.String("tuneplan", "", "tune-plan file: written with -autotune, otherwise loaded and replayed")
-	tuneProbeFlag := flag.Int("tuneprobe", 2, "probe the best K predicted candidates with short simulation runs (0 = predictor only)")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
-
-	// -json artifacts embed the per-stage error-attribution ledger, so
-	// force the error tracker on for artifact runs even without -errtrack.
-	telCfg := tf.Config()
-	if *jsonFlag != "" {
-		telCfg.Tracker = true
+func run(args []string, stdout, stderr io.Writer) error {
+	b := driver.NewBench("fftbench", stdout, stderr)
+	nFlag := b.Flags.Int("n", 128, "cubic data size per dimension")
+	simFlag := b.Flags.Int("sim", 1024, "simulated problem size per dimension (time plane; must be a multiple of -n)")
+	gpusFlag := b.Flags.String("gpus", "12,24,48,96,192,384,768,1536", "comma-separated GPU counts (multiples of 6)")
+	iters := b.Flags.Int("iters", 1, "measured iterations per point")
+	configsFlag := b.Flags.String("configs", "fp64,fp32,fp64-32,fp64-16", "configurations")
+	b.Help("metrics", "print the phase-breakdown/metrics report of the last measured cell")
+	if err := b.Parse(args); err != nil {
+		return err
 	}
-	tel, err := telemetry.Start(telCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fftbench:", err)
-		os.Exit(1)
+	if *nFlag <= 0 || *simFlag%*nFlag != 0 {
+		return driver.Usagef("-sim must be a multiple of -n")
 	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("# telemetry: serving http://%s\n", tel.Addr())
-	}
-
 	n := [3]int{*nFlag, *nFlag, *nFlag}
-	if *simFlag%*nFlag != 0 {
-		fmt.Fprintln(os.Stderr, "fftbench: -sim must be a multiple of -n")
-		os.Exit(1)
-	}
 	simScale := *simFlag / *nFlag
-	var configs []config
-	for _, name := range strings.Split(*configsFlag, ",") {
-		c, ok := configByName(strings.TrimSpace(name))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "fftbench: unknown config %q\n", name)
-			os.Exit(1)
-		}
-		configs = append(configs, c)
+	cols, err := driver.Pick("configs", "config", *configsFlag, configs, func(c config) string { return c.name })
+	if err != nil {
+		return err
 	}
-	// Tuning modes: -autotune computes a plan (and saves it to -tuneplan
-	// when given); -tuneplan alone loads a saved plan and replays its
-	// decisions. Either adds the "tuned" configuration to the table.
-	var planIn, planOut *tune.Plan
-	if *tunePlanFlag != "" && !*autotuneFlag {
-		p, err := tune.Load(*tunePlanFlag)
+	if b.Tuning() {
+		cols = append(cols, config{name: "tuned"})
+	}
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.name
+	}
+	if err := b.Start(names, map[string]string{
+		"n": fmt.Sprint(*nFlag), "sim": fmt.Sprint(*simFlag),
+		"gpus": *gpusFlag, "iters": fmt.Sprint(*iters), "configs": *configsFlag,
+	}); err != nil {
+		return err
+	}
+
+	fmt.Fprintf(stdout, "# Fig. 4 — strong scaling, %d^3 simulated problem (%d^3 data)\n", *simFlag, *nFlag)
+	fmt.Fprintf(stdout, "%8s", "GPUs")
+	// " %11s", not "%12s": "fp64-32 GF/s" is 12 characters wide, and the
+	// header must keep a separating space for any config name.
+	for _, name := range names {
+		fmt.Fprintf(stdout, " %11s", name+" GF/s")
+	}
+	for _, name := range names {
+		fmt.Fprintf(stdout, " %11s", name+" spd")
+	}
+	fmt.Fprintln(stdout)
+
+	for _, g := range b.GPUs {
+		machine := b.Machine(g)
+		tunedCell, err := b.Tuned(machine, tune.FFTShape(n, simScale, false, false), func(sp tune.Space) (*tune.Cell, error) {
+			return tune.FFT[complex128](machine, n, core.Options{SimScale: simScale}, sp)
+		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
+			return err
 		}
-		planIn = p
-	}
-	if *autotuneFlag {
-		planOut = tune.NewPlan(*tuneTolFlag)
-	}
-	tuning := *autotuneFlag || planIn != nil
-	if tuning {
-		configs = append(configs, config{name: "tuned"})
-	}
-	// The artifact embeds trace analyses, so -json records like -trace.
-	recording := *traceFlag != "" || *jsonFlag != ""
-
-	fmt.Printf("# Fig. 4 — strong scaling, %d^3 simulated problem (%d^3 data)\n", *simFlag, *nFlag)
-	fmt.Printf("%8s", "GPUs")
-	for _, c := range configs {
-		fmt.Printf("%12s", c.name+" GF/s")
-	}
-	for _, c := range configs {
-		fmt.Printf("%12s", c.name+" spd")
-	}
-	fmt.Println()
-
-	series := make([]plot.Series, len(configs))
-	for i, c := range configs {
-		series[i].Name = c.name
-	}
-	var labels []string
-	artifact := &analyze.Artifact{
-		Tool: "fftbench",
-		Config: map[string]string{
-			"n": fmt.Sprint(*nFlag), "sim": fmt.Sprint(*simFlag),
-			"gpus": *gpusFlag, "iters": fmt.Sprint(*iters), "configs": *configsFlag,
-		},
-	}
-	if *faultsFlag != 0 {
-		artifact.Config["faults"] = fmt.Sprint(*faultsFlag)
-	}
-	if *recoverFlag {
-		artifact.Config["recover"] = "1"
-	}
-	if *shrinkFlag {
-		// Shrink provenance: rows of this artifact may have finished on a
-		// degraded (smaller) topology; benchdiff refuses to compare such
-		// rows against full-size baselines.
-		artifact.Config["shrink"] = "1"
-	}
-	if tuning {
-		artifact.Config["tunetol"] = fmt.Sprint(*tuneTolFlag)
-		if *autotuneFlag {
-			artifact.Config["autotune"] = "1"
-		}
-	}
-	// One recorder per (config, GPU-count) cell; recorders keeps the last
-	// measured row's recorder per config for the post-table summaries.
-	recorders := make([]*obs.Recorder, len(configs))
-	var lastRec *obs.Recorder
-	var lastCell string
-	for _, gs := range strings.Split(*gpusFlag, ",") {
-		g, err := strconv.Atoi(strings.TrimSpace(gs))
-		if err != nil || g%6 != 0 {
-			fmt.Fprintf(os.Stderr, "fftbench: skipping invalid GPU count %q\n", gs)
-			continue
-		}
-		machine := netsim.Summit(g / 6)
-		machine.Parallel = *parallelFlag
-		if *faultsFlag != 0 {
-			machine.Faults = netsim.RandomPlan(*faultsFlag)
-		}
-		// Resolve this machine's tuned cell: compute it (-autotune) or
-		// look it up in the loaded plan. The tuner strips the fault plan
-		// itself, so the cell is identical with or without -faults.
-		var tunedCell *tune.Cell
-		if tuning {
-			baseOpts := core.Options{SimScale: simScale}
-			if *autotuneFlag {
-				cell, terr := tune.FFT[complex128](machine, n, baseOpts,
-					tune.Space{Budget: *tuneTolFlag, ProbeTopK: *tuneProbeFlag})
-				if terr != nil {
-					fmt.Fprintln(os.Stderr, "fftbench:", terr)
-					os.Exit(1)
-				}
-				tunedCell = cell
-				if _, dup := planOut.Cell(cell.Machine, cell.Shape); !dup {
-					planOut.Cells = append(planOut.Cells, *cell)
-				}
-			} else {
-				cell, ok := planIn.Cell(tune.Fingerprint(machine), tune.FFTShape(n, simScale, false, false))
-				if !ok {
-					fmt.Fprintf(os.Stderr, "fftbench: %s holds no cell for this machine/shape (%d GPUs)\n", *tunePlanFlag, g)
-					os.Exit(1)
-				}
-				tunedCell = cell
-			}
-			fmt.Printf("# tuned @ %d GPUs:", g)
+		if tunedCell != nil {
+			fmt.Fprintf(stdout, "# tuned @ %d GPUs:", g)
 			for _, st := range tunedCell.Stages {
-				fmt.Printf(" %s=%s", st.Label, describeChoice(st))
+				fmt.Fprintf(stdout, " %s=%s", st.Label, driver.DescribeChoice(st))
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		gflops := make([]float64, len(configs))
-		for i, c := range configs {
+		gflops := make([]float64, len(cols))
+		for i, c := range cols {
 			if c.name == "tuned" {
 				c.opts = core.Options{Tune: tunedCell}
 			}
-			rec := obs.New(obs.Options{Trace: recording, Metrics: true})
-			cell := fmt.Sprintf("%s/%dgpus", c.name, g)
-			tel.StartRun(cell)
-			tel.Attach(rec)
-			var res core.Result
-			if *recoverFlag {
-				var out recov.Outcome
-				var rerr error
-				res, out, rerr = c.runRecoverable(rec, machine, n, *iters, simScale,
-					recov.Policy{Seed: *faultsFlag, Shrink: *shrinkFlag})
-				if rerr != nil {
-					fmt.Fprintf(os.Stderr, "fftbench: %s: %v\n", cell, rerr)
-					os.Exit(1)
-				}
-				if len(out.Recoveries) > 0 {
-					fmt.Fprintf(os.Stderr, "# %s: recovered %d crash(es), MTTR %.3gs\n", cell, len(out.Recoveries), out.MTTRSeconds)
-				}
-				for _, sh := range out.Shrinks {
-					fmt.Fprintf(os.Stderr, "# %s: SHRUNK %d->%d ranks (lost %v) at t=%.3gs — degraded topology, not comparable to full-size rows\n",
-						cell, sh.FromSize, sh.ToSize, sh.Dead, sh.DetectT)
-				}
-			} else {
-				res = c.run(rec, machine, n, *iters, simScale)
+			rec, cell := b.Cell(i, g)
+			res, err := c.measure(b, rec, cell, machine, n, *iters, simScale)
+			if err != nil {
+				return err
 			}
 			gflops[i] = res.Gflops
-			recorders[i] = rec
-			lastRec = rec
-			lastCell = fmt.Sprintf("%s @ %d GPUs", c.name, g)
-			if *jsonFlag != "" {
-				prec := 64
-				if c.fp32 {
-					prec = 32
-				}
-				row := analyze.Row{
-					Name: c.name, GPUs: g, Precision: prec,
-					Seconds: res.ForwardTime, Gflops: res.Gflops,
-					Compression: analyze.CompressionRows(rec.Metrics().CompressionStats()),
-					Faults:      analyze.FaultRowFrom(rec.Metrics()),
-					Errors:      analyze.ErrorRows(tel.Tracker(), cell),
-				}
-				if c.name == "tuned" {
-					// Tuned rows carry the decision record instead of the
-					// fixed-config model deltas (the cost model is keyed on
-					// a single backend, which a tuned plan need not have).
-					row.Tuning = tuningRows(tunedCell, rec)
-				} else {
-					row.Model = modelDeltas(rec, machine, n, c, simScale)
-				}
-				s := analyze.Summarize(analyze.FromRecorder(rec), 0)
-				row.Analysis = &s
-				artifact.Machine = rec.Machine()
-				artifact.Rows = append(artifact.Rows, row)
+			if b.JSON == "" {
+				continue
 			}
+			row := analyze.Row{Name: c.name, GPUs: g, Precision: 64, Seconds: res.ForwardTime, Gflops: res.Gflops}
+			if c.fp32 {
+				row.Precision = 32
+			}
+			if c.name == "tuned" {
+				// Tuned rows carry the decision record instead of the
+				// fixed-config model deltas (the cost model is keyed on
+				// a single backend, which a tuned plan need not have).
+				row.Tuning = driver.TuningRows(tunedCell, rec.Metrics(), func(label string) float64 {
+					h, _ := rec.Metrics().Hist("exchange/" + label + "/time_s")
+					return h.Mean()
+				})
+			} else {
+				row.Model = modelDeltas(rec, machine, n, c, simScale)
+			}
+			b.AddRow(row, rec, cell)
 		}
-		fmt.Printf("%8d", g)
-		labels = append(labels, fmt.Sprint(g))
-		for i, gf := range gflops {
-			fmt.Printf("%12.1f", gf)
-			series[i].Values = append(series[i].Values, gf)
-		}
-		base := gflops[0]
+		fmt.Fprintf(stdout, "%8d", g)
 		for _, gf := range gflops {
-			fmt.Printf("%12.2f", gf/base)
+			fmt.Fprintf(stdout, "%12.1f", gf)
 		}
-		fmt.Println()
+		for _, gf := range gflops {
+			fmt.Fprintf(stdout, "%12.2f", gf/gflops[0])
+		}
+		fmt.Fprintln(stdout)
+		b.PlotRow(g, gflops)
 	}
-	// Achieved (not nominal) compression per reshape, from the metrics of
-	// each config's last measured row.
-	for i, c := range configs {
-		stats := recorders[i].Metrics().CompressionStats()
-		if len(stats) == 0 {
-			continue
-		}
-		fmt.Printf("# %s achieved compression:", c.name)
-		for _, s := range stats {
-			fmt.Printf(" %s %.2fx", s.Label, s.Ratio())
-		}
-		fmt.Println()
-	}
-
-	if *metricsFlag && lastRec != nil {
-		fmt.Printf("\n# metrics report — %s\n", lastCell)
-		lastRec.WriteReport(os.Stdout)
-	}
-	if *traceFlag != "" && lastRec != nil {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		if err := lastRec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# trace written: %s (%s) — open in chrome://tracing or ui.perfetto.dev\n", *traceFlag, lastCell)
-	}
-	if *jsonFlag != "" {
-		if err := artifact.WriteFile(*jsonFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# bench artifact written: %s (%d rows)\n", *jsonFlag, len(artifact.Rows))
-	}
-	if *autotuneFlag && *tunePlanFlag != "" {
-		if err := planOut.Save(*tunePlanFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("# tune plan written: %s (%d cells)\n", *tunePlanFlag, len(planOut.Cells))
-	}
-	if *doPlot {
-		fmt.Println()
-		fmt.Print(plot.Chart("Gflop/s vs GPUs (log scale)", labels, series, 60, 14, true))
-	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench: telemetry:", err)
-			os.Exit(1)
-		}
-	}
+	return b.Finish("Gflop/s vs GPUs (log scale)", true, func(s obs.CompressionStat) string {
+		return fmt.Sprintf(" %s %.2fx", s.Label, s.Ratio())
+	})
 }
+
+func main() { driver.Main("fftbench", run) }

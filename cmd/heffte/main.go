@@ -11,17 +11,14 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strconv"
 	"strings"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/compress"
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
 )
 
 func parseMethod(s string) (compress.Method, error) {
@@ -41,49 +38,35 @@ func parseMethod(s string) (compress.Method, error) {
 	case strings.HasPrefix(s, "trim:"):
 		m, err := strconv.Atoi(s[len("trim:"):])
 		if err != nil || m < 0 || m > 52 {
-			return nil, fmt.Errorf("bad trim width %q", s)
+			return nil, driver.Usagef("bad trim width %q in -method (0..52)", s)
 		}
 		return compress.Trim{M: uint(m)}, nil
 	case strings.HasPrefix(s, "block:"):
 		b, err := strconv.Atoi(s[len("block:"):])
 		if err != nil || b < 1 || b > 30 {
-			return nil, fmt.Errorf("bad block budget %q", s)
+			return nil, driver.Usagef("bad block budget %q in -method (1..30)", s)
 		}
 		return compress.Block{Bits: uint(b)}, nil
 	}
-	return nil, fmt.Errorf("unknown method %q", s)
+	return nil, driver.Usagef("unknown method %q in -method (valid: none, fp32, fp16, sfp16, bf16, lossless, trim:M, block:B)", s)
 }
 
-func main() {
-	nFlag := flag.Int("n", 64, "cubic problem size per dimension")
-	gpus := flag.Int("gpus", 24, "GPU count (multiple of 6)")
-	backend := flag.String("backend", "osc+compression", "alltoallv | osc | osc+compression")
-	methodFlag := flag.String("method", "fp32", "compression method (compressed backend)")
-	etol := flag.Float64("etol", 0, "error tolerance e_tol (overrides -method when > 0)")
-	simFlag := flag.Int("sim", 0, "simulated problem size per dimension (0 = same as -n)")
-	iters := flag.Int("iters", 2, "measured iterations")
-	fp32 := flag.Bool("fp32", false, "run the full FP32 pipeline instead of FP64")
-	traceFlag := flag.String("trace", "", "write a Chrome-trace JSON of the run to this file")
-	metricsFlag := flag.Bool("metrics", false, "print the phase-breakdown/metrics report")
-	parallelFlag := flag.Bool("parallel", false, "run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
-	tf := telemetry.RegisterFlags(nil)
-	flag.Parse()
-
-	tel, err := tf.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "heffte:", err)
-		os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("heffte", stdout, stderr, driver.Observe|driver.Parallel)
+	nFlag := s.Flags.Int("n", 64, "cubic problem size per dimension")
+	s.Flags.Int("gpus", 24, "GPU count (multiple of 6)")
+	backend := s.Flags.String("backend", "osc+compression", "alltoallv | osc | osc+compression")
+	methodFlag := s.Flags.String("method", "fp32", "compression method (compressed backend)")
+	etol := s.Flags.Float64("etol", 0, "error tolerance e_tol (overrides -method when > 0)")
+	simFlag := s.Flags.Int("sim", 0, "simulated problem size per dimension (0 = same as -n)")
+	iters := s.Flags.Int("iters", 2, "measured iterations")
+	fp32 := s.Flags.Bool("fp32", false, "run the full FP32 pipeline instead of FP64")
+	s.Help("trace", "write a Chrome-trace JSON of the run to this file")
+	s.Help("metrics", "print the phase-breakdown/metrics report")
+	if err := s.Parse(args); err != nil {
+		return err
 	}
-	if tel.Enabled() && tel.Addr() != "" {
-		fmt.Printf("telemetry      : serving http://%s\n", tel.Addr())
-	}
-
-	if *gpus%6 != 0 {
-		fmt.Fprintln(os.Stderr, "heffte: -gpus must be a multiple of 6")
-		os.Exit(1)
-	}
-	n := [3]int{*nFlag, *nFlag, *nFlag}
-	opts := core.Options{}
+	var opts core.Options
 	switch *backend {
 	case "alltoallv":
 		opts.Backend = core.BackendAlltoallv
@@ -92,40 +75,38 @@ func main() {
 	case "osc+compression":
 		opts.Backend = core.BackendCompressed
 	default:
-		fmt.Fprintf(os.Stderr, "heffte: unknown backend %q\n", *backend)
-		os.Exit(1)
+		return driver.Usagef("unknown backend %q in -backend (valid: alltoallv, osc, osc+compression)", *backend)
 	}
 	if opts.Backend == core.BackendCompressed {
+		if *fp32 {
+			return driver.Usagef("the compressed backend requires the FP64 pipeline")
+		}
 		if *etol > 0 {
 			opts.Tolerance = *etol
 		} else {
 			m, err := parseMethod(*methodFlag)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "heffte:", err)
-				os.Exit(1)
+				return err
 			}
 			opts.Method = m
 		}
 	}
 	if *simFlag > 0 {
-		if *simFlag%*nFlag != 0 {
-			fmt.Fprintln(os.Stderr, "heffte: -sim must be a multiple of -n")
-			os.Exit(1)
+		if *nFlag <= 0 || *simFlag%*nFlag != 0 {
+			return driver.Usagef("-sim must be a multiple of -n")
 		}
 		opts.SimScale = *simFlag / *nFlag
 	}
+	if err := s.Start(); err != nil {
+		return err
+	}
 
-	cfg := netsim.Summit(*gpus / 6)
-	cfg.Parallel = *parallelFlag
-	rec := obs.New(obs.Options{Trace: *traceFlag != "", Metrics: true})
-	tel.StartRun(fmt.Sprintf("%s/%dgpus", *backend, *gpus))
-	tel.Attach(rec)
+	n := [3]int{*nFlag, *nFlag, *nFlag}
+	gpus := s.GPUs[0]
+	cfg := s.Machine(gpus)
+	rec := s.Recorder(fmt.Sprintf("%s/%dgpus", *backend, gpus), "")
 	var r core.Result
 	if *fp32 {
-		if opts.Backend == core.BackendCompressed {
-			fmt.Fprintln(os.Stderr, "heffte: the compressed backend requires the FP64 pipeline")
-			os.Exit(1)
-		}
 		r = core.MeasureWith[complex64](rec, cfg, n, opts, *iters, true)
 	} else {
 		r = core.MeasureWith[complex128](rec, cfg, n, opts, *iters, true)
@@ -135,70 +116,45 @@ func main() {
 	if opts.SimScale > 1 {
 		simN = *nFlag * opts.SimScale
 	}
-	fmt.Printf("problem        : %d^3 (timed as %d^3)\n", *nFlag, simN)
-	fmt.Printf("GPUs           : %d (%d nodes)\n", *gpus, *gpus/6)
-	fmt.Printf("backend        : %s\n", *backend)
+	fmt.Fprintf(stdout, "problem        : %d^3 (timed as %d^3)\n", *nFlag, simN)
+	fmt.Fprintf(stdout, "GPUs           : %d (%d nodes)\n", gpus, gpus/6)
+	fmt.Fprintf(stdout, "backend        : %s\n", *backend)
 	if opts.Backend == core.BackendCompressed {
 		m := opts.Method
 		if m == nil {
 			m = compress.FromTolerance(opts.Tolerance)
 		}
-		fmt.Printf("compression    : %s (nominal rate %.2fx)\n", m.Name(), m.Ratio())
+		fmt.Fprintf(stdout, "compression    : %s (nominal rate %.2fx)\n", m.Name(), m.Ratio())
 		// The achieved rate comes from the run's metrics: raw vs wire
 		// bytes per labelled reshape (fwd0..3 in ring order).
 		if stats := rec.Metrics().CompressionStats(); len(stats) > 0 {
 			var raw, wire int64
-			fmt.Printf("achieved rate  :")
-			for _, s := range stats {
-				fmt.Printf(" %s %.2fx", s.Label, s.Ratio())
-				raw += s.RawBytes
-				wire += s.WireBytes
+			fmt.Fprintf(stdout, "achieved rate  :")
+			for _, st := range stats {
+				fmt.Fprintf(stdout, " %s %.2fx", st.Label, st.Ratio())
+				raw += st.RawBytes
+				wire += st.WireBytes
 			}
 			if wire > 0 {
-				fmt.Printf(" | overall %.2fx", float64(raw)/float64(wire))
+				fmt.Fprintf(stdout, " | overall %.2fx", float64(raw)/float64(wire))
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
-	fmt.Printf("forward time   : %.3f ms\n", r.ForwardTime*1e3)
-	fmt.Printf("performance    : %.1f Gflop/s\n", r.Gflops)
-	fmt.Printf("relative error : %.3e\n", r.RelErr)
-	fmt.Printf("traffic        : %d msgs, %.1f MB inter-node, %.1f MB intra-node\n",
+	fmt.Fprintf(stdout, "forward time   : %.3f ms\n", r.ForwardTime*1e3)
+	fmt.Fprintf(stdout, "performance    : %.1f Gflop/s\n", r.Gflops)
+	fmt.Fprintf(stdout, "relative error : %.3e\n", r.RelErr)
+	fmt.Fprintf(stdout, "traffic        : %d msgs, %.1f MB inter-node, %.1f MB intra-node\n",
 		r.Stats.Messages, float64(r.Stats.BytesInter)/1e6, float64(r.Stats.BytesIntra)/1e6)
-	fmt.Printf("one-sided      : %d puts (%.1f MB), %d fences, %d flushes\n",
+	fmt.Fprintf(stdout, "one-sided      : %d puts (%.1f MB), %d fences, %d flushes\n",
 		r.Stats.Puts, float64(r.Stats.BytesPut)/1e6, r.Stats.Fences, r.Stats.Flushes)
 	pr := r.Profile
 	if pr.Total() > 0 {
-		fmt.Printf("phase breakdown: exchange %.0f%%, fft %.0f%%, pack %.0f%%, unpack %.0f%%\n",
+		fmt.Fprintf(stdout, "phase breakdown: exchange %.0f%%, fft %.0f%%, pack %.0f%%, unpack %.0f%%\n",
 			100*pr.Exchange/pr.Total(), 100*pr.FFT/pr.Total(),
 			100*pr.Pack/pr.Total(), 100*pr.Unpack/pr.Total())
 	}
-	if *metricsFlag {
-		fmt.Println()
-		rec.WriteReport(os.Stdout)
-	}
-	if *traceFlag != "" {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "heffte:", err)
-			os.Exit(1)
-		}
-		if err := rec.WriteChromeTrace(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "heffte:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace written  : %s (chrome://tracing / ui.perfetto.dev)\n", *traceFlag)
-	}
-	if tel.Enabled() {
-		fmt.Println(tel.Summary())
-		if err := tel.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "heffte: telemetry:", err)
-			os.Exit(1)
-		}
-	}
+	return s.Finish()
 }
+
+func main() { driver.Main("heffte", run) }

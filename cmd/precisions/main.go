@@ -9,26 +9,29 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/obs/errtrack"
 	"repro/internal/precision"
 )
 
-func main() {
-	errtrackFlag := flag.String("errtrack", "", "write the theoretical-bounds-only error-provenance report to this JSON file")
-	flag.Parse()
-	fmt.Println("# Table I — floating-point arithmetic parameters")
-	fmt.Printf("%-10s%6s%14s%12s%12s%14s%10s%10s\n",
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("precisions", stdout, stderr, 0)
+	errtrackFlag := s.Flags.String("errtrack", "", "write the theoretical-bounds-only error-provenance report to this JSON file")
+	if err := s.Parse(args); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "# Table I — floating-point arithmetic parameters")
+	fmt.Fprintf(stdout, "%-10s%6s%14s%12s%12s%14s%10s%10s\n",
 		"Format", "Bits", "Xmin,s", "Xmin", "Xmax", "UnitRoundoff", "V100", "MI100")
 	for _, f := range precision.Formats {
 		v100 := "N/A"
 		if f.PeakV100 > 0 {
 			v100 = fmt.Sprintf("%.1f", f.PeakV100)
 		}
-		fmt.Printf("%-10s%6d%14.1e%12.1e%12.1e%14.1e%10s%10.1f\n",
+		fmt.Fprintf(stdout, "%-10s%6d%14.1e%12.1e%12.1e%14.1e%10s%10.1f\n",
 			f.Name, f.Bits, f.XminSubnorm, f.XminNormal, f.Xmax, f.UnitRoundoff, v100, f.PeakMI100)
 	}
 	if *errtrackFlag != "" {
@@ -40,9 +43,11 @@ func main() {
 		}
 		rep := errtrack.Report{Cells: []errtrack.CellReport{cell}}
 		if err := rep.WriteFile(*errtrackFlag); err != nil {
-			fmt.Fprintln(os.Stderr, "precisions:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("# error-provenance report written: %s (theoretical bounds only)\n", *errtrackFlag)
+		fmt.Fprintf(stdout, "# error-provenance report written: %s (theoretical bounds only)\n", *errtrackFlag)
 	}
+	return nil
 }
+
+func main() { driver.Main("precisions", run) }

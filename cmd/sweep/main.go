@@ -14,13 +14,15 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"time"
+
+	"repro/cmd/internal/driver"
 )
 
 type job struct {
@@ -32,26 +34,24 @@ type job struct {
 	tunable    bool
 }
 
-func main() {
-	out := flag.String("out", "results", "output directory")
-	quick := flag.Bool("quick", false, "small, fast configuration")
-	traceDir := flag.String("trace", "", "collect per-job Chrome traces into this directory")
-	errtrackDir := flag.String("errtrack", "", "collect per-job error-provenance reports into this directory")
-	metrics := flag.Bool("metrics", false, "append each driver's metrics report to its output file")
-	autotune := flag.Bool("autotune", false, "add the autotuned configuration to the fig3/fig4 jobs (docs/TUNING.md)")
-	flag.Parse()
-
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("sweep", stdout, stderr, 0)
+	out := s.Flags.String("out", "results", "output directory")
+	quick := s.Flags.Bool("quick", false, "small, fast configuration")
+	traceDir := s.Flags.String("trace", "", "collect per-job Chrome traces into this directory")
+	errtrackDir := s.Flags.String("errtrack", "", "collect per-job error-provenance reports into this directory")
+	metrics := s.Flags.Bool("metrics", false, "append each driver's metrics report to its output file")
+	autotune := s.Flags.Bool("autotune", false, "add the autotuned configuration to the fig3/fig4 jobs (docs/TUNING.md)")
+	if err := s.Parse(args); err != nil {
+		return err
 	}
-	for _, dir := range []string{*traceDir, *errtrackDir} {
+
+	for _, dir := range []string{*out, *traceDir, *errtrackDir} {
 		if dir == "" {
 			continue
 		}
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 
@@ -98,18 +98,20 @@ func main() {
 				"-errtrack", filepath.Join(*errtrackDir, name+".errtrack.json"))
 		}
 		start := time.Now()
-		fmt.Printf("sweep: %-12s ... ", j.file)
+		fmt.Fprintf(stdout, "sweep: %-12s ... ", j.file)
 		cmd := exec.Command("go", args...)
 		outBytes, err := cmd.CombinedOutput()
 		if err != nil {
-			fmt.Printf("FAILED (%v)\n%s", err, outBytes)
-			os.Exit(1)
+			fmt.Fprintf(stdout, "FAILED\n%s", outBytes)
+			return fmt.Errorf("%s: %w", j.file, err)
 		}
 		path := filepath.Join(*out, j.file)
 		if err := os.WriteFile(path, outBytes, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("done in %.1fs → %s\n", time.Since(start).Seconds(), path)
+		fmt.Fprintf(stdout, "done in %.1fs → %s\n", time.Since(start).Seconds(), path)
 	}
+	return nil
 }
+
+func main() { driver.Main("sweep", run) }

@@ -9,37 +9,6 @@ import (
 	"repro/internal/netsim"
 )
 
-// The a-posteriori error control of §III: when the user does not know
-// the discretization error e_d of their PDE solve, it can be estimated
-// from approximate solutions on nested grids (Richardson extrapolation,
-// "similar to techniques used in FEM methods"), and the result passed
-// as e_tol to the approximate FFT.
-
-// ConvergenceEstimate describes an observed h^P convergence.
-type ConvergenceEstimate struct {
-	// Rate is the computed order P of h^P convergence.
-	Rate float64
-	// Constant is the leading error constant: e(h) ≈ Constant·h^Rate.
-	Constant float64
-}
-
-// EstimateConvergence fits e(h) = C·h^P through two (h, error)
-// observations from nested grids (h2 < h1). It panics on non-positive
-// inputs.
-func EstimateConvergence(h1, e1, h2, e2 float64) ConvergenceEstimate {
-	if h1 <= 0 || h2 <= 0 || e1 <= 0 || e2 <= 0 || h1 == h2 {
-		panic("core: convergence estimation requires positive, distinct inputs")
-	}
-	rate := math.Log(e1/e2) / math.Log(h1/h2)
-	c := e1 / math.Pow(h1, rate)
-	return ConvergenceEstimate{Rate: rate, Constant: c}
-}
-
-// ErrorAt predicts the discretization error at grid spacing h.
-func (c ConvergenceEstimate) ErrorAt(h float64) float64 {
-	return c.Constant * math.Pow(h, c.Rate)
-}
-
 // The analytic exchange cost model: a roofline-style prediction of each
 // reshape's all-to-all time on the simulated machine, from the same box
 // decompositions the plan communicates with. The analyze layer and the
@@ -181,17 +150,4 @@ func PredictExchanges(cfg netsim.Config, n [3]int, opts Options, elemBytes int) 
 		out = append(out, e)
 	}
 	return out
-}
-
-// SuggestTolerance returns the e_tol to pass to the approximate FFT for
-// a target grid spacing h: the predicted discretization error scaled by
-// margin (≤ 1), so that the round-off/compression error stays below the
-// discretization error and the total error bound
-// ‖e_a‖ ≤ 2·max(‖e_d‖, ‖e_r‖) of §III is governed by e_d. A margin of
-// 0.5 balances the two error sources as the paper prescribes.
-func (c ConvergenceEstimate) SuggestTolerance(h, margin float64) float64 {
-	if margin <= 0 || margin > 1 {
-		panic("core: tolerance margin must be in (0, 1]")
-	}
-	return margin * c.ErrorAt(h)
 }

@@ -1,74 +1,13 @@
 package core
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/compress"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
-
-func TestEstimateConvergenceKnownRate(t *testing.T) {
-	// Second-order data: e = 3·h².
-	est := EstimateConvergence(0.1, 3*0.01, 0.05, 3*0.0025)
-	if math.Abs(est.Rate-2) > 1e-12 {
-		t.Errorf("rate = %g, want 2", est.Rate)
-	}
-	if math.Abs(est.Constant-3) > 1e-9 {
-		t.Errorf("constant = %g, want 3", est.Constant)
-	}
-	if e := est.ErrorAt(0.01); math.Abs(e-3e-4) > 1e-12 {
-		t.Errorf("ErrorAt(0.01) = %g", e)
-	}
-}
-
-func TestEstimateConvergenceProperty(t *testing.T) {
-	f := func(rateRaw, cRaw uint8) bool {
-		rate := 1 + float64(rateRaw%8)
-		c := 0.5 + float64(cRaw%10)
-		h1, h2 := 0.2, 0.05
-		est := EstimateConvergence(h1, c*math.Pow(h1, rate), h2, c*math.Pow(h2, rate))
-		return math.Abs(est.Rate-rate) < 1e-9 && math.Abs(est.Constant-c) < 1e-6*c
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSuggestToleranceBalancesErrors(t *testing.T) {
-	est := ConvergenceEstimate{Rate: 4, Constant: 10}
-	h := 0.05
-	etol := est.SuggestTolerance(h, 0.5)
-	if etol >= est.ErrorAt(h) {
-		t.Error("suggested tolerance not below the discretization error")
-	}
-	// The method picked at that tolerance must respect it.
-	m := compress.FromTolerance(etol)
-	if m.ErrorBound() > etol {
-		t.Errorf("method %s bound %g exceeds suggested tolerance %g", m.Name(), m.ErrorBound(), etol)
-	}
-}
-
-func TestEstimatePanicsOnBadInput(t *testing.T) {
-	for _, fn := range []func(){
-		func() { EstimateConvergence(0, 1, 1, 1) },
-		func() { EstimateConvergence(1, 1, 1, 1) },
-		func() { EstimateConvergence(0.1, -1, 0.05, 1) },
-		func() { ConvergenceEstimate{Rate: 2, Constant: 1}.SuggestTolerance(0.1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
 
 // TestPredictExchangesLowerBound: the analytic exchange model books only
 // serialization, protocol occupancy, injection overhead, and latency, so

@@ -28,12 +28,9 @@ type Flags struct {
 	Errtrack *string
 }
 
-// RegisterFlags declares the -serve/-eventlog/-slo/-errtrack flags on fs
-// (nil selects flag.CommandLine). Call before flag.Parse.
+// RegisterFlags declares the -serve/-eventlog/-slo/-errtrack flags on
+// fs. Call before fs.Parse.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
 	return &Flags{
 		Serve:    fs.String("serve", "", "serve live telemetry over HTTP on this address (/metrics, /healthz, /slo, /events, /errtrack, /debug/pprof); port 0 picks a free port"),
 		EventLog: fs.String("eventlog", "", "stream the telemetry event log to this file as JSONL"),
@@ -42,14 +39,8 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	}
 }
 
-// Start builds the Session the parsed flags ask for; nil (and no error)
-// when all of them are off.
-func (f *Flags) Start() (*Session, error) {
-	return Start(f.Config())
-}
-
-// Config returns the parsed flag values as a Config, for drivers that
-// amend it (e.g. forcing the tracker on for artifact embedding) before
+// Config returns the parsed flag values as a Config, which the driver
+// runtime amends (forcing the tracker on for artifact embedding) before
 // calling Start.
 func (f *Flags) Config() Config {
 	return Config{Serve: *f.Serve, EventLog: *f.EventLog, SLO: *f.SLO, Errtrack: *f.Errtrack}

@@ -177,21 +177,19 @@ func (c *Cell) BenchSpec() (exchange.Spec, error) {
 		return exchange.Spec{}, fmt.Errorf("%w: empty cell", ErrPlanInvalid)
 	}
 	ch := c.Stages[0]
-	switch Algorithm(ch.Algo) {
-	case TwoSided:
-		return exchange.Spec{Algo: exchange.AlgoLinear}, nil
-	case Bruck:
-		return exchange.Spec{Algo: exchange.AlgoBruck}, nil
-	case OSC:
-		return exchange.Spec{Algo: exchange.AlgoOSC}, nil
-	case CompressedOSC:
+	i := Algorithm(ch.Algo).order()
+	if i < 0 {
+		return exchange.Spec{}, fmt.Errorf("%w: unknown algorithm %q", ErrPlanInvalid, ch.Algo)
+	}
+	spec := exchange.Spec{Algo: algorithms[i].bench}
+	if Algorithm(ch.Algo) == CompressedOSC {
 		m, err := MethodByName(ch.Method)
 		if err != nil {
 			return exchange.Spec{}, fmt.Errorf("%w: %v", ErrPlanInvalid, err)
 		}
-		return exchange.Spec{Algo: exchange.AlgoOSCComp, Method: m, Chunks: ch.Chunks}, nil
+		spec.Method, spec.Chunks = m, ch.Chunks
 	}
-	return exchange.Spec{}, fmt.Errorf("%w: unknown algorithm %q", ErrPlanInvalid, ch.Algo)
+	return spec, nil
 }
 
 // Fingerprint is the canonical machine-model key of a plan cell: every

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/core"
+	"repro/internal/exchange"
 )
 
 // Algorithm names the exchange algorithms the tuner chooses between
@@ -40,36 +41,37 @@ const (
 	CompressedOSC Algorithm = "compressed-osc"
 )
 
-// order returns the algorithm's rank in the deterministic tie-break
-// (simpler transports win ties), or -1 for unknown algorithms.
+// algorithms is the tuner's vocabulary, one row per algorithm: its
+// serialized name, core's backend for it, and its name in the bandwidth
+// harness (exchange.Algos). The index is the algorithm's rank in the
+// deterministic tie-break — simpler transports win ties.
+var algorithms = []struct {
+	name    Algorithm
+	backend core.Backend
+	bench   string
+}{
+	{TwoSided, core.BackendAlltoallv, exchange.AlgoLinear},
+	{Bruck, core.BackendBruck, exchange.AlgoBruck},
+	{OSC, core.BackendOSC, exchange.AlgoOSC},
+	{CompressedOSC, core.BackendCompressed, exchange.AlgoOSCComp},
+}
+
+// order returns the algorithm's row in the table, or -1 for a name
+// outside the tuner's vocabulary.
 func (a Algorithm) order() int {
-	switch a {
-	case TwoSided:
-		return 0
-	case Bruck:
-		return 1
-	case OSC:
-		return 2
-	case CompressedOSC:
-		return 3
+	for i, row := range algorithms {
+		if row.name == a {
+			return i
+		}
 	}
 	return -1
 }
 
-func (a Algorithm) valid() bool { return a.order() >= 0 }
-
 // backend maps the algorithm onto core's backend space; ok is false for
 // a name outside the tuner's vocabulary.
 func (a Algorithm) backend() (b core.Backend, ok bool) {
-	switch a {
-	case TwoSided:
-		return core.BackendAlltoallv, true
-	case Bruck:
-		return core.BackendBruck, true
-	case OSC:
-		return core.BackendOSC, true
-	case CompressedOSC:
-		return core.BackendCompressed, true
+	if i := a.order(); i >= 0 {
+		return algorithms[i].backend, true
 	}
 	return 0, false
 }
