@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if tunedSpec, err = tunedCell.BenchSpec(); err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "# tuned @ %d GPUs: %s\n", g, driver.DescribeChoice(tunedCell.Stages[0]))
+			fmt.Fprintf(stdout, "# tuned @ %d GPUs: %s\n", g, tunedCell.Stages[0])
 		}
 		fmt.Fprintf(stdout, "%8d", g)
 		gbs := make([]float64, len(algos))

@@ -97,18 +97,6 @@ func (b *Bench) Tuned(machine netsim.Config, shape string, compute func(tune.Spa
 	return cell, nil
 }
 
-// DescribeChoice formats one tuned stage for the console summary.
-func DescribeChoice(st tune.Choice) string {
-	s := st.Algo
-	if st.Method != "" {
-		s += "/" + st.Method
-	}
-	if st.Chunks > 0 && st.Algo == string(tune.CompressedOSC) {
-		s += fmt.Sprintf("/c%d", st.Chunks)
-	}
-	return s
-}
-
 // Cell returns the recorder and telemetry label of column i at g GPUs.
 func (b *Bench) Cell(i, g int) (*obs.Recorder, string) {
 	label := fmt.Sprintf("%s/%dgpus", b.series[i].Name, g)

@@ -9,9 +9,11 @@ import (
 	"repro/internal/obs"
 )
 
-// TestPredictExchangesLowerBound: the analytic exchange model books only
-// serialization, protocol occupancy, injection overhead, and latency, so
-// its prediction must never exceed the measured exchange time.
+// TestPredictExchangesLowerBound: on the compressed one-sided exchange at
+// 12 ranks the model books no compression-kernel time, so there its
+// prediction must not exceed the measured exchange time. The model is not
+// a lower bound in general — uncompressed reshapes measure below it (see
+// estimate.go).
 func TestPredictExchangesLowerBound(t *testing.T) {
 	cfg := netsim.Summit(2)
 	n := [3]int{16, 16, 16}
@@ -31,7 +33,7 @@ func TestPredictExchangesLowerBound(t *testing.T) {
 			t.Fatalf("%s: no measured exchange time recorded", est.Label)
 		}
 		if measured := h.Mean(); est.Predicted > measured*(1+1e-9) {
-			t.Errorf("%s: predicted %gs exceeds measured %gs — the model must stay a lower bound",
+			t.Errorf("%s: predicted %gs exceeds measured %gs — on compressed OSC at 12 ranks the model must stay below the measurement",
 				est.Label, est.Predicted, measured)
 		}
 	}

@@ -95,22 +95,33 @@ func MethodByName(name string) (compress.Method, error) {
 	return nil, fmt.Errorf("unknown compression method %q", name)
 }
 
-// exchangeChoice maps the serialized choice onto core's backend space.
-func (ch Choice) exchangeChoice() (core.ExchangeChoice, error) {
-	out := core.ExchangeChoice{Chunks: ch.Chunks}
-	b, ok := Algorithm(ch.Algo).backend()
-	if !ok {
-		return out, fmt.Errorf("unknown algorithm %q", ch.Algo)
+// String formats the choice for a console summary: the algorithm, then
+// the method and the pipeline depth where they are set.
+func (ch Choice) String() string {
+	s := ch.Algo
+	if ch.Method != "" {
+		s += "/" + ch.Method
 	}
-	out.Backend = b
-	if Algorithm(ch.Algo) == CompressedOSC {
+	if ch.Chunks > 0 && ch.Algo == string(CompressedOSC) {
+		s += fmt.Sprintf("/c%d", ch.Chunks)
+	}
+	return s
+}
+
+// candidate decodes the serialized choice.
+func (ch Choice) candidate() (Candidate, error) {
+	c := Candidate{Algo: Algorithm(ch.Algo), Chunks: ch.Chunks}
+	if c.Algo.order() < 0 {
+		return c, fmt.Errorf("unknown algorithm %q", ch.Algo)
+	}
+	if c.Algo == CompressedOSC {
 		m, err := MethodByName(ch.Method)
 		if err != nil {
-			return out, err
+			return c, err
 		}
-		out.Method = m
+		c.Method = m
 	}
-	return out, nil
+	return c, nil
 }
 
 // Choice implements core.TunePlan: the resolved exchange configuration
@@ -133,11 +144,11 @@ func (c *Cell) Choice(label string) (core.ExchangeChoice, bool) {
 		if st.Label != want {
 			continue
 		}
-		ec, err := st.exchangeChoice()
+		cand, err := st.candidate()
 		if err != nil {
 			panic("tune: unvalidated cell: " + err.Error())
 		}
-		return ec, true
+		return cand.choice(), true
 	}
 	return core.ExchangeChoice{}, false
 }
@@ -156,18 +167,11 @@ func (c *Cell) FixedOptions(base core.Options) (core.Options, bool) {
 			return base, false
 		}
 	}
-	ec, err := first.exchangeChoice()
+	cand, err := first.candidate()
 	if err != nil {
 		return base, false
 	}
-	out := base
-	out.Tune = nil
-	out.Backend = ec.Backend
-	out.Method = ec.Method
-	if ec.Chunks > 0 {
-		out.Chunks = ec.Chunks
-	}
-	return out, true
+	return cand.options(base), true
 }
 
 // BenchSpec maps a uniform cell's winner onto the bandwidth harness's
@@ -176,20 +180,11 @@ func (c *Cell) BenchSpec() (exchange.Spec, error) {
 	if len(c.Stages) == 0 {
 		return exchange.Spec{}, fmt.Errorf("%w: empty cell", ErrPlanInvalid)
 	}
-	ch := c.Stages[0]
-	i := Algorithm(ch.Algo).order()
-	if i < 0 {
-		return exchange.Spec{}, fmt.Errorf("%w: unknown algorithm %q", ErrPlanInvalid, ch.Algo)
+	cand, err := c.Stages[0].candidate()
+	if err != nil {
+		return exchange.Spec{}, fmt.Errorf("%w: %v", ErrPlanInvalid, err)
 	}
-	spec := exchange.Spec{Algo: algorithms[i].bench}
-	if Algorithm(ch.Algo) == CompressedOSC {
-		m, err := MethodByName(ch.Method)
-		if err != nil {
-			return exchange.Spec{}, fmt.Errorf("%w: %v", ErrPlanInvalid, err)
-		}
-		spec.Method, spec.Chunks = m, ch.Chunks
-	}
-	return spec, nil
+	return cand.spec(), nil
 }
 
 // Fingerprint is the canonical machine-model key of a plan cell: every
@@ -318,7 +313,7 @@ func (p *Plan) validate() error {
 				return fail("cell %q %q: duplicate stage %q", c.Machine, c.Shape, st.Label)
 			}
 			labels[st.Label] = true
-			ec, err := st.exchangeChoice()
+			cand, err := st.candidate()
 			if err != nil {
 				return fail("stage %q: %v", st.Label, err)
 			}
@@ -331,9 +326,9 @@ func (p *Plan) validate() error {
 			if st.Candidates < 0 {
 				return fail("stage %q: negative candidate count", st.Label)
 			}
-			if ec.Method != nil && ec.Method.ErrorBound() > p.Budget {
+			if cand.Method != nil && cand.Method.ErrorBound() > p.Budget {
 				return fail("stage %q: method %s bound %.3g exceeds budget %.3g",
-					st.Label, st.Method, ec.Method.ErrorBound(), p.Budget)
+					st.Label, st.Method, cand.Method.ErrorBound(), p.Budget)
 			}
 		}
 	}

@@ -3,96 +3,26 @@ package tune
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
 )
 
-// Predict returns the roofline prediction (seconds) of one exchange of
-// the traffic matrix under a candidate. bytes(dst, src) is the raw
-// (uncompressed) payload from src to dst in bytes; zero pairs carry no
-// message. The two-sided and one-sided terms follow
-// core.PredictExchanges — serialization on the busiest NIC/bus/device,
-// per-message protocol occupancy, injection overhead, one wire latency.
-// On top of that the tuner's space needs two extensions the core model
-// does not have: the Bruck log-round aggregation (predictBruck) and the
-// exposed compression-kernel time of the §V-B pipeline, which is what
-// makes the prediction sensitive to the chunk count. Like the core
-// model it is a lower bound — a ranking function, not a simulator; the
-// probe runs exist to catch the cases where its ordering is wrong.
+// Predict returns the prediction (seconds) of one exchange of the
+// traffic matrix under a candidate: bytes(dst, src) is the raw payload
+// from src to dst (core.Traffic). It is core's roofline plus the two
+// terms the tuner's space needs on top: the Bruck log-round aggregation
+// (predictBruck), which replaces it, and the exposed compression-kernel
+// time of the §V-B pipeline, which is what makes the prediction
+// sensitive to the chunk count. A ranking function, not a simulator (see
+// core's model comment for how far it sits from measurement); the probe
+// runs exist to catch the cases where its ordering is wrong.
 func Predict(cfg netsim.Config, dev gpu.Device, bytes func(dst, src int) int, cand Candidate) float64 {
 	if cand.Algo == Bruck {
 		return predictBruck(cfg, bytes)
 	}
-	p := cfg.Ranks()
-	ratio := 1.0
-	if cand.Method != nil {
-		ratio = cand.Method.Ratio()
-	}
-	oneSided := cand.Algo == OSC || cand.Algo == CompressedOSC
-
-	egress := make([]float64, cfg.Nodes)
-	ingress := make([]float64, cfg.Nodes)
-	bus := make([]float64, cfg.Nodes)
-	maxLocal := 0.0
-	maxMsgs := 0
-	var interBytes, intraBytes int64
-	for src := 0; src < p; src++ {
-		srcNode := cfg.NodeOf(src)
-		perRank := 0
-		for dst := 0; dst < p; dst++ {
-			raw := bytes(dst, src)
-			if raw == 0 {
-				continue
-			}
-			wire := float64(raw) / ratio
-			switch dstNode := cfg.NodeOf(dst); {
-			case src == dst:
-				if t := wire / cfg.LocalBW; maxLocal < t {
-					maxLocal = t
-				}
-			case srcNode == dstNode:
-				intraBytes += int64(wire)
-				perMsg := cfg.ProtoOverheadIntra
-				if oneSided {
-					perMsg = cfg.RMAOverhead
-				} else if int(wire) <= mpi.DefaultEagerThreshold {
-					perMsg = 0
-				}
-				bus[srcNode] += wire/cfg.IntraBW + perMsg
-				perRank++
-			default:
-				interBytes += int64(wire)
-				perMsg := cfg.ProtoOverheadInter
-				if oneSided {
-					perMsg = cfg.RMAOverhead
-				} else if int(wire) <= mpi.DefaultEagerThreshold {
-					perMsg = 0
-				}
-				t := wire/cfg.InterBW + perMsg
-				egress[srcNode] += t
-				ingress[dstNode] += t
-				perRank++
-			}
-		}
-		if perRank > maxMsgs {
-			maxMsgs = perRank
-		}
-	}
-	interTime, intraTime := 0.0, 0.0
-	for nd := 0; nd < cfg.Nodes; nd++ {
-		interTime = math.Max(interTime, math.Max(egress[nd], ingress[nd]))
-		intraTime = math.Max(intraTime, bus[nd])
-	}
-	latency := 0.0
-	switch {
-	case interBytes > 0:
-		latency = cfg.InterLatency
-	case intraBytes > 0:
-		latency = cfg.IntraLatency
-	}
-	t := math.Max(interTime, math.Max(intraTime, maxLocal)) +
-		float64(maxMsgs)*cfg.SendOverhead + latency
+	t := core.Roofline(cfg, bytes, cand.choice()).Predicted
 	if cand.Algo == CompressedOSC {
 		exposed, device := kernelTimes(cfg, dev, bytes, cand)
 		t = math.Max(t, device) + exposed
