@@ -18,6 +18,7 @@ func TestGolden(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	usage(t, "13 GPUs is not a positive multiple of 6", "-gpus", "13")
+	usage(t, "-msg must be >= 1 (got 0)", "-msg", "0")
 	usage(t, `unknown ablation "nope" in -which (valid: window, permute, pipeline, chunks, flush, eager, transport, reshapes, all)`, "-which", "window,nope")
 }
 

@@ -19,6 +19,7 @@ func TestGolden(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	usage(t, "13 GPUs is not a positive multiple of 6", "-gpus", "12,13,x")
 	usage(t, `bad GPU count "x"`, "-gpus", "12,x")
+	usage(t, "-n must be >= 1 (got -4)", "-n", "-4")
 	usage(t, "-fig2gpus: 7 GPUs is not a positive multiple of 6", "-fig2gpus", "7")
 }
 

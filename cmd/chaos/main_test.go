@@ -22,6 +22,7 @@ func TestGolden(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
+	usage(t, "-seeds must be >= 1 (got 0)", "-seeds", "0")
 	usage(t, `unknown workload "nope" in -workloads (valid: linear, pairwise, osc, osc-comp, osc-comp16, recover-osc, recover-comp, kill-osc, kill-comp)`, "-workloads", "osc,nope")
 }
 

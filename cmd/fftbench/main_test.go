@@ -38,6 +38,9 @@ func TestUsageErrors(t *testing.T) {
 	usage(t, `bad GPU count "x"`, "-gpus", "12,x")
 	usage(t, "-shrink requires -recover", "-shrink")
 	usage(t, "-sim must be a multiple of -n", "-n", "32", "-sim", "65")
+	usage(t, "-n must be >= 1 (got 0)", "-n", "0")
+	usage(t, "-sim must be >= 0 (got -32)", "-n", "32", "-sim", "-32")
+	usage(t, "-iters must be >= 1 (got 0)", "-n", "32", "-sim", "32", "-gpus", "12", "-iters", "0")
 	usage(t, `unknown config "nope" in -configs (valid: fp64, fp32, fp64-32, fp64-16, fp64-bf16, fp64-32-2s, osc, fp64-pencil)`, "-configs", "fp64,nope")
 }
 

@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *simFlag > 0 {
-		if *nFlag <= 0 || *simFlag%*nFlag != 0 {
+		if *simFlag%*nFlag != 0 {
 			return driver.Usagef("-sim must be a multiple of -n")
 		}
 		opts.SimScale = *simFlag / *nFlag

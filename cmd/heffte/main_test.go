@@ -22,6 +22,10 @@ func TestUsageErrors(t *testing.T) {
 	usage(t, `unknown method "nope" in -method (valid: `, "-method", "nope")
 	usage(t, "bad trim width", "-method", "trim:99")
 	usage(t, "-sim must be a multiple of -n", "-n", "32", "-sim", "65")
+	usage(t, "-n must be >= 1 (got 0)", "-n", "0", "-gpus", "12")
+	usage(t, "-iters must be >= 1 (got 0)", "-n", "8", "-gpus", "12", "-iters", "0")
+	usage(t, "-sim must be >= 0 (got -8)", "-sim", "-8")
+	usage(t, "-etol must be >= 0 (got -1e-06)", "-etol", "-1e-6")
 	usage(t, "the compressed backend requires the FP64 pipeline", "-fp32")
 }
 

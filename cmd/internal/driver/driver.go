@@ -109,9 +109,20 @@ func New(name string, stdout, stderr io.Writer, groups Group) *Session {
 // Help replaces a registered flag's help string.
 func (s *Session) Help(name, usage string) { s.Flags.Lookup(name).Usage = usage }
 
-// Parse parses args and validates the shared flags and the driver's
-// -gpus (a count or a comma-separated list, its default and wording the
-// driver's own); its errors are usage errors, or flag.ErrHelp.
+// floors are the lowest values of the size and count flags; Parse checks
+// whichever of them a driver registers.
+var floors = []struct {
+	name string
+	min  float64
+}{
+	{"n", 1}, {"iters", 1}, {"msg", 1}, {"seeds", 1},
+	{"sim", 0}, {"tuneprobe", 0}, {"tunetol", 0}, {"etol", 0},
+}
+
+// Parse parses args and validates the shared flags, the size and count
+// flags (floors) and the driver's -gpus (a count or a comma-separated
+// list, its default and wording the driver's own); its errors are usage
+// errors, or flag.ErrHelp.
 func (s *Session) Parse(args []string) error {
 	if err := s.Flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -121,6 +132,13 @@ func (s *Session) Parse(args []string) error {
 	}
 	if s.Shrink && !s.Recover {
 		return Usagef("-shrink requires -recover")
+	}
+	for _, fl := range floors {
+		if f := s.Flags.Lookup(fl.name); f != nil {
+			if v, _ := strconv.ParseFloat(f.Value.String(), 64); !(v >= fl.min) {
+				return Usagef("-%s must be >= %g (got %s)", fl.name, fl.min, f.Value)
+			}
+		}
 	}
 	f := s.Flags.Lookup("gpus")
 	if f == nil {

@@ -75,6 +75,9 @@ func TestUsageErrors(t *testing.T) {
 		{"zero gpus", []string{"-gpus", "0"}, "0 GPUs"},
 		{"negative gpus", []string{"-gpus", "-6"}, "-6 GPUs"},
 		{"shrink without recover", []string{"-shrink"}, "-shrink requires -recover"},
+		{"negative tuneprobe", []string{"-tuneprobe", "-1"}, "-tuneprobe must be >= 0 (got -1)"},
+		{"negative tunetol", []string{"-tunetol", "-0.001"}, "-tunetol must be >= 0 (got -0.001)"},
+		{"NaN tunetol", []string{"-tunetol", "NaN"}, "-tunetol must be >= 0 (got NaN)"},
 		{"unknown flag", []string{"-nope"}, "flag provided but not defined"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
