@@ -13,40 +13,41 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/obs/analyze"
 )
 
-func main() {
-	threshold := flag.Float64("threshold", 0.1, "relative worsening that fails the gate (0.1 = 10%)")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold F] baseline.json new.json")
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("benchdiff", stdout, stderr, 0)
+	threshold := s.Flags.Float64("threshold", 0.1, "relative worsening that fails the gate (0.1 = 10%)")
+	if err := s.Parse(args); err != nil {
+		return err
 	}
-
-	oldA, err := analyze.LoadArtifact(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+	if s.Flags.NArg() != 2 {
+		return driver.Usagef("usage: benchdiff [-threshold F] baseline.json new.json")
 	}
-	newA, err := analyze.LoadArtifact(flag.Arg(1))
+	oldA, err := analyze.LoadArtifact(s.Flags.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		return err
+	}
+	newA, err := analyze.LoadArtifact(s.Flags.Arg(1))
+	if err != nil {
+		return err
 	}
 	if oldA.Tool != newA.Tool {
-		fmt.Fprintf(os.Stderr, "benchdiff: comparing %s baseline against %s artifact\n", oldA.Tool, newA.Tool)
-		os.Exit(1)
+		return fmt.Errorf("comparing %s baseline against %s artifact", oldA.Tool, newA.Tool)
 	}
 
 	d := analyze.Diff(oldA, newA, *threshold)
-	fmt.Printf("# %s: %s vs %s\n", oldA.Tool, flag.Arg(0), flag.Arg(1))
-	d.WriteText(os.Stdout)
+	fmt.Fprintf(stdout, "# %s: %s vs %s\n", oldA.Tool, s.Flags.Arg(0), s.Flags.Arg(1))
+	d.WriteText(stdout)
 	if d.Regressed() {
-		os.Exit(1)
+		return fmt.Errorf("gate failed at threshold %g", *threshold)
 	}
+	return nil
 }
+
+func main() { driver.Main("benchdiff", run) }

@@ -19,22 +19,25 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/obs/errtrack"
 )
 
-func main() {
-	addr := flag.String("addr", "", "scrape the /errtrack endpoint of a live -serve address (host:port)")
-	replay := flag.String("replay", "", "rebuild the ledger from a recorded JSONL event log")
-	artifact := flag.String("artifact", "", "render a saved -errtrack report file")
-	pairsFlag := flag.Int("pairs", 10, "worst (rank, peer) pairs to list per stage (0 disables)")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("errmap", stdout, stderr, 0)
+	addr := s.Flags.String("addr", "", "scrape the /errtrack endpoint of a live -serve address (host:port)")
+	replay := s.Flags.String("replay", "", "rebuild the ledger from a recorded JSONL event log")
+	artifact := s.Flags.String("artifact", "", "render a saved -errtrack report file")
+	pairsFlag := s.Flags.Int("pairs", 10, "worst (rank, peer) pairs to list per stage (0 disables)")
+	if err := s.Parse(args); err != nil {
+		return err
+	}
 
 	var rep errtrack.Report
 	var err error
@@ -48,26 +51,27 @@ func main() {
 		if err == nil {
 			rep = trk.Snapshot()
 			if bad > 0 {
-				fmt.Printf("# %d malformed lines skipped (run obswatch -replay for integrity checks)\n", bad)
+				fmt.Fprintf(stdout, "# %d malformed lines skipped (run obswatch -replay for integrity checks)\n", bad)
 			}
 		}
 	case *artifact != "":
 		rep, err = errtrack.LoadReport(*artifact)
 	default:
-		fmt.Fprintln(os.Stderr, "errmap: one of -addr, -replay, -artifact is required")
-		flag.Usage()
-		os.Exit(2)
+		s.Flags.Usage()
+		return driver.Usagef("one of -addr, -replay, -artifact is required")
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "errmap:", err)
-		os.Exit(1)
+		return err
 	}
 
-	render(os.Stdout, rep, *pairsFlag)
-	if len(rep.OverBudget()) > 0 {
-		os.Exit(1)
+	render(stdout, rep, *pairsFlag)
+	if over := rep.OverBudget(); len(over) > 0 {
+		return fmt.Errorf("%d stages over error budget", len(over))
 	}
+	return nil
 }
+
+func main() { driver.Main("errmap", run) }
 
 // scrape fetches a live run's /errtrack report.
 func scrape(addr string) (errtrack.Report, error) {
@@ -89,7 +93,7 @@ func scrape(addr string) (errtrack.Report, error) {
 	return rep, nil
 }
 
-func render(w *os.File, rep errtrack.Report, pairs int) {
+func render(w io.Writer, rep errtrack.Report, pairs int) {
 	if len(rep.Cells) == 0 {
 		fmt.Fprintln(w, "no error-attribution data (run with -eventlog/-errtrack and a lossy configuration)")
 	}
@@ -112,7 +116,7 @@ func render(w *os.File, rep errtrack.Report, pairs int) {
 // renderLedger prints the error-accumulation table: per stage, the
 // measured worst relative error and its composition so far against the
 // bound composition prod(1+b_i)−1.
-func renderLedger(w *os.File, led errtrack.Ledger) {
+func renderLedger(w io.Writer, led errtrack.Ledger) {
 	fmt.Fprintf(w, "  %-12s %10s %12s %12s %12s %12s %7s %6s\n",
 		"stage", "values", "measured", "bound", "cum meas", "cum bound", "share", "ok")
 	for _, r := range led.Rows {
@@ -128,7 +132,7 @@ func renderLedger(w *os.File, led errtrack.Ledger) {
 // renderMatrix prints one stage's (rank, peer) attribution: the worst
 // pairs, and — when the rank space is small enough to read — an ASCII
 // heat matrix of max relative error scaled by the stage bound.
-func renderMatrix(w *os.File, s errtrack.StageReport, pairs int) {
+func renderMatrix(w io.Writer, s errtrack.StageReport, pairs int) {
 	if len(s.Pairs) == 0 || pairs <= 0 {
 		return
 	}
@@ -162,7 +166,7 @@ func renderMatrix(w *os.File, s errtrack.StageReport, pairs int) {
 // bound. Skipped when the rank space would not fit a terminal.
 const heatRamp = ".:-=+*#%@"
 
-func heatMatrix(w *os.File, s errtrack.StageReport) {
+func heatMatrix(w io.Writer, s errtrack.StageReport) {
 	maxID := 0
 	for _, p := range s.Pairs {
 		if p.Rank > maxID {
@@ -206,7 +210,7 @@ func heatMatrix(w *os.File, s errtrack.StageReport) {
 // renderBurn draws each stage's budget burn over virtual time: the time
 // span bucketed into fixed columns, each column shaded by its worst
 // relative error against the stage bound.
-func renderBurn(w *os.File, c errtrack.CellReport) {
+func renderBurn(w io.Writer, c errtrack.CellReport) {
 	const cols = 60
 	for _, s := range c.Stages {
 		if len(s.Series) < 2 {

@@ -26,7 +26,6 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,6 +34,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/obs"
 	"repro/internal/obs/errtrack"
 	"repro/internal/obs/serve"
@@ -42,38 +42,36 @@ import (
 	recov "repro/internal/recover"
 )
 
-func main() {
-	addr := flag.String("addr", "", "attach to a live -serve endpoint (host:port)")
-	interval := flag.Duration("interval", 2*time.Second, "poll interval for -addr mode")
-	once := flag.Bool("once", false, "with -addr: poll once and exit")
-	lint := flag.String("lint", "", "lint an OpenMetrics exposition file and exit")
-	replay := flag.String("replay", "", "replay a JSONL event log offline and exit")
-	sloFlag := flag.String("slo", "", "with -replay: SLO config to evaluate the stream against")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("obswatch", stdout, stderr, 0)
+	addr := s.Flags.String("addr", "", "attach to a live -serve endpoint (host:port)")
+	interval := s.Flags.Duration("interval", 2*time.Second, "poll interval for -addr mode")
+	once := s.Flags.Bool("once", false, "with -addr: poll once and exit")
+	lint := s.Flags.String("lint", "", "lint an OpenMetrics exposition file and exit")
+	replay := s.Flags.String("replay", "", "replay a JSONL event log offline and exit")
+	sloFlag := s.Flags.String("slo", "", "with -replay: SLO config to evaluate the stream against")
+	if err := s.Parse(args); err != nil {
+		return err
+	}
 
-	var err error
 	switch {
 	case *lint != "":
-		err = runLint(*lint)
+		return runLint(stdout, *lint)
 	case *replay != "":
-		err = runReplay(*replay, *sloFlag)
+		return runReplay(stdout, *replay, *sloFlag)
 	case *addr != "":
-		err = runLive(*addr, *interval, *once)
-	default:
-		fmt.Fprintln(os.Stderr, "obswatch: one of -addr, -lint, -replay is required")
-		flag.Usage()
-		os.Exit(2)
+		return runLive(stdout, *addr, *interval, *once)
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "obswatch:", err)
-		os.Exit(1)
-	}
+	s.Flags.Usage()
+	return driver.Usagef("one of -addr, -lint, -replay is required")
 }
+
+func main() { driver.Main("obswatch", run) }
 
 // runLint validates an exposition file with the strict OpenMetrics
 // subset parser (TYPE-before-samples, contiguous families, suffix
 // rules, no duplicate series, final # EOF).
-func runLint(path string) error {
+func runLint(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -86,7 +84,7 @@ func runLint(path string) error {
 	for _, s := range samples {
 		fams[familyOf(s.Name)] = true
 	}
-	fmt.Printf("obswatch: %s is valid OpenMetrics: %d samples, %d families\n",
+	fmt.Fprintf(w, "obswatch: %s is valid OpenMetrics: %d samples, %d families\n",
 		path, len(samples), len(fams))
 	return nil
 }
@@ -110,7 +108,7 @@ func familyOf(name string) string {
 // stamped at emit time and Session.Close appends a run_end marker, so a
 // truncated, partially flushed, or lossy copy of the log is detectable
 // rather than silently replaying as a shorter healthy run.
-func runReplay(path, sloPath string) error {
+func runReplay(w io.Writer, path, sloPath string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -222,31 +220,31 @@ func runReplay(path, sloPath string) error {
 		}
 	}
 
-	fmt.Printf("replay %s: %d events, %d runs, virtual span %.3gs\n", path, total, runs, tMax)
+	fmt.Fprintf(w, "replay %s: %d events, %d runs, virtual span %.3gs\n", path, total, runs, tMax)
 	kinds := make([]string, 0, len(counts))
 	for k := range counts {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		fmt.Printf("  %-16s %d\n", k, counts[k])
+		fmt.Fprintf(w, "  %-16s %d\n", k, counts[k])
 	}
 	var failures []string
 	if len(integrity) > 0 {
 		for _, msg := range integrity {
-			fmt.Printf("  INTEGRITY: %s\n", msg)
+			fmt.Fprintf(w, "  INTEGRITY: %s\n", msg)
 		}
 		failures = append(failures, fmt.Sprintf("stream integrity: %s", strings.Join(integrity, "; ")))
 	}
 	if rep := trk.Snapshot(); len(rep.Cells) > 0 {
-		fmt.Println(rep.Verdict())
+		fmt.Fprintln(w, rep.Verdict())
 		if over := rep.OverBudget(); len(over) > 0 {
 			failures = append(failures, fmt.Sprintf("%d stages over error budget", len(over)))
 		}
 	}
 	if eng != nil {
-		fmt.Println(eng.Summary())
-		printObjectives(eng.Status())
+		fmt.Fprintln(w, eng.Summary())
+		printObjectives(w, eng.Status())
 		if n := eng.TotalBreaches(); n > 0 {
 			failures = append(failures, fmt.Sprintf("%d SLO breaches", n))
 		}
@@ -259,7 +257,7 @@ func runReplay(path, sloPath string) error {
 
 // runLive polls a -serve endpoint and renders the SLO table plus the
 // headline counters each interval.
-func runLive(addr string, interval time.Duration, once bool) error {
+func runLive(w io.Writer, addr string, interval time.Duration, once bool) error {
 	base := "http://" + addr
 	for {
 		var resp serve.SLOResponse
@@ -270,9 +268,9 @@ func runLive(addr string, interval time.Duration, once bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("-- %s  %s\n", addr, resp.Summary)
-		printObjectives(resp.Objectives)
-		printCounters(samples)
+		fmt.Fprintf(w, "-- %s  %s\n", addr, resp.Summary)
+		printObjectives(w, resp.Objectives)
+		printCounters(w, samples)
 		if once {
 			return nil
 		}
@@ -280,24 +278,24 @@ func runLive(addr string, interval time.Duration, once bool) error {
 	}
 }
 
-func printObjectives(sts []slo.Status) {
+func printObjectives(w io.Writer, sts []slo.Status) {
 	if len(sts) == 0 {
 		return
 	}
-	fmt.Printf("  %-24s %-10s %8s %10s %10s %10s\n",
+	fmt.Fprintf(w, "  %-24s %-10s %8s %10s %10s %10s\n",
 		"objective", "kind", "state", "burn", "worst", "bad/seen")
 	for _, s := range sts {
 		state := "ok"
 		if s.Breached {
 			state = "BREACH"
 		}
-		fmt.Printf("  %-24s %-10s %8s %10.2f %10.2f %6d/%d\n",
+		fmt.Fprintf(w, "  %-24s %-10s %8s %10.2f %10.2f %6d/%d\n",
 			s.Name, s.Kind, state, s.Burn, s.WorstBurn, s.CumBad, s.CumSamples)
 	}
 }
 
 // printCounters surfaces the headline fault/heal families of a scrape.
-func printCounters(samples []obs.OMSample) {
+func printCounters(w io.Writer, samples []obs.OMSample) {
 	var parts []string
 	for _, name := range []string{
 		"fft_fault_drops_total", "fft_fault_retries_total", "fft_fault_crashes_total",
@@ -320,7 +318,7 @@ func printCounters(samples []obs.OMSample) {
 		}
 	}
 	if len(parts) > 0 {
-		fmt.Printf("  %s\n", strings.Join(parts, " "))
+		fmt.Fprintf(w, "  %s\n", strings.Join(parts, " "))
 	}
 }
 

@@ -15,37 +15,37 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
+	"io"
 
+	"repro/cmd/internal/driver"
 	"repro/internal/obs/analyze"
 )
 
-func main() {
-	bins := flag.Int("bins", 50, "utilization timeline bins")
-	jsonOut := flag.Bool("json", false, "emit the summary as JSON")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracetool [-bins N] [-json] trace.json")
-		os.Exit(2)
+func run(args []string, stdout, stderr io.Writer) error {
+	s := driver.New("tracetool", stdout, stderr, 0)
+	bins := s.Flags.Int("bins", 50, "utilization timeline bins")
+	jsonOut := s.Flags.Bool("json", false, "emit the summary as JSON")
+	if err := s.Parse(args); err != nil {
+		return err
+	}
+	if s.Flags.NArg() != 1 {
+		return driver.Usagef("usage: tracetool [-bins N] [-json] trace.json")
 	}
 
-	t, err := analyze.LoadChromeTraceFile(flag.Arg(0))
+	t, err := analyze.LoadChromeTraceFile(s.Flags.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracetool:", err)
-		os.Exit(1)
+		return err
 	}
-	s := analyze.Summarize(t, *bins)
+	sum := analyze.Summarize(t, *bins)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(s); err != nil {
-			fmt.Fprintln(os.Stderr, "tracetool:", err)
-			os.Exit(1)
-		}
-		return
+		return enc.Encode(sum)
 	}
-	fmt.Printf("# %s\n", flag.Arg(0))
-	s.WriteText(os.Stdout)
+	fmt.Fprintf(stdout, "# %s\n", s.Flags.Arg(0))
+	sum.WriteText(stdout)
+	return nil
 }
+
+func main() { driver.Main("tracetool", run) }
