@@ -255,8 +255,8 @@ type ModelDelta struct {
 	Label     string  `json:"label"`
 	Measured  float64 `json:"measured_s"`
 	Predicted float64 `json:"predicted_s"`
-	// Ratio is Measured/Predicted: the model is a lower bound, so ratios
-	// sit at or above 1; growth over time means new overhead appeared.
+	// Ratio is Measured/Predicted (see core's model comment for where it
+	// sits); growth over time means new overhead appeared.
 	Ratio float64 `json:"ratio"`
 }
 
