@@ -1,6 +1,6 @@
 # Convenience targets; the repo needs only the Go toolchain.
 
-.PHONY: build test lint loc strays verify verify-parallel trace-demo telemetry-demo errmap-demo tune-demo bench benchdiff chaos chaos-race chaos-recovery chaos-shrink fuzz clean
+.PHONY: build test lint loc strays verify verify-parallel trace-demo telemetry-demo errmap-demo tune-demo bench benchdiff results chaos chaos-race chaos-recovery chaos-shrink fuzz clean
 
 build:
 	go build ./...
@@ -38,9 +38,9 @@ verify:
 
 # strays fails, listing them, if a process whose executable is one of
 # this module's binaries — benchmark, a cmd/* driver, a test binary — is
-# alive: a demo sidecar, a -serve listener or a backgrounded run left
-# behind. It matches executable names in `ps -eo pid,comm`; `pgrep -f`
-# would match the shell that runs the check. Prints nothing when clean.
+# alive: a backgrounded run left behind. It matches executable names in
+# `ps -eo pid,comm`; `pgrep -f` would match the shell that runs the
+# check. Prints nothing when clean.
 STRAY_NAMES = benchmark $(filter-out internal,$(notdir $(wildcard cmd/*)))
 strays:
 	@out=$$(ps -eo pid,comm | awk -v names="$(STRAY_NAMES)" \
@@ -52,9 +52,16 @@ strays:
 # lint: formatting and static analysis. gofmt must report nothing,
 # go vet must be clean, and staticcheck runs when installed (the repo
 # must not require it — CI images without it still get the vet tier).
+# No non-test file under internal/ or cmd/ may import net, net/http,
+# net/http/pprof or os/exec: nothing the tree starts may outlive its
+# caller. benchmark/ is exempt (its foreground `go tool pprof` child and
+# one-process-per-workload re-exec).
 lint:
 	@out=$$(gofmt -l . 2>/dev/null); if [ -n "$$out" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
+	@out=$$(git grep -lE --untracked '"(net|net/http|net/http/pprof|os/exec)"' \
+		-- 'internal/*.go' 'cmd/*.go' ':!*_test.go'); if [ -n "$$out" ]; then \
+		echo "lint: listeners and child processes are not allowed here:"; echo "$$out"; exit 1; fi
 	go vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
@@ -145,23 +152,18 @@ trace-demo:
 	go run ./cmd/fftbench -n 64 -sim 64 -gpus 24 -configs fp64-32,fp64-16 \
 		-iters 1 -trace trace-demo.json -metrics
 
-# telemetry-demo runs a short chaos soak with the full live-telemetry
-# stack on (-serve on a free port, JSONL event log, SLO objectives from
-# docs/slo.example.json, mid-sweep self-scrape of /metrics), then lints
-# the scraped OpenMetrics exposition and replays the event stream
-# offline — the replay re-derives the same SLO verdicts the live run
-# saw and exits nonzero if the stream carried no breaches. Part of
-# `make verify`.
+# telemetry-demo runs a short chaos soak with the JSONL event log and
+# the SLO objectives from docs/slo.example.json on, then replays the
+# event stream offline: on its own it must replay clean, and against
+# the same SLOs it must re-derive the breaches the run saw (the replay
+# exits nonzero). Part of `make verify`.
 telemetry-demo:
 	$(eval TMP := $(shell mktemp -d))
-	go run ./cmd/chaos -seeds 6 -serve 127.0.0.1:0 \
-		-eventlog $(TMP)/events.jsonl -slo docs/slo.example.json \
-		-scrape $(TMP)/metrics.om
-	go run ./cmd/obswatch -lint $(TMP)/metrics.om
+	go run ./cmd/chaos -seeds 6 -eventlog $(TMP)/events.jsonl -slo docs/slo.example.json
 	go run ./cmd/obswatch -replay $(TMP)/events.jsonl
 	! go run ./cmd/obswatch -replay $(TMP)/events.jsonl -slo docs/slo.example.json
 	rm -rf $(TMP)
-	@echo "telemetry-demo: scrape linted, stream replayed, breaches reproduced"
+	@echo "telemetry-demo: stream replayed, breaches reproduced"
 
 # errmap-demo runs a small lossy bench with the event log and the
 # error-provenance artifact on, then renders the attribution ledger from
@@ -224,6 +226,18 @@ benchdiff:
 	go run ./cmd/benchdiff BENCH_fft.json $(TMP)/fft.json
 	go run ./cmd/benchdiff BENCH_alltoall.json $(TMP)/alltoall.json
 	rm -rf $(TMP)
+
+# results regenerates every table and figure of EXPERIMENTS.md into
+# results/, one driver run per file. The full sweeps reach 1536 GPUs and
+# take minutes and several GB; run one line by hand for a single file.
+results:
+	mkdir -p results
+	go run ./cmd/precisions > results/table1.txt 2>&1
+	go run ./cmd/alltoallbench -gpus 6,12,24,48,96,192,384,768,1536 -iters 2 > results/fig3.txt 2>&1
+	go run ./cmd/fftbench -n 64 -sim 1024 -gpus 12,24,48,96,192,384,768,1536 -iters 1 > results/fig4.txt 2>&1
+	go run ./cmd/accuracy -table2 -n 128 -gpus 12,24,48,96,192,384,768,1536 > results/table2.txt 2>&1
+	go run ./cmd/accuracy -fig2 -n 64 -fig2gpus 12 > results/fig2.txt 2>&1
+	go run ./cmd/ablation -gpus 96 > results/ablation.txt 2>&1
 
 clean:
 	rm -f trace-demo.json

@@ -473,7 +473,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workloadsFlag := s.Flags.String("workloads", "linear,pairwise,osc,osc-comp,osc-comp16", "exchange workloads to sweep (also: recover-osc,recover-comp — crash-recovery cells; kill-osc,kill-comp — permanent-kill elastic-shrink cells)")
 	timeout := s.Flags.Duration("timeout", 60*time.Second, "wall-clock hang guard per run")
 	verbose := s.Flags.Bool("v", false, "print every cell, not just summaries and violations")
-	scrape := s.Flags.String("scrape", "", "with -serve: self-scrape /metrics mid-sweep into this file")
 	s.Help("parallel", "run the simulator's parallel engine (verdicts are bit-identical; docs/DETERMINISM.md)")
 	if err := s.Parse(args); err != nil {
 		return err
@@ -512,13 +511,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stdout, "BAD  seed=%-4d %-10s %-12s %s\n", cl.seed, w.name, scenario, detail)
 			} else if *verbose {
 				fmt.Fprintf(stdout, "%-4s seed=%-4d %-10s %-12s %s\n", out, cl.seed, w.name, scenario, detail)
-			}
-		}
-		if *scrape != "" && i == int64(*seeds/2) {
-			// A mid-soak self-scrape: the exposition the acceptance check
-			// and `make telemetry-demo` lint.
-			if err := s.Tel.ScrapeTo(*scrape); err != nil {
-				return fmt.Errorf("scrape: %w", err)
 			}
 		}
 	}

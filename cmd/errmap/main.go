@@ -6,22 +6,19 @@
 //
 // Usage:
 //
-//	errmap -addr 127.0.0.1:9090        # scrape a live -serve endpoint's /errtrack
 //	errmap -replay events.jsonl        # rebuild the ledger from a recorded event log
 //	errmap -artifact errtrack.json     # render a saved -errtrack report
 //
-// All three modes render the same errtrack.Report and print the same
-// verdict line: the live scrape serves the tracker's snapshot, and the
-// replay feeds the recorded stream through the identical observer code,
-// so a live run and its offline replay cannot disagree. The exit status
-// is non-zero when any stage exceeded its error budget.
+// Both modes render the same errtrack.Report and print the same verdict
+// line: the replay feeds the recorded stream through the identical
+// observer code the recording run's tracker used, so a run's artifact
+// and its offline replay cannot disagree. The exit status is non-zero
+// when any stage exceeded its error budget.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 
@@ -31,7 +28,6 @@ import (
 
 func run(args []string, stdout, stderr io.Writer) error {
 	s := driver.New("errmap", stdout, stderr, 0)
-	addr := s.Flags.String("addr", "", "scrape the /errtrack endpoint of a live -serve address (host:port)")
 	replay := s.Flags.String("replay", "", "rebuild the ledger from a recorded JSONL event log")
 	artifact := s.Flags.String("artifact", "", "render a saved -errtrack report file")
 	pairsFlag := s.Flags.Int("pairs", 10, "worst (rank, peer) pairs to list per stage (0 disables)")
@@ -42,8 +38,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var rep errtrack.Report
 	var err error
 	switch {
-	case *addr != "":
-		rep, err = scrape(*addr)
 	case *replay != "":
 		var trk *errtrack.Tracker
 		var bad int64
@@ -58,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rep, err = errtrack.LoadReport(*artifact)
 	default:
 		s.Flags.Usage()
-		return driver.Usagef("one of -addr, -replay, -artifact is required")
+		return driver.Usagef("one of -replay, -artifact is required")
 	}
 	if err != nil {
 		return err
@@ -72,26 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func main() { driver.Main("errmap", run) }
-
-// scrape fetches a live run's /errtrack report.
-func scrape(addr string) (errtrack.Report, error) {
-	var rep errtrack.Report
-	resp, err := http.Get("http://" + addr + "/errtrack")
-	if err != nil {
-		return rep, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return rep, fmt.Errorf("/errtrack: %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-		return rep, err
-	}
-	if rep.Schema != errtrack.ReportSchema {
-		return rep, fmt.Errorf("/errtrack: schema %d, want %d", rep.Schema, errtrack.ReportSchema)
-	}
-	return rep, nil
-}
 
 func render(w io.Writer, rep errtrack.Report, pairs int) {
 	if len(rep.Cells) == 0 {

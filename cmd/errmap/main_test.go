@@ -23,7 +23,7 @@ func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := driver.ExitCode("errmap", run(nil, &out, &errb), &errb); code != 2 || out.Len() != 0 ||
 		!strings.HasPrefix(errb.String(), "Usage of errmap:\n") ||
-		!strings.HasSuffix(errb.String(), "errmap: one of -addr, -replay, -artifact is required\n") {
+		!strings.HasSuffix(errb.String(), "errmap: one of -replay, -artifact is required\n") {
 		t.Errorf("no mode: exit %d, stdout %q, stderr %q; want the usage and exit 2", code, out.String(), errb.String())
 	}
 }

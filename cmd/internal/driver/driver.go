@@ -27,7 +27,7 @@ import (
 type Group uint
 
 const (
-	Telemetry Group = 1 << iota // -serve -eventlog -slo -errtrack
+	Telemetry Group = 1 << iota // -eventlog -slo -errtrack
 	exports                     // -trace -metrics
 	Parallel                    // -parallel
 	faults                      // -faults
@@ -183,21 +183,15 @@ func Pick[T any](flagName, kind, list string, table []T, name func(T) string) ([
 	return out, nil
 }
 
-// Start opens the telemetry the flags ask for and prints its banner.
-// -json artifacts embed the error-attribution ledger, so they force the
-// error tracker on even without -errtrack.
+// Start opens the telemetry the flags ask for. -json artifacts embed the
+// error-attribution ledger, so they force the error tracker on even
+// without -errtrack.
 func (s *Session) Start() error {
 	cfg := s.tf.Config()
 	cfg.Tracker = s.JSON != ""
 	tel, err := telemetry.Start(cfg)
-	if err != nil {
-		return err
-	}
 	s.Tel = tel
-	if tel.Addr() != "" {
-		fmt.Fprintf(s.Stdout, "# telemetry: serving http://%s\n", tel.Addr())
-	}
-	return nil
+	return err
 }
 
 // Machine returns the g-GPU Summit under the -parallel and -faults flags.

@@ -52,7 +52,7 @@ func TestFlagTable(t *testing.T) {
 // TestBenchRegistersEveryGroup: the bench pair serves the whole table.
 func TestBenchRegistersEveryGroup(t *testing.T) {
 	b := NewBench("x", io.Discard, io.Discard)
-	for _, name := range []string{"trace", "metrics", "serve", "eventlog", "slo", "errtrack", "parallel", "faults",
+	for _, name := range []string{"trace", "metrics", "eventlog", "slo", "errtrack", "parallel", "faults",
 		"recover", "shrink", "autotune", "tunetol", "tuneplan", "tuneprobe", "json", "plot"} {
 		if b.Flags.Lookup(name) == nil {
 			t.Errorf("NewBench does not register -%s", name)

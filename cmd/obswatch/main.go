@@ -1,21 +1,10 @@
-// Command obswatch is the terminal companion of the live-telemetry
-// stack (docs/OBSERVABILITY.md): it attaches to a soak started with
-// -serve and renders a compact live summary, lints OpenMetrics
-// expositions, and replays JSONL event logs offline.
+// Command obswatch replays a recorded JSONL event log offline
+// (docs/OBSERVABILITY.md):
 //
-// Usage:
-//
-//	obswatch -addr 127.0.0.1:9090 [-interval 2s] [-once]
-//	obswatch -lint metrics.om
 //	obswatch -replay events.jsonl [-slo slo.json]
 //
-// Live mode polls /slo and /metrics of a running bench or chaos soak
-// (any tool started with -serve) and prints, per poll: the SLO summary
-// line, one row per objective, and the headline fault/heal counters.
-// -lint parses a scraped exposition with the same strict parser the
-// tests use and fails loudly on format violations. -replay feeds a
-// recorded event stream through a fresh SLO engine and error tracker,
-// reproducing the breach and errtrack verdicts the live run saw; it
+// -replay feeds the stream through a fresh SLO engine and error tracker,
+// reproducing the breach and errtrack verdicts the recording run saw; it
 // also verifies stream integrity (sequence numbers contiguous from 1,
 // the run_end marker present and last, no malformed or cut lines, and
 // recovery-protocol sequencing: every resume names a previously
@@ -28,82 +17,38 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/cmd/internal/driver"
 	"repro/internal/obs"
 	"repro/internal/obs/errtrack"
-	"repro/internal/obs/serve"
 	"repro/internal/obs/slo"
 	recov "repro/internal/recover"
 )
 
 func run(args []string, stdout, stderr io.Writer) error {
 	s := driver.New("obswatch", stdout, stderr, 0)
-	addr := s.Flags.String("addr", "", "attach to a live -serve endpoint (host:port)")
-	interval := s.Flags.Duration("interval", 2*time.Second, "poll interval for -addr mode")
-	once := s.Flags.Bool("once", false, "with -addr: poll once and exit")
-	lint := s.Flags.String("lint", "", "lint an OpenMetrics exposition file and exit")
 	replay := s.Flags.String("replay", "", "replay a JSONL event log offline and exit")
 	sloFlag := s.Flags.String("slo", "", "with -replay: SLO config to evaluate the stream against")
 	if err := s.Parse(args); err != nil {
 		return err
 	}
 
-	switch {
-	case *lint != "":
-		return runLint(stdout, *lint)
-	case *replay != "":
-		return runReplay(stdout, *replay, *sloFlag)
-	case *addr != "":
-		return runLive(stdout, *addr, *interval, *once)
+	if *replay == "" {
+		s.Flags.Usage()
+		return driver.Usagef("-replay is required")
 	}
-	s.Flags.Usage()
-	return driver.Usagef("one of -addr, -lint, -replay is required")
+	return runReplay(stdout, *replay, *sloFlag)
 }
 
 func main() { driver.Main("obswatch", run) }
 
-// runLint validates an exposition file with the strict OpenMetrics
-// subset parser (TYPE-before-samples, contiguous families, suffix
-// rules, no duplicate series, final # EOF).
-func runLint(w io.Writer, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	samples, err := obs.ParseOpenMetrics(data)
-	if err != nil {
-		return fmt.Errorf("lint %s: %w", path, err)
-	}
-	fams := map[string]bool{}
-	for _, s := range samples {
-		fams[familyOf(s.Name)] = true
-	}
-	fmt.Fprintf(w, "obswatch: %s is valid OpenMetrics: %d samples, %d families\n",
-		path, len(samples), len(fams))
-	return nil
-}
-
-// familyOf strips the sample suffixes the parser admits, recovering the
-// family name for counting.
-func familyOf(name string) string {
-	for _, suf := range []string{"_total", "_created", "_count", "_sum", "_bucket"} {
-		if strings.HasSuffix(name, suf) {
-			return strings.TrimSuffix(name, suf)
-		}
-	}
-	return name
-}
-
 // runReplay feeds a recorded JSONL event stream through a fresh SLO
 // engine (when a config is given) and error tracker, printing the
 // stream's shape and the resulting verdicts — the offline reproduction
-// of what the live run's /slo and /errtrack endpoints reported. It also
+// of the recording run's SLO and errtrack verdicts. It also
 // checks the stream's integrity: every event carries a sequence number
 // stamped at emit time and Session.Close appends a run_end marker, so a
 // truncated, partially flushed, or lossy copy of the log is detectable
@@ -118,7 +63,7 @@ func runReplay(w io.Writer, path, sloPath string) error {
 	var eng *slo.Engine
 	// Breach events re-derived by the replay engine are emitted into
 	// this log (and counted), mirroring the live wiring.
-	log := obs.NewEventLog(1)
+	log := obs.NewEventLog()
 	if sloPath != "" {
 		cfg, err := slo.LoadConfig(sloPath)
 		if err != nil {
@@ -255,29 +200,6 @@ func runReplay(w io.Writer, path, sloPath string) error {
 	return nil
 }
 
-// runLive polls a -serve endpoint and renders the SLO table plus the
-// headline counters each interval.
-func runLive(w io.Writer, addr string, interval time.Duration, once bool) error {
-	base := "http://" + addr
-	for {
-		var resp serve.SLOResponse
-		if err := getJSON(base+"/slo", &resp); err != nil {
-			return err
-		}
-		samples, err := getMetrics(base + "/metrics")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "-- %s  %s\n", addr, resp.Summary)
-		printObjectives(w, resp.Objectives)
-		printCounters(w, samples)
-		if once {
-			return nil
-		}
-		time.Sleep(interval)
-	}
-}
-
 func printObjectives(w io.Writer, sts []slo.Status) {
 	if len(sts) == 0 {
 		return
@@ -292,60 +214,4 @@ func printObjectives(w io.Writer, sts []slo.Status) {
 		fmt.Fprintf(w, "  %-24s %-10s %8s %10.2f %10.2f %6d/%d\n",
 			s.Name, s.Kind, state, s.Burn, s.WorstBurn, s.CumBad, s.CumSamples)
 	}
-}
-
-// printCounters surfaces the headline fault/heal families of a scrape.
-func printCounters(w io.Writer, samples []obs.OMSample) {
-	var parts []string
-	for _, name := range []string{
-		"fft_fault_drops_total", "fft_fault_retries_total", "fft_fault_crashes_total",
-		"fft_fault_silent_corrupt_total", "fft_exchange_repairs_total",
-		"fft_exchange_fallback_peers_total", "fft_exchange_repromotions_total",
-		"fft_recovery_checkpoints_total", "fft_recovery_rollbacks_total",
-		"fft_recovery_restarts_total", "fft_slo_breach_total",
-	} {
-		var sum float64
-		found := false
-		for _, s := range samples {
-			if s.Name == name {
-				sum += s.Value
-				found = true
-			}
-		}
-		if found && sum > 0 {
-			short := strings.TrimSuffix(strings.TrimPrefix(name, "fft_"), "_total")
-			parts = append(parts, fmt.Sprintf("%s=%g", short, sum))
-		}
-	}
-	if len(parts) > 0 {
-		fmt.Fprintf(w, "  %s\n", strings.Join(parts, " "))
-	}
-}
-
-func getJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-func getMetrics(url string) ([]obs.OMSample, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	return obs.ParseOpenMetrics(data)
 }

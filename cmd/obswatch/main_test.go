@@ -11,15 +11,14 @@ import (
 	"repro/cmd/internal/driver"
 )
 
-// The inputs are one chaos seed's telemetry: `chaos -seeds 1 -serve
-// 127.0.0.1:0 -eventlog … -slo docs/slo.example.json -scrape …`.
+// The input is one chaos seed's event log: `chaos -seeds 1 -eventlog …
+// -errtrack … -slo docs/slo.example.json`.
 const events = "testdata/chaos-seed1.events.jsonl"
 
-// TestGolden: the scraped exposition lints clean; the event stream
-// replays clean on its own (exit 0) and, against the example SLOs,
-// reproduces the run's fault-burst breaches (exit 1).
+// TestGolden: the event stream replays clean on its own (exit 0) and,
+// against the example SLOs, reproduces the run's fault-burst breaches
+// (exit 1).
 func TestGolden(t *testing.T) {
-	golden(t, "lint", "-lint", "testdata/chaos-seed1.metrics.om")
 	golden(t, "replay", "-replay", events)
 	golden(t, "replay-slo", "-replay", events, "-slo", "../../docs/slo.example.json")
 }
@@ -28,7 +27,7 @@ func TestUsageErrors(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := driver.ExitCode("obswatch", run(nil, &out, &errb), &errb); code != 2 || out.Len() != 0 ||
 		!strings.HasPrefix(errb.String(), "Usage of obswatch:\n") ||
-		!strings.HasSuffix(errb.String(), "obswatch: one of -addr, -lint, -replay is required\n") {
+		!strings.HasSuffix(errb.String(), "obswatch: -replay is required\n") {
 		t.Errorf("no mode: exit %d, stdout %q, stderr %q; want the usage and exit 2", code, out.String(), errb.String())
 	}
 }

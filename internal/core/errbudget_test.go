@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/obs/errtrack"
+	"repro/internal/obs/slo"
 )
 
 // measureTracked runs one compressed pipeline with an event log and
@@ -16,7 +17,7 @@ import (
 func measureTracked(t *testing.T, cfg netsim.Config, opts Options) errtrack.Report {
 	t.Helper()
 	rec := obs.New(obs.Options{Metrics: true})
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	trk := errtrack.New()
 	log.Observe(trk.Observe)
 	rec.SetEventLog(log)
@@ -101,10 +102,12 @@ func TestStageBoundsShape(t *testing.T) {
 }
 
 // TestErrtrackZeroCostWhenOff is the non-perturbation contract: runs
-// with and without the error-measurement path enabled produce
-// bit-identical virtual times and accuracy, under both engines. Error
-// measurement is wall-clock-only bookkeeping; the moment it shifts a
-// virtual timestamp, telemetry is perturbing the experiment.
+// with and without the whole telemetry stack attached — event log, error
+// tracker and an SLO engine whose latency objective breaches, so it
+// emits breach events back into the log — produce bit-identical virtual
+// times and accuracy, under both engines. Telemetry is wall-clock-only
+// bookkeeping; the moment it shifts a virtual timestamp, it is
+// perturbing the experiment.
 func TestErrtrackZeroCostWhenOff(t *testing.T) {
 	opts := Options{Backend: BackendCompressed, Method: compress.Cast16{}}
 	n := [3]int{16, 16, 16}
@@ -115,9 +118,13 @@ func TestErrtrackZeroCostWhenOff(t *testing.T) {
 		off := Measure[complex128](cfg, n, opts, 1, true)
 
 		rec := obs.New(obs.Options{Metrics: true})
-		log := obs.NewEventLog(0)
+		log := obs.NewEventLog()
 		trk := errtrack.New()
 		log.Observe(trk.Observe)
+		eng := slo.New(&slo.Config{Objectives: []slo.Objective{
+			{Name: "exchange-p99", Kind: slo.KindLatency, Target: 1e-9, Budget: 0.01},
+		}}, log)
+		log.Observe(eng.ObserveEvent)
 		rec.SetEventLog(log)
 		on := MeasureWith[complex128](rec, cfg, n, opts, 1, true)
 
@@ -130,6 +137,9 @@ func TestErrtrackZeroCostWhenOff(t *testing.T) {
 		}
 		if len(trk.Snapshot().Cells) == 0 {
 			t.Errorf("parallel=%v: tracked run recorded nothing", parallel)
+		}
+		if eng.TotalBreaches() == 0 {
+			t.Errorf("parallel=%v: SLO engine saw no breach (status %+v)", parallel, eng.Status())
 		}
 	}
 }

@@ -22,8 +22,7 @@ func (r Report) WriteFile(path string) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// LoadReport reads and validates an -errtrack artifact (or a saved
-// /errtrack response — same format).
+// LoadReport reads and validates an -errtrack artifact.
 func LoadReport(path string) (Report, error) {
 	var r Report
 	b, err := os.ReadFile(path)

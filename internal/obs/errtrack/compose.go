@@ -149,8 +149,8 @@ func (r Report) OverBudget() []string {
 
 // Verdict summarizes the report in one line: "errtrack PASS (...)" or
 // "errtrack FAIL (...)" with the offending stages. The same string is
-// produced from a live /errtrack scrape and an offline replay of the
-// run's event log.
+// produced from a run's -errtrack report and an offline replay of its
+// event log.
 func (r Report) Verdict() string {
 	var cells, stages, values int64
 	for _, c := range r.Cells {

@@ -11,8 +11,8 @@
 // The Tracker is a pure event-log observer: register it with
 // log.Observe(tracker.Observe) for a live run, or feed it a recorded
 // JSONL stream line by line for an offline replay. Both paths run the
-// same code, so a live scrape of /errtrack and a replay of the run's
-// event log derive identical verdicts by construction. Because it only
+// same code, so a run's -errtrack report and a replay of its event log
+// derive identical verdicts by construction. Because it only
 // consumes events, the layer inherits the telemetry contract: zero cost
 // when no event log is attached, and never a participant in virtual
 // time.
@@ -283,8 +283,7 @@ type CellReport struct {
 	Stages []StageReport `json:"stages"`
 }
 
-// ReportSchema versions the Report JSON (the /errtrack payload and the
-// -errtrack artifact share it).
+// ReportSchema versions the Report JSON (the -errtrack artifact).
 const ReportSchema = 1
 
 // Report is the tracker's externally visible state.

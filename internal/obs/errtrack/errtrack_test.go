@@ -179,7 +179,7 @@ func TestDriftTimeMidpoint(t *testing.T) {
 // event log and a tracker fed the same events replayed from the JSONL
 // sink must snapshot identically.
 func TestReplayMatchesLive(t *testing.T) {
-	log := obs.NewEventLog(0)
+	log := obs.NewEventLog()
 	live := New()
 	log.Observe(live.Observe)
 	var sink bytes.Buffer

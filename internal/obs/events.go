@@ -61,18 +61,13 @@ type Event struct {
 	Msg    string  `json:"msg,omitempty"` // free-form detail
 }
 
-// EventLog is a bounded, drop-counting stream of Events — the live
-// counterpart of TraceBuffer. It keeps the newest EventCap events in a
-// ring for attachment-time catch-up (/events, obswatch), optionally
+// EventLog is the live stream of Events: it counts them, optionally
 // writes every event through to a JSONL sink as it happens, and fans
-// events out to registered observers (the SLO engine). A nil *EventLog
-// is valid and drops everything at the cost of one pointer test.
+// events out to registered observers (the SLO engine, the errtrack
+// tracker). A nil *EventLog is valid and drops everything at the cost of
+// one pointer test.
 type EventLog struct {
 	mu        sync.Mutex
-	cap       int
-	ring      []Event
-	next      int
-	wrapped   bool
 	total     int64
 	counts    map[string]int64
 	run       int64
@@ -81,16 +76,9 @@ type EventLog struct {
 	observers []func(Event)
 }
 
-// DefaultEventCap bounds the in-memory event ring.
-const DefaultEventCap = 1 << 16
-
-// NewEventLog creates an event log retaining the newest capacity events
-// (0 selects DefaultEventCap).
-func NewEventLog(capacity int) *EventLog {
-	if capacity <= 0 {
-		capacity = DefaultEventCap
-	}
-	return &EventLog{cap: capacity, counts: make(map[string]int64)}
+// NewEventLog creates an empty event log.
+func NewEventLog() *EventLog {
+	return &EventLog{counts: make(map[string]int64)}
 }
 
 // SetSink attaches a write-through JSONL sink; every subsequent event is
@@ -142,8 +130,8 @@ func (l *EventLog) StartRun(label string) {
 	l.Emit(Event{Kind: EventRun, Label: label, Rank: -1, Peer: -1})
 }
 
-// Emit appends one event: into the ring (overwriting the oldest when
-// full), through the sink, and out to the observers. Safe for concurrent
+// Emit records one event: it is numbered and counted, written through
+// the sink, and fanned out to the observers. Safe for concurrent
 // use; observers run outside the lock so they may themselves Emit.
 func (l *EventLog) Emit(ev Event) {
 	if l == nil {
@@ -154,13 +142,6 @@ func (l *EventLog) Emit(ev Event) {
 	l.total++
 	ev.Seq = l.total
 	l.counts[ev.Kind]++
-	if len(l.ring) < l.cap {
-		l.ring = append(l.ring, ev)
-	} else {
-		l.ring[l.next] = ev
-		l.wrapped = true
-	}
-	l.next = (l.next + 1) % l.cap
 	if l.sink != nil && l.sinkErr == nil {
 		line, err := json.Marshal(ev)
 		if err == nil {
@@ -192,22 +173,6 @@ func (l *EventLog) EmitEnd() {
 	l.Emit(Event{Kind: EventEnd, Rank: -1, Peer: -1, Value: float64(final)})
 }
 
-// Events returns the retained events, oldest first.
-func (l *EventLog) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.wrapped {
-		return append([]Event(nil), l.ring[:l.next]...)
-	}
-	out := make([]Event, 0, l.cap)
-	out = append(out, l.ring[l.next:]...)
-	out = append(out, l.ring[:l.next]...)
-	return out
-}
-
 // Total returns the number of events ever emitted.
 func (l *EventLog) Total() int64 {
 	if l == nil {
@@ -216,20 +181,6 @@ func (l *EventLog) Total() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.total
-}
-
-// Dropped returns how many events fell out of the ring (they were still
-// written to the sink and seen by observers).
-func (l *EventLog) Dropped() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.wrapped {
-		return 0
-	}
-	return l.total - int64(l.cap)
 }
 
 // Counts returns a copy of the per-kind event counts.

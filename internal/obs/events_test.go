@@ -9,39 +9,30 @@ import (
 	"testing"
 )
 
-func TestEventLogRingAndDrops(t *testing.T) {
-	l := NewEventLog(4)
-	for i := 0; i < 7; i++ {
-		l.Emit(Event{T: float64(i), Kind: EventFault, Peer: -1})
-	}
-	if got := l.Total(); got != 7 {
-		t.Fatalf("Total = %d, want 7", got)
-	}
-	if got := l.Dropped(); got != 3 {
-		t.Fatalf("Dropped = %d, want 3", got)
-	}
-	evs := l.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	// Oldest first: the survivors are T=3..6.
-	for i, ev := range evs {
-		if ev.T != float64(3+i) {
-			t.Fatalf("event %d has T=%g, want %g", i, ev.T, float64(3+i))
+// sinkEvents decodes a JSONL sink back into events, in stream order —
+// the same path obswatch -replay reads.
+func sinkEvents(t *testing.T, jsonl string) []Event {
+	t.Helper()
+	var evs []Event
+	for _, line := range strings.Split(strings.TrimSpace(jsonl), "\n") {
+		var ev Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("sink line not JSON: %v: %s", err, line)
 		}
+		evs = append(evs, ev)
 	}
-	if got := l.Counts()[EventFault]; got != 7 {
-		t.Fatalf("Counts[fault] = %d, want 7 (drops must still count)", got)
-	}
+	return evs
 }
 
 func TestEventLogRunMarkers(t *testing.T) {
-	l := NewEventLog(16)
+	l := NewEventLog()
+	var buf strings.Builder
+	l.SetSink(&buf)
 	l.StartRun("cell-a")
 	l.Emit(Event{Kind: EventRepair, Peer: 2})
 	l.StartRun("cell-b")
 	l.Emit(Event{Kind: EventRepair, Peer: 3})
-	evs := l.Events()
+	evs := sinkEvents(t, buf.String())
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
@@ -57,7 +48,7 @@ func TestEventLogRunMarkers(t *testing.T) {
 }
 
 func TestEventLogSinkJSONL(t *testing.T) {
-	l := NewEventLog(8)
+	l := NewEventLog()
 	var buf strings.Builder
 	l.SetSink(&buf)
 	l.Emit(Event{T: 1.5, Rank: 2, Kind: EventError, Label: "fwd0", Peer: -1, Value: 1e-8, Bound: 1e-7})
@@ -90,7 +81,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestEventLogSinkErrorRemembered(t *testing.T) {
-	l := NewEventLog(8)
+	l := NewEventLog()
 	l.SetSink(&failWriter{after: 1})
 	l.Emit(Event{Kind: EventFault})
 	if err := l.SinkErr(); err != nil {
@@ -100,7 +91,7 @@ func TestEventLogSinkErrorRemembered(t *testing.T) {
 	if err := l.SinkErr(); err == nil {
 		t.Fatal("sink error not remembered")
 	}
-	// Further emits still land in the ring.
+	// Further emits are still counted.
 	l.Emit(Event{Kind: EventFault})
 	if got := l.Total(); got != 3 {
 		t.Fatalf("Total = %d, want 3", got)
@@ -108,7 +99,7 @@ func TestEventLogSinkErrorRemembered(t *testing.T) {
 }
 
 func TestEventLogObservers(t *testing.T) {
-	l := NewEventLog(8)
+	l := NewEventLog()
 	var seen []Event
 	l.Observe(func(ev Event) {
 		seen = append(seen, ev)
@@ -127,17 +118,18 @@ func TestEventLogObservers(t *testing.T) {
 	}
 }
 
-// TestEventLogConcurrentEmitters pins the drop-accounting contract under
-// contention (run under -race in the verify tier): with many goroutines
-// emitting at once into a small ring, no event may be lost from the
-// books — Total counts every emission, Dropped is exactly the overflow,
-// sequence numbers stay unique and contiguous, observers see every
-// event, and the retained ring holds precisely the newest cap events.
+// TestEventLogConcurrentEmitters pins the stream-integrity contract
+// under contention (run under -race in the verify tier): with many
+// goroutines emitting at once, Total counts every emission, observers
+// see every event, and the JSONL sink — the stream obswatch -replay
+// checks — carries sequence numbers unique and contiguous from 1,
+// ending in the run_end marker.
 func TestEventLogConcurrentEmitters(t *testing.T) {
 	const emitters = 8
 	const perEmitter = 400
-	const ring = 64
-	l := NewEventLog(ring)
+	l := NewEventLog()
+	var buf strings.Builder
+	l.SetSink(&buf)
 	var observed atomic.Int64
 	l.Observe(func(Event) { observed.Add(1) })
 	var wg sync.WaitGroup
@@ -157,21 +149,18 @@ func TestEventLogConcurrentEmitters(t *testing.T) {
 	if got := l.Total(); got != total {
 		t.Fatalf("Total = %d, want %d", got, total)
 	}
-	if got := l.Dropped(); got != total-ring {
-		t.Fatalf("Dropped = %d, want %d", got, total-ring)
-	}
 	if got := observed.Load(); got != total {
 		t.Fatalf("observer saw %d events, want %d", got, total)
 	}
-	evs := l.Events()
-	if len(evs) != ring {
-		t.Fatalf("retained %d events, want %d", len(evs), ring)
+	evs := sinkEvents(t, buf.String())
+	if len(evs) != total {
+		t.Fatalf("sink holds %d events, want %d", len(evs), total)
 	}
-	// The survivors are the newest ring events: seqs total-ring+1..total,
-	// strictly increasing, ending at the run_end marker.
+	// The sink is written under the log's lock, so its lines are in
+	// sequence order: 1..total, with no gap or repeat.
 	for i, ev := range evs {
-		if want := int64(total - ring + 1 + i); ev.Seq != want {
-			t.Fatalf("retained event %d has seq %d, want %d", i, ev.Seq, want)
+		if want := int64(i + 1); ev.Seq != want {
+			t.Fatalf("sink line %d has seq %d, want %d", i, ev.Seq, want)
 		}
 	}
 	last := evs[len(evs)-1]
@@ -179,7 +168,7 @@ func TestEventLogConcurrentEmitters(t *testing.T) {
 		t.Fatalf("stream does not end with a consistent run_end marker: %+v", last)
 	}
 	if got := l.Counts()[EventErrAttr]; got != emitters*perEmitter {
-		t.Fatalf("Counts[%s] = %d, want %d (drops must still count)", EventErrAttr, got, emitters*perEmitter)
+		t.Fatalf("Counts[%s] = %d, want %d", EventErrAttr, got, emitters*perEmitter)
 	}
 }
 
@@ -189,7 +178,7 @@ func TestEventLogNil(t *testing.T) {
 	l.StartRun("x")
 	l.Observe(func(Event) {})
 	l.SetSink(nil)
-	if l.Events() != nil || l.Total() != 0 || l.Dropped() != 0 || l.Counts() != nil || l.SinkErr() != nil {
+	if l.Total() != 0 || l.Counts() != nil || l.SinkErr() != nil {
 		t.Fatal("nil EventLog must be inert")
 	}
 }

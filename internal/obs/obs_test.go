@@ -234,3 +234,30 @@ func TestPhaseBreakdown(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotConsistent checks that Snapshot copies, not aliases, the
+// registry: mutations after the snapshot must not show through.
+func TestSnapshotConsistent(t *testing.T) {
+	m := newMetrics()
+	m.Add("c", 1)
+	m.Set("g", 2)
+	m.Observe("h", 3)
+	snap := m.Snapshot()
+	m.Add("c", 10)
+	m.Set("g", 20)
+	m.Observe("h", 30)
+	if snap.Counters["c"] != 1 || snap.Gauges["g"] != 2 || snap.Hists["h"].Count != 1 {
+		t.Fatalf("snapshot aliases live registry: %+v", snap)
+	}
+	if m.Counter("c") != 11 {
+		t.Fatalf("live registry wrong: %d", m.Counter("c"))
+	}
+}
+
+func TestSnapshotNilMetrics(t *testing.T) {
+	var m *Metrics
+	snap := m.Snapshot()
+	if len(snap.Counters) != 0 || len(snap.CounterNames()) != 0 {
+		t.Fatal("nil Metrics snapshot must be empty and usable")
+	}
+}

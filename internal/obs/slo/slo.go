@@ -1,5 +1,5 @@
 // Package slo evaluates declarative service-level objectives against
-// the live telemetry event stream. Objectives watch sliding windows of
+// the telemetry event stream. Objectives watch sliding windows of
 // virtual time (the simulator's timeline, so evaluation is deterministic
 // and free of wall-clock jitter): ratio objectives track the fraction of
 // bad observations against an error budget (p99-style latency targets,
@@ -7,8 +7,7 @@
 // track event counts against a ceiling (repairs, fallbacks, transport
 // faults). Each objective's burn rate is budget consumption per unit
 // budget — above 1.0 the objective is out of budget and a breach event
-// is emitted into the log (kind "slo_breach") plus counted in the
-// exported slo_breach_total counter.
+// is emitted into the log (kind "slo_breach").
 package slo
 
 import (
@@ -57,7 +56,7 @@ const (
 
 // Objective is one declarative SLO.
 type Objective struct {
-	// Name identifies the objective in breach events and the exposition.
+	// Name identifies the objective in breach events and the summary.
 	Name string `json:"name"`
 	// Kind selects the event stream and semantics (Kind* constants).
 	Kind string `json:"kind"`
@@ -489,28 +488,4 @@ func (e *Engine) Summary() string {
 	}
 	sort.Strings(failed)
 	return fmt.Sprintf("slo FAIL (%d breaches: %s; worst burn %.2f %s)", total, strings.Join(failed, " "), worst, worstName)
-}
-
-// Families renders the engine state as OpenMetrics families for the
-// /metrics exposition: the slo_breach_total counter per objective plus
-// burn-rate and breached gauges.
-func (e *Engine) Families() []obs.Family {
-	if e == nil {
-		return nil
-	}
-	st := e.Status()
-	breach := obs.Family{Name: "fft_slo_breach", Type: "counter"}
-	burn := obs.Family{Name: "fft_slo_burn_rate", Type: "gauge"}
-	active := obs.Family{Name: "fft_slo_breached", Type: "gauge"}
-	for _, s := range st {
-		ls := []obs.Label{{Name: "objective", Value: s.Name}}
-		breach.Series = append(breach.Series, obs.Series{Suffix: "_total", Labels: ls, Value: float64(s.Breaches)})
-		burn.Series = append(burn.Series, obs.Series{Labels: ls, Value: s.Burn})
-		b := 0.0
-		if s.Breached {
-			b = 1
-		}
-		active.Series = append(active.Series, obs.Series{Labels: ls, Value: b})
-	}
-	return []obs.Family{breach, burn, active}
 }

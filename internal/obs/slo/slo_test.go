@@ -11,7 +11,7 @@ import (
 
 func engine(t *testing.T, objs ...Objective) (*Engine, *obs.EventLog) {
 	t.Helper()
-	log := obs.NewEventLog(64)
+	log := obs.NewEventLog()
 	c := &Config{Objectives: objs}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -24,6 +24,12 @@ func engine(t *testing.T, objs ...Objective) (*Engine, *obs.EventLog) {
 func TestLatencyObjectiveBreaches(t *testing.T) {
 	e, log := engine(t, Objective{
 		Name: "p99", Kind: KindLatency, Target: 1e-3, WindowS: 1, Budget: 0.25, MinSamples: 4,
+	})
+	var breach *obs.Event
+	log.Observe(func(ev obs.Event) {
+		if ev.Kind == obs.EventBreach {
+			breach = &ev
+		}
 	})
 	// Three fast exchanges: under MinSamples, no verdict yet.
 	for i := 0; i < 3; i++ {
@@ -47,13 +53,6 @@ func TestLatencyObjectiveBreaches(t *testing.T) {
 		t.Fatalf("TotalBreaches = %d", e.TotalBreaches())
 	}
 	// The breach event itself must be in the log.
-	var breach *obs.Event
-	for _, ev := range log.Events() {
-		if ev.Kind == obs.EventBreach {
-			ev := ev
-			breach = &ev
-		}
-	}
 	if breach == nil || breach.Label != "p99" || breach.Value <= 1 {
 		t.Fatalf("breach event missing or wrong: %+v", breach)
 	}
@@ -149,29 +148,6 @@ func TestBreachEventsDoNotFeedBack(t *testing.T) {
 	}
 	if got := log.Counts()[obs.EventBreach]; got != 1 {
 		t.Fatalf("breach events in log = %d, want 1", got)
-	}
-}
-
-func TestFamiliesExposition(t *testing.T) {
-	e, log := engine(t, Objective{Name: "r", Kind: KindRepair, MaxCount: 0})
-	log.Emit(obs.Event{T: 0.1, Kind: obs.EventRepair})
-	log.Emit(obs.Event{T: 0.2, Kind: obs.EventRepair})
-	var buf strings.Builder
-	if err := obs.WriteOpenMetrics(&buf, e.Families()); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseOpenMetrics([]byte(buf.String()))
-	if err != nil {
-		t.Fatalf("SLO exposition fails lint: %v\n%s", err, buf.String())
-	}
-	got := map[string]float64{}
-	for _, s := range samples {
-		if s.Labels["objective"] == "r" {
-			got[s.Name] = s.Value
-		}
-	}
-	if got["fft_slo_breach_total"] != 1 || got["fft_slo_breached"] != 1 || got["fft_slo_burn_rate"] != 2 {
-		t.Fatalf("exposition values wrong: %v\n%s", got, buf.String())
 	}
 }
 
@@ -296,7 +272,7 @@ func TestBudgetShareDriftValidation(t *testing.T) {
 func TestNilEngine(t *testing.T) {
 	var e *Engine
 	e.ObserveEvent(obs.Event{Kind: obs.EventFault})
-	if e.Status() != nil || e.TotalBreaches() != 0 || e.Families() != nil {
+	if e.Status() != nil || e.TotalBreaches() != 0 {
 		t.Fatal("nil engine must be inert")
 	}
 	if !strings.Contains(e.Summary(), "no objectives") {

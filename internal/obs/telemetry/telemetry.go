@@ -1,38 +1,33 @@
-// Package telemetry bundles the live-telemetry plumbing every driver
-// shares: the -serve/-eventlog/-slo flag triple, the event log with its
-// JSONL sink, the SLO engine, and the HTTP server. Drivers create one
-// Session per process, Attach each run's recorder to it, and Close it
-// at exit. A nil *Session (telemetry off) is valid everywhere and does
-// nothing, so drivers need no conditionals.
+// Package telemetry bundles the run-record plumbing every driver
+// shares: the -eventlog/-slo/-errtrack flags, the event log with its
+// JSONL sink, the SLO engine and the error-provenance tracker. Drivers
+// create one Session per process, Attach each run's recorder to it, and
+// Close it at exit. A nil *Session (telemetry off) is valid everywhere
+// and does nothing, so drivers need no conditionals.
 package telemetry
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 
 	"repro/internal/obs"
 	"repro/internal/obs/errtrack"
-	"repro/internal/obs/serve"
 	"repro/internal/obs/slo"
 )
 
 // Flags holds the shared telemetry flag values.
 type Flags struct {
-	Serve    *string
 	EventLog *string
 	SLO      *string
 	Errtrack *string
 }
 
-// RegisterFlags declares the -serve/-eventlog/-slo/-errtrack flags on
-// fs. Call before fs.Parse.
+// RegisterFlags declares the -eventlog/-slo/-errtrack flags on fs. Call
+// before fs.Parse.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		Serve:    fs.String("serve", "", "serve live telemetry over HTTP on this address (/metrics, /healthz, /slo, /events, /errtrack, /debug/pprof); port 0 picks a free port"),
 		EventLog: fs.String("eventlog", "", "stream the telemetry event log to this file as JSONL"),
 		SLO:      fs.String("slo", "", "evaluate the SLO objectives in this JSON config (see docs/slo.example.json)"),
 		Errtrack: fs.String("errtrack", "", "write the error-provenance report (per-reshape/per-peer attribution; cmd/errmap renders it) to this JSON file"),
@@ -43,46 +38,53 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 // runtime amends (forcing the tracker on for artifact embedding) before
 // calling Start.
 func (f *Flags) Config() Config {
-	return Config{Serve: *f.Serve, EventLog: *f.EventLog, SLO: *f.SLO, Errtrack: *f.Errtrack}
+	return Config{EventLog: *f.EventLog, SLO: *f.SLO, Errtrack: *f.Errtrack}
 }
 
 // Config selects which telemetry pieces to enable; zero values are off.
 type Config struct {
-	Serve    string // HTTP listen address
 	EventLog string // JSONL sink path
 	SLO      string // objectives config path
 	Errtrack string // error-provenance report path
 	// Tracker attaches the error-provenance tracker without writing a
 	// report file — benches set it so their -json artifacts can embed the
 	// attribution matrix.
-	Tracker  bool
-	EventCap int // event ring capacity (0 = default)
+	Tracker bool
 }
 
-// Session is one process's live-telemetry state.
+// Session is one process's telemetry state.
 type Session struct {
 	log     *obs.EventLog
 	eng     *slo.Engine
 	trk     *errtrack.Tracker
-	srv     *serve.Server
-	addr    string
 	errPath string
 	file    *os.File
 	bw      *bufio.Writer
 }
 
-// Start assembles a session: the event log spine, then the JSONL sink,
-// SLO engine, and HTTP server as configured. Returns nil when the
-// config enables nothing.
+// Start assembles a session: the event log spine, then the SLO engine,
+// tracker and JSONL sink as configured. The SLO config is loaded before
+// the sink file is created, so a bad -slo leaves no empty event log
+// behind. Returns nil when the config enables nothing.
 func Start(cfg Config) (*Session, error) {
-	if cfg.Serve == "" && cfg.EventLog == "" && cfg.SLO == "" && cfg.Errtrack == "" && !cfg.Tracker {
+	if cfg.EventLog == "" && cfg.SLO == "" && cfg.Errtrack == "" && !cfg.Tracker {
 		return nil, nil
 	}
-	s := &Session{log: obs.NewEventLog(cfg.EventCap)}
+	s := &Session{log: obs.NewEventLog()}
+	if cfg.SLO != "" {
+		sc, err := slo.LoadConfig(cfg.SLO)
+		if err != nil {
+			return nil, err
+		}
+		s.eng = slo.New(sc, s.log)
+	}
 	if cfg.Errtrack != "" || cfg.Tracker {
 		s.trk = errtrack.New()
 		s.errPath = cfg.Errtrack
 		s.log.Observe(s.trk.Observe)
+	}
+	if s.eng != nil {
+		s.log.Observe(s.eng.ObserveEvent)
 	}
 	if cfg.EventLog != "" {
 		file, err := os.Create(cfg.EventLog)
@@ -93,28 +95,10 @@ func Start(cfg Config) (*Session, error) {
 		s.bw = bufio.NewWriter(file)
 		s.log.SetSink(s.bw)
 	}
-	if cfg.SLO != "" {
-		sc, err := slo.LoadConfig(cfg.SLO)
-		if err != nil {
-			s.closeSink()
-			return nil, err
-		}
-		s.eng = slo.New(sc, s.log)
-		s.log.Observe(s.eng.ObserveEvent)
-	}
-	if cfg.Serve != "" {
-		s.srv = serve.New(nil, s.log, s.eng, s.trk)
-		addr, err := s.srv.Start(cfg.Serve)
-		if err != nil {
-			s.closeSink()
-			return nil, err
-		}
-		s.addr = addr
-	}
 	return s, nil
 }
 
-// Enabled reports whether any telemetry is live.
+// Enabled reports whether any telemetry is on.
 func (s *Session) Enabled() bool { return s != nil }
 
 // Log returns the session's event log (nil when telemetry is off).
@@ -142,25 +126,13 @@ func (s *Session) Tracker() *errtrack.Tracker {
 	return s.trk
 }
 
-// Addr returns the HTTP server's bound address (empty without -serve).
-func (s *Session) Addr() string {
-	if s == nil {
-		return ""
-	}
-	return s.addr
-}
-
-// Attach wires a run's recorder into the session: events flow into the
-// log and the HTTP handlers read this recorder's registry. Call once
-// per recorder, before its run starts.
+// Attach wires a run's recorder into the session so its events flow
+// into the log. Call once per recorder, before its run starts.
 func (s *Session) Attach(rec *obs.Recorder) {
 	if s == nil {
 		return
 	}
 	rec.SetEventLog(s.log)
-	if s.srv != nil {
-		s.srv.SetSources(rec, s.log, s.eng, s.trk)
-	}
 }
 
 // StartRun emits a run marker: virtual time restarts at zero, so SLO
@@ -170,31 +142,6 @@ func (s *Session) StartRun(label string) {
 		return
 	}
 	s.log.StartRun(label)
-}
-
-// Scrape fetches this session's own /metrics exposition.
-func (s *Session) Scrape() ([]byte, error) {
-	if s == nil || s.addr == "" {
-		return nil, fmt.Errorf("telemetry: no -serve address to scrape")
-	}
-	resp, err := http.Get("http://" + s.addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("telemetry: scrape returned %s", resp.Status)
-	}
-	return io.ReadAll(resp.Body)
-}
-
-// ScrapeTo writes a /metrics scrape to path.
-func (s *Session) ScrapeTo(path string) error {
-	b, err := s.Scrape()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }
 
 // Summary is the one-line end-of-run telemetry summary the drivers
@@ -216,24 +163,10 @@ func (s *Session) Summary() string {
 	return "telemetry: " + base
 }
 
-func (s *Session) closeSink() error {
-	var err error
-	if s.bw != nil {
-		err = s.bw.Flush()
-	}
-	if s.file != nil {
-		if cerr := s.file.Close(); err == nil {
-			err = cerr
-		}
-	}
-	s.bw, s.file = nil, nil
-	return err
-}
-
-// Close emits the end-of-stream marker, flushes the JSONL sink, writes
-// the -errtrack report, and stops the HTTP server, returning the first
-// error the sink ever hit so a silently failing event stream cannot
-// masquerade as a healthy run.
+// Close emits the end-of-stream marker, flushes and closes the JSONL
+// sink, and writes the -errtrack report, returning the first error the
+// sink ever hit so a silently failing event stream cannot masquerade as
+// a healthy run.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -248,12 +181,14 @@ func (s *Session) Close() error {
 			err = werr
 		}
 	}
-	if ferr := s.closeSink(); err == nil {
-		err = ferr
+	if s.bw != nil {
+		if ferr := s.bw.Flush(); err == nil {
+			err = ferr
+		}
 	}
-	if s.srv != nil {
-		if serr := s.srv.Close(); err == nil {
-			err = serr
+	if s.file != nil {
+		if cerr := s.file.Close(); err == nil {
+			err = cerr
 		}
 	}
 	return err

@@ -22,7 +22,7 @@ func TestSessionOffIsNil(t *testing.T) {
 		t.Fatal("all-off config must return a nil session")
 	}
 	// Everything must be callable on nil.
-	if s.Enabled() || s.Addr() != "" || s.Log() != nil || s.Engine() != nil || s.Summary() != "" {
+	if s.Enabled() || s.Log() != nil || s.Engine() != nil || s.Summary() != "" {
 		t.Fatal("nil session not inert")
 	}
 	s.Attach(nil)
@@ -33,22 +33,21 @@ func TestSessionOffIsNil(t *testing.T) {
 }
 
 // TestSessionEndToEnd drives the full stack once: event log with JSONL
-// sink, SLO engine from the shipped example config, HTTP server, a real
-// faulty run attached, a self-scrape, and a clean Close — then replays
-// the sink file to check it is valid JSONL.
+// sink, SLO engine from the shipped example config, a real faulty run
+// attached, and a clean Close — then replays the sink file to check it
+// is valid JSONL.
 func TestSessionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	events := filepath.Join(dir, "events.jsonl")
 	s, err := Start(Config{
-		Serve:    "127.0.0.1:0",
 		EventLog: events,
 		SLO:      "../../../docs/slo.example.json",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Enabled() || s.Addr() == "" || s.Engine() == nil {
-		t.Fatalf("session incomplete: addr=%q", s.Addr())
+	if !s.Enabled() || s.Engine() == nil {
+		t.Fatal("session incomplete")
 	}
 
 	rec := obs.New(obs.Options{Metrics: true})
@@ -69,29 +68,6 @@ func TestSessionEndToEnd(t *testing.T) {
 
 	if s.Log().Counts()[obs.EventFault] == 0 {
 		t.Fatal("fault plan produced no fault events")
-	}
-
-	// The self-scrape must be lint-clean and carry fault counters.
-	scrape := filepath.Join(dir, "metrics.om")
-	if err := s.ScrapeTo(scrape); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(scrape)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseOpenMetrics(data)
-	if err != nil {
-		t.Fatalf("self-scrape fails lint: %v\n%s", err, data)
-	}
-	foundFault := false
-	for _, sm := range samples {
-		if sm.Name == "fft_fault_retries_total" || sm.Name == "fft_fault_stalls_total" {
-			foundFault = true
-		}
-	}
-	if !foundFault {
-		t.Fatalf("scrape carries no fault families:\n%s", data)
 	}
 
 	if sum := s.Summary(); sum == "" {
@@ -130,15 +106,12 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSessionSLOOnly checks the cheapest configuration: no server, no
-// sink, just objective tracking.
+// TestSessionSLOOnly checks the cheapest configuration: no sink, just
+// objective tracking.
 func TestSessionSLOOnly(t *testing.T) {
 	s, err := Start(Config{SLO: "../../../docs/slo.example.json"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if s.Addr() != "" {
-		t.Fatalf("unexpected server at %s", s.Addr())
 	}
 	s.StartRun("cell")
 	for i := 0; i < 3; i++ {
@@ -159,7 +132,13 @@ func TestSessionBadConfigs(t *testing.T) {
 	if _, err := Start(Config{EventLog: filepath.Join("no", "such", "dir", "x.jsonl")}); err == nil {
 		t.Fatal("unwritable event log path accepted")
 	}
-	if _, err := Start(Config{Serve: "256.256.256.256:99999"}); err == nil {
-		t.Fatal("unbindable serve address accepted")
+	// A bad SLO config fails before the sink is created: no empty event
+	// log is left behind.
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	if _, err := Start(Config{EventLog: events, SLO: "does-not-exist.json"}); err == nil {
+		t.Fatal("missing SLO config accepted with an event log")
+	}
+	if _, err := os.Stat(events); !os.IsNotExist(err) {
+		t.Fatalf("bad -slo left an event log behind: stat err = %v", err)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Metric families of the recovery subsystem (exported through the
-// OpenMetrics sidecar under fft_recovery_*).
+// Registry names of the recovery subsystem (the -metrics report prints
+// them under recovery/*).
 const (
 	MetricCheckpoints         = "recovery/checkpoints"
 	MetricCheckpointBytes     = "recovery/checkpoint_bytes"
@@ -23,10 +23,9 @@ const (
 	MetricMTTRS               = "recovery/mttr_s"
 )
 
-// Metric families of the elastic shrink path (exported under
-// fft_shrink_*). MTTR after a shrink is tracked separately from plain
-// respawn MTTR: a shrink pays agreement + re-planning + migration on
-// top of the backoff.
+// Registry names of the elastic shrink path (printed under shrink/*).
+// MTTR after a shrink is tracked separately from plain respawn MTTR: a
+// shrink pays agreement + re-planning + migration on top of the backoff.
 const (
 	MetricShrinks       = "shrink/events"
 	MetricShrinkLost    = "shrink/ranks_lost"
