@@ -16,8 +16,11 @@ test:
 # all of them must be race-clean), the fixed-seed determinism smoke
 # proving the parallel engine bit-identical to the sequential one, and
 # fixed-seed chaos sweeps — one per engine mode, plus one under the
-# race detector. The last step, strays, fails the recipe if anything it
-# (or anyone else) started from this module is still running.
+# race detector — and the structure-factor example, the executed caller
+# of the real-to-complex plan (it exits 1 when its Bragg peak misses).
+# `go test ./...` includes the dead-code gate (deadcode_test.go). The
+# last step, strays, fails the recipe if anything it (or anyone else)
+# started from this module is still running.
 verify:
 	go build ./...
 	go test ./...
@@ -34,6 +37,7 @@ verify:
 	$(MAKE) telemetry-demo
 	$(MAKE) errmap-demo
 	$(MAKE) tune-demo
+	go run ./examples/structurefactor
 	$(MAKE) strays
 
 # strays fails, listing them, if a process whose executable is one of
@@ -69,16 +73,18 @@ lint:
 		echo "lint: staticcheck not installed; go vet only"; \
 	fi
 
-# loc prints non-test and test Go lines per package under internal/ and
-# cmd/ — the numbers ROADMAP.md's size budgets quote, so a simplicity PR
-# states its before/after from one command.
+# loc prints non-test and test Go lines per package: everything under
+# internal/ and cmd/ (subtotalled, the number ROADMAP.md's older budgets
+# quote), benchmark/, each example and the root package (the module-wide
+# tests). A simplicity PR states its before/after from one command.
 loc:
 	@printf '%-28s %8s %8s\n' package non-test test
-	@for d in $$(find internal cmd -name '*.go' -exec dirname {} \; | sort -u); do \
-		printf '%-28s %8d %8d\n' $$d \
+	@for d in $$(find internal cmd benchmark examples -name '*.go' -exec dirname {} \; | sort -u) .; do \
+		printf '%-28s %8d %8d\n' $$(if [ $$d = . ]; then echo '(root)'; else echo $$d; fi) \
 			$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) \
 			$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
-	done | awk '{print; n += $$2; t += $$3} END {printf "%-28s %8d %8d\n", "total", n, t}'
+	done | awk '{print; n += $$2; t += $$3} /^(internal|cmd)\// {sn += $$2; st += $$3} \
+		END {printf "%-28s %8d %8d\n%-28s %8d %8d\n", "internal+cmd", sn, st, "total", n, t}'
 
 # verify-parallel re-runs the tier-1 tests with NETSIM_PARALLEL=1, which
 # forces every netsim run in the tree onto the parallel engine — the

@@ -272,8 +272,8 @@ func TestProfileBreakdown(t *testing.T) {
 		t.Errorf("profile total %.3g inconsistent with forward time %.3g", p.Total(), r.ForwardTime)
 	}
 	// At 512³-equivalent volume on 48 GPUs the exchange dominates (§I).
-	if p.CommFraction() < 0.5 {
-		t.Errorf("communication fraction %.2f unexpectedly low", p.CommFraction())
+	if frac := p.Exchange / p.Total(); frac < 0.5 {
+		t.Errorf("communication fraction %.2f unexpectedly low", frac)
 	}
 	if p.FFT <= 0 || p.Pack <= 0 || p.Unpack <= 0 {
 		t.Errorf("missing phases: %+v", p)

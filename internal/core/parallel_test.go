@@ -80,7 +80,7 @@ func TestParallelR2CMatchesSequential(t *testing.T) {
 					spec := append([]complex128(nil), pl.Forward(in)...)
 					back := pl.Backward(spec)
 					if c.Rank() == 0 {
-						out.Profile = pl.LastProfile()
+						out.Profile = pl.inner.profile
 						out.Spec = spec
 						out.Back = append([]float64(nil), back...)
 					}

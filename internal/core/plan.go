@@ -66,15 +66,6 @@ func (p Profile) Total() float64 {
 	return p.Pack + p.Exchange + p.Unpack + p.FFT + p.Scale
 }
 
-// CommFraction returns the share of time spent in the exchanges.
-func (p Profile) CommFraction() float64 {
-	t := p.Total()
-	if t == 0 {
-		return 0
-	}
-	return p.Exchange / t
-}
-
 // LastProfile returns the phase breakdown of the most recent Forward or
 // Backward call on this rank.
 func (pl *Plan[C]) LastProfile() Profile { return pl.profile }
@@ -141,9 +132,6 @@ func (pl *Plan[C]) OutBox() grid.Box { return pl.boxes[pl.last][pl.c.Rank()] }
 // the z-pencil output of the PencilIO configuration).
 func (pl *Plan[C]) OutOrder() grid.Order { return pl.orders[pl.last] }
 
-// N returns the global transform shape.
-func (pl *Plan[C]) N() [3]int { return pl.n }
-
 // Method returns the compression method the reshapes use (None for the
 // uncompressed backends).
 func (pl *Plan[C]) Method() compress.Method {
@@ -151,11 +139,6 @@ func (pl *Plan[C]) Method() compress.Method {
 		return pl.opts.Method
 	}
 	return compress.None{}
-}
-
-// FlopCount returns the 5·N·log2(N) flop estimate of one transform.
-func (pl *Plan[C]) FlopCount() float64 {
-	return fft.FlopCount(pl.n[0] * pl.n[1] * pl.n[2])
 }
 
 // Forward computes the forward 3-D FFT of in (this rank's InBox data,

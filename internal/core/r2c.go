@@ -90,10 +90,6 @@ func (pl *PlanR2C[C]) OutBox() grid.Box { return pl.inner.OutBox() }
 // OutOrder returns the output memory layout (z fastest).
 func (pl *PlanR2C[C]) OutOrder() grid.Order { return pl.inner.OutOrder() }
 
-// N returns the real grid shape; SpectrumN the reduced grid shape.
-func (pl *PlanR2C[C]) N() [3]int         { return pl.n }
-func (pl *PlanR2C[C]) SpectrumN() [3]int { return pl.nr }
-
 // Forward computes the half-spectrum 3-D DFT of this rank's real brick
 // (unscaled). The result (OutBox data in OutOrder layout) is owned by
 // the plan and valid until the next call.
@@ -136,6 +132,3 @@ func (pl *PlanR2C[C]) Backward(spec []C) []float64 {
 	})
 	return pl.bwd.execute(pl.pencil)
 }
-
-// LastProfile returns the inner pipeline's phase breakdown.
-func (pl *PlanR2C[C]) LastProfile() Profile { return pl.inner.profile }

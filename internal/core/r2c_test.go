@@ -193,8 +193,8 @@ func TestR2CBoxesAndShapes(t *testing.T) {
 	mpi.Run(machine(6), func(c *mpi.Comm) {
 		n := [3]int{12, 8, 10}
 		pl := NewPlanR2C[complex128](c, n, Options{Backend: BackendAlltoallv})
-		if pl.SpectrumN() != [3]int{7, 8, 10} {
-			t.Errorf("spectrum grid %v", pl.SpectrumN())
+		if pl.nr != [3]int{7, 8, 10} {
+			t.Errorf("spectrum grid %v", pl.nr)
 		}
 		if pl.OutBox().Size(2) != n[2] {
 			t.Errorf("output %v not a z-pencil", pl.OutBox())

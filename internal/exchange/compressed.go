@@ -177,9 +177,6 @@ func splitGroups(order []int, k int) [][]int {
 	return groups
 }
 
-// Method returns the compression method in use.
-func (x *CompressedOSC) Method() compress.Method { return x.method }
-
 // Exchange performs the compressed all-to-all on float64 payloads:
 // send[d] (counts(d, me) values) is compressed and put into rank d's
 // window; the returned slices (indexed by source, reused across calls)
@@ -466,10 +463,6 @@ func (x *CompressedOSC) healEpoch(send [][]float64, damaged []bool) {
 // fallen-back slots arrive lossless (raw FP64), trading the compression
 // win for integrity. Always healthy without a fault plan.
 func (x *CompressedOSC) Health() Degradation { return x.heal.report() }
-
-// SetAdaptive installs a degradation policy (see AdaptivePolicy). All
-// ranks must install the same policy before the first Exchange.
-func (x *CompressedOSC) SetAdaptive(p AdaptivePolicy) { x.heal.setPolicy(p) }
 
 // LedgerState serializes the healing ledger (per-peer damage counters,
 // fallback flags, and re-promotion schedule) for an epoch checkpoint.

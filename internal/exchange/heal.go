@@ -24,50 +24,19 @@ const (
 	metricRepromotions  = "exchange/repromotions"
 )
 
-// DefaultFallbackAfter is how many damaged epochs a peer link tolerates
-// before the exchange stops trusting its one-sided path and moves the
-// pair to the lossless two-sided transport.
-const DefaultFallbackAfter = 3
-
-// DefaultRepromoteAfter is how many clean two-sided epochs a demoted
-// link serves before the exchange probes its one-sided path again.
-const DefaultRepromoteAfter = 4
-
-// AdaptivePolicy tunes the degradation ladder of the self-healing
-// exchanges (docs/ROBUSTNESS.md): a peer link steps from the compressed
-// or raw one-sided fast path down to the lossless two-sided transport
-// after FallbackAfter damaged epochs, and — after RepromoteAfter clean
-// epochs there — is probed on the one-sided path again. A failed probe
+// The degradation ladder of the self-healing exchanges
+// (docs/ROBUSTNESS.md): a peer link steps from the compressed or raw
+// one-sided fast path down to the lossless two-sided transport after
+// fallbackAfter damaged epochs, and — after repromoteAfter clean epochs
+// there — is probed on the one-sided path again. A failed probe
 // re-demotes immediately and doubles the wait before the next probe
-// (hysteresis), up to MaxProbeWait; a clean probe restores the link
-// fully, clearing its damage counters. All ranks of a run must use the
-// same policy (the ledger state is symmetric by construction).
-type AdaptivePolicy struct {
-	// FallbackAfter is the damaged-epoch count that demotes a link.
-	// 0 takes DefaultFallbackAfter.
-	FallbackAfter int
-	// RepromoteAfter is the clean-epoch count before a probe. 0 takes
-	// DefaultRepromoteAfter; negative disables re-promotion entirely
-	// (the pre-hysteresis one-way fallback).
-	RepromoteAfter int
-	// MaxProbeWait caps the doubling probe backoff, in epochs. 0 takes
-	// 16×RepromoteAfter.
-	MaxProbeWait int
-}
-
-// withDefaults fills zero-valued knobs.
-func (p AdaptivePolicy) withDefaults() AdaptivePolicy {
-	if p.FallbackAfter == 0 {
-		p.FallbackAfter = DefaultFallbackAfter
-	}
-	if p.RepromoteAfter == 0 {
-		p.RepromoteAfter = DefaultRepromoteAfter
-	}
-	if p.MaxProbeWait == 0 && p.RepromoteAfter > 0 {
-		p.MaxProbeWait = 16 * p.RepromoteAfter
-	}
-	return p
-}
+// (hysteresis), up to maxProbeWait epochs; a clean probe restores the
+// link fully, clearing its damage counters.
+const (
+	fallbackAfter  = 3
+	repromoteAfter = 4
+	maxProbeWait   = 16 * repromoteAfter
+)
 
 // Degradation reports how far a self-healing exchange has drifted from
 // its pure one-sided fast path: Repairs counts slots re-fetched over
@@ -110,13 +79,7 @@ func (d Degradation) String() string {
 // same epoch counter). The exchanges' message pattern depends on this
 // state, so symmetry is what keeps the protocol deadlock-free.
 type healer struct {
-	c *mpi.Comm
-	// threshold is the damaged-epoch count that triggers fallback.
-	threshold int
-	// repromote is the clean-epoch count before a demoted link is probed
-	// (<0 disables re-promotion); maxWait caps the doubling probe wait.
-	repromote int
-	maxWait   int
+	c         *mpi.Comm
 	epoch     int    // exchanges completed (all ranks agree; collective)
 	failFrom  []int  // damaged epochs per source
 	failTo    []int  // resend demands per destination
@@ -137,25 +100,14 @@ type healer struct {
 
 func newHealer(c *mpi.Comm) *healer {
 	p := c.Size()
-	pol := AdaptivePolicy{}.withDefaults()
 	return &healer{
-		c: c, threshold: pol.FallbackAfter,
-		repromote: pol.RepromoteAfter, maxWait: pol.MaxProbeWait,
+		c:        c,
 		failFrom: make([]int, p), failTo: make([]int, p),
 		fellFrom: make([]bool, p), fellTo: make([]bool, p),
 		probeFrom: make([]int, p), probeTo: make([]int, p),
 		waitFrom: make([]int, p), waitTo: make([]int, p),
 		probingFrom: make([]bool, p), probingTo: make([]bool, p),
 	}
-}
-
-// setPolicy installs an adaptive policy (construction-time; all ranks
-// must install the same one).
-func (h *healer) setPolicy(p AdaptivePolicy) {
-	p = p.withDefaults()
-	h.threshold = p.FallbackAfter
-	h.repromote = p.RepromoteAfter
-	h.maxWait = p.MaxProbeWait
 }
 
 // active reports whether the healing protocol runs at all. Without a
@@ -173,9 +125,6 @@ func (h *healer) beginEpoch() {
 		return
 	}
 	h.epoch++
-	if h.repromote < 0 {
-		return
-	}
 	rk := h.c.Obs()
 	for p := range h.fellTo {
 		if h.fellTo[p] && h.probeTo[p] == h.epoch {
@@ -219,16 +168,13 @@ func (h *healer) maskExpected(expected []int) []int {
 // demotion starts at the base wait.
 func (h *healer) demoteTo(d int) {
 	h.fellTo[d] = true
-	if h.repromote < 0 {
-		return
-	}
 	if h.probingTo[d] {
 		h.probingTo[d] = false
-		if h.waitTo[d] *= 2; h.waitTo[d] > h.maxWait {
-			h.waitTo[d] = h.maxWait
+		if h.waitTo[d] *= 2; h.waitTo[d] > maxProbeWait {
+			h.waitTo[d] = maxProbeWait
 		}
 	} else {
-		h.waitTo[d] = h.repromote
+		h.waitTo[d] = repromoteAfter
 	}
 	h.probeTo[d] = h.epoch + h.waitTo[d]
 }
@@ -236,16 +182,13 @@ func (h *healer) demoteTo(d int) {
 // demoteFrom is demoteTo for the source direction.
 func (h *healer) demoteFrom(s int) {
 	h.fellFrom[s] = true
-	if h.repromote < 0 {
-		return
-	}
 	if h.probingFrom[s] {
 		h.probingFrom[s] = false
-		if h.waitFrom[s] *= 2; h.waitFrom[s] > h.maxWait {
-			h.waitFrom[s] = h.maxWait
+		if h.waitFrom[s] *= 2; h.waitFrom[s] > maxProbeWait {
+			h.waitFrom[s] = maxProbeWait
 		}
 	} else {
-		h.waitFrom[s] = h.repromote
+		h.waitFrom[s] = repromoteAfter
 	}
 	h.probeFrom[s] = h.epoch + h.waitFrom[s]
 }
@@ -297,7 +240,7 @@ func (h *healer) round(damaged, putSrc, putDst []bool, resend func(int) []byte, 
 			continue
 		}
 		resendTo = append(resendTo, d)
-		if h.failTo[d]++; h.failTo[d] >= h.threshold && !h.fellTo[d] {
+		if h.failTo[d]++; h.failTo[d] >= fallbackAfter && !h.fellTo[d] {
 			h.demoteTo(d)
 			rk.Add(metricFallbackPeers, 1)
 			rk.Emit(obs.Event{T: h.c.Now(), Kind: obs.EventFallback, Label: "to", Peer: d, Value: float64(h.failTo[d])})
@@ -318,7 +261,7 @@ func (h *healer) round(damaged, putSrc, putDst []bool, resend func(int) []byte, 
 		h.repairs++
 		rk.Add(metricRepairs, 1)
 		rk.Emit(obs.Event{T: h.c.Now(), Kind: obs.EventRepair, Peer: s, Value: 1})
-		if h.failFrom[s]++; h.failFrom[s] >= h.threshold && !h.fellFrom[s] {
+		if h.failFrom[s]++; h.failFrom[s] >= fallbackAfter && !h.fellFrom[s] {
 			h.demoteFrom(s)
 			rk.Add(metricFallbackPeers, 1)
 			rk.Emit(obs.Event{T: h.c.Now(), Kind: obs.EventFallback, Label: "from", Peer: s, Value: float64(h.failFrom[s])})

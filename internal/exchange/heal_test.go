@@ -58,7 +58,7 @@ func TestOSCFallsBackAfterRepeatedDamage(t *testing.T) {
 	cfg.Faults = silentPlan(12)
 	p := cfg.Ranks()
 	const msg = 128
-	iters := DefaultFallbackAfter + 2
+	iters := fallbackAfter + 2
 	_, err := mpi.RunChecked(cfg, func(c *mpi.Comm) {
 		me := c.Rank()
 		o := NewOSC(c, Uniform(msg), true)
@@ -102,7 +102,7 @@ func TestCompressedOSCHealsToLossless(t *testing.T) {
 	cfg.Faults = silentPlan(13)
 	p := cfg.Ranks()
 	const vals = 32 // 32 FP16 values + header ≥ the corruption floor
-	iters := DefaultFallbackAfter + 2
+	iters := fallbackAfter + 2
 	_, err := mpi.RunChecked(cfg, func(c *mpi.Comm) {
 		me := c.Rank()
 		x := NewCompressedOSC(c, compress.Cast16{}, gpu.NewStream(gpu.V100(), c), 3, UniformCount(vals))
@@ -160,12 +160,12 @@ func TestOSCRepromotesAfterCleanProbe(t *testing.T) {
 			if d == me {
 				continue
 			}
-			h.fellTo[d], h.failTo[d] = true, h.threshold
-			h.waitTo[d], h.probeTo[d] = h.repromote, h.repromote
-			h.fellFrom[d], h.failFrom[d] = true, h.threshold
-			h.waitFrom[d], h.probeFrom[d] = h.repromote, h.repromote
+			h.fellTo[d], h.failTo[d] = true, fallbackAfter
+			h.waitTo[d], h.probeTo[d] = repromoteAfter, repromoteAfter
+			h.fellFrom[d], h.failFrom[d] = true, fallbackAfter
+			h.waitFrom[d], h.probeFrom[d] = repromoteAfter, repromoteAfter
 		}
-		for iter := 0; iter <= h.repromote; iter++ {
+		for iter := 0; iter <= repromoteAfter; iter++ {
 			send := make([][]byte, p)
 			for d := 0; d < p; d++ {
 				send[d] = payload(me+iter, d, msg)
@@ -208,7 +208,7 @@ func TestOSCFailedProbeDoublesWait(t *testing.T) {
 	cfg.Faults = silentPlan(16)
 	p := cfg.Ranks()
 	const msg = 128
-	probeAt := DefaultFallbackAfter + DefaultRepromoteAfter // demote at 3, probe at 7
+	probeAt := fallbackAfter + repromoteAfter // demote at 3, probe at 7
 	iters := probeAt + 1
 	_, err := mpi.RunChecked(cfg, func(c *mpi.Comm) {
 		me := c.Rank()
@@ -237,46 +237,11 @@ func TestOSCFailedProbeDoublesWait(t *testing.T) {
 			if d == me {
 				continue
 			}
-			if want := 2 * DefaultRepromoteAfter; h.waitTo[d] != want {
+			if want := 2 * repromoteAfter; h.waitTo[d] != want {
 				t.Errorf("rank %d peer %d: probe wait %d, want doubled %d", me, d, h.waitTo[d], want)
 			}
-			if want := probeAt + 2*DefaultRepromoteAfter; h.probeTo[d] != want {
+			if want := probeAt + 2*repromoteAfter; h.probeTo[d] != want {
 				t.Errorf("rank %d peer %d: next probe at %d, want %d", me, d, h.probeTo[d], want)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatalf("run error: %v", err)
-	}
-}
-
-func TestOSCOneWayFallbackWhenDisabled(t *testing.T) {
-	// RepromoteAfter < 0 restores the pre-hysteresis behavior: a demoted
-	// link never probes and never returns.
-	cfg := machine(1)
-	cfg.Faults = silentPlan(17)
-	p := cfg.Ranks()
-	const msg = 128
-	iters := DefaultFallbackAfter + DefaultRepromoteAfter + 2
-	_, err := mpi.RunChecked(cfg, func(c *mpi.Comm) {
-		me := c.Rank()
-		o := NewOSC(c, Uniform(msg), true)
-		o.SetAdaptive(AdaptivePolicy{RepromoteAfter: -1})
-		for iter := 0; iter < iters; iter++ {
-			send := make([][]byte, p)
-			for d := 0; d < p; d++ {
-				send[d] = payload(me+iter, d, msg)
-			}
-			o.Exchange(send)
-		}
-		h := o.heal
-		hd := o.Health()
-		if len(hd.Fallback) != p-1 || hd.Promotions != 0 {
-			t.Errorf("rank %d degradation %v, want permanent one-way fallback", me, hd)
-		}
-		for d := 0; d < p; d++ {
-			if h.probeTo[d] != 0 || h.probeFrom[d] != 0 {
-				t.Errorf("rank %d peer %d: probe scheduled with re-promotion disabled", me, d)
 			}
 		}
 	})

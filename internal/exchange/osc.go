@@ -107,10 +107,6 @@ func newOSC(c *mpi.Comm, size SizeFn, nodeAware, alloc bool) *OSC {
 // without a fault plan.
 func (o *OSC) Health() Degradation { return o.heal.report() }
 
-// SetAdaptive installs a degradation policy (see AdaptivePolicy). All
-// ranks must install the same policy before the first Exchange.
-func (o *OSC) SetAdaptive(p AdaptivePolicy) { o.heal.setPolicy(p) }
-
 // LedgerState serializes the healing ledger (per-peer damage counters,
 // fallback flags, and re-promotion schedule) for an epoch checkpoint.
 func (o *OSC) LedgerState() []byte { return o.heal.state() }

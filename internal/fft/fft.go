@@ -55,9 +55,6 @@ func NewPlan[C Complex](n int) *Plan[C] {
 	return p
 }
 
-// Len returns the transform length.
-func (p *Plan[C]) Len() int { return p.n }
-
 func trailingLog2(n int) int {
 	l := 0
 	for 1<<l < n {
@@ -116,20 +113,6 @@ func (p *Plan[C]) Transform(x []C, sign int) {
 		return
 	}
 	p.blue.transform(x, sign)
-}
-
-// ForwardTransform computes the unscaled forward DFT in place.
-func (p *Plan[C]) ForwardTransform(x []C) { p.Transform(x, Forward) }
-
-// InverseTransform computes the inverse DFT in place, scaled by 1/n so
-// that InverseTransform(ForwardTransform(x)) ≈ x.
-func (p *Plan[C]) InverseTransform(x []C) {
-	p.Transform(x, Inverse)
-	scale := 1 / float64(p.n)
-	s := cmplxAs[C](scale, 0)
-	for i := range x {
-		x[i] *= s
-	}
 }
 
 func (p *Plan[C]) radix2(x []C, sign int) {
@@ -273,27 +256,4 @@ func (bs *bluestein[C]) transform(x []C, sign int) {
 	for k := 0; k < bs.n; k++ {
 		x[k] = a[k] * inv * w[k]
 	}
-}
-
-// DFT computes the unscaled discrete Fourier transform of x directly in
-// O(n²); it exists as an oracle for tests.
-func DFT[C Complex](x []C, sign int) []C {
-	n := len(x)
-	out := make([]C, n)
-	for k := 0; k < n; k++ {
-		var acc complex128
-		for j := 0; j < n; j++ {
-			ang := float64(sign) * 2 * math.Pi * float64(j) * float64(k) / float64(n)
-			var xv complex128
-			switch v := any(x[j]).(type) {
-			case complex64:
-				xv = complex128(v)
-			case complex128:
-				xv = v
-			}
-			acc += xv * complex(math.Cos(ang), math.Sin(ang))
-		}
-		out[k] = cmplxAs[C](real(acc), imag(acc))
-	}
-	return out
 }

@@ -36,15 +36,6 @@ func Forward3D[C Complex](x []C, n0, n1, n2 int) {
 	Transform3D(x, n0, n1, n2, Forward)
 }
 
-// Inverse3D computes the inverse 3-D DFT in place, scaled by 1/(n0·n1·n2).
-func Inverse3D[C Complex](x []C, n0, n1, n2 int) {
-	Transform3D(x, n0, n1, n2, Inverse)
-	s := cmplxAs[C](1/float64(n0*n1*n2), 0)
-	for i := range x {
-		x[i] *= s
-	}
-}
-
 // FlopCount returns the standard 5·N·log2(N) flop estimate for a complex
 // transform of total size n (the metric the paper's Gflop/s figures use).
 func FlopCount(n int) float64 {

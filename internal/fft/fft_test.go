@@ -27,6 +27,52 @@ func maxErr(a, b []complex128) float64 {
 	return m
 }
 
+// ForwardTransform computes the unscaled forward DFT in place.
+func (p *Plan[C]) ForwardTransform(x []C) { p.Transform(x, Forward) }
+
+// InverseTransform computes the inverse DFT in place, scaled by 1/n so
+// that InverseTransform(ForwardTransform(x)) ≈ x.
+func (p *Plan[C]) InverseTransform(x []C) {
+	p.Transform(x, Inverse)
+	scale := 1 / float64(p.n)
+	s := cmplxAs[C](scale, 0)
+	for i := range x {
+		x[i] *= s
+	}
+}
+
+// Inverse3D computes the inverse 3-D DFT in place, scaled by 1/(n0·n1·n2).
+func Inverse3D[C Complex](x []C, n0, n1, n2 int) {
+	Transform3D(x, n0, n1, n2, Inverse)
+	s := cmplxAs[C](1/float64(n0*n1*n2), 0)
+	for i := range x {
+		x[i] *= s
+	}
+}
+
+// DFT computes the unscaled discrete Fourier transform of x directly in
+// O(n²), the oracle the fast transforms are checked against.
+func DFT[C Complex](x []C, sign int) []C {
+	n := len(x)
+	out := make([]C, n)
+	for k := 0; k < n; k++ {
+		var acc complex128
+		for j := 0; j < n; j++ {
+			ang := float64(sign) * 2 * math.Pi * float64(j) * float64(k) / float64(n)
+			var xv complex128
+			switch v := any(x[j]).(type) {
+			case complex64:
+				xv = complex128(v)
+			case complex128:
+				xv = v
+			}
+			acc += xv * complex(math.Cos(ang), math.Sin(ang))
+		}
+		out[k] = cmplxAs[C](real(acc), imag(acc))
+	}
+	return out
+}
+
 func TestForwardMatchesDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 30, 32, 100, 128, 243} {
 		x := randVec(n, int64(n))

@@ -2,11 +2,6 @@ package fft
 
 import "math"
 
-// Real constrains the scalar type of a real transform.
-type Real interface {
-	~float32 | ~float64
-}
-
 // PlanR2C computes real-to-complex transforms of even length n using the
 // standard half-length trick: the n real samples are packed into n/2
 // complex values, transformed with a complex plan, and untangled into
@@ -36,9 +31,6 @@ func NewPlanR2C[C Complex](n int) *PlanR2C[C] {
 	p.scratch = make([]C, h+1)
 	return p
 }
-
-// Len returns the real transform length n.
-func (p *PlanR2C[C]) Len() int { return p.n }
 
 // SpectrumLen returns the number of non-redundant bins, n/2 + 1.
 func (p *PlanR2C[C]) SpectrumLen() int { return p.n/2 + 1 }

@@ -146,10 +146,6 @@ func (s *Stream) Synchronize() {
 	s.clock.AdvanceTo(s.readyAt)
 }
 
-// Busy reports whether the stream still has queued work at the host's
-// current virtual time.
-func (s *Stream) Busy() bool { return s.readyAt > s.clock.Now() }
-
 // ReadyAt returns the completion time of the last enqueued kernel.
 func (s *Stream) ReadyAt() float64 { return s.readyAt }
 

@@ -80,14 +80,14 @@ func TestStreamSynchronize(t *testing.T) {
 	clk := &fakeClock{}
 	s := NewStream(V100(), clk)
 	done := s.Launch(5e-3, nil)
-	if !s.Busy() {
+	if s.ReadyAt() <= clk.Now() {
 		t.Error("stream should be busy after launch")
 	}
 	s.Synchronize()
 	if clk.Now() < done {
 		t.Errorf("host clock %g before kernel completion %g", clk.Now(), done)
 	}
-	if s.Busy() {
+	if s.ReadyAt() > clk.Now() {
 		t.Error("stream busy after synchronize")
 	}
 }

@@ -22,21 +22,3 @@ func BytesToFloat64s(b []byte) []float64 {
 	}
 	return out
 }
-
-// Float32sToBytes encodes a float32 slice little-endian.
-func Float32sToBytes(src []float32) []byte {
-	out := make([]byte, 4*len(src))
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
-	return out
-}
-
-// BytesToFloat32s decodes a little-endian float32 slice.
-func BytesToFloat32s(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}

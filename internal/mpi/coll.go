@@ -34,114 +34,6 @@ func (c *Comm) collTag() int {
 	return t
 }
 
-// Bcast distributes root's buf to all ranks (binomial tree, the MPICH
-// algorithm) and returns the received copy (root returns buf itself).
-func (c *Comm) Bcast(root int, buf []byte) []byte {
-	p := c.Size()
-	tag := c.collTag()
-	if p == 1 {
-		return buf
-	}
-	vr := (c.Rank() - root + p) % p
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			src := (vr - mask + root) % p
-			buf = c.recvInternal(src, tag).Payload
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vr+mask < p {
-			dst := (vr + mask + root) % p
-			c.sendInternal(dst, tag, buf, len(buf))
-		}
-	}
-	return buf
-}
-
-// Gather collects each rank's buf at root through a binomial tree
-// (⌈log2 p⌉ receives at the root rather than p−1); root receives a
-// slice indexed by rank, other ranks receive nil.
-func (c *Comm) Gather(root int, buf []byte) [][]byte {
-	p := c.Size()
-	tag := c.collTag()
-	vr := (c.Rank() - root + p) % p
-	// Accumulate this rank's subtree, tagged with owner ranks.
-	acc := appendOwned(nil, c.Rank(), buf)
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			parent := (vr - mask + root) % p
-			c.sendInternal(parent, tag, acc, len(acc))
-			return nil
-		}
-		if child := vr + mask; child < p {
-			got := c.recvInternal((child+root)%p, tag).Payload
-			acc = append(acc, got...)
-		}
-		mask <<= 1
-	}
-	out := make([][]byte, p)
-	for off := 0; off < len(acc); {
-		rank := int(binary.LittleEndian.Uint32(acc[off:]))
-		n := int(binary.LittleEndian.Uint32(acc[off+4:]))
-		off += 8
-		out[rank] = acc[off : off+n : off+n]
-		off += n
-	}
-	return out
-}
-
-func appendOwned(dst []byte, rank int, buf []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(rank))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(buf)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, buf...)
-}
-
-// Allgather collects every rank's buf on every rank (gather at rank 0 +
-// broadcast of the concatenation; simple and adequate for the small
-// control payloads it carries here).
-func (c *Comm) Allgather(buf []byte) [][]byte {
-	parts := c.Gather(0, buf)
-	var flat []byte
-	if c.Rank() == 0 {
-		flat = encodeParts(parts)
-	}
-	flat = c.Bcast(0, flat)
-	return decodeParts(flat, c.Size())
-}
-
-func encodeParts(parts [][]byte) []byte {
-	n := 0
-	for _, p := range parts {
-		n += 4 + len(p)
-	}
-	out := make([]byte, 0, n)
-	var hdr [4]byte
-	for _, p := range parts {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-		out = append(out, hdr[:]...)
-		out = append(out, p...)
-	}
-	return out
-}
-
-func decodeParts(flat []byte, count int) [][]byte {
-	parts := make([][]byte, count)
-	off := 0
-	for i := 0; i < count; i++ {
-		n := int(binary.LittleEndian.Uint32(flat[off:]))
-		off += 4
-		parts[i] = flat[off : off+n : off+n]
-		off += n
-	}
-	return parts
-}
-
 // AllreduceFloat64 combines one value per rank with op ("sum", "max",
 // "min") and returns the result on every rank, using recursive doubling
 // (with the standard fold step for non-power-of-two rank counts).

@@ -85,22 +85,24 @@ func TestLostMessageRaisesFaultError(t *testing.T) {
 }
 
 func TestCollectivesSurviveDropStorm(t *testing.T) {
-	// Moderate drops with enough retries: barrier, bcast, allgather, and
+	// Moderate drops with enough retries: barrier, alltoallv, and
 	// allreduce all complete with correct values.
 	cfg := cfgN(12)
 	cfg.Faults = &netsim.FaultPlan{Seed: 3, DropProb: 0.2,
 		Retry: netsim.RetryPolicy{MaxRetries: 60, RTO: 1e-6, Backoff: 1.5}}
 	res, err := RunChecked(cfg, func(c *Comm) {
 		c.Barrier()
-		got := c.Bcast(0, []byte("payload"))
-		if string(got) != "payload" {
-			t.Errorf("rank %d bcast got %q", c.Rank(), got)
+		send := make([][]byte, c.Size())
+		for d := range send {
+			send[d] = []byte{byte(c.Rank())}
 		}
-		parts := c.Allgather([]byte{byte(c.Rank())})
-		for r, p := range parts {
+		for r, p := range c.Alltoallv(send) {
 			if len(p) != 1 || p[0] != byte(r) {
-				t.Errorf("rank %d allgather[%d] = %v", c.Rank(), r, p)
+				t.Errorf("rank %d alltoallv[%d] = %v", c.Rank(), r, p)
 			}
+		}
+		if top := c.AllreduceFloat64("max", float64(c.Rank())); top != float64(c.Size()-1) {
+			t.Errorf("rank %d max = %g", c.Rank(), top)
 		}
 		if sum := c.AllreduceFloat64("sum", 1); sum != float64(c.Size()) {
 			t.Errorf("rank %d sum = %g", c.Rank(), sum)

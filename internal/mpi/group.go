@@ -18,16 +18,6 @@ import (
 // changes across shrinks. Identical to Rank on the world communicator.
 func (c *Comm) GlobalRank() int { return c.p.Rank() }
 
-// WorldSize returns the launch-time rank count, independent of shrinks.
-func (c *Comm) WorldSize() int { return c.p.Size() }
-
-// Generation returns the shrink generation (0 = world communicator).
-func (c *Comm) Generation() int { return c.gen }
-
-// Group returns the member global ranks in ascending order, or nil for
-// the world communicator. The caller must not mutate the slice.
-func (c *Comm) Group() []int { return c.group }
-
 // members returns this communicator's membership as explicit global
 // ranks (the world communicator materializes 0..P-1).
 func (c *Comm) members() []int {

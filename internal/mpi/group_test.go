@@ -30,15 +30,15 @@ func TestShrinkMembershipAndTranslation(t *testing.T) {
 		if sc.Size() != 5 {
 			t.Errorf("shrunken size %d, want 5", sc.Size())
 		}
-		if sc.WorldSize() != 6 {
-			t.Errorf("world size %d, want 6", sc.WorldSize())
+		if sc.p.Size() != 6 {
+			t.Errorf("world size %d, want 6", sc.p.Size())
 		}
-		if sc.Generation() != 1 {
-			t.Errorf("generation %d, want 1", sc.Generation())
+		if sc.gen != 1 {
+			t.Errorf("generation %d, want 1", sc.gen)
 		}
 		want := []int{0, 1, 2, 4, 5}
-		if !reflect.DeepEqual(sc.Group(), want) {
-			t.Errorf("group %v, want %v", sc.Group(), want)
+		if !reflect.DeepEqual(sc.group, want) {
+			t.Errorf("group %v, want %v", sc.group, want)
 		}
 		// Local ranks are dense in ascending global order; the dead rank's
 		// slot is closed up.
@@ -62,7 +62,7 @@ func TestShrinkPointToPointAndCollectives(t *testing.T) {
 		next, prev := (me+1)%p, (me-1+p)%p
 		sc.Send(next, 5, []byte{byte(sc.GlobalRank())})
 		got := sc.Recv(prev, 5)
-		wantG := sc.Group()[prev]
+		wantG := sc.group[prev]
 		if len(got) != 1 || int(got[0]) != wantG {
 			t.Errorf("rank %d got %v from local %d, want global %d", me, got, prev, wantG)
 		}
@@ -124,8 +124,8 @@ func TestShrinkAgreementUnionsSuspects(t *testing.T) {
 	// and yields identical groups everywhere.
 	shrunken(t, 5, func(sc *Comm) {
 		want := []int{0, 1, 2, 3, 4}
-		if !reflect.DeepEqual(sc.Group(), want) {
-			t.Errorf("agreed group %v, want %v", sc.Group(), want)
+		if !reflect.DeepEqual(sc.group, want) {
+			t.Errorf("agreed group %v, want %v", sc.group, want)
 		}
 	})
 }
@@ -142,12 +142,12 @@ func TestShrinkTwice(t *testing.T) {
 			return
 		}
 		sc2 := sc.Shrink([]int{3})
-		if sc2.Generation() != 2 || sc2.Size() != 4 {
-			t.Errorf("second shrink: gen %d size %d, want 2 and 4", sc2.Generation(), sc2.Size())
+		if sc2.gen != 2 || sc2.Size() != 4 {
+			t.Errorf("second shrink: gen %d size %d, want 2 and 4", sc2.gen, sc2.Size())
 		}
 		want := []int{1, 2, 4, 5}
-		if !reflect.DeepEqual(sc2.Group(), want) {
-			t.Errorf("second shrink group %v, want %v", sc2.Group(), want)
+		if !reflect.DeepEqual(sc2.group, want) {
+			t.Errorf("second shrink group %v, want %v", sc2.group, want)
 		}
 		sum := sc2.AllreduceFloat64("sum", float64(sc2.GlobalRank()))
 		if sum != 1+2+4+5 {

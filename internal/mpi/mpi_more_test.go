@@ -63,23 +63,6 @@ func TestAllreducePropertyRandomValues(t *testing.T) {
 	}
 }
 
-func TestGatherBinomialLargePayloads(t *testing.T) {
-	p := 13
-	Run(cfgN(p), func(c *Comm) {
-		mine := bytes.Repeat([]byte{byte(c.Rank())}, 100+c.Rank())
-		parts := c.Gather(3, mine)
-		if c.Rank() != 3 {
-			return
-		}
-		for r, part := range parts {
-			want := bytes.Repeat([]byte{byte(r)}, 100+r)
-			if !bytes.Equal(part, want) {
-				t.Errorf("gather part %d corrupt (len %d want %d)", r, len(part), len(want))
-			}
-		}
-	})
-}
-
 // TestAlltoallvSparseAsymmetric: the sparse pattern need not be
 // symmetric — rank r sends only to (r+1) mod p.
 func TestAlltoallvSparseAsymmetric(t *testing.T) {
@@ -246,58 +229,6 @@ func TestEagerThresholdSwitch(t *testing.T) {
 	if overThr < minExtra {
 		t.Errorf("threshold crossing did not add rendezvous cost: delta %g", overThr)
 	}
-}
-
-func TestIsendIrecvWaitall(t *testing.T) {
-	p := 8
-	Run(cfgN(p), func(c *Comm) {
-		var reqs []*Request
-		for d := 0; d < p; d++ {
-			reqs = append(reqs, c.Irecv(d, 5))
-		}
-		for d := 0; d < p; d++ {
-			c.Isend(d, 5, []byte{byte(c.Rank()), byte(d)})
-		}
-		c.Waitall(reqs...)
-		for s, r := range reqs {
-			got := r.Wait()
-			if got[0] != byte(s) || got[1] != byte(c.Rank()) {
-				t.Errorf("rank %d req %d got %v", c.Rank(), s, got)
-			}
-			if !r.Done() {
-				t.Error("request not done after Wait")
-			}
-		}
-	})
-}
-
-func TestWaitIdempotent(t *testing.T) {
-	Run(cfgN(2), func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Isend(1, 3, []byte("x"))
-		} else if c.Rank() == 1 {
-			r := c.Irecv(0, 3)
-			a := r.Wait()
-			b := r.Wait()
-			if string(a) != "x" || string(b) != "x" {
-				t.Errorf("wait results: %q %q", a, b)
-			}
-		}
-	})
-}
-
-func TestWaitallAdvancesToLatestArrival(t *testing.T) {
-	Run(cfgN(12), func(c *Comm) {
-		if c.Rank() == 0 {
-			c.IsendN(6, 1, 25_000_000) // ~1 ms on the wire
-		} else if c.Rank() == 6 {
-			r := c.Irecv(0, 1)
-			c.Waitall(r)
-			if c.Now() < 0.9e-3 {
-				t.Errorf("waitall returned at %g, before the arrival", c.Now())
-			}
-		}
-	})
 }
 
 // TestInterleavedCollectivesAndWindows stresses tag isolation: barriers,

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -17,6 +16,12 @@ func cfgN(ranks int) netsim.Config {
 		cfg.Nodes = ranks
 	}
 	return cfg
+}
+
+// Put is PutLogical charging the payload's own size, the form the tests
+// put real bytes with.
+func (w *Win) Put(target, offset int, data []byte) (completion float64) {
+	return w.PutLogical(target, offset, data, len(data))
 }
 
 func TestSendRecvEager(t *testing.T) {
@@ -90,46 +95,6 @@ func TestBarrierRepeated(t *testing.T) {
 	Run(cfgN(7), func(c *Comm) {
 		for i := 0; i < 5; i++ {
 			c.Barrier()
-		}
-	})
-}
-
-func TestBcastVariousRootsAndSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 12} {
-		for root := 0; root < p; root += 2 {
-			payload := []byte(fmt.Sprintf("root-%d-data", root))
-			Run(cfgN(p), func(c *Comm) {
-				var buf []byte
-				if c.Rank() == root {
-					buf = payload
-				}
-				got := c.Bcast(root, buf)
-				if !bytes.Equal(got, payload) {
-					t.Errorf("p=%d root=%d rank=%d got %q", p, root, c.Rank(), got)
-				}
-			})
-		}
-	}
-}
-
-func TestGatherAllgather(t *testing.T) {
-	Run(cfgN(9), func(c *Comm) {
-		mine := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
-		parts := c.Gather(2, mine)
-		if c.Rank() == 2 {
-			for r, p := range parts {
-				if !bytes.Equal(p, []byte{byte(r), byte(r * 2)}) {
-					t.Errorf("gather rank %d = %v", r, p)
-				}
-			}
-		} else if parts != nil {
-			t.Errorf("non-root gather returned data")
-		}
-		all := c.Allgather(mine)
-		for r, p := range all {
-			if !bytes.Equal(p, []byte{byte(r), byte(r * 2)}) {
-				t.Errorf("allgather rank %d = %v", r, p)
-			}
 		}
 	})
 }
@@ -215,7 +180,7 @@ func TestWindowFenceEpochsReset(t *testing.T) {
 			for target := 0; target < p; target++ {
 				win.Put(target, 8*c.Rank(), []byte{byte(epoch)})
 			}
-			if win.PutsIssued(0) != 1 {
+			if win.puts[0] != 1 {
 				t.Errorf("puts issued tracking broken")
 			}
 			expected := make([]int, p)
@@ -271,9 +236,5 @@ func TestByteConversions(t *testing.T) {
 	f64 := []float64{0, 1.5, -2.25, math.Pi}
 	if got := BytesToFloat64s(Float64sToBytes(f64)); !reflect.DeepEqual(got, f64) {
 		t.Errorf("float64 round trip: %v", got)
-	}
-	f32 := []float32{0, 1.5, -2.25}
-	if got := BytesToFloat32s(Float32sToBytes(f32)); !reflect.DeepEqual(got, f32) {
-		t.Errorf("float32 round trip: %v", got)
 	}
 }

@@ -171,10 +171,6 @@ type seqKey struct{ peer, tag int }
 // is attached to the machine).
 func (c *Comm) Reliable() bool { return c.reliable }
 
-// RetryPolicy returns the effective transport retry / watchdog policy
-// (the defaults unless the fault plan overrides them).
-func (c *Comm) RetryPolicy() netsim.RetryPolicy { return c.retry }
-
 // nextSendSeq returns and advances the send sequence number toward
 // (dst, tag).
 func (c *Comm) nextSendSeq(dst, tag int) uint32 {

@@ -49,22 +49,19 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 // Buffer returns the window's exposed memory.
 func (w *Win) Buffer() []byte { return w.buf }
 
-// Put copies data into the target rank's window at the given byte
+// PutLogical copies data into the target rank's window at the given byte
 // offset, one-sided: the target takes no action until its next Fence.
 // data must stay untouched until the epoch ends (GPU-direct zero-copy,
-// like MPI_Win_put from device memory). Put returns at injection time;
-// the returned completion time is when the data is resident at the
-// target, usable for flush-style waits.
-func (w *Win) Put(target, offset int, data []byte) (completion float64) {
-	return w.PutLogical(target, offset, data, len(data))
-}
-
-// PutLogical is Put with an explicit logical size used for timing — the
-// scaled-volume mode of the experiment harness charges transfer time as
-// if the payload were larger (see DESIGN.md); data placement uses the
-// real bytes. In reliable mode the payload is wrapped in an
-// [epoch|idx|crc] frame (see reliable.go) so the fence can discard
-// stale duplicates and detect silent corruption.
+// like MPI_Win_put from device memory). PutLogical returns at injection
+// time; the returned completion time is when the data is resident at
+// the target, usable for flush-style waits.
+//
+// logical is the size charged for timing — the scaled-volume mode of
+// the experiment harness charges transfer time as if the payload were
+// larger (see DESIGN.md); data placement uses the real bytes. In
+// reliable mode the payload is wrapped in an [epoch|idx|crc] frame (see
+// reliable.go) so the fence can discard stale duplicates and detect
+// silent corruption.
 func (w *Win) PutLogical(target, offset int, data []byte, logical int) (completion float64) {
 	idx := w.puts[target]
 	w.puts[target]++
@@ -81,7 +78,7 @@ func (w *Win) PutLogical(target, offset int, data []byte, logical int) (completi
 	})
 }
 
-// PutN is the phantom variant of Put: n logical bytes, no payload (in
+// PutN is the phantom variant of PutLogical: n logical bytes, no payload (in
 // reliable mode a header-only frame so the fence can still account for
 // it).
 func (w *Win) PutN(target, offset, n int) (completion float64) {
@@ -255,7 +252,3 @@ func (w *Win) drainReliable(src, cnt int, latest *float64, drained *int64) (corr
 	}
 	return corrupt, missing
 }
-
-// PutsIssued reports how many puts this rank issued toward target in the
-// current epoch.
-func (w *Win) PutsIssued(target int) int { return w.puts[target] }

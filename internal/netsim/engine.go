@@ -80,7 +80,7 @@ type pktKey struct{ src, tag int }
 type reqKind uint8
 
 const (
-	reqNone reqKind = iota
+	_ reqKind = iota
 	reqDeliver
 	reqMatch
 	// reqResolved marks a formerly blocked match whose packet has already
@@ -233,11 +233,6 @@ func (p *Proc) SendMsg(dst, tag int, opts SendOpts) (arrival float64) {
 		extra: opts.ExtraLatency, proto: opts.ProtoOverhead, unmatched: opts.Unmatched}
 	p.yield()
 	return p.resp.Arrival
-}
-
-// SendFull is kept for callers that pass a metadata word directly.
-func (p *Proc) SendFull(dst, tag int, payload []byte, bytes, meta int, extraLatency float64) (arrival float64) {
-	return p.SendMsg(dst, tag, SendOpts{Payload: payload, Bytes: bytes, Meta: meta, ExtraLatency: extraLatency})
 }
 
 // Recv blocks until a message from src with the given tag arrives, and

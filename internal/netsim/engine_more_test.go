@@ -115,7 +115,7 @@ func TestMatchQueueCapBoundsCost(t *testing.T) {
 func TestSendFullMetaDelivered(t *testing.T) {
 	Run(tiny(), func(p *Proc) {
 		if p.Rank() == 0 {
-			p.SendFull(1, 0, []byte{1}, 1, 4242, 0)
+			p.SendMsg(1, 0, SendOpts{Payload: []byte{1}, Bytes: 1, Meta: 4242})
 		} else {
 			pkt := p.Recv(0, 0)
 			if pkt.Meta != 4242 {

@@ -1,15 +1,14 @@
 package netsim
 
 // TraceBuffer is a bounded collector for Config.Tracer: it keeps the
-// most recent Cap events in a ring and counts what it had to overwrite,
-// so long runs cannot grow trace memory without bound. Use Recorder as
-// the Config.Tracer callback and read Events/Dropped after Run.
+// most recent Cap events in a ring, so long runs cannot grow trace
+// memory without bound. Use Recorder as the Config.Tracer callback and
+// read Events after Run.
 type TraceBuffer struct {
 	cap     int
 	events  []TraceEvent
 	next    int
 	wrapped bool
-	total   int64
 }
 
 // DefaultTraceCap bounds a TraceBuffer built with capacity <= 0.
@@ -30,7 +29,6 @@ func (b *TraceBuffer) Recorder() func(TraceEvent) {
 }
 
 func (b *TraceBuffer) add(ev TraceEvent) {
-	b.total++
 	if len(b.events) < b.cap {
 		b.events = append(b.events, ev)
 		return
@@ -53,9 +51,3 @@ func (b *TraceBuffer) Events() []TraceEvent {
 	out = append(out, b.events[:b.next]...)
 	return out
 }
-
-// Total returns how many events were observed in total.
-func (b *TraceBuffer) Total() int64 { return b.total }
-
-// Dropped returns how many events were overwritten by the ring.
-func (b *TraceBuffer) Dropped() int64 { return b.total - int64(len(b.events)) }

@@ -47,8 +47,8 @@ func TestCriticalPathSelfConsistent(t *testing.T) {
 	if len(p.Segments) == 0 {
 		t.Fatal("no segments")
 	}
-	if d := math.Abs(p.Duration()-wall) / wall; d > 0.01 {
-		t.Errorf("path duration %.6g vs wall %.6g: off by %.2f%%, want <1%%", p.Duration(), wall, 100*d)
+	if d := math.Abs(p.End-p.Start-wall) / wall; d > 0.01 {
+		t.Errorf("path duration %.6g vs wall %.6g: off by %.2f%%, want <1%%", p.End-p.Start, wall, 100*d)
 	}
 	eps := wall * 1e-9
 	var sum float64
@@ -145,8 +145,9 @@ func TestChromeRoundTrip(t *testing.T) {
 		t.Errorf("extent: loaded [%g, %g], direct [%g, %g]", lb, le, db, de)
 	}
 	dp, lp := analyze.CriticalPath(direct), analyze.CriticalPath(loaded)
-	if wall := de - db; math.Abs(dp.Duration()-lp.Duration()) > 0.001*wall {
-		t.Errorf("critical path: loaded %.6g, direct %.6g", lp.Duration(), dp.Duration())
+	dd, ld := dp.End-dp.Start, lp.End-lp.Start
+	if wall := de - db; math.Abs(dd-ld) > 0.001*wall {
+		t.Errorf("critical path: loaded %.6g, direct %.6g", ld, dd)
 	}
 }
 

@@ -58,10 +58,6 @@ type Path struct {
 	Segments  []Segment // in increasing time order
 }
 
-// Duration returns the path's total extent. By construction it equals
-// End − Start (the segments tile the interval).
-func (p Path) Duration() float64 { return p.End - p.Start }
-
 // PhaseSeconds aggregates the path per segment label (phase name,
 // "wire <link kind>", or "idle").
 func (p Path) PhaseSeconds() map[string]float64 {
@@ -82,17 +78,6 @@ func (p Path) LinkSeconds() map[string]float64 {
 	for _, s := range p.Segments {
 		if s.Kind == SegWire {
 			out[s.Link] += s.Duration()
-		}
-	}
-	return out
-}
-
-// RankSeconds aggregates on-rank (span + idle) time per rank.
-func (p Path) RankSeconds() map[int]float64 {
-	out := make(map[int]float64)
-	for _, s := range p.Segments {
-		if s.Kind != SegWire {
-			out[s.Rank] += s.Duration()
 		}
 	}
 	return out

@@ -14,21 +14,6 @@ type StageBudget struct {
 	Bound float64 `json:"bound"`
 }
 
-// Compose folds per-stage relative error bounds into the cumulative
-// bound after each stage: relative errors compose multiplicatively, so
-// after stage i the worst case is prod_{j≤i}(1+b_j) − 1. The same
-// composition applied to measured per-stage errors gives the measured
-// accumulation curve the ledger compares against.
-func Compose(bounds []float64) []float64 {
-	out := make([]float64, len(bounds))
-	cum := 0.0
-	for i, b := range bounds {
-		cum = (1+cum)*(1+b) - 1
-		out[i] = cum
-	}
-	return out
-}
-
 // LedgerRow is one stage of the error-accumulation ledger: the measured
 // worst relative error and its composition so far, against the
 // theoretical bound and its composition, plus the stage's share of the
@@ -50,19 +35,11 @@ type Ledger struct {
 	Rows []LedgerRow `json:"rows"`
 }
 
-// OK reports whether every stage stayed within its bound (stages with a
-// zero bound — lossless — pass unless they measured a nonzero error).
-func (l Ledger) OK() bool {
-	for _, r := range l.Rows {
-		if !r.OK {
-			return false
-		}
-	}
-	return true
-}
-
 // BuildLedger composes a cell's measured stage errors against the
-// ordered stage budgets. When order is nil the cell's own stages (in
+// ordered stage budgets. Relative errors compose multiplicatively, so
+// after stage i the worst case is prod_{j≤i}(1+b_j) − 1; the same
+// composition of the measured per-stage errors gives the measured
+// accumulation curve the bound is compared against. When order is nil the cell's own stages (in
 // first-seen order, with their event-recorded bounds) are used; passing
 // core.StageBounds pins the theoretical side to the plan instead of the
 // stream. Budgeted stages the cell never measured contribute their bound

@@ -28,17 +28,29 @@ func TestStatMergeAndRMS(t *testing.T) {
 	}
 }
 
+// TestCompose checks the ledger's bound composition on budgets alone.
 func TestCompose(t *testing.T) {
-	got := Compose([]float64{0.1, 0.2, 0})
+	led := BuildLedger(CellReport{}, []StageBudget{{Bound: 0.1}, {Bound: 0.2}, {Bound: 0}})
 	want := []float64{0.1, 1.1*1.2 - 1, 1.1*1.2 - 1}
 	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-15 {
-			t.Fatalf("Compose[%d] = %v, want %v", i, got[i], want[i])
+		if got := led.Rows[i].BoundCum; math.Abs(got-want[i]) > 1e-15 {
+			t.Fatalf("BoundCum[%d] = %v, want %v", i, got, want[i])
 		}
 	}
-	if len(Compose(nil)) != 0 {
-		t.Fatal("Compose(nil) must be empty")
+	if len(BuildLedger(CellReport{}, []StageBudget{}).Rows) != 0 {
+		t.Fatal("an empty budget must compose to no rows")
 	}
+}
+
+// ledgerOK reports whether every stage of a ledger stayed within its
+// bound.
+func ledgerOK(l Ledger) bool {
+	for _, r := range l.Rows {
+		if !r.OK {
+			return false
+		}
+	}
+	return true
 }
 
 // TestAdversarialStats feeds the tracker NaN/Inf/negative payloads: they
@@ -131,7 +143,7 @@ func TestBuildLedgerComposition(t *testing.T) {
 	if len(led.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(led.Rows))
 	}
-	if !led.OK() {
+	if !ledgerOK(led) {
 		t.Fatalf("ledger must be in budget: %+v", led.Rows)
 	}
 	// Cumulative columns compose multiplicatively.
@@ -154,7 +166,7 @@ func TestBuildLedgerComposition(t *testing.T) {
 	if led.Rows[len(led.Rows)-1].Label != "extra" {
 		t.Fatalf("unlisted measured stage dropped: %+v", led.Rows)
 	}
-	if led.OK() {
+	if ledgerOK(led) {
 		t.Fatal("extra stage measured error above its zero bound must fail")
 	}
 }

@@ -110,17 +110,6 @@ func (m *Metrics) Counter(name string) int64 {
 	return m.counters[name]
 }
 
-// Gauge returns a gauge's value and whether it was ever set.
-func (m *Metrics) Gauge(name string) (float64, bool) {
-	if m == nil {
-		return 0, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.gauges[name]
-	return v, ok
-}
-
 // HistStat summarizes one histogram. The quantiles are estimated from
 // the power-of-two buckets (geometric bucket midpoints, clamped to the
 // observed [Min, Max]), so they carry at most a factor-√2 resolution —
@@ -332,36 +321,6 @@ func (m *Metrics) CounterNames() []string {
 	defer m.mu.Unlock()
 	names := make([]string, 0, len(m.counters))
 	for n := range m.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// GaugeNames returns all gauge names, sorted.
-func (m *Metrics) GaugeNames() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.gauges))
-	for n := range m.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// HistNames returns all histogram names, sorted.
-func (m *Metrics) HistNames() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.hists))
-	for n := range m.hists {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -348,14 +348,6 @@ type openSpan struct {
 	begin float64
 }
 
-// ID returns the rank id (-1 on a nil handle).
-func (rk *Rank) ID() int {
-	if rk == nil {
-		return -1
-	}
-	return rk.id
-}
-
 // Begin opens a nested span at virtual time t. Every Begin must be
 // paired with an End on the same handle; pairs nest like a call stack.
 func (rk *Rank) Begin(track Track, ph Phase, t float64) {

@@ -168,7 +168,7 @@ func TestMetricsRegistry(t *testing.T) {
 	if names := m.CounterNames(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("counter names = %v", names)
 	}
-	if v, ok := m.Gauge("g"); !ok || v != 1.5 {
+	if v, ok := m.Snapshot().Gauges["g"]; !ok || v != 1.5 {
 		t.Errorf("gauge g = %v, %v", v, ok)
 	}
 	h, ok := m.Hist("h")

@@ -101,22 +101,6 @@ func Start(cfg Config) (*Session, error) {
 // Enabled reports whether any telemetry is on.
 func (s *Session) Enabled() bool { return s != nil }
 
-// Log returns the session's event log (nil when telemetry is off).
-func (s *Session) Log() *obs.EventLog {
-	if s == nil {
-		return nil
-	}
-	return s.log
-}
-
-// Engine returns the SLO engine (nil without an -slo config).
-func (s *Session) Engine() *slo.Engine {
-	if s == nil {
-		return nil
-	}
-	return s.eng
-}
-
 // Tracker returns the error-provenance tracker (nil unless -errtrack or
 // Config.Tracker enabled it).
 func (s *Session) Tracker() *errtrack.Tracker {

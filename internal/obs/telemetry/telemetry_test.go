@@ -22,7 +22,7 @@ func TestSessionOffIsNil(t *testing.T) {
 		t.Fatal("all-off config must return a nil session")
 	}
 	// Everything must be callable on nil.
-	if s.Enabled() || s.Log() != nil || s.Engine() != nil || s.Summary() != "" {
+	if s.Enabled() || s.Summary() != "" {
 		t.Fatal("nil session not inert")
 	}
 	s.Attach(nil)
@@ -46,7 +46,7 @@ func TestSessionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Enabled() || s.Engine() == nil {
+	if !s.Enabled() || s.eng == nil {
 		t.Fatal("session incomplete")
 	}
 
@@ -66,7 +66,7 @@ func TestSessionEndToEnd(t *testing.T) {
 	})
 	_ = runErr // crashes are a legal outcome of a fault plan
 
-	if s.Log().Counts()[obs.EventFault] == 0 {
+	if s.log.Counts()[obs.EventFault] == 0 {
 		t.Fatal("fault plan produced no fault events")
 	}
 
@@ -115,9 +115,9 @@ func TestSessionSLOOnly(t *testing.T) {
 	}
 	s.StartRun("cell")
 	for i := 0; i < 3; i++ {
-		s.Log().Emit(obs.Event{T: float64(i) * 1e-5, Kind: obs.EventRepair})
+		s.log.Emit(obs.Event{T: float64(i) * 1e-5, Kind: obs.EventRepair})
 	}
-	if s.Engine().TotalBreaches() == 0 {
+	if s.eng.TotalBreaches() == 0 {
 		t.Fatal("repair-budget objective did not breach")
 	}
 	if err := s.Close(); err != nil {

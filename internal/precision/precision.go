@@ -18,66 +18,12 @@ type Float16 uint16
 type BFloat16 uint16
 
 const (
-	f16ExpBits  = 5
-	f16ManBits  = 10
-	f16ExpBias  = 15
-	f32ExpBias  = 127
-	f64ExpBias  = 1023
-	f64ManBits  = 52
-	bf16ManBits = 7
+	f16ManBits = 10
+	f16ExpBias = 15
+	f32ExpBias = 127
+	f64ExpBias = 1023
+	f64ManBits = 52
 )
-
-// FromFloat32 converts a float32 to Float16 with round-to-nearest-even.
-func FromFloat32(f float32) Float16 {
-	b := math.Float32bits(f)
-	sign := uint16(b>>16) & 0x8000
-	exp := int32(b>>23) & 0xff
-	man := b & 0x7fffff
-
-	switch {
-	case exp == 0xff: // Inf or NaN
-		if man != 0 {
-			// NaN: preserve a quiet NaN payload bit.
-			return Float16(sign | 0x7e00)
-		}
-		return Float16(sign | 0x7c00)
-	case exp == 0 && man == 0: // signed zero
-		return Float16(sign)
-	}
-
-	// Unbiased exponent.
-	e := exp - f32ExpBias
-	switch {
-	case e > 15: // overflow to infinity
-		return Float16(sign | 0x7c00)
-	case e >= -14: // normal range
-		// 23-10 = 13 bits are dropped.
-		m := man >> 13
-		rem := man & 0x1fff
-		h := sign | uint16(e+f16ExpBias)<<f16ManBits | uint16(m)
-		// Round to nearest even; carry may overflow into the exponent,
-		// which is the correct behaviour (it rounds up to the next
-		// binade or to infinity).
-		if rem > 0x1000 || (rem == 0x1000 && m&1 == 1) {
-			h++
-		}
-		return Float16(h)
-	case e >= -24: // subnormal half
-		// Value is man' * 2^(e-23) with implicit bit restored.
-		m := man | 0x800000
-		shift := uint32(-e - 14 + 13) // total right shift into 10-bit field
-		q := m >> shift
-		rem := m & ((1 << shift) - 1)
-		half := uint32(1) << (shift - 1)
-		h := sign | uint16(q)
-		if rem > half || (rem == half && q&1 == 1) {
-			h++
-		}
-		return Float16(h)
-	default: // underflow to signed zero
-		return Float16(sign)
-	}
-}
 
 // Float32 converts a Float16 back to float32 exactly.
 func (h Float16) Float32() float32 {
@@ -108,11 +54,11 @@ func (h Float16) Float32() float32 {
 	}
 }
 
-// FromFloat64 converts a float64 to Float16 (via float32, which is exact
-// for the final binary16 rounding of all but a measure-zero set of
-// double-rounding cases; we convert directly to avoid them).
+// FromFloat64 converts a float64 to Float16 with round-to-nearest-even.
+// It rounds once, directly from the binary64 bits: going through
+// float32 would round twice (64→32→16). Every float32 input converts
+// exactly to float64, so this is also the float32 conversion.
 func FromFloat64(f float64) Float16 {
-	// Direct conversion avoids double rounding (64→32→16).
 	b := math.Float64bits(f)
 	sign := uint16(b>>48) & 0x8000
 	exp := int64(b>>52) & 0x7ff
@@ -253,16 +199,6 @@ var Formats = []Format{
 		XminSubnorm: 4.9e-324, XminNormal: 2.2e-308, Xmax: math.MaxFloat64,
 		UnitRoundoff: 1.1e-16, PeakV100: 7.8, PeakMI100: 11.5,
 	},
-}
-
-// FormatByName returns the Table I entry for name, or nil if unknown.
-func FormatByName(name string) *Format {
-	for i := range Formats {
-		if Formats[i].Name == name {
-			return &Formats[i]
-		}
-	}
-	return nil
 }
 
 // TrimUnitRoundoff is the unit roundoff of a float64 trimmed to m

@@ -24,46 +24,45 @@ func TestFloat16KnownValues(t *testing.T) {
 		{float32(math.Inf(-1)), 0xfc00},
 	}
 	for _, c := range cases {
-		if got := FromFloat32(c.in); got != c.bits {
-			t.Errorf("FromFloat32(%g) = %#04x, want %#04x", c.in, got, c.bits)
+		if got := FromFloat64(float64(c.in)); got != c.bits {
+			t.Errorf("FromFloat64(%g) = %#04x, want %#04x", c.in, got, c.bits)
 		}
 	}
 }
 
 func TestFloat16Overflow(t *testing.T) {
-	if got := FromFloat32(65536); got != 0x7c00 {
-		t.Errorf("FromFloat32(65536) = %#04x, want +Inf", got)
+	if got := FromFloat64(65536); got != 0x7c00 {
+		t.Errorf("FromFloat64(65536) = %#04x, want +Inf", got)
 	}
-	if got := FromFloat32(-70000); got != 0xfc00 {
-		t.Errorf("FromFloat32(-70000) = %#04x, want -Inf", got)
+	if got := FromFloat64(-70000); got != 0xfc00 {
+		t.Errorf("FromFloat64(-70000) = %#04x, want -Inf", got)
 	}
 	// 65520 rounds to 65536 which overflows to Inf.
-	if got := FromFloat32(65520); got != 0x7c00 {
-		t.Errorf("FromFloat32(65520) = %#04x, want +Inf (round-up overflow)", got)
+	if got := FromFloat64(65520); got != 0x7c00 {
+		t.Errorf("FromFloat64(65520) = %#04x, want +Inf (round-up overflow)", got)
 	}
 	// 65519 rounds down to 65504.
-	if got := FromFloat32(65519); got != 0x7bff {
-		t.Errorf("FromFloat32(65519) = %#04x, want 0x7bff", got)
+	if got := FromFloat64(65519); got != 0x7bff {
+		t.Errorf("FromFloat64(65519) = %#04x, want 0x7bff", got)
 	}
 }
 
 func TestFloat16Underflow(t *testing.T) {
 	tiny := float32(1e-10)
-	if got := FromFloat32(tiny); got != 0 {
-		t.Errorf("FromFloat32(%g) = %#04x, want +0", tiny, got)
+	if got := FromFloat64(float64(tiny)); got != 0 {
+		t.Errorf("FromFloat64(%g) = %#04x, want +0", tiny, got)
 	}
-	if got := FromFloat32(-tiny); got != 0x8000 {
-		t.Errorf("FromFloat32(%g) = %#04x, want -0", -tiny, got)
+	if got := FromFloat64(float64(-tiny)); got != 0x8000 {
+		t.Errorf("FromFloat64(%g) = %#04x, want -0", -tiny, got)
 	}
 }
 
 func TestFloat16NaN(t *testing.T) {
-	h := FromFloat32(float32(math.NaN()))
+	h := FromFloat64(math.NaN())
 	if f := h.Float32(); !math.IsNaN(float64(f)) {
 		t.Errorf("NaN did not round-trip, got %g", f)
 	}
-	h64 := FromFloat64(math.NaN())
-	if f := h64.Float64(); !math.IsNaN(f) {
+	if f := h.Float64(); !math.IsNaN(f) {
 		t.Errorf("NaN (64) did not round-trip, got %g", f)
 	}
 }
@@ -77,7 +76,7 @@ func TestFloat16RoundTripExact(t *testing.T) {
 		if math.IsNaN(float64(f)) {
 			continue
 		}
-		if got := FromFloat32(f); got != h {
+		if got := FromFloat64(float64(f)); got != h {
 			t.Fatalf("round trip %#04x -> %g -> %#04x", h, f, got)
 		}
 	}
@@ -250,9 +249,6 @@ func TestFormatsTable(t *testing.T) {
 		if f.ExpBits+f.ManBits+1 != f.Bits {
 			t.Errorf("%s: sign+exp+man = %d bits, want %d", f.Name, f.ExpBits+f.ManBits+1, f.Bits)
 		}
-	}
-	if FormatByName("FP64") == nil || FormatByName("nope") != nil {
-		t.Error("FormatByName lookup broken")
 	}
 	// Unit roundoff consistency: 2^-(man+1) within table rounding.
 	for _, f := range Formats {

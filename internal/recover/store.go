@@ -60,14 +60,6 @@ func unframe(b []byte) ([]byte, error) {
 	return b[frameHdr:], nil
 }
 
-// StoreStats summarizes the checkpoint traffic a store absorbed.
-type StoreStats struct {
-	Commits   int64 // epochs committed
-	Saves     int64 // per-rank snapshots written (framed)
-	Bytes     int64 // framed bytes written across all saves
-	Rollbacks int64 // uncommitted epochs discarded
-}
-
 // Store is the seeded in-sim checkpoint target shared by every rank of
 // a run (the stand-in for a burst buffer or node-local NVMe pool). It
 // survives across restart attempts of one Controller run.
@@ -84,7 +76,6 @@ type Store struct {
 	mu        sync.Mutex
 	committed int                    // last committed epoch; -1 = none
 	slots     map[int]map[int][]byte // epoch → rank → framed snapshot
-	stats     StoreStats
 }
 
 // NewStore creates an empty checkpoint store.
@@ -109,8 +100,6 @@ func (s *Store) Save(rank, epoch int, snap []byte) {
 		s.slots[epoch] = m
 	}
 	m[rank] = framed
-	s.stats.Saves++
-	s.stats.Bytes += int64(len(framed))
 }
 
 // Commit atomically marks an epoch durable (phase two; call from one
@@ -128,7 +117,6 @@ func (s *Store) Commit(epoch int) {
 			delete(s.slots, e)
 		}
 	}
-	s.stats.Commits++
 }
 
 // LastCommitted returns the newest durable epoch (-1 when none).
@@ -161,14 +149,6 @@ func (s *Store) Rollback() {
 	for e := range s.slots {
 		if e > s.committed {
 			delete(s.slots, e)
-			s.stats.Rollbacks++
 		}
 	}
-}
-
-// Stats returns the store's cumulative traffic counters.
-func (s *Store) Stats() StoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }

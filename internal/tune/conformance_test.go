@@ -14,6 +14,27 @@ import (
 	recov "repro/internal/recover"
 )
 
+// FixedOptions maps a uniform cell (every stage the same winner) back
+// onto plain fixed core.Options — the reference configuration the
+// differential conformance suite compares an autotuned run against.
+// ok is false when the stages disagree or the cell is empty.
+func (c *Cell) FixedOptions(base core.Options) (core.Options, bool) {
+	if len(c.Stages) == 0 {
+		return base, false
+	}
+	first := c.Stages[0]
+	for _, st := range c.Stages[1:] {
+		if st.Algo != first.Algo || st.Method != first.Method || st.Chunks != first.Chunks {
+			return base, false
+		}
+	}
+	cand, err := first.candidate()
+	if err != nil {
+		return base, false
+	}
+	return cand.options(base), true
+}
+
 func exchangeBandwidth(cfg netsim.Config, spec exchange.Spec, msg int) float64 {
 	return exchange.NodeBandwidthSpec(nil, cfg, spec, msg, 1)
 }
