@@ -42,14 +42,27 @@ verify:
 
 # strays fails, listing them, if a process whose executable is one of
 # this module's binaries — benchmark, a cmd/* driver, a test binary — is
-# alive: a backgrounded run left behind. It matches executable names in
-# `ps -eo pid,comm`; `pgrep -f` would match the shell that runs the
-# check. Prints nothing when clean.
+# alive: a backgrounded run left behind (test binaries wherever they
+# run). It also lists the toolchain processes (go, compile, link, vet)
+# whose working directory is inside this checkout: a `go test`, `go run`
+# or build that outlived its caller. It matches executable names in `ps -eo pid,comm` and
+# working directories in /proc/<pid>/cwd; `pgrep -f` would match the
+# shell that runs the check. Prints nothing when clean.
 STRAY_NAMES = benchmark $(filter-out internal,$(notdir $(wildcard cmd/*)))
+STRAY_TOOLS = go compile link vet
 strays:
-	@out=$$(ps -eo pid,comm | awk -v names="$(STRAY_NAMES)" \
+	@root=$$(pwd -P); \
+	out=$$(ps -eo pid,comm | awk -v names="$(STRAY_NAMES)" \
 		'BEGIN { n = split(names, a, " "); for (i = 1; i <= n; i++) ours[a[i]] = 1 } \
 		 NR > 1 && ($$2 in ours || $$2 ~ /\.test$$/)'); \
+	tools=$$(ps -eo pid,comm | awk -v names="$(STRAY_TOOLS)" \
+		'BEGIN { n = split(names, a, " "); for (i = 1; i <= n; i++) ours[a[i]] = 1 } \
+		 NR > 1 && $$2 in ours' | \
+		while read pid comm; do \
+			cwd=$$(readlink /proc/$$pid/cwd 2>/dev/null) || continue; \
+			case "$$cwd/" in "$$root"/*) echo "$$pid $$comm (in $$cwd)";; esac; \
+		done); \
+	out=$$(printf '%s\n%s\n' "$$out" "$$tools" | sed '/^$$/d'); \
 	if [ -n "$$out" ]; then \
 		echo "strays: processes of this module are still running:"; echo "$$out"; exit 1; fi
 

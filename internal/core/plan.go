@@ -40,6 +40,8 @@ type Plan[C fft.Complex] struct {
 
 	fwd [4]*reshape[C]
 	bwd [4]*reshape[C]
+	// pack is the (un)packing scratch all reshapes share.
+	pack []C
 
 	fftPlans [3]*fft.Plan[C]
 	batch    [3]int
@@ -98,10 +100,10 @@ func NewPlan[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *Plan[C] {
 		pl.first, pl.last = 1, 3
 	}
 	for s := 0; s < pl.last-pl.first; s++ {
-		pl.fwd[s] = newReshape(&pl.pipe, wire, stage(pl.first+s), stage(pl.first+s+1), "fwd"+strconv.Itoa(s))
+		pl.fwd[s] = newReshape(&pl.pipe, wire, &pl.pack, stage(pl.first+s), stage(pl.first+s+1), "fwd"+strconv.Itoa(s))
 	}
 	for s := 0; s < pl.last-pl.first; s++ {
-		pl.bwd[s] = newReshape(&pl.pipe, wire, stage(pl.last-s), stage(pl.last-s-1), "bwd"+strconv.Itoa(s))
+		pl.bwd[s] = newReshape(&pl.pipe, wire, &pl.pack, stage(pl.last-s), stage(pl.last-s-1), "bwd"+strconv.Itoa(s))
 	}
 	me := c.Rank()
 	for axis := 0; axis < 3; axis++ {
@@ -249,16 +251,17 @@ func (pl *Plan[C]) ledgers() []ledgered {
 // healing ledger. The store CRC-frames the whole snapshot; this layout
 // only needs lengths.
 func (pl *Plan[C]) snapshot(data []C) []byte {
-	body := complexToBytes(data)
+	bodyLen := len(data) * pl.elemSize()
 	leds := pl.ledgers()
-	size := 8 + len(body)
+	size := 8 + bodyLen
 	states := make([][]byte, len(leds))
 	for i, l := range leds {
 		states[i] = l.LedgerState()
 		size += 4 + len(states[i])
 	}
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(body)))
-	buf = append(buf, body...)
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(bodyLen))
+	buf = buf[:4+bodyLen]
+	encodeComplex(buf[4:], data)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(states)))
 	for _, st := range states {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st)))
@@ -282,7 +285,7 @@ func (pl *Plan[C]) restoreSnapshot(r *reshape[C], snap []byte) []C {
 	if want := len(r.outBuf) * pl.elemSize(); len(body) != want {
 		fail(fmt.Sprintf("snapshot holds %d data bytes, reshape needs %d", len(body), want))
 	}
-	bytesToComplex(body, r.outBuf)
+	decodeComplex(body, r.outBuf)
 	leds := pl.ledgers()
 	if len(states) != len(leds) {
 		fail(fmt.Sprintf("snapshot holds %d ledgers, plan has %d", len(states), len(leds)))
@@ -377,7 +380,7 @@ func (pl *Plan[C]) migrateSnapshot(r *reshape[C]) []C {
 			scratch = make([]C, oldBoxes[old].Count())
 		}
 		data := scratch[:oldBoxes[old].Count()]
-		bytesToComplex(body, data)
+		decodeComplex(body, data)
 		cnt := ov.Count()
 		if cap(tile) < cnt {
 			tile = make([]C, cnt)
@@ -457,30 +460,25 @@ func floatsToComplex[C fft.Complex](src []float64, dst []C) {
 	}
 }
 
-// complexToBytes serializes complex values little-endian (8 bytes per
-// complex64 element, 16 per complex128).
-func complexToBytes[C fft.Complex](src []C) []byte {
+// encodeComplex serializes complex values little-endian into dst (8
+// bytes per complex64 element, 16 per complex128).
+func encodeComplex[C fft.Complex](dst []byte, src []C) {
 	switch s := any(src).(type) {
 	case []complex64:
-		out := make([]byte, 8*len(s))
 		for i, v := range s {
-			binary.LittleEndian.PutUint32(out[8*i:], math.Float32bits(real(v)))
-			binary.LittleEndian.PutUint32(out[8*i+4:], math.Float32bits(imag(v)))
+			binary.LittleEndian.PutUint32(dst[8*i:], math.Float32bits(real(v)))
+			binary.LittleEndian.PutUint32(dst[8*i+4:], math.Float32bits(imag(v)))
 		}
-		return out
 	case []complex128:
-		out := make([]byte, 16*len(s))
 		for i, v := range s {
-			binary.LittleEndian.PutUint64(out[16*i:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(out[16*i+8:], math.Float64bits(imag(v)))
+			binary.LittleEndian.PutUint64(dst[16*i:], math.Float64bits(real(v)))
+			binary.LittleEndian.PutUint64(dst[16*i+8:], math.Float64bits(imag(v)))
 		}
-		return out
 	}
-	panic("core: unsupported complex type")
 }
 
-// bytesToComplex deserializes complexToBytes output.
-func bytesToComplex[C fft.Complex](b []byte, dst []C) {
+// decodeComplex deserializes encodeComplex output.
+func decodeComplex[C fft.Complex](b []byte, dst []C) {
 	switch d := any(dst).(type) {
 	case []complex64:
 		for i := range d {

@@ -21,6 +21,15 @@ type pipe struct {
 	stream   *gpu.Stream
 	precBits int
 	profile  Profile
+
+	// The per-destination headers the transports take: P-length, filled
+	// and cleared by each execute, so the plan's reshapes share one set,
+	// allocated by the first reshape that needs it. sendLease holds the
+	// lease ids beside sendBytes (all zero but for the two-sided
+	// all-to-all).
+	sendBytes [][]byte
+	sendVals  [][]float64
+	sendLease []int
 }
 
 // kernel runs one GPU kernel of the given cost to completion as a span
@@ -59,11 +68,12 @@ type layout struct {
 
 // codec is a reshape element's wire format: little-endian bytes (size
 // per element) for the lossless transports, flat float64 values (vals
-// per element) for the compressed ones.
+// per element) for the compressed ones. Every conversion writes into a
+// buffer its caller owns.
 type codec[E any] struct {
 	size, vals int
-	toBytes    func(src []E) []byte
-	fromBytes  func(b []byte, dst []E)
+	encode     func(dst []byte, src []E)
+	decode     func(b []byte, dst []E)
 	toVals     func(src []E, dst []float64)
 	fromVals   func(src []float64, dst []E)
 }
@@ -71,7 +81,7 @@ type codec[E any] struct {
 // complexCodec ships pencil data: 8 bytes per complex64 element, 16 per
 // complex128, interleaved re/im values.
 func complexCodec[C fft.Complex](elemSize int) codec[C] {
-	return codec[C]{elemSize, 2, complexToBytes[C], bytesToComplex[C], complexToFloats[C], floatsToComplex[C]}
+	return codec[C]{elemSize, 2, encodeComplex[C], decodeComplex[C], complexToFloats[C], floatsToComplex[C]}
 }
 
 // realCodec ships the real bricks of the r2c transform at the
@@ -80,21 +90,27 @@ func complexCodec[C fft.Complex](elemSize int) codec[C] {
 func realCodec(precBits int) codec[float64] {
 	w := codec[float64]{
 		size: 8, vals: 1,
-		toBytes:   mpi.Float64sToBytes,
-		fromBytes: func(b []byte, dst []float64) { copy(dst, mpi.BytesToFloat64s(b)) },
-		toVals:    func(src, dst []float64) { copy(dst, src) },
-		fromVals:  func(src, dst []float64) { copy(dst, src) },
+		encode: func(dst []byte, src []float64) {
+			for i, v := range src {
+				binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+			}
+		},
+		decode: func(b []byte, dst []float64) {
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		},
+		toVals:   func(src, dst []float64) { copy(dst, src) },
+		fromVals: func(src, dst []float64) { copy(dst, src) },
 	}
 	if precBits == 32 {
 		w.size = 4
-		w.toBytes = func(src []float64) []byte {
-			out := make([]byte, 4*len(src))
+		w.encode = func(dst []byte, src []float64) {
 			for i, v := range src {
-				binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(v)))
+				binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(v)))
 			}
-			return out
 		}
-		w.fromBytes = func(b []byte, dst []float64) {
+		w.decode = func(b []byte, dst []float64) {
 			for i := range dst {
 				dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 			}
@@ -113,9 +129,11 @@ type ledgered interface {
 // transport is a reshape's resolved all-to-all. Exactly one of bytes and
 // vals is set — which one is all execute needs to know; ledger is the
 // exchange's healing ledger for the epoch checkpoints (nil for the
-// two-sided transports, which keep none).
+// two-sided transports, which keep none). bytes takes the payloads'
+// lease ids beside them (see mpi.AlltoallvLeased; all zero when they
+// carry none).
 type transport struct {
-	bytes  func(send [][]byte) [][]byte
+	bytes  func(send [][]byte, lease []int) [][]byte
 	vals   func(send [][]float64) [][]float64
 	ledger ledgered
 }
@@ -146,20 +164,30 @@ type reshape[E any] struct {
 	toStage int
 
 	x transport
-	// Per-destination payloads of the current execution; the one matching
-	// the transport's kind is allocated.
-	sendBytes [][]byte
-	sendVals  [][]float64
-	// Scratch for packing into elements before conversion.
-	packBuf []E
+	// The reshape's send buffers: one block in the transport's format
+	// (wireBytes or wireVals), holding plan.Send[i]'s payload at its
+	// Offset. It is materialised by the first execute and packed in place
+	// by every later one. lease is the id of plan.Send[0]'s
+	// send-completion lease (the others follow in order), or 0: only the
+	// two-sided all-to-all hands the payloads to their receivers as-is,
+	// every other transport is done with them when it returns.
+	wireBytes []byte
+	wireVals  []float64
+	lease     int
+	// pack is the plan's scratch for packing into elements before
+	// conversion, shared by its reshapes of element type E; packLen is
+	// the most this reshape needs of it.
+	pack    *[]E
+	packLen int
 	outBuf  []E
 }
 
-func newReshape[E any](pp *pipe, wire codec[E], from, to layout, label string) *reshape[E] {
+func newReshape[E any](pp *pipe, wire codec[E], pack *[]E, from, to layout, label string) *reshape[E] {
 	me := pp.c.Rank()
 	r := &reshape[E]{
 		pp:         pp,
 		wire:       wire,
+		pack:       pack,
 		plan:       grid.NewPlan(me, from.boxes, to.boxes),
 		fromBox:    from.boxes[me],
 		fromOrder:  from.order,
@@ -172,7 +200,7 @@ func newReshape[E any](pp *pipe, wire codec[E], from, to layout, label string) *
 	simPlan := grid.NewPlan(me, from.simBoxes, to.simBoxes)
 	r.simSendTotal, r.simRecvTotal = simPlan.SendTotal, simPlan.RecvTotal
 
-	r.packBuf = make([]E, max(maxCount(r.plan.Send), maxCount(r.plan.Recv)))
+	r.packLen = max(maxCount(r.plan.Send), maxCount(r.plan.Recv))
 	r.outBuf = make([]E, r.toBox.Count())
 
 	// Resolve this reshape's exchange choice: the fixed Options, unless
@@ -198,16 +226,12 @@ func newReshape[E any](pp *pipe, wire codec[E], from, to layout, label string) *
 		}
 	}
 	r.x = r.newTransport(choice, from, to, simPlan)
-	if r.x.bytes != nil {
-		r.sendBytes = make([][]byte, pp.c.Size())
-	} else {
-		r.sendVals = make([][]float64, pp.c.Size())
-	}
 	return r
 }
 
 // newTransport builds the exchange a choice names — the one place that
-// maps a Backend onto an implementation.
+// maps a Backend onto an implementation. The two-sided all-to-all also
+// registers the reshape's send-completion leases.
 func (r *reshape[E]) newTransport(choice ExchangeChoice, from, to layout, simPlan grid.Plan) transport {
 	pp := r.pp
 	c := pp.c
@@ -234,15 +258,16 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, from, to layout, simPla
 				logical[t.Rank] = elem * t.Count
 			}
 		}
-		return transport{bytes: func(send [][]byte) [][]byte {
-			return c.AlltoallvSparse(send, recvNonzero, logical)
+		r.lease = c.NewLeases(len(r.plan.Send))
+		return transport{bytes: func(send [][]byte, lease []int) [][]byte {
+			return c.AlltoallvLeased(send, lease, recvNonzero, logical)
 		}}
 	case BackendOSC:
 		osc := exchange.NewOSC(c, func(dst, src int) int { return elem * overlap(dst, src) }, true)
 		if scaled {
 			osc.Logical = func(dst, src int) int { return elem * simOverlap(dst, src) }
 		}
-		return transport{bytes: osc.Exchange, ledger: osc}
+		return transport{bytes: func(send [][]byte, _ []int) [][]byte { return osc.Exchange(send) }, ledger: osc}
 	case BackendBruck:
 		// Bruck requires uniform blocks: pad every pairwise payload to
 		// the global maximum overlap. The maximum is reduced
@@ -259,7 +284,7 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, from, to layout, simPla
 		for d := range padded {
 			padded[d] = make([]byte, block)
 		}
-		return transport{bytes: func(send [][]byte) [][]byte {
+		return transport{bytes: func(send [][]byte, _ []int) [][]byte {
 			if block == 0 {
 				return padded
 			}
@@ -312,26 +337,36 @@ func (r *reshape[E]) execute(local []E) []E {
 	rk := c.Obs()
 	byBytes := r.x.bytes != nil
 	sendWire, recvWire := r.simSendTotal*r.wire.size, r.simRecvTotal*r.wire.size
+	if r.wireBytes == nil && r.wireVals == nil {
+		r.materialize()
+	}
+	if cap(*r.pack) < r.packLen {
+		*r.pack = make([]E, r.packLen)
+	}
+	pack := *r.pack
 
-	// Pack every destination's overlap, reordered to the target layout.
-	// Destinations with no overlap get zero-length payloads (the plans
-	// demand exact counts).
-	for d := range r.sendBytes {
-		r.sendBytes[d] = []byte{}
-	}
-	for d := range r.sendVals {
-		r.sendVals[d] = []float64{}
-	}
+	// Pack every destination's overlap, reordered to the target layout,
+	// into its wire buffer — unless its receiver still holds that buffer
+	// from the last call (the lease is busy), in which case the payload
+	// goes out in a fresh one. Destinations with no overlap keep nil
+	// payloads (the transports read them as zero-length).
 	pp.kernel(obs.PhasePack, &pp.profile.Pack, sendWire, dev.CopyCost(sendWire), func() {
-		for _, t := range r.plan.Send {
-			grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, r.packBuf[:t.Count])
-			if byBytes {
-				r.sendBytes[t.Rank] = r.wire.toBytes(r.packBuf[:t.Count])
-			} else {
-				buf := make([]float64, r.wire.vals*t.Count)
-				r.wire.toVals(r.packBuf[:t.Count], buf)
-				r.sendVals[t.Rank] = buf
+		for i, t := range r.plan.Send {
+			src := pack[:t.Count]
+			grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, src)
+			if !byBytes {
+				lo, hi := r.wire.vals*t.Offset, r.wire.vals*(t.Offset+t.Count)
+				r.wire.toVals(src, r.wireVals[lo:hi])
+				pp.sendVals[t.Rank] = r.wireVals[lo:hi:hi]
+				continue
 			}
+			lo, hi := r.wire.size*t.Offset, r.wire.size*(t.Offset+t.Count)
+			buf := r.wireBytes[lo:hi:hi]
+			if r.lease != 0 {
+				buf, pp.sendLease[t.Rank] = c.LeasedBuf(r.lease+i, buf)
+			}
+			r.wire.encode(buf, src)
+			pp.sendBytes[t.Rank] = buf
 		}
 	})
 
@@ -340,9 +375,16 @@ func (r *reshape[E]) execute(local []E) []E {
 	var recvBytes [][]byte
 	var recvVals [][]float64
 	if byBytes {
-		recvBytes = r.x.bytes(r.sendBytes)
+		recvBytes = r.x.bytes(pp.sendBytes, pp.sendLease)
 	} else {
-		recvVals = r.x.vals(r.sendVals)
+		recvVals = r.x.vals(pp.sendVals)
+	}
+	for _, t := range r.plan.Send {
+		if byBytes {
+			pp.sendBytes[t.Rank], pp.sendLease[t.Rank] = nil, 0
+		} else {
+			pp.sendVals[t.Rank] = nil
+		}
 	}
 
 	tUnpack := c.Now()
@@ -356,16 +398,38 @@ func (r *reshape[E]) execute(local []E) []E {
 		Value: tUnpack - tExchange,
 	})
 
-	// Unpack into the target layout.
+	// Unpack into the target layout, then hand the senders their leased
+	// buffers back.
 	pp.kernel(obs.PhaseUnpack, &pp.profile.Unpack, recvWire, dev.CopyCost(recvWire), func() {
 		for _, t := range r.plan.Recv {
 			if byBytes {
-				r.wire.fromBytes(recvBytes[t.Rank], r.packBuf[:t.Count])
+				r.wire.decode(recvBytes[t.Rank], pack[:t.Count])
 			} else {
-				r.wire.fromVals(recvVals[t.Rank], r.packBuf[:t.Count])
+				r.wire.fromVals(recvVals[t.Rank], pack[:t.Count])
 			}
-			grid.Unpack(r.packBuf[:t.Count], t.Sub, r.outBuf, r.toBox, r.toOrder)
+			grid.Unpack(pack[:t.Count], t.Sub, r.outBuf, r.toBox, r.toOrder)
 		}
 	})
+	if r.lease != 0 {
+		c.ReleaseRecv()
+	}
 	return r.outBuf
+}
+
+// materialize allocates the reshape's send buffers in the transport's
+// format, and the plan's headers the first time one is needed.
+func (r *reshape[E]) materialize() {
+	pp := r.pp
+	p := pp.c.Size()
+	if r.x.bytes == nil {
+		r.wireVals = make([]float64, r.wire.vals*r.plan.SendTotal)
+		if pp.sendVals == nil {
+			pp.sendVals = make([][]float64, p)
+		}
+		return
+	}
+	r.wireBytes = make([]byte, r.wire.size*r.plan.SendTotal)
+	if pp.sendBytes == nil {
+		pp.sendBytes, pp.sendLease = make([][]byte, p), make([]int, p)
+	}
 }

@@ -325,6 +325,53 @@ func TestTwoSidedCompressedCorrectness(t *testing.T) {
 	})
 }
 
+// TestTwoSidedCompressedEpochIsolation: back-to-back exchanges with
+// different payloads each deliver their own epoch's values. The two-sided
+// all-to-all hands compressed payloads to receivers zero-copy, so a
+// sender that runs ahead into the next exchange must not recompress into
+// a buffer a slower receiver has not decompressed yet.
+func TestTwoSidedCompressedEpochIsolation(t *testing.T) {
+	cfg := machine(1)
+	p := cfg.Ranks()
+	const count = 64
+	value := func(epoch, src, dst, i int) float64 { return float64(epoch*100000 + src*1000 + dst*100 + i) }
+	first := make([][][]float64, p)
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		me := c.Rank()
+		x := NewTwoSidedCompressed(c, compress.Cast32{}, gpu.NewStream(gpu.V100(), c), UniformCount(count))
+		for epoch := 1; epoch <= 2; epoch++ {
+			send := make([][]float64, p)
+			for d := range send {
+				send[d] = make([]float64, count)
+				for i := range send[d] {
+					send[d][i] = value(epoch, me, d, i)
+				}
+			}
+			recv := x.Exchange(send)
+			if epoch == 1 {
+				first[me] = make([][]float64, p)
+				for s := range recv {
+					first[me][s] = append([]float64(nil), recv[s]...)
+				}
+			}
+		}
+	})
+	bad := 0
+	for r := 0; r < p; r++ {
+		for s := 0; s < p; s++ {
+			for i := 0; i < count; i++ {
+				if first[r][s][i] != value(1, s, r, i) {
+					bad++
+					break
+				}
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d slots of the first exchange hold another epoch's values", bad, p*p)
+	}
+}
+
 func TestTwoSidedCompressedSparsePattern(t *testing.T) {
 	// Asymmetric sparse pattern: rank r sends only to r+1 (mod p).
 	cfg := machine(1)

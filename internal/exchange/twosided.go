@@ -33,8 +33,15 @@ type TwoSidedCompressed struct {
 
 	recvCounts  []int
 	recvNonzero []bool
-	sendBufs    [][]byte
-	out         [][]float64
+	// sendBufs[d] is the compressed staging for rank d, reused across
+	// calls once its receiver has released it: its send-completion lease
+	// is lease+d (mpi.AlltoallvLeased). payload and leases are the
+	// per-call headers handed to the all-to-all.
+	sendBufs [][]byte
+	lease    int
+	payload  [][]byte
+	leases   []int
+	out      [][]float64
 }
 
 // NewTwoSidedCompressed builds the exchange for the fixed pattern counts.
@@ -49,6 +56,9 @@ func NewTwoSidedCompressed(c *mpi.Comm, method compress.Method, stream *gpu.Stre
 		recvCounts:  make([]int, p),
 		recvNonzero: make([]bool, p),
 		sendBufs:    make([][]byte, p),
+		lease:       c.NewLeases(p),
+		payload:     make([][]byte, p),
+		leases:      make([]int, p),
 		out:         make([][]float64, p),
 	}
 	for s := 0; s < p; s++ {
@@ -79,7 +89,9 @@ func (x *TwoSidedCompressed) SetLabel(label string) {
 // Exchange compresses send (counts(d, me) float64 values per rank d) on
 // the GPU, runs the two-sided all-to-all on the compressed payloads, and
 // decompresses the received slots. The returned slices are reused across
-// calls.
+// calls. A staging buffer whose receiver has not yet released it (that
+// rank is still decompressing the previous call's payload) is not
+// overwritten: this call's payload for it goes out in a fresh buffer.
 func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 	me := x.c.Rank()
 	p := x.c.Size()
@@ -97,7 +109,7 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 		inBytes += 8 * cv
 		outBytes += x.method.MaxCompressedLen(cv)
 	}
-	payload := make([][]byte, p)
+	payload := x.payload
 	x.stream.LaunchTagged(obs.PhaseCompress, dev.CompressCost(inBytes, outBytes), func() {
 		for d := 0; d < p; d++ {
 			vals := send[d]
@@ -108,7 +120,8 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 				payload[d] = x.sendBufs[d]
 				continue
 			}
-			buf := x.sendBufs[d]
+			buf, lease := x.c.LeasedBuf(x.lease+d, x.sendBufs[d])
+			x.leases[d] = lease
 			clen := x.method.Compress(buf[4:], vals)
 			binary.LittleEndian.PutUint32(buf, uint32(clen))
 			payload[d] = buf[:4+clen]
@@ -176,7 +189,7 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 		}
 	}
 
-	recv := x.c.AlltoallvSparse(payload, x.recvNonzero, logical)
+	recv := x.c.AlltoallvLeased(payload, x.leases, x.recvNonzero, logical)
 
 	// Decompress the received slots in one kernel.
 	inBytes, outBytes = 0, 0
@@ -198,5 +211,6 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 		}
 	})
 	x.stream.Synchronize()
+	x.c.ReleaseRecv()
 	return x.out
 }

@@ -107,27 +107,39 @@ func (c *Comm) AllreduceFloat64(op string, v float64) float64 {
 // algorithm of Open MPI's basic module, which posts every send up front
 // (flooding the fabric — this is the behaviour whose degradation Fig. 3
 // shows) and then drains every receive. send[d] is the payload for rank
-// d; the returned slice holds one received payload per source rank.
+// d; the returned slice holds one received payload per source rank. The
+// slice is reused by this rank's next alltoallv, and each payload is the
+// sender's own buffer, handed over zero-copy.
 func (c *Comm) Alltoallv(send [][]byte) [][]byte {
-	return c.alltoallvImpl(send, nil, nil, c.collTag(), false, nil)
+	return c.alltoallvImpl(send, nil, nil, c.collTag(), false, nil, nil)
 }
 
 // AlltoallvSparse is Alltoallv for callers that know the global pattern
 // (as MPI_Alltoallv's count arrays provide): empty sends are skipped,
 // and only sources with recvNonzero[src] are drained. logical, when
 // non-nil, overrides each message's on-the-wire size for timing (the
-// scaled-volume experiment mode).
+// scaled-volume experiment mode). The payloads are handed over
+// zero-copy: a sender must not modify send[d] until rank d is done with
+// it — AlltoallvLeased tells it when.
 func (c *Comm) AlltoallvSparse(send [][]byte, recvNonzero []bool, logical []int) [][]byte {
-	return c.alltoallvImpl(send, nil, recvNonzero, c.collTag(), false, logical)
+	return c.alltoallvImpl(send, nil, recvNonzero, c.collTag(), false, logical, nil)
+}
+
+// AlltoallvLeased is AlltoallvSparse over reusable send buffers with
+// send completion (lease.go): lease[d] is the id LeasedBuf gave send[d],
+// or 0 for a buffer the caller will not reuse. Each leased payload stays
+// busy until its receiver's ReleaseRecv.
+func (c *Comm) AlltoallvLeased(send [][]byte, lease []int, recvNonzero []bool, logical []int) [][]byte {
+	return c.alltoallvImpl(send, nil, recvNonzero, c.collTag(), false, logical, lease)
 }
 
 // AlltoallvN is the phantom variant of Alltoallv: sizes[d] logical bytes
 // are sent to each rank d with no payload. It returns nothing.
 func (c *Comm) AlltoallvN(sizes []int) {
-	c.alltoallvImpl(nil, sizes, nil, c.collTag(), true, nil)
+	c.alltoallvImpl(nil, sizes, nil, c.collTag(), true, nil, nil)
 }
 
-func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, base int, phantom bool, logicalSizes []int) [][]byte {
+func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, base int, phantom bool, logicalSizes, lease []int) [][]byte {
 	p := c.Size()
 	r := c.Rank()
 	logical := func(dst int) int {
@@ -152,11 +164,15 @@ func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, bas
 		}
 		active++
 		var payload []byte
+		meta := 0
 		if !phantom {
 			payload = send[dst]
+			if lease != nil {
+				meta = lease[dst]
+			}
 		}
 		lat, proto := c.rendezvousCost(dst, n)
-		c.sendMsg(dst, base, netsim.SendOpts{Payload: payload, Bytes: n, ExtraLatency: lat, ProtoOverhead: proto})
+		c.sendMsg(dst, base, netsim.SendOpts{Payload: payload, Bytes: n, Meta: meta, ExtraLatency: lat, ProtoOverhead: proto})
 	}
 	// Every arrival is matched against the posted-receive list, whose
 	// length here is the number of active peers — the per-message
@@ -171,7 +187,12 @@ func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, bas
 		}
 		matchCost = cfg.MatchCost * float64(depth)
 	}
-	recv := make([][]byte, p)
+	if !phantom {
+		if c.recv == nil {
+			c.recv = make([][]byte, p)
+		}
+		clear(c.recv)
+	}
 	latest := c.Now()
 	for i := 0; i < p; i++ {
 		src := (r - i + p) % p
@@ -180,7 +201,12 @@ func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, bas
 		}
 		pkt := c.recvInternal(src, base)
 		c.Elapse(matchCost)
-		recv[src] = pkt.Payload
+		if !phantom {
+			c.recv[src] = pkt.Payload
+			if pkt.Meta != 0 {
+				c.held = append(c.held, heldLease{pkt.Src, pkt.Meta})
+			}
+		}
 		if pkt.Arrival > latest {
 			latest = pkt.Arrival
 		}
@@ -189,5 +215,5 @@ func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, bas
 	if phantom {
 		return nil
 	}
-	return recv
+	return c.recv
 }

@@ -70,6 +70,15 @@ type Comm struct {
 	// verdict can say where this rank last made progress.
 	progressT float64
 	discards  int
+
+	// Send completion (lease.go): the Run's lease tables, indexed by
+	// global rank, and the leases of the payloads delivered to this rank
+	// since its last ReleaseRecv.
+	leases []leaseTable
+	held   []heldLease
+	// recv is alltoallv's per-source result, allocated on first use and
+	// overwritten by the next call.
+	recv [][]byte
 }
 
 // Run starts one rank body per simulated GPU and returns the netsim
@@ -138,6 +147,7 @@ func runWith(cfg netsim.Config, rec *obs.Recorder, body func(*Comm), check bool)
 			})
 		}
 	}
+	leases := make([]leaseTable, cfg.Ranks())
 	mk := func(p *netsim.Proc) *Comm {
 		c := &Comm{
 			p:              p,
@@ -145,6 +155,7 @@ func runWith(cfg netsim.Config, rec *obs.Recorder, body func(*Comm), check bool)
 			eagerThreshold: DefaultEagerThreshold,
 			winCreateCost:  50e-6,
 			lrank:          p.Rank(),
+			leases:         leases,
 		}
 		if cfg.Faults != nil {
 			c.reliable = true

@@ -106,6 +106,7 @@ func (c *Comm) subComm(suspects map[int]bool) *Comm {
 		gen:            c.gen + 1,
 		reliable:       c.reliable,
 		retry:          c.retry,
+		leases:         c.leases,
 	}
 	if sc.reliable {
 		sc.sendSeq = make(map[seqKey]uint32)

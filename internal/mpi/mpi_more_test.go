@@ -64,10 +64,17 @@ func TestAllreducePropertyRandomValues(t *testing.T) {
 }
 
 // TestAlltoallvSparseAsymmetric: the sparse pattern need not be
-// symmetric — rank r sends only to (r+1) mod p.
+// symmetric — rank r sends only to (r+1) mod p. A dense exchange runs
+// first: the result slice is reused, and the sources the sparse call
+// does not drain must read nil, not the dense call's payloads.
 func TestAlltoallvSparseAsymmetric(t *testing.T) {
 	p := 7
 	Run(cfgN(p), func(c *Comm) {
+		dense := make([][]byte, p)
+		for d := range dense {
+			dense[d] = []byte{byte(d)}
+		}
+		c.Alltoallv(dense)
 		send := make([][]byte, p)
 		recvNonzero := make([]bool, p)
 		for d := range send {

@@ -3,7 +3,6 @@ package mpi
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/netsim"
@@ -230,11 +229,4 @@ func TestUserTagValidation(t *testing.T) {
 			c.Recv(0, 0)
 		}
 	})
-}
-
-func TestByteConversions(t *testing.T) {
-	f64 := []float64{0, 1.5, -2.25, math.Pi}
-	if got := BytesToFloat64s(Float64sToBytes(f64)); !reflect.DeepEqual(got, f64) {
-		t.Errorf("float64 round trip: %v", got)
-	}
 }

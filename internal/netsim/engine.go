@@ -15,7 +15,7 @@ type Packet struct {
 	Tag     int
 	Payload []byte // nil for phantom (metadata-only) transfers
 	Bytes   int    // logical size used for timing
-	Meta    int    // caller-defined metadata (e.g. a window offset)
+	Meta    int    // caller-defined metadata (a window offset, a send lease)
 	Arrival float64
 
 	unmatched bool // bypasses the matching engine (one-sided put)
@@ -185,7 +185,10 @@ func (p *Proc) CountFlush() { p.flushes++ }
 
 // Send transfers a message of the given logical size toward dst, tagged
 // tag. payload may be nil for phantom transfers; it is handed to the
-// receiver as-is (the caller must not mutate it afterwards). Send
+// receiver as-is, so the caller must not mutate it until the receiver is
+// done with it. The engine never signals that: a layer above that reuses
+// send buffers needs its own completion handshake (mpi's send leases
+// carry theirs in Packet.Meta). Send
 // returns once the message is injected (sender overhead elapsed); the
 // transfer itself completes in the background at a time the receiver
 // observes as Packet.Arrival.
