@@ -171,18 +171,21 @@ trace-demo:
 	go run ./cmd/fftbench -n 64 -sim 64 -gpus 24 -configs fp64-32,fp64-16 \
 		-iters 1 -trace trace-demo.json -metrics
 
-# telemetry-demo runs a short chaos soak with the JSONL event log and
-# the SLO objectives from docs/slo.example.json on, then replays the
-# event stream offline: on its own it must replay clean, and against
-# the same SLOs it must re-derive the breaches the run saw (the replay
-# exits nonzero). Part of `make verify`.
+# telemetry-demo runs a short chaos soak with the JSONL event log on,
+# then replays the stream offline with errmap -replay: whole, it must
+# pass the integrity checks and the error ledger (exit 0); without its
+# last line, the run_end marker, the replay must exit nonzero and name
+# the truncation on an INTEGRITY: line. Part of `make verify`.
 telemetry-demo:
 	$(eval TMP := $(shell mktemp -d))
-	go run ./cmd/chaos -seeds 6 -eventlog $(TMP)/events.jsonl -slo docs/slo.example.json
-	go run ./cmd/obswatch -replay $(TMP)/events.jsonl
-	! go run ./cmd/obswatch -replay $(TMP)/events.jsonl -slo docs/slo.example.json
+	go run ./cmd/chaos -seeds 6 -eventlog $(TMP)/events.jsonl
+	go run ./cmd/errmap -replay $(TMP)/events.jsonl > $(TMP)/replay.txt
+	grep -E '^(replay|errtrack) ' $(TMP)/replay.txt
+	sed '$$d' $(TMP)/events.jsonl > $(TMP)/cut.jsonl
+	! go run ./cmd/errmap -replay $(TMP)/cut.jsonl > $(TMP)/cut.txt
+	grep 'INTEGRITY: stream ends without a run_end marker' $(TMP)/cut.txt
 	rm -rf $(TMP)
-	@echo "telemetry-demo: stream replayed, breaches reproduced"
+	@echo "telemetry-demo: stream replayed clean, truncation detected"
 
 # errmap-demo runs a small lossy bench with the event log and the
 # error-provenance artifact on, then renders the attribution ledger from

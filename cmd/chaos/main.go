@@ -106,9 +106,9 @@ func pbyte(src, dst, i int) byte { return byte(src*7 + dst*13 + i) }
 // a healthy lossy delivery is still bit-identical to the reference.
 func pval(src, dst, i int) float64 { return float64((src*31 + dst*17 + i*5) % 256) }
 
-// emitExchange stamps one completed exchange on the live event stream —
-// the latency observations the SLO engine's "latency" objectives
-// consume. A no-op (one pointer test) when telemetry is off.
+// emitExchange stamps one completed exchange, with its virtual
+// duration, on the event stream. A no-op (one pointer test) when
+// telemetry is off.
 func emitExchange(c *mpi.Comm, label string, t0 float64) {
 	c.Obs().Emit(obs.Event{
 		T: c.Now(), Kind: obs.EventExchange, Label: label, Peer: -1,
@@ -485,11 +485,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	cl := cell{timeout: *timeout, verbose: *verbose, parallel: s.Parallel}
-	if s.Tel.Enabled() {
+	if s.Events != nil {
 		// One recorder for the whole soak: counters accumulate across
 		// cells, and every cell's events land in the same stream.
 		cl.rec = obs.New(obs.Options{Metrics: true})
-		s.Tel.Attach(cl.rec)
+		cl.rec.SetEventLog(s.Events)
 	}
 
 	counts := map[string]map[outcome]int{}
@@ -500,7 +500,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		scenario := netsim.RandomPlan(cl.seed).Scenario()
 		scenarios[scenario]++
 		for _, w := range picked {
-			s.Tel.StartRun(fmt.Sprintf("seed%d/%s", cl.seed, w.name))
+			s.Events.StartRun(fmt.Sprintf("seed%d/%s", cl.seed, w.name))
 			out, detail := w.run(cl, w)
 			if counts[w.name] == nil {
 				counts[w.name] = map[outcome]int{}

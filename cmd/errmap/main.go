@@ -6,17 +6,21 @@
 //
 // Usage:
 //
-//	errmap -replay events.jsonl        # rebuild the ledger from a recorded event log
+//	errmap -replay events.jsonl        # check a recorded event log, rebuild the ledger from it
 //	errmap -artifact errtrack.json     # render a saved -errtrack report
 //
 // Both modes render the same errtrack.Report and print the same verdict
 // line: the replay feeds the recorded stream through the identical
 // observer code the recording run's tracker used, so a run's artifact
-// and its offline replay cannot disagree. The exit status is non-zero
-// when any stage exceeded its error budget.
+// and its offline replay cannot disagree. -replay reads the stream once
+// and also checks its integrity (replay.go), printing the stream's
+// shape and any INTEGRITY: lines above the ledger. The exit status is
+// non-zero when the stream fails an integrity check or any stage
+// exceeded its error budget.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -28,7 +32,7 @@ import (
 
 func run(args []string, stdout, stderr io.Writer) error {
 	s := driver.New("errmap", stdout, stderr, 0)
-	replay := s.Flags.String("replay", "", "rebuild the ledger from a recorded JSONL event log")
+	replay := s.Flags.String("replay", "", "check a recorded JSONL event log and rebuild the ledger from it")
 	artifact := s.Flags.String("artifact", "", "render a saved -errtrack report file")
 	pairsFlag := s.Flags.Int("pairs", 10, "worst (rank, peer) pairs to list per stage (0 disables)")
 	if err := s.Parse(args); err != nil {
@@ -36,18 +40,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var rep errtrack.Report
+	var integrity []string
 	var err error
 	switch {
+	case *replay != "" && *artifact != "":
+		s.Flags.Usage()
+		return driver.Usagef("-replay and -artifact are exclusive")
 	case *replay != "":
-		var trk *errtrack.Tracker
-		var bad int64
-		trk, bad, err = errtrack.ReplayFile(*replay)
-		if err == nil {
-			rep = trk.Snapshot()
-			if bad > 0 {
-				fmt.Fprintf(stdout, "# %d malformed lines skipped (run obswatch -replay for integrity checks)\n", bad)
-			}
-		}
+		rep, integrity, err = replayStream(stdout, *replay)
 	case *artifact != "":
 		rep, err = errtrack.LoadReport(*artifact)
 	default:
@@ -59,8 +59,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	render(stdout, rep, *pairsFlag)
+	var failures []string
+	if len(integrity) > 0 {
+		failures = append(failures, "stream integrity: "+strings.Join(integrity, "; "))
+	}
 	if over := rep.OverBudget(); len(over) > 0 {
-		return fmt.Errorf("%d stages over error budget", len(over))
+		failures = append(failures, fmt.Sprintf("%d stages over error budget", len(over)))
+	}
+	if len(failures) > 0 {
+		return errors.New(strings.Join(failures, "; "))
 	}
 	return nil
 }

@@ -117,7 +117,7 @@ func (b *Bench) PlotRow(g int, values []float64) {
 func (b *Bench) AddRow(row analyze.Row, rec *obs.Recorder, label string) {
 	row.Compression = analyze.CompressionRows(rec.Metrics().CompressionStats())
 	row.Faults = analyze.FaultRowFrom(rec.Metrics())
-	row.Errors = analyze.ErrorRows(b.Tel.Tracker(), label)
+	row.Errors = analyze.ErrorRows(b.trk, label)
 	s := analyze.Summarize(analyze.FromRecorder(rec), 0)
 	row.Analysis = &s
 	b.artifact.Machine = rec.Machine()

@@ -1,13 +1,15 @@
 // Package driver is the runtime the simulation mains under cmd/ share:
 // one table of their common flags, one Session that validates them,
-// opens telemetry, hands out per-cell recorders and exports what the
-// flags asked for, and one exit path (Main). Every driver goes New,
+// opens telemetry (the event log, its JSONL sink and the error
+// tracker), hands out per-cell recorders and exports what the flags
+// asked for, and one exit path (Main). Every driver goes New,
 // private flags, Parse, its own validation (Usagef), Start, measure,
 // Finish; nothing is opened or written before Start, so a usage error
 // leaves no file behind.
 package driver
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -19,7 +21,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/obs/telemetry"
+	"repro/internal/obs/errtrack"
 	recov "repro/internal/recover"
 )
 
@@ -27,7 +29,7 @@ import (
 type Group uint
 
 const (
-	Telemetry Group = 1 << iota // -eventlog -slo -errtrack
+	Telemetry Group = 1 << iota // -eventlog -errtrack
 	exports                     // -trace -metrics
 	Parallel                    // -parallel
 	faults                      // -faults
@@ -45,6 +47,8 @@ type Session struct {
 	Stdout, Stderr io.Writer
 
 	// The shared flag values (zero for a group the driver did not register).
+	EventLog        string
+	Errtrack        string
 	Trace           string
 	Metrics         bool
 	Parallel        bool
@@ -63,9 +67,13 @@ type Session struct {
 	// records spans too, so its report carries the phase breakdown.
 	Lazy bool
 
-	Tel *telemetry.Session // opened by Start; nil-safe when telemetry is off
+	// Events is the event log Start opens when -eventlog, -errtrack or
+	// -json asks for telemetry; nil (and inert) otherwise.
+	Events *obs.EventLog
 
-	tf       *telemetry.Flags
+	trk      *errtrack.Tracker // observes Events under -errtrack or -json
+	sink     *os.File          // the -eventlog file, written through bw
+	bw       *bufio.Writer
 	last     *obs.Recorder
 	lastCell string
 }
@@ -77,7 +85,8 @@ func New(name string, stdout, stderr io.Writer, groups Group) *Session {
 	fs.SetOutput(stderr)
 	s := &Session{Flags: fs, Stdout: stdout, Stderr: stderr}
 	if groups&Telemetry != 0 {
-		s.tf = telemetry.RegisterFlags(fs)
+		fs.StringVar(&s.EventLog, "eventlog", "", "stream the telemetry event log to this file as JSONL")
+		fs.StringVar(&s.Errtrack, "errtrack", "", "write the error-provenance report (per-reshape/per-peer attribution; cmd/errmap renders it) to this JSON file")
 	}
 	if groups&exports != 0 {
 		fs.StringVar(&s.Trace, "trace", "", "write a Chrome-trace JSON of the last measured cell to this file")
@@ -183,15 +192,28 @@ func Pick[T any](flagName, kind, list string, table []T, name func(T) string) ([
 	return out, nil
 }
 
-// Start opens the telemetry the flags ask for. -json artifacts embed the
-// error-attribution ledger, so they force the error tracker on even
-// without -errtrack.
+// Start opens the telemetry the flags ask for: the event log, the error
+// tracker observing it and the JSONL sink. -json artifacts embed the
+// error-attribution ledger, so they force the tracker on even without
+// -errtrack.
 func (s *Session) Start() error {
-	cfg := s.tf.Config()
-	cfg.Tracker = s.JSON != ""
-	tel, err := telemetry.Start(cfg)
-	s.Tel = tel
-	return err
+	if s.EventLog == "" && s.Errtrack == "" && s.JSON == "" {
+		return nil
+	}
+	s.Events = obs.NewEventLog()
+	if s.Errtrack != "" || s.JSON != "" {
+		s.trk = errtrack.New()
+		s.Events.Observe(s.trk.Observe)
+	}
+	if s.EventLog != "" {
+		f, err := os.Create(s.EventLog)
+		if err != nil {
+			return fmt.Errorf("telemetry: %w", err)
+		}
+		s.sink, s.bw = f, bufio.NewWriter(f)
+		s.Events.SetSink(s.bw)
+	}
+	return nil
 }
 
 // Machine returns the g-GPU Summit under the -parallel and -faults flags.
@@ -208,13 +230,13 @@ func (s *Session) Machine(g int) netsim.Config {
 // telemetry as run label, and remembers it for Finish; cell is the name
 // the -metrics and -trace lines print ("" for a single-cell driver).
 func (s *Session) Recorder(label, cell string) *obs.Recorder {
-	if s.Lazy && s.Trace == "" && !s.Metrics && !s.Tel.Enabled() {
+	if s.Lazy && s.Trace == "" && !s.Metrics && s.Events == nil {
 		return nil
 	}
 	// The artifact embeds trace analyses, so -json records like -trace.
 	rec := obs.New(obs.Options{Trace: s.Trace != "" || s.JSON != "" || s.Lazy && s.Metrics, Metrics: true})
-	s.Tel.StartRun(label)
-	s.Tel.Attach(rec)
+	s.Events.StartRun(label)
+	rec.SetEventLog(s.Events)
 	s.last, s.lastCell = rec, cell
 	return rec
 }
@@ -270,14 +292,45 @@ func (s *Session) finish(artifacts func() error) error {
 	if err := artifacts(); err != nil {
 		return err
 	}
-	if !s.Tel.Enabled() {
+	if s.Events == nil {
 		return nil
 	}
-	fmt.Fprintln(s.Stdout, s.Tel.Summary())
-	if err := s.Tel.Close(); err != nil {
+	counts := s.Events.Counts()
+	summary := fmt.Sprintf("telemetry: repairs=%d fallbacks=%d faults=%d events=%d",
+		counts[obs.EventRepair], counts[obs.EventFallback], counts[obs.EventFault], s.Events.Total())
+	if s.trk != nil {
+		summary += "; " + s.trk.Snapshot().Verdict()
+	}
+	fmt.Fprintln(s.Stdout, summary)
+	if err := s.closeTelemetry(); err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
 	return nil
+}
+
+// closeTelemetry emits the end-of-stream marker, writes the -errtrack
+// report, and flushes and closes the JSONL sink, returning the first
+// error the sink ever hit so a silently failing event stream cannot
+// masquerade as a healthy run. The marker is the stream's last event:
+// the driver's runs have finished, so no emitter races past it, and a
+// replay that does not find it knows the stream was truncated.
+func (s *Session) closeTelemetry() error {
+	s.Events.EmitEnd()
+	err := s.Events.SinkErr()
+	if s.Errtrack != "" {
+		if werr := s.trk.Snapshot().WriteFile(s.Errtrack); err == nil {
+			err = werr
+		}
+	}
+	if s.sink != nil {
+		if ferr := s.bw.Flush(); err == nil {
+			err = ferr
+		}
+		if cerr := s.sink.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // usageError is invalid input; empty when the flag package already

@@ -12,8 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/exchange"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/obs/errtrack"
 	recov "repro/internal/recover"
 	"repro/internal/tune"
 )
@@ -52,7 +54,7 @@ func TestFlagTable(t *testing.T) {
 // TestBenchRegistersEveryGroup: the bench pair serves the whole table.
 func TestBenchRegistersEveryGroup(t *testing.T) {
 	b := NewBench("x", io.Discard, io.Discard)
-	for _, name := range []string{"trace", "metrics", "eventlog", "slo", "errtrack", "parallel", "faults",
+	for _, name := range []string{"trace", "metrics", "eventlog", "errtrack", "parallel", "faults",
 		"recover", "shrink", "autotune", "tunetol", "tuneplan", "tuneprobe", "json", "plot"} {
 		if b.Flags.Lookup(name) == nil {
 			t.Errorf("NewBench does not register -%s", name)
@@ -225,6 +227,93 @@ func TestFinishExports(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(string(log)), "\n")
 	if !strings.Contains(lines[0], `"a/6gpus"`) || !strings.Contains(lines[len(lines)-1], `"run_end"`) {
 		t.Errorf("event log does not run from the first run marker to the end marker:\n%s\n...\n%s", lines[0], lines[len(lines)-1])
+	}
+}
+
+// TestTelemetryOff: with no telemetry flag, Start opens nothing, cells
+// record without an event log, and Finish prints no summary.
+func TestTelemetryOff(t *testing.T) {
+	var out bytes.Buffer
+	s := New("x", &out, io.Discard, Observe)
+	if err := s.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Events != nil || s.trk != nil || s.sink != nil {
+		t.Fatal("all-off session opened telemetry")
+	}
+	if rec := s.Recorder("c", "c"); rec.EventLog() != nil {
+		t.Error("all-off session attached an event log")
+	}
+	if err := s.Finish(); err != nil || out.Len() != 0 {
+		t.Errorf("Finish = %v, stdout %q; want nil and nothing", err, out.String())
+	}
+}
+
+// TestTelemetryStream drives the telemetry of one faulty cell end to end:
+// the -eventlog sink is valid JSONL from the cell's run marker to the
+// end marker, carries the fault events, and the -errtrack report loads.
+func TestTelemetryStream(t *testing.T) {
+	dir := t.TempDir()
+	events, report := filepath.Join(dir, "e.jsonl"), filepath.Join(dir, "r.json")
+	var out bytes.Buffer
+	s := New("x", &out, io.Discard, Telemetry|Machine)
+	if err := s.Parse([]string{"-eventlog", events, "-errtrack", report, "-faults", "3"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := mpi.RunWithChecked(s.Machine(6), s.Recorder("faulty-cell", ""), func(c *mpi.Comm) {
+		send := make([][]byte, c.Size())
+		for d := range send {
+			send[d] = make([]byte, 128)
+		}
+		for it := 0; it < 2; it++ {
+			exchange.PairwiseAlltoallv(c, send)
+		}
+	})
+	_ = err // crashes are a legal outcome of a fault plan
+	if err := s.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "telemetry: repairs=") || !strings.Contains(out.String(), "; errtrack ") {
+		t.Errorf("summary line wrong: %q", out.String())
+	}
+	data, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []obs.Event
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var ev obs.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("sink line not JSON: %v: %s", err, line)
+		}
+		evs = append(evs, ev)
+	}
+	first, last := evs[0], evs[len(evs)-1]
+	if first.Kind != obs.EventRun || first.Label != "faulty-cell" || last.Kind != obs.EventEnd || last.Value != float64(len(evs)) {
+		t.Fatalf("sink does not run from the run marker to a consistent end marker: %+v ... %+v", first, last)
+	}
+	if s.Events.Counts()[obs.EventFault] == 0 {
+		t.Error("fault plan produced no fault events")
+	}
+	if _, err := errtrack.LoadReport(report); err != nil {
+		t.Errorf("-errtrack report: %v", err)
+	}
+}
+
+// TestTelemetryUnwritableSink: Start rejects an -eventlog it cannot create.
+func TestTelemetryUnwritableSink(t *testing.T) {
+	s := New("x", io.Discard, io.Discard, Telemetry)
+	if err := s.Parse([]string{"-eventlog", filepath.Join(t.TempDir(), "no", "such", "dir", "e.jsonl")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err == nil || !strings.HasPrefix(err.Error(), "telemetry: ") {
+		t.Errorf("Start = %v, want a telemetry error", err)
 	}
 }
 

@@ -3,13 +3,13 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/obs/errtrack"
-	"repro/internal/obs/slo"
 )
 
 // measureTracked runs one compressed pipeline with an event log and
@@ -102,9 +102,8 @@ func TestStageBoundsShape(t *testing.T) {
 }
 
 // TestErrtrackZeroCostWhenOff is the non-perturbation contract: runs
-// with and without the whole telemetry stack attached — event log, error
-// tracker and an SLO engine whose latency objective breaches, so it
-// emits breach events back into the log — produce bit-identical virtual
+// with and without the whole telemetry stack attached — event log, its
+// JSONL sink and the error tracker — produce bit-identical virtual
 // times and accuracy, under both engines. Telemetry is wall-clock-only
 // bookkeeping; the moment it shifts a virtual timestamp, it is
 // perturbing the experiment.
@@ -121,10 +120,8 @@ func TestErrtrackZeroCostWhenOff(t *testing.T) {
 		log := obs.NewEventLog()
 		trk := errtrack.New()
 		log.Observe(trk.Observe)
-		eng := slo.New(&slo.Config{Objectives: []slo.Objective{
-			{Name: "exchange-p99", Kind: slo.KindLatency, Target: 1e-9, Budget: 0.01},
-		}}, log)
-		log.Observe(eng.ObserveEvent)
+		var sink strings.Builder
+		log.SetSink(&sink)
 		rec.SetEventLog(log)
 		on := MeasureWith[complex128](rec, cfg, n, opts, 1, true)
 
@@ -138,8 +135,11 @@ func TestErrtrackZeroCostWhenOff(t *testing.T) {
 		if len(trk.Snapshot().Cells) == 0 {
 			t.Errorf("parallel=%v: tracked run recorded nothing", parallel)
 		}
-		if eng.TotalBreaches() == 0 {
-			t.Errorf("parallel=%v: SLO engine saw no breach (status %+v)", parallel, eng.Status())
+		if n := strings.Count(sink.String(), "\n"); int64(n) != log.Total() || log.SinkErr() != nil {
+			t.Errorf("parallel=%v: sink holds %d lines of %d events (sink error %v)", parallel, n, log.Total(), log.SinkErr())
+		}
+		if !strings.Contains(sink.String(), `"kind":"`+obs.EventErrAttr+`"`) {
+			t.Errorf("parallel=%v: sink carries no %s events", parallel, obs.EventErrAttr)
 		}
 	}
 }

@@ -106,7 +106,7 @@ type ErrorStageRow struct {
 	CumMeasured float64 `json:"cum_measured,omitempty"`
 	CumBound    float64 `json:"cum_bound,omitempty"`
 	// Share is the stage's fraction of the row's accumulated squared
-	// error (the budget share the SLO kind caps).
+	// error.
 	Share    float64 `json:"share,omitempty"`
 	Poisoned int64   `json:"poisoned,omitempty"`
 	// Pairs is the (rank, peer) attribution matrix, capped at

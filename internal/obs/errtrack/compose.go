@@ -17,7 +17,7 @@ type StageBudget struct {
 // LedgerRow is one stage of the error-accumulation ledger: the measured
 // worst relative error and its composition so far, against the
 // theoretical bound and its composition, plus the stage's share of the
-// total accumulated squared error (the budget-share the SLO kind caps).
+// total accumulated squared error.
 type LedgerRow struct {
 	Label       string  `json:"label"`
 	Bound       float64 `json:"bound"`

@@ -7,17 +7,16 @@ import (
 )
 
 // Event kinds emitted into the streaming event log. The set is small and
-// closed on purpose: consumers (the SLO engine, obswatch, log replays)
+// closed on purpose: consumers (the errtrack tracker, errmap -replay)
 // switch on Kind and must be able to enumerate what can appear.
 const (
-	EventPhase    = "phase"      // a pipeline phase completed on a rank
-	EventExchange = "exchange"   // one labelled exchange completed
-	EventError    = "error"      // achieved compression error observed
-	EventFault    = "fault"      // an injected or detected transport fault
-	EventRepair   = "repair"     // the healer repaired a damaged peer slot
-	EventFallback = "fallback"   // a peer escalated to lossless fallback
-	EventBreach   = "slo_breach" // an SLO objective left its budget
-	EventRun      = "run"        // a new run/cell started (virtual time resets)
+	EventPhase    = "phase"    // a pipeline phase completed on a rank
+	EventExchange = "exchange" // one labelled exchange completed
+	EventError    = "error"    // achieved compression error observed
+	EventFault    = "fault"    // an injected or detected transport fault
+	EventRepair   = "repair"   // the healer repaired a damaged peer slot
+	EventFallback = "fallback" // a peer escalated to lossless fallback
+	EventRun      = "run"      // a new run/cell started (virtual time resets)
 	// EventErrAttr carries one peer's compression-error attribution for
 	// one reshape epoch: Label is the reshape, Peer the destination,
 	// Value the block's worst relative error, Bound the method's bound,
@@ -49,9 +48,9 @@ type Event struct {
 	Seq   int64   `json:"seq,omitempty"`   // 1-based emission sequence number (stream integrity)
 	Rank  int     `json:"rank"`            // reporting rank; -1 = engine/driver
 	Kind  string  `json:"kind"`            // one of the Event* constants
-	Label string  `json:"label,omitempty"` // phase name, reshape label, fault kind, objective name
+	Label string  `json:"label,omitempty"` // phase name, reshape label, fault kind, recovery transition
 	Peer  int     `json:"peer"`            // the other rank involved; -1 = none
-	Value float64 `json:"value"`           // duration, error, burn rate, delay — kind-specific
+	Value float64 `json:"value"`           // duration, error, epoch, delay — kind-specific
 	Bound float64 `json:"bound,omitempty"` // error events: the configured bound
 	// Error-attribution statistics (EventErrAttr only): the block's
 	// largest absolute error, root-mean-square error, and value count.
@@ -63,9 +62,9 @@ type Event struct {
 
 // EventLog is the live stream of Events: it counts them, optionally
 // writes every event through to a JSONL sink as it happens, and fans
-// events out to registered observers (the SLO engine, the errtrack
-// tracker). A nil *EventLog is valid and drops everything at the cost of
-// one pointer test.
+// events out to registered observers (the errtrack tracker). A nil
+// *EventLog is valid and drops everything at the cost of one pointer
+// test.
 type EventLog struct {
 	mu        sync.Mutex
 	total     int64
@@ -105,10 +104,12 @@ func (l *EventLog) SinkErr() error {
 	return l.sinkErr
 }
 
-// Observe registers fn to be called for every subsequent event, outside
-// the log's lock but serialized with other observer calls. Register all
-// observers before the run starts; registration is not synchronized
-// against concurrent Emit.
+// Observe registers fn to be called for every subsequent event, under
+// the log's lock and in sequence order, so an observer sees the events
+// in the order the JSONL sink (and a replay of it) holds them. fn must
+// not Emit or call any other method of the log: it would deadlock.
+// Register all observers before the run starts; registration is not
+// synchronized against concurrent Emit.
 func (l *EventLog) Observe(fn func(Event)) {
 	if l == nil || fn == nil {
 		return
@@ -118,8 +119,7 @@ func (l *EventLog) Observe(fn func(Event)) {
 
 // StartRun advances the run sequence number and emits an EventRun
 // marker. Drivers call it once per cell/seed so consumers know virtual
-// time restarted at zero (sliding SLO windows reset; cumulative breach
-// counts persist).
+// time restarted at zero (the errtrack tracker opens a new cell).
 func (l *EventLog) StartRun(label string) {
 	if l == nil {
 		return
@@ -131,8 +131,8 @@ func (l *EventLog) StartRun(label string) {
 }
 
 // Emit records one event: it is numbered and counted, written through
-// the sink, and fanned out to the observers. Safe for concurrent
-// use; observers run outside the lock so they may themselves Emit.
+// the sink, and fanned out to the observers, all under the log's lock.
+// Safe for concurrent use.
 func (l *EventLog) Emit(ev Event) {
 	if l == nil {
 		return
@@ -152,11 +152,10 @@ func (l *EventLog) Emit(ev Event) {
 			l.sinkErr = err
 		}
 	}
-	obs := l.observers
-	l.mu.Unlock()
-	for _, fn := range obs {
+	for _, fn := range l.observers {
 		fn(ev)
 	}
+	l.mu.Unlock()
 }
 
 // EmitEnd emits the end-of-stream marker: one final event whose Value is

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 // sinkEvents decodes a JSONL sink back into events, in stream order —
-// the same path obswatch -replay reads.
+// the same path errmap -replay reads.
 func sinkEvents(t *testing.T, jsonl string) []Event {
 	t.Helper()
 	var evs []Event
@@ -100,38 +99,35 @@ func TestEventLogSinkErrorRemembered(t *testing.T) {
 
 func TestEventLogObservers(t *testing.T) {
 	l := NewEventLog()
-	var seen []Event
-	l.Observe(func(ev Event) {
-		seen = append(seen, ev)
-		// Observers may Emit (the SLO engine emits breach events); this
-		// must not deadlock. Guard against infinite recursion.
-		if ev.Kind == EventFault {
-			l.Emit(Event{Kind: EventBreach, Label: "from-observer"})
-		}
-	})
+	var a, b []Event
+	l.Observe(func(ev Event) { a = append(a, ev) })
+	l.Observe(func(ev Event) { b = append(b, ev) })
+	l.StartRun("cell")
 	l.Emit(Event{Kind: EventFault})
-	if len(seen) != 2 || seen[1].Kind != EventBreach {
-		t.Fatalf("observer fan-out wrong: %+v", seen)
+	if len(a) != 2 || len(b) != 2 || a[1].Kind != EventFault || a[1] != b[1] {
+		t.Fatalf("observer fan-out wrong: %+v / %+v", a, b)
 	}
-	if got := l.Counts()[EventBreach]; got != 1 {
-		t.Fatalf("breach count = %d, want 1", got)
+	if a[0].Seq != 1 || a[1].Seq != 2 || a[1].Run != 1 {
+		t.Fatalf("observers see unstamped events: %+v", a)
 	}
 }
 
 // TestEventLogConcurrentEmitters pins the stream-integrity contract
 // under contention (run under -race in the verify tier): with many
 // goroutines emitting at once, Total counts every emission, observers
-// see every event, and the JSONL sink — the stream obswatch -replay
-// checks — carries sequence numbers unique and contiguous from 1,
-// ending in the run_end marker.
+// see every event in sequence order — the order a replay reads — and
+// the JSONL sink — the stream errmap -replay checks — carries sequence
+// numbers unique and contiguous from 1, ending in the run_end marker.
 func TestEventLogConcurrentEmitters(t *testing.T) {
 	const emitters = 8
 	const perEmitter = 400
 	l := NewEventLog()
 	var buf strings.Builder
 	l.SetSink(&buf)
-	var observed atomic.Int64
-	l.Observe(func(Event) { observed.Add(1) })
+	// The log calls observers under its lock, so this plain slice needs
+	// no lock of its own (the race detector checks that claim).
+	var observed []int64
+	l.Observe(func(ev Event) { observed = append(observed, ev.Seq) })
 	var wg sync.WaitGroup
 	for g := 0; g < emitters; g++ {
 		wg.Add(1)
@@ -149,8 +145,13 @@ func TestEventLogConcurrentEmitters(t *testing.T) {
 	if got := l.Total(); got != total {
 		t.Fatalf("Total = %d, want %d", got, total)
 	}
-	if got := observed.Load(); got != total {
-		t.Fatalf("observer saw %d events, want %d", got, total)
+	if len(observed) != total {
+		t.Fatalf("observer saw %d events, want %d", len(observed), total)
+	}
+	for i, seq := range observed {
+		if want := int64(i + 1); seq != want {
+			t.Fatalf("observer call %d saw seq %d, want %d", i, seq, want)
+		}
 	}
 	evs := sinkEvents(t, buf.String())
 	if len(evs) != total {
