@@ -84,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			var bw float64
 			if b.Recover {
 				var out recov.Outcome
-				bw, out, err = exchange.NodeBandwidthRecoverableSpec(rec, machine, spec, *msg, *iters, recov.Policy{Seed: b.Faults, Shrink: b.Shrink})
+				bw, out, err = exchange.NodeBandwidthRecoverableSpec(rec, machine, spec, *msg, *iters, recov.Policy{Seed: b.Faults})
 				if err = b.Recovered(cell, out, err); err != nil {
 					return err
 				}

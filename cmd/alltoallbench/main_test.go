@@ -20,7 +20,6 @@ func TestGolden(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	usage(t, "13 GPUs is not a positive multiple of 6", "-gpus", "12,13")
 	usage(t, `bad GPU count "x"`, "-gpus", "x")
-	usage(t, "-shrink requires -recover", "-shrink")
 	usage(t, "-msg must be >= 1 (got -1)", "-gpus", "12", "-msg", "-1")
 	usage(t, "-iters must be >= 1 (got 0)", "-iters", "0")
 	usage(t, `unknown algorithm "nope" in -algos (valid: `, "-algos", "linear,nope")

@@ -18,15 +18,6 @@
 // rollback/respawn on crash verdicts, double-fault and restart-budget
 // stratification per seed. `make chaos-recovery` drives them.
 //
-// The kill-osc and kill-comp workloads are the kill-permanent stratum:
-// a seeded permanent rank kill exhausts the respawn budget, and the run
-// must either shrink onto the survivors (Policy.Shrink, two thirds of
-// the seeds) and finish bit-identically on BOTH simulator engines, or
-// give up with the typed *recov.UnrecoverableError (the remaining
-// seeds, Shrink off). Each kill cell runs the sequential and parallel
-// engines itself and cross-checks their outcomes, so `-parallel` is
-// redundant for them.
-//
 // Usage:
 //
 //	go run ./cmd/chaos [-seeds 60] [-start 1] [-workloads linear,pairwise,osc,osc-comp,osc-comp16] [-timeout 60s] [-v]
@@ -66,13 +57,12 @@ const (
 	outClean     outcome = iota // completed, bit-identical, no degradation
 	outDegraded                 // completed, bit-identical, repairs/fallback reported
 	outRecovered                // completed bit-identically after rollback/respawn
-	outShrunk                   // completed bit-identically on fewer ranks after an elastic shrink
 	outError                    // explicit typed fault diagnostic
 	outBad                      // corrupt data, stray panic, or hang: contract violated
 )
 
 func (o outcome) String() string {
-	return [...]string{"clean", "degraded", "recovered", "shrunk", "error", "BAD"}[o]
+	return [...]string{"clean", "degraded", "recovered", "error", "BAD"}[o]
 }
 
 // report is the thread-safe result sink a workload body writes into.
@@ -180,11 +170,8 @@ func compressed(m compress.Method) algorithm {
 // it goes through. The recover-* cells run the same exchange contracts
 // under recov.Controller with per-epoch checkpoints, so crash seeds
 // exercise rollback/respawn (including crash-during-checkpoint,
-// double-fault, and budget-exhaustion paths); the kill-* cells are the
-// kill-permanent stratum over the same bodies (recoveryEpochs already
-// migrates the healing ledger across a membership change). Both are kept
-// out of the default -workloads list and driven by `make chaos-recovery`
-// and `make chaos-shrink`.
+// double-fault, and budget-exhaustion paths). They are kept out of the
+// default -workloads list and driven by `make chaos-recovery`.
 type workload struct {
 	name string
 	algo algorithm
@@ -199,18 +186,12 @@ var workloads = []workload{
 	{"osc-comp16", compressed(compress.Cast16{}), cell.runOne},
 	{"recover-osc", osc, cell.runRecoverOne},
 	{"recover-comp", compressed(compress.Lossless{}), cell.runRecoverOne},
-	{"kill-osc", osc, cell.runShrinkOne},
-	{"kill-comp", compressed(compress.Lossless{}), cell.runShrinkOne},
 }
-
-// label stamps the cell's exchanges in telemetry; the kill cells are the
-// recovery cells' bodies and keep their labels.
-func (w workload) label() string { return strings.Replace(w.name, "kill-", "recover-", 1) }
 
 // plain is the body of a fault-sweep cell: two iterations, so window
 // reuse and fallback escalation both run.
 func (w workload) plain(c *mpi.Comm, rep *report) {
-	step, led := w.algo(c, rep, w.label())
+	step, led := w.algo(c, rep, w.name)
 	step()
 	step()
 	if led != nil {
@@ -218,9 +199,9 @@ func (w workload) plain(c *mpi.Comm, rep *report) {
 	}
 }
 
-// epochs is the body of a recovery or kill cell: four checkpointed epochs.
+// epochs is the body of a recovery cell: four checkpointed epochs.
 func (w workload) epochs(c *mpi.Comm, rk *recov.Rank, rep *report) {
-	step, led := w.algo(c, rep, w.label())
+	step, led := w.algo(c, rep, w.name)
 	recoveryEpochs(c, rk, 4, led, step)
 	rep.degraded(led.Health())
 }
@@ -233,19 +214,7 @@ func recoveryEpochs(c *mpi.Comm, rk *recov.Rank, iters int, led ledger, run func
 	for epoch := 1; epoch <= iters; epoch++ {
 		if resume := rk.Resume(); epoch <= resume {
 			if epoch == resume {
-				var snap []byte
-				var err error
-				if rk.Migrating() {
-					// The committed snapshot belongs to the pre-shrink
-					// membership: fetch this rank's old ledger and remap its
-					// per-peer records onto the survivors.
-					snap, err = rk.RestorePeer(rk.PrevRank())
-					if err == nil {
-						snap, err = exchange.RemapLedgerState(snap, rk.OldToNew(), c.Size())
-					}
-				} else {
-					snap, err = rk.Restore()
-				}
+				snap, err := rk.Restore()
 				if err != nil {
 					panic(fmt.Sprintf("chaos: rank %d cannot restore epoch %d: %v", c.Rank(), epoch, err))
 				}
@@ -332,20 +301,15 @@ func (cl cell) guarded(fn func() result) result {
 }
 
 // classify maps a finished run onto the robustness contract: bit-
-// identical completion (clean, degraded, recovered or shrunk) or an
-// explicit typed diagnostic; anything else is a violation. mustSurvive
-// marks a shrink-armed run, for which giving up is a violation too.
-func (cl cell) classify(r result, mustSurvive bool) (outcome, string) {
+// identical completion (clean, degraded or recovered) or an explicit
+// typed diagnostic; anything else is a violation.
+func (cl cell) classify(r result) (outcome, string) {
 	var ue *recov.UnrecoverableError
 	switch {
 	case r.bad != "":
 		return outBad, r.bad
 	case r.err == nil && len(r.rep.mismatch) > 0:
 		return outBad, "silent corruption: " + strings.Join(r.rep.mismatch, "; ")
-	case r.err == nil && len(r.out.Shrinks) > 0:
-		sh := r.out.Shrinks[len(r.out.Shrinks)-1]
-		return outShrunk, fmt.Sprintf("%d->%d ranks (lost %v), MTTR %.3gs, %d repairs",
-			r.out.Shrinks[0].FromSize, sh.ToSize, sh.Dead, r.out.MTTRSeconds, r.rep.repairs)
 	case r.err == nil && len(r.out.Recoveries) > 0:
 		return outRecovered, fmt.Sprintf("%d rollback(s), MTTR %.3gs, %d repairs, %d fallback links",
 			len(r.out.Recoveries), r.out.MTTRSeconds, r.rep.repairs, r.rep.fallback)
@@ -353,10 +317,6 @@ func (cl cell) classify(r result, mustSurvive bool) (outcome, string) {
 		return outDegraded, fmt.Sprintf("%d repairs, %d fallback links", r.rep.repairs, r.rep.fallback)
 	case r.err == nil:
 		return outClean, ""
-	case errors.As(r.err, &ue) && mustSurvive:
-		// With Shrink armed a lone permanent kill is survivable: giving
-		// up is a contract violation, not an explicit diagnostic.
-		return outBad, "shrink-enabled run gave up: " + firstLine(r.err.Error())
 	case errors.As(r.err, &ue), explicit(r.err):
 		if cl.verbose {
 			return outError, r.err.Error()
@@ -374,7 +334,7 @@ func (cl cell) runOne(w workload) (outcome, string) {
 		rep := &report{}
 		_, err := mpi.RunWithChecked(cfg, cl.rec, func(c *mpi.Comm) { w.plain(c, rep) })
 		return result{rep: rep, err: err}
-	}), false)
+	}))
 }
 
 // runRecoverOne executes one recovery cell under the crash-recovery
@@ -413,50 +373,7 @@ func (cl cell) runRecoverOne(w workload) (outcome, string) {
 		ct := &recov.Controller{Policy: pol}
 		out, err := ct.Run(cfg, cl.rec, func(c *mpi.Comm, rk *recov.Rank) { w.epochs(c, rk, rep) })
 		return result{out: out, rep: rep, err: err}
-	}), false)
-}
-
-// runShrinkOne executes one kill-permanent cell: a seeded plan kills a
-// rank for good (every respawn dies again), so the respawn budget burns
-// out. Seeds ≡ 0 (mod 3) run with Shrink off and must surface the typed
-// *recov.UnrecoverableError; the rest shrink onto the survivors and
-// must finish bit-identically. Every cell runs on BOTH engines and
-// cross-checks the outcomes (times, shrink records, survivors), so the
-// determinism contract is asserted per seed rather than per sweep.
-func (cl cell) runShrinkOne(w workload) (outcome, string) {
-	pol := recov.Policy{Seed: cl.seed, MaxRestarts: 1, Shrink: cl.seed%3 != 0}
-	runEngine := func(par bool, rec *obs.Recorder) result {
-		cfg := netsim.Summit(1)
-		cfg.Parallel = par
-		// A pure permanent-kill plan, timed like machine's crash rescale so
-		// roughly half the seeds kill mid-sweep (the rest finish first and
-		// classify clean — the kill never fires).
-		cfg.Faults = &netsim.FaultPlan{Seed: cl.seed, KillRank: int(cl.seed % 6), KillAt: 0.5e-6 * float64(1+cl.seed%40)}
-		rep := &report{}
-		ct := &recov.Controller{Policy: pol}
-		out, err := ct.Run(cfg, rec, func(c *mpi.Comm, rk *recov.Rank) { w.epochs(c, rk, rep) })
-		return result{out: out, rep: rep, err: err}
-	}
-	return cl.classify(cl.guarded(func() result {
-		seq := runEngine(false, cl.rec) // only one engine feeds the recorder
-		par := runEngine(true, nil)
-		// Engine equivalence first: identical success/failure, virtual
-		// time, shrink records, and final membership.
-		if (seq.err == nil) != (par.err == nil) {
-			return result{bad: fmt.Sprintf("engines disagree: sequential err=%v, parallel err=%v", seq.err, par.err)}
-		}
-		if seq.err == nil {
-			if seq.out.Result.Time != par.out.Result.Time {
-				return result{bad: fmt.Sprintf("engines disagree on time: %.9g != %.9g", seq.out.Result.Time, par.out.Result.Time)}
-			}
-			if fmt.Sprintf("%+v", seq.out.Shrinks) != fmt.Sprintf("%+v", par.out.Shrinks) ||
-				fmt.Sprintf("%v", seq.out.Survivors) != fmt.Sprintf("%v", par.out.Survivors) {
-				return result{bad: fmt.Sprintf("engines disagree on shrink history: %+v/%v != %+v/%v",
-					seq.out.Shrinks, seq.out.Survivors, par.out.Shrinks, par.out.Survivors)}
-			}
-		}
-		return seq
-	}), pol.Shrink)
+	}))
 }
 
 func firstLine(s string) string {
@@ -470,7 +387,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	s := driver.New("chaos", stdout, stderr, driver.Telemetry|driver.Parallel)
 	seeds := s.Flags.Int("seeds", 60, "number of fault plans to sweep")
 	start := s.Flags.Int64("start", 1, "first seed (plans are deterministic per seed)")
-	workloadsFlag := s.Flags.String("workloads", "linear,pairwise,osc,osc-comp,osc-comp16", "exchange workloads to sweep (also: recover-osc,recover-comp — crash-recovery cells; kill-osc,kill-comp — permanent-kill elastic-shrink cells)")
+	workloadsFlag := s.Flags.String("workloads", "linear,pairwise,osc,osc-comp,osc-comp16", "exchange workloads to sweep (also: recover-osc,recover-comp — crash-recovery cells)")
 	timeout := s.Flags.Duration("timeout", 60*time.Second, "wall-clock hang guard per run")
 	verbose := s.Flags.Bool("v", false, "print every cell, not just summaries and violations")
 	s.Help("parallel", "run the simulator's parallel engine (verdicts are bit-identical; docs/DETERMINISM.md)")
@@ -527,10 +444,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, " %s=%d", k, scenarios[k])
 	}
 	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "%-12s %8s %10s %10s %8s %8s %6s\n", "workload", "clean", "degraded", "recovered", "shrunk", "error", "bad")
+	fmt.Fprintf(stdout, "%-12s %8s %10s %10s %8s %6s\n", "workload", "clean", "degraded", "recovered", "error", "bad")
 	for _, w := range picked {
 		c := counts[w.name]
-		fmt.Fprintf(stdout, "%-12s %8d %10d %10d %8d %8d %6d\n", w.name, c[outClean], c[outDegraded], c[outRecovered], c[outShrunk], c[outError], c[outBad])
+		fmt.Fprintf(stdout, "%-12s %8d %10d %10d %8d %6d\n", w.name, c[outClean], c[outDegraded], c[outRecovered], c[outError], c[outBad])
 	}
 	if err := s.Finish(); err != nil {
 		return err

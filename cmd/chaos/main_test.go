@@ -23,7 +23,7 @@ func TestGolden(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	usage(t, "-seeds must be >= 1 (got 0)", "-seeds", "0")
-	usage(t, `unknown workload "nope" in -workloads (valid: linear, pairwise, osc, osc-comp, osc-comp16, recover-osc, recover-comp, kill-osc, kill-comp)`, "-workloads", "osc,nope")
+	usage(t, `unknown workload "nope" in -workloads (valid: linear, pairwise, osc, osc-comp, osc-comp16, recover-osc, recover-comp)`, "-workloads", "osc,nope")
 }
 
 // TestStepDetectsCorruption: step reports a delivery that departs from
@@ -57,26 +57,21 @@ func TestClassify(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		run    func() result
-		armed  bool
 		want   outcome
 		detail string
 	}{
-		{"clean", func() result { return result{rep: clean()} }, false, outClean, ""},
-		{"degraded", func() result { return result{rep: &report{repairs: 2, fallback: 1}} }, false, outDegraded, "2 repairs, 1 fallback links"},
+		{"clean", func() result { return result{rep: clean()} }, outClean, ""},
+		{"degraded", func() result { return result{rep: &report{repairs: 2, fallback: 1}} }, outDegraded, "2 repairs, 1 fallback links"},
 		{"recovered", func() result {
 			return result{rep: clean(), out: recov.Outcome{Recoveries: make([]recov.Recovery, 1), MTTRSeconds: 0.25}}
-		}, false, outRecovered, "1 rollback(s), MTTR 0.25s, 0 repairs, 0 fallback links"},
-		{"shrunk", func() result {
-			return result{rep: clean(), out: recov.Outcome{Shrinks: []recov.Shrink{{FromSize: 6, ToSize: 5, Dead: []int{1}}}, MTTRSeconds: 0.5}}
-		}, true, outShrunk, "6->5 ranks (lost [1]), MTTR 0.5s, 0 repairs"},
-		{"corrupt", func() result { return result{rep: &report{mismatch: []string{"a", "b"}}} }, false, outBad, "silent corruption: a; b"},
-		{"gave up", func() result { return result{err: ue} }, false, outError, firstLine(ue.Error())},
-		{"gave up though armed", func() result { return result{err: ue} }, true, outBad, "shrink-enabled run gave up: " + firstLine(ue.Error())},
-		{"stray error", func() result { return result{err: fmt.Errorf("boom")} }, false, outBad, "unattributed failure: boom"},
-		{"harness panic", func() result { panic("boom") }, false, outBad, "unattributed failure: harness panic: boom"},
-		{"hang", func() result { <-release; return result{} }, false, outBad, "wall-clock hang (> 20ms)"},
+		}, outRecovered, "1 rollback(s), MTTR 0.25s, 0 repairs, 0 fallback links"},
+		{"corrupt", func() result { return result{rep: &report{mismatch: []string{"a", "b"}}} }, outBad, "silent corruption: a; b"},
+		{"gave up", func() result { return result{err: ue} }, outError, firstLine(ue.Error())},
+		{"stray error", func() result { return result{err: fmt.Errorf("boom")} }, outBad, "unattributed failure: boom"},
+		{"harness panic", func() result { panic("boom") }, outBad, "unattributed failure: harness panic: boom"},
+		{"hang", func() result { <-release; return result{} }, outBad, "wall-clock hang (> 20ms)"},
 	} {
-		if got, detail := cl.classify(cl.guarded(tc.run), tc.armed); got != tc.want || detail != tc.detail {
+		if got, detail := cl.classify(cl.guarded(tc.run)); got != tc.want || detail != tc.detail {
 			t.Errorf("%s: %v %q, want %v %q", tc.name, got, detail, tc.want, tc.detail)
 		}
 	}

@@ -60,7 +60,7 @@ func (c config) measure(b *driver.Bench, rec *obs.Recorder, cell string, cfg net
 	if !b.Recover {
 		return plain(rec, cfg, n, opts, iters, false), nil
 	}
-	res, out, err := recoverable(rec, cfg, n, opts, iters, false, recov.Policy{Seed: b.Faults, Shrink: b.Shrink})
+	res, out, err := recoverable(rec, cfg, n, opts, iters, false, recov.Policy{Seed: b.Faults})
 	return res, b.Recovered(cell, out, err)
 }
 

@@ -36,30 +36,11 @@ func TestHeaderSeparatesColumns(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	usage(t, "13 GPUs is not a positive multiple of 6", "-gpus", "12,13,x")
 	usage(t, `bad GPU count "x"`, "-gpus", "12,x")
-	usage(t, "-shrink requires -recover", "-shrink")
 	usage(t, "-sim must be a multiple of -n", "-n", "32", "-sim", "65")
 	usage(t, "-n must be >= 1 (got 0)", "-n", "0")
 	usage(t, "-sim must be >= 0 (got -32)", "-n", "32", "-sim", "-32")
 	usage(t, "-iters must be >= 1 (got 0)", "-n", "32", "-sim", "32", "-gpus", "12", "-iters", "0")
 	usage(t, `unknown config "nope" in -configs (valid: fp64, fp32, fp64-32, fp64-16, fp64-bf16, fp64-32-2s, osc, fp64-pencil)`, "-configs", "fp64,nope")
-}
-
-// TestShrinkStampsArtifact: -recover -shrink is the only way to get the
-// "shrink" provenance stamp into a -json artifact.
-func TestShrinkStampsArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.json")
-	var out, errb bytes.Buffer
-	err := run([]string{"-n", "16", "-sim", "16", "-gpus", "6", "-configs", "fp64", "-recover", "-shrink", "-json", path}, &out, &errb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"shrink": "1"`) || !strings.Contains(string(data), `"recover": "1"`) {
-		t.Errorf("artifact lacks the recover/shrink stamps:\n%.400s", data)
-	}
 }
 
 // golden runs the driver in-process and compares its stdout, stderr and

@@ -57,12 +57,6 @@ func (b *Bench) Start(columns []string, config map[string]string) error {
 	if b.Recover {
 		config["recover"] = "1"
 	}
-	if b.Shrink {
-		// Shrink provenance: rows of this artifact may have finished on a
-		// degraded (smaller) topology; benchdiff refuses to compare such
-		// rows against full-size baselines.
-		config["shrink"] = "1"
-	}
 	if b.Tuning() {
 		config["tunetol"] = fmt.Sprint(b.TuneTol)
 		if b.Autotune {

@@ -33,7 +33,7 @@ const (
 	exports                     // -trace -metrics
 	Parallel                    // -parallel
 	faults                      // -faults
-	Recovery                    // -recover -shrink
+	Recovery                    // -recover
 	Tuning                      // -autotune -tunetol -tuneplan -tuneprobe
 	Artifact                    // -json -plot
 
@@ -47,20 +47,20 @@ type Session struct {
 	Stdout, Stderr io.Writer
 
 	// The shared flag values (zero for a group the driver did not register).
-	EventLog        string
-	Errtrack        string
-	Trace           string
-	Metrics         bool
-	Parallel        bool
-	Faults          int64
-	Recover, Shrink bool
-	Autotune        bool
-	TuneTol         float64
-	TunePlan        string
-	TuneProbe       int
-	JSON            string
-	Plot            bool
-	GPUs            []int // the validated -gpus entries
+	EventLog  string
+	Errtrack  string
+	Trace     string
+	Metrics   bool
+	Parallel  bool
+	Faults    int64
+	Recover   bool
+	Autotune  bool
+	TuneTol   float64
+	TunePlan  string
+	TuneProbe int
+	JSON      string
+	Plot      bool
+	GPUs      []int // the validated -gpus entries
 
 	// Lazy marks a driver whose tables need nothing from a recorder:
 	// Recorder returns nil unless an observer is on, and -metrics alone
@@ -100,7 +100,6 @@ func New(name string, stdout, stderr io.Writer, groups Group) *Session {
 	}
 	if groups&Recovery != 0 {
 		fs.BoolVar(&s.Recover, "recover", false, "run under the crash-recovery runtime: epoch checkpoints + rollback/respawn on crash verdicts (docs/ROBUSTNESS.md)")
-		fs.BoolVar(&s.Shrink, "shrink", false, "with -recover: when a rank's respawn budget is exhausted, shrink onto the survivors instead of giving up (docs/ROBUSTNESS.md)")
 	}
 	if groups&Tuning != 0 {
 		fs.BoolVar(&s.Autotune, "autotune", false, "tune the exchange configuration per machine and add a 'tuned' config (docs/TUNING.md)")
@@ -138,9 +137,6 @@ func (s *Session) Parse(args []string) error {
 			return err
 		}
 		return usageError("") // the flag package has reported it on Stderr
-	}
-	if s.Shrink && !s.Recover {
-		return Usagef("-shrink requires -recover")
 	}
 	for _, fl := range floors {
 		if f := s.Flags.Lookup(fl.name); f != nil {
@@ -241,7 +237,7 @@ func (s *Session) Recorder(label, cell string) *obs.Recorder {
 	return rec
 }
 
-// Recovered reports a -recover cell's absorbed crashes and shrinks on
+// Recovered reports a -recover cell's absorbed crashes on
 // Stderr and returns its error, if any, attributed to the cell.
 func (s *Session) Recovered(cell string, out recov.Outcome, err error) error {
 	if err != nil {
@@ -249,10 +245,6 @@ func (s *Session) Recovered(cell string, out recov.Outcome, err error) error {
 	}
 	if len(out.Recoveries) > 0 {
 		fmt.Fprintf(s.Stderr, "# %s: recovered %d crash(es), MTTR %.3gs\n", cell, len(out.Recoveries), out.MTTRSeconds)
-	}
-	for _, sh := range out.Shrinks {
-		fmt.Fprintf(s.Stderr, "# %s: SHRUNK %d->%d ranks (lost %v) at t=%.3gs — degraded topology, not comparable to full-size rows\n",
-			cell, sh.FromSize, sh.ToSize, sh.Dead, sh.DetectT)
 	}
 	return nil
 }

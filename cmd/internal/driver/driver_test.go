@@ -55,7 +55,7 @@ func TestFlagTable(t *testing.T) {
 func TestBenchRegistersEveryGroup(t *testing.T) {
 	b := NewBench("x", io.Discard, io.Discard)
 	for _, name := range []string{"trace", "metrics", "eventlog", "errtrack", "parallel", "faults",
-		"recover", "shrink", "autotune", "tunetol", "tuneplan", "tuneprobe", "json", "plot"} {
+		"recover", "autotune", "tunetol", "tuneplan", "tuneprobe", "json", "plot"} {
 		if b.Flags.Lookup(name) == nil {
 			t.Errorf("NewBench does not register -%s", name)
 		}
@@ -76,7 +76,6 @@ func TestUsageErrors(t *testing.T) {
 		{"gpus not a multiple of 6", []string{"-gpus", "12,20"}, "20 GPUs"},
 		{"zero gpus", []string{"-gpus", "0"}, "0 GPUs"},
 		{"negative gpus", []string{"-gpus", "-6"}, "-6 GPUs"},
-		{"shrink without recover", []string{"-shrink"}, "-shrink requires -recover"},
 		{"negative tuneprobe", []string{"-tuneprobe", "-1"}, "-tuneprobe must be >= 0 (got -1)"},
 		{"negative tunetol", []string{"-tunetol", "-0.001"}, "-tunetol must be >= 0 (got -0.001)"},
 		{"NaN tunetol", []string{"-tunetol", "NaN"}, "-tunetol must be >= 0 (got NaN)"},

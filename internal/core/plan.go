@@ -7,13 +7,11 @@ import (
 	"strconv"
 
 	"repro/internal/compress"
-	"repro/internal/exchange"
 	"repro/internal/fft"
 	"repro/internal/gpu"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	recov "repro/internal/recover"
 )
 
 // Plan is a distributed 3-D FFT plan over all ranks of a communicator.
@@ -212,9 +210,6 @@ func (pl *Plan[C]) step(r *reshape[C], data []C, sign int) []C {
 			if pl.epoch < resume {
 				return data // effects subsumed by the committed snapshot
 			}
-			if rk.Migrating() {
-				return pl.migrateSnapshot(r)
-			}
 			snap, err := rk.Restore()
 			if err != nil {
 				panic(fmt.Sprintf("core: rank %d cannot restore epoch %d: %v", pl.c.Rank(), pl.epoch, err))
@@ -336,82 +331,6 @@ func stageBoxes(n [3]int, stage, p int) []grid.Box {
 		return grid.Bricks(n, grid.Factor3(p))
 	}
 	return grid.Pencils(n, stage-1, p)
-}
-
-// migrateSnapshot re-materializes the resume epoch on a shrunken
-// membership (docs/ROBUSTNESS.md): the committed snapshots were written
-// by the previous, larger membership in its own decomposition, so each
-// survivor fetches every old rank's snapshot that overlaps its new
-// partition and re-cuts the pencil data through the overlap. Stage
-// memory orders depend only on the stage axis, never on the rank
-// count, so the overlap copy is exact — for lossless backends the
-// migrated state is bit-identical to what a fresh run at the shrunken
-// size would have committed. Healing ledgers are restored from this
-// rank's own previous snapshot with the per-peer records remapped onto
-// the survivor ranks.
-func (pl *Plan[C]) migrateSnapshot(r *reshape[C]) []C {
-	rk := pl.opts.Recovery
-	fail := func(msg string) {
-		panic(fmt.Sprintf("core: rank %d epoch %d migration: %s", pl.c.Rank(), pl.epoch, msg))
-	}
-	prevP := rk.PrevSize()
-	// The layout the previous membership checkpointed under.
-	oldBoxes := stageBoxes(pl.n, r.toStage, prevP)
-	elem := pl.elemSize()
-	var migrated int64
-	var scratch, tile []C
-	for old := 0; old < prevP; old++ {
-		ov := grid.Intersect(oldBoxes[old], r.toBox)
-		if ov.Empty() {
-			continue
-		}
-		snap, err := rk.RestorePeer(old)
-		if err != nil {
-			fail(fmt.Sprintf("old rank %d: %v", old, err))
-		}
-		body, _, serr := snapshotSections(snap)
-		if serr != nil {
-			fail(fmt.Sprintf("old rank %d: %v", old, serr))
-		}
-		if want := oldBoxes[old].Count() * elem; len(body) != want {
-			fail(fmt.Sprintf("old rank %d snapshot holds %d data bytes, its box needs %d", old, len(body), want))
-		}
-		if cap(scratch) < oldBoxes[old].Count() {
-			scratch = make([]C, oldBoxes[old].Count())
-		}
-		data := scratch[:oldBoxes[old].Count()]
-		decodeComplex(body, data)
-		cnt := ov.Count()
-		if cap(tile) < cnt {
-			tile = make([]C, cnt)
-		}
-		grid.Pack(data, oldBoxes[old], r.toOrder, ov, r.toOrder, tile[:cnt])
-		grid.Unpack(tile[:cnt], ov, r.outBuf, r.toBox, r.toOrder)
-		migrated += int64(cnt * elem)
-	}
-	own, err := rk.RestorePeer(rk.PrevRank())
-	if err != nil {
-		fail(fmt.Sprintf("own old rank %d: %v", rk.PrevRank(), err))
-	}
-	_, oldLeds, serr := snapshotSections(own)
-	if serr != nil {
-		fail(fmt.Sprintf("own old rank %d: %v", rk.PrevRank(), serr))
-	}
-	leds := pl.ledgers()
-	if len(oldLeds) != len(leds) {
-		fail(fmt.Sprintf("old snapshot holds %d ledgers, plan has %d", len(oldLeds), len(leds)))
-	}
-	for i, l := range leds {
-		remapped, rerr := exchange.RemapLedgerState(oldLeds[i], rk.OldToNew(), pl.c.Size())
-		if rerr != nil {
-			fail(fmt.Sprintf("ledger %d: %v", i, rerr))
-		}
-		if err := l.RestoreLedger(remapped); err != nil {
-			fail(fmt.Sprintf("ledger %d: %v", i, err))
-		}
-	}
-	pl.c.Obs().Add(recov.MetricMigratedBytes, migrated)
-	return r.outBuf
 }
 
 // fftStage runs the batched 1-D FFTs of one direction on the GPU

@@ -159,8 +159,7 @@ type reshape[E any] struct {
 	metricTime string
 	label      string
 	// toStage identifies the output decomposition stage (index into
-	// pl.boxes/orders) — the shrink migration rebuilds the same stage's
-	// layout for the previous membership's rank count.
+	// pl.boxes/orders).
 	toStage int
 
 	x transport

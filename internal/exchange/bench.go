@@ -146,12 +146,11 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 	if err != nil {
 		return 0, recov.Outcome{}, err
 	}
+	p := cfg.Ranks()
 	var start, end float64
-	var performed, pFinal int
+	var performed int
 	ct := &recov.Controller{Policy: pol}
 	out, err := ct.Run(cfg, rec, func(c *mpi.Comm, rk *recov.Rank) {
-		// After an elastic shrink the communicator is smaller than the
-		// machine; the cell sizes itself off the live membership.
 		run, cosc := newCell(c, spec, msgBytes)
 		// One iteration = one recovery epoch: epochs the committed
 		// checkpoint covers are skipped (their ledger state is restored),
@@ -163,19 +162,7 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 			epoch++
 			if resume := rk.Resume(); epoch <= resume {
 				if epoch == resume && cosc != nil {
-					var snap []byte
-					var err error
-					if rk.Migrating() {
-						// The snapshot was committed by the previous (larger)
-						// membership: fetch this rank's old ledger and remap
-						// its per-peer records onto the surviving ranks.
-						snap, err = rk.RestorePeer(rk.PrevRank())
-						if err == nil {
-							snap, err = RemapLedgerState(snap, rk.OldToNew(), c.Size())
-						}
-					} else {
-						snap, err = rk.Restore()
-					}
+					snap, err := rk.Restore()
 					if err != nil {
 						panic(fmt.Sprintf("exchange: rank %d cannot restore epoch %d: %v", c.Rank(), epoch, err))
 					}
@@ -198,7 +185,6 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 		if c.Rank() == 0 {
 			start, end = t0, t1
 			performed = myPerformed
-			pFinal = c.Size()
 		}
 	})
 	if err != nil {
@@ -207,11 +193,7 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 	if performed == 0 || end <= start {
 		return 0, out, nil
 	}
-	// Every measured iteration of the final attempt ran at that attempt's
-	// membership size (replays are restored, not re-run), so the byte
-	// total uses the final comm size — after a shrink that is smaller
-	// than the machine, and the outcome records the degradation.
-	total := float64(performed) * float64(pFinal) * float64(pFinal) * float64(msgBytes)
+	total := float64(performed) * float64(p) * float64(p) * float64(msgBytes)
 	return total / (end - start) / float64(cfg.Nodes), out, nil
 }
 

@@ -1,8 +1,6 @@
 package exchange
 
 import (
-	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"repro/internal/compress"
@@ -37,121 +35,4 @@ func FuzzDecodeSlot(f *testing.F) {
 		dst := make([]float64, len(vals))
 		_ = decodeSlot(m, dst, slot) // must not panic
 	})
-}
-
-// FuzzRemapLedgerState feeds the shrink-migration ledger remapper
-// arbitrary serialized ledgers: every outcome is a valid new-membership
-// ledger or a typed error, never a panic and never an out-of-range
-// record copy.
-func FuzzRemapLedgerState(f *testing.F) {
-	valid := makeLedger(6)
-	f.Add(valid, 6, 5)
-	f.Add(valid[:10], 6, 5)
-	f.Add([]byte{}, 0, 0)
-	f.Fuzz(func(t *testing.T, data []byte, oldP, newP int) {
-		if oldP < 0 || oldP > 64 || newP < 0 || newP > 64 {
-			return
-		}
-		oldToNew := identityDrop(oldP, newP)
-		out, err := RemapLedgerState(data, oldToNew, newP)
-		if err != nil {
-			return
-		}
-		if len(out) != 8+20+newP*25 {
-			t.Fatalf("remapped ledger is %d bytes, want %d", len(out), 8+20+newP*25)
-		}
-		if !bytes.Equal(out[8:28], data[8:28]) {
-			t.Fatal("remap dropped the cumulative counters")
-		}
-	})
-}
-
-// makeLedger serializes a p-peer ledger with distinguishable per-peer
-// records.
-func makeLedger(p int) []byte {
-	out := make([]byte, 8+20+p*25)
-	binary.LittleEndian.PutUint32(out[0:], ledgerVersion)
-	binary.LittleEndian.PutUint32(out[4:], uint32(p))
-	binary.LittleEndian.PutUint32(out[8:], 42) // epoch
-	binary.LittleEndian.PutUint64(out[12:], 7) // repairs
-	binary.LittleEndian.PutUint64(out[20:], 3) // promotions
-	for i := 0; i < p; i++ {
-		rec := out[28+i*25:]
-		binary.LittleEndian.PutUint32(rec[0:], uint32(100+i)) // failFrom
-		binary.LittleEndian.PutUint32(rec[4:], uint32(200+i)) // failTo
-		rec[8] = byte(i % 4)                                  // flags
-		binary.LittleEndian.PutUint32(rec[9:], uint32(i))     // probeFrom
-	}
-	return out
-}
-
-// identityDrop maps oldP peers onto newP survivors: the first oldP-newP
-// dead slots are interleaved at the end.
-func identityDrop(oldP, newP int) []int {
-	m := make([]int, oldP)
-	next := 0
-	for i := range m {
-		if next < newP {
-			m[i] = next
-			next++
-		} else {
-			m[i] = -1
-		}
-	}
-	return m
-}
-
-func TestRemapLedgerStateDropsDeadPreservesSurvivors(t *testing.T) {
-	const oldP, newP = 6, 5
-	data := makeLedger(oldP)
-	// Old rank 3 died: 0,1,2 keep their slots, 4,5 shift down by one.
-	oldToNew := []int{0, 1, 2, -1, 3, 4}
-	out, err := RemapLedgerState(data, oldToNew, newP)
-	if err != nil {
-		t.Fatalf("remap failed: %v", err)
-	}
-	if got := int(binary.LittleEndian.Uint32(out[4:])); got != newP {
-		t.Errorf("peer count %d, want %d", got, newP)
-	}
-	if !bytes.Equal(out[8:28], data[8:28]) {
-		t.Error("cumulative counters not preserved")
-	}
-	for old, nw := range oldToNew {
-		if nw < 0 {
-			continue
-		}
-		want := data[28+old*25 : 28+(old+1)*25]
-		got := out[28+nw*25 : 28+(nw+1)*25]
-		if !bytes.Equal(got, want) {
-			t.Errorf("old peer %d record not carried to new slot %d", old, nw)
-		}
-	}
-	// A remapped ledger must install cleanly into a newP-peer healer via
-	// the public restore path.
-	if got := int(binary.LittleEndian.Uint32(out[0:])); got != ledgerVersion {
-		t.Errorf("version %d, want %d", got, ledgerVersion)
-	}
-	if len(out) != 8+20+newP*25 {
-		t.Errorf("remapped length %d, want %d", len(out), 8+20+newP*25)
-	}
-}
-
-func TestRemapLedgerStateRejectsDamage(t *testing.T) {
-	data := makeLedger(4)
-	if _, err := RemapLedgerState(data[:11], identityDrop(4, 3), 3); err == nil {
-		t.Error("truncated ledger accepted")
-	}
-	bad := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(bad[0:], 9)
-	if _, err := RemapLedgerState(bad, identityDrop(4, 3), 3); err == nil {
-		t.Error("wrong version accepted")
-	}
-	bad = append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(bad[4:], 5)
-	if _, err := RemapLedgerState(bad, identityDrop(4, 3), 3); err == nil {
-		t.Error("peer-count mismatch accepted")
-	}
-	if _, err := RemapLedgerState(data, []int{0, 1, 2, 7}, 3); err == nil {
-		t.Error("out-of-range mapping accepted")
-	}
 }

@@ -366,41 +366,6 @@ func (h *healer) restore(data []byte) error {
 	return nil
 }
 
-// RemapLedgerState rewrites a serialized healer ledger (LedgerState)
-// recorded under an old membership onto a shrunken one: oldToNew maps
-// each old peer rank to its new local rank (-1 for a dead peer, whose
-// record is dropped), and newP is the survivor count. The cumulative
-// epoch/repair/promotion counters are preserved — degradation history
-// survives the shrink, per-dead-peer state does not. Used by the
-// elastic shrink migration (internal/recover, docs/ROBUSTNESS.md).
-func RemapLedgerState(data []byte, oldToNew []int, newP int) ([]byte, error) {
-	oldP := len(oldToNew)
-	want := 8 + 20 + oldP*25
-	if len(data) != want {
-		return nil, fmt.Errorf("exchange: ledger state is %d bytes, want %d for %d peers", len(data), want, oldP)
-	}
-	if v := int(binary.LittleEndian.Uint32(data[0:])); v != ledgerVersion {
-		return nil, fmt.Errorf("exchange: ledger version %d, want %d", v, ledgerVersion)
-	}
-	if n := int(binary.LittleEndian.Uint32(data[4:])); n != oldP {
-		return nil, fmt.Errorf("exchange: ledger covers %d peers, mapping has %d", n, oldP)
-	}
-	out := make([]byte, 8+20+newP*25)
-	binary.LittleEndian.PutUint32(out[0:], ledgerVersion)
-	binary.LittleEndian.PutUint32(out[4:], uint32(newP))
-	copy(out[8:28], data[8:28]) // epoch, repairs, promotions
-	for old, nw := range oldToNew {
-		if nw < 0 {
-			continue
-		}
-		if nw >= newP {
-			return nil, fmt.Errorf("exchange: ledger remap sends old peer %d to rank %d of %d", old, nw, newP)
-		}
-		copy(out[28+nw*25:28+(nw+1)*25], data[28+old*25:28+(old+1)*25])
-	}
-	return out, nil
-}
-
 // f64Bytes encodes values as little-endian float64s — the lossless wire
 // format of repair and fallback payloads.
 func f64Bytes(vals []float64) []byte {

@@ -172,7 +172,7 @@ func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, bas
 			}
 		}
 		lat, proto := c.rendezvousCost(dst, n)
-		c.sendMsg(dst, base, netsim.SendOpts{Payload: payload, Bytes: n, Meta: meta, ExtraLatency: lat, ProtoOverhead: proto})
+		c.p.SendMsg(dst, base, netsim.SendOpts{Payload: payload, Bytes: n, Meta: meta, ExtraLatency: lat, ProtoOverhead: proto})
 	}
 	// Every arrival is matched against the posted-receive list, whose
 	// length here is the number of active peers — the per-message

@@ -20,25 +20,19 @@ import (
 )
 
 // Tag spaces: user tags live below tagUserLimit; internal protocol tags
-// are derived above it. Every tag is additionally offset by the
-// communicator's shrink generation (genTagStride per generation, above
-// every in-generation tag) so traffic belonging to different memberships
-// can never match — the window/collective epoch isolation a real ULFM
-// shrink gets from creating a new communicator context id.
+// are derived above it.
 const (
 	tagUserLimit = 1 << 20
 	tagBarrier   = 1 << 21
 	tagCollBase  = 1 << 22
 	tagWinBase   = 1 << 23
-	genTagStride = 1 << 25
 )
 
 // DefaultEagerThreshold is the message size (bytes) above which the
 // rendezvous protocol (an extra round-trip of wire latency) applies.
 const DefaultEagerThreshold = 8192
 
-// Comm is a communicator spanning all ranks of the simulated machine,
-// or — after a Shrink — the surviving subset (group.go).
+// Comm is a communicator spanning all ranks of the simulated machine.
 type Comm struct {
 	p              *netsim.Proc
 	obs            *obs.Rank
@@ -47,15 +41,6 @@ type Comm struct {
 	collEpoch      int
 	nextWinID      int
 	winCreateCost  float64
-
-	// Shrunken membership (nil group = the world communicator, the only
-	// shape fault-free runs ever see). group lists the member global
-	// ranks in ascending order, lrank is this rank's index in it, and
-	// gen counts shrink generations (0 = world); every wire tag is
-	// offset by gen·genTagStride.
-	group []int
-	lrank int
-	gen   int
 
 	// Reliable mode (auto-enabled when the config carries a fault plan;
 	// see reliable.go). All fields stay zero otherwise, and every use is
@@ -72,7 +57,7 @@ type Comm struct {
 	discards  int
 
 	// Send completion (lease.go): the Run's lease tables, indexed by
-	// global rank, and the leases of the payloads delivered to this rank
+	// rank, and the leases of the payloads delivered to this rank
 	// since its last ReleaseRecv.
 	leases []leaseTable
 	held   []heldLease
@@ -154,7 +139,6 @@ func runWith(cfg netsim.Config, rec *obs.Recorder, body func(*Comm), check bool)
 			obs:            rec.Rank(p.Rank()),
 			eagerThreshold: DefaultEagerThreshold,
 			winCreateCost:  50e-6,
-			lrank:          p.Rank(),
 			leases:         leases,
 		}
 		if cfg.Faults != nil {
@@ -193,7 +177,6 @@ func recordFaultStats(rec *obs.Recorder, f netsim.FaultStats) {
 	m.Add("fault/retries", int64(f.Retries))
 	m.Add("fault/lost", int64(f.Lost))
 	m.Add("fault/crashes", int64(f.Crashes))
-	m.Add("fault/kills", int64(f.Kills))
 	m.Set("fault/retry_delay_s", f.RetryDelayS)
 }
 
@@ -201,53 +184,17 @@ func recordFaultStats(rec *obs.Recorder, f netsim.FaultStats) {
 // when no recorder is attached).
 func (c *Comm) Obs() *obs.Rank { return c.obs }
 
-// Rank returns the calling rank (communicator-local after a shrink).
-func (c *Comm) Rank() int { return c.lrank }
+// Rank returns the calling rank.
+func (c *Comm) Rank() int { return c.p.Rank() }
 
 // Size returns the number of ranks in this communicator.
-func (c *Comm) Size() int {
-	if c.group == nil {
-		return c.p.Size()
-	}
-	return len(c.group)
-}
-
-// glob translates a communicator-local rank to its global (wire) rank.
-func (c *Comm) glob(r int) int {
-	if c.group == nil {
-		return r
-	}
-	return c.group[r]
-}
-
-// wtag offsets a tag into this membership generation's tag space.
-func (c *Comm) wtag(tag int) int { return tag + c.gen*genTagStride }
-
-// Low-level wire operations: every send/receive of the runtime funnels
-// through these four, which apply the local→global rank translation and
-// the generation tag offset. On the world communicator both are
-// identities, so default runs take byte-identical paths.
-func (c *Comm) sendMsg(dst, tag int, opts netsim.SendOpts) float64 {
-	return c.p.SendMsg(c.glob(dst), c.wtag(tag), opts)
-}
-
-func (c *Comm) sendDelayed(dst, tag int, data []byte, n int) {
-	c.p.SendDelayed(c.glob(dst), c.wtag(tag), data, n, 0)
-}
-
-func (c *Comm) recvPkt(src, tag int) netsim.Packet {
-	return c.p.Recv(c.glob(src), c.wtag(tag))
-}
-
-func (c *Comm) recvPktDeadline(src, tag int, deadline float64) (netsim.Packet, bool) {
-	return c.p.RecvDeadline(c.glob(src), c.wtag(tag), deadline)
-}
+func (c *Comm) Size() int { return c.p.Size() }
 
 // Node returns the node hosting the calling rank.
 func (c *Comm) Node() int { return c.p.Node() }
 
-// NodeOf returns the node hosting a (communicator-local) rank.
-func (c *Comm) NodeOf(rank int) int { return c.p.Config().NodeOf(c.glob(rank)) }
+// NodeOf returns the node hosting a rank.
+func (c *Comm) NodeOf(rank int) int { return c.p.Config().NodeOf(rank) }
 
 // Config returns the machine description.
 func (c *Comm) Config() netsim.Config { return c.p.Config() }
@@ -308,7 +255,7 @@ func (c *Comm) SendLogical(dst, tag int, data []byte, logical int) {
 	if c.reliable {
 		payload := frame(c.nextSendSeq(dst, tag), data)
 		lat, proto := c.rendezvousCost(dst, logical)
-		c.sendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical + frameHdr, ExtraLatency: lat, ProtoOverhead: proto})
+		c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical + frameHdr, ExtraLatency: lat, ProtoOverhead: proto})
 		return
 	}
 	payload := data
@@ -316,7 +263,7 @@ func (c *Comm) SendLogical(dst, tag int, data []byte, logical int) {
 		payload = append([]byte(nil), data...)
 	}
 	lat, proto := c.rendezvousCost(dst, logical)
-	c.sendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical, ExtraLatency: lat, ProtoOverhead: proto})
+	c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical, ExtraLatency: lat, ProtoOverhead: proto})
 }
 
 // SendN transmits a phantom message of n logical bytes (no payload),
@@ -327,11 +274,11 @@ func (c *Comm) SendN(dst, tag, n int) {
 	if c.reliable {
 		payload := frame(c.nextSendSeq(dst, tag), nil)
 		lat, proto := c.rendezvousCost(dst, n)
-		c.sendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: n + frameHdr, ExtraLatency: lat, ProtoOverhead: proto})
+		c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: n + frameHdr, ExtraLatency: lat, ProtoOverhead: proto})
 		return
 	}
 	lat, proto := c.rendezvousCost(dst, n)
-	c.sendMsg(dst, tag, netsim.SendOpts{Bytes: n, ExtraLatency: lat, ProtoOverhead: proto})
+	c.p.SendMsg(dst, tag, netsim.SendOpts{Bytes: n, ExtraLatency: lat, ProtoOverhead: proto})
 }
 
 // Recv blocks until the message from src with the given tag arrives and
@@ -343,7 +290,7 @@ func (c *Comm) Recv(src, tag int) []byte {
 	if c.reliable {
 		return c.recvReliable(src, tag).Payload
 	}
-	return c.recvPkt(src, tag).Payload
+	return c.p.Recv(src, tag).Payload
 }
 
 // RecvPacket is Recv exposing the full packet metadata.
@@ -352,7 +299,7 @@ func (c *Comm) RecvPacket(src, tag int) netsim.Packet {
 	if c.reliable {
 		return c.recvReliable(src, tag)
 	}
-	return c.recvPkt(src, tag)
+	return c.p.Recv(src, tag)
 }
 
 // internal send/recv on protocol tags (no user-tag check). Internal
@@ -361,17 +308,17 @@ func (c *Comm) RecvPacket(src, tag int) netsim.Packet {
 // the watchdog deadline that turns a lost message or crashed peer into
 // a diagnostic instead of a hang.
 func (c *Comm) sendInternal(dst, tag int, data []byte, n int) {
-	c.sendDelayed(dst, tag, data, n)
+	c.p.SendDelayed(dst, tag, data, n, 0)
 }
 
 func (c *Comm) recvInternal(src, tag int) netsim.Packet {
 	if c.reliable {
-		pkt, ok := c.recvPktDeadline(src, tag, c.deadline())
+		pkt, ok := c.p.RecvDeadline(src, tag, c.deadline())
 		if !ok {
-			panic(c.noteFault(&FaultError{Rank: c.GlobalRank(), Src: c.glob(src), Tag: tag, Kind: "timeout", Op: "collective", When: c.p.Now()}))
+			panic(c.noteFault(&FaultError{Rank: c.Rank(), Src: src, Tag: tag, Kind: "timeout", Op: "collective", When: c.p.Now()}))
 		}
 		c.noteProgress()
 		return pkt
 	}
-	return c.recvPkt(src, tag)
+	return c.p.Recv(src, tag)
 }

@@ -61,6 +61,27 @@ func TestReliableDedupKeepsFIFO(t *testing.T) {
 	}
 }
 
+// TestDeframeRejectsDamage: netsim never corrupts two-sided payloads
+// (only puts), so the reliable frame's checksum is exercised here
+// directly. A flip of any bit — sequence number, checksum or payload —
+// and a truncated frame must all fail validation.
+func TestDeframeRejectsDamage(t *testing.T) {
+	good := frame(9, []byte("two-sided payload"))
+	if seq, data, ok := deframe(good); !ok || seq != 9 || string(data) != "two-sided payload" {
+		t.Fatalf("intact frame: seq %d, data %q, ok %v", seq, data, ok)
+	}
+	for i := range good {
+		bad := append([]byte(nil), good...)
+		bad[i] ^= 0x10
+		if _, _, ok := deframe(bad); ok {
+			t.Errorf("frame with byte %d flipped accepted", i)
+		}
+	}
+	if _, _, ok := deframe(good[:frameHdr-1]); ok {
+		t.Error("truncated frame accepted")
+	}
+}
+
 func TestLostMessageRaisesFaultError(t *testing.T) {
 	cfg := cfgN(2)
 	cfg.Faults = &netsim.FaultPlan{Seed: 2, DropProb: 1,

@@ -31,14 +31,14 @@ type leaseTable struct {
 	busy []bool
 }
 
-// heldLease is a delivered payload's lease, owned by global rank src.
+// heldLease is a delivered payload's lease, owned by rank src.
 type heldLease struct{ src, id int }
 
 // NewLeases registers n leases owned by the calling rank, one per
 // reusable send buffer, and returns the first id; the others follow
 // consecutively. Ids are positive: a lease entry of 0 means none.
 func (c *Comm) NewLeases(n int) int {
-	t := &c.leases[c.GlobalRank()]
+	t := &c.leases[c.Rank()]
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	first := len(t.busy) + 1
@@ -53,7 +53,7 @@ func (c *Comm) NewLeases(n int) int {
 // must send own under it. Otherwise it is a fresh buffer of the same
 // length and no lease (0).
 func (c *Comm) LeasedBuf(id int, own []byte) ([]byte, int) {
-	t := &c.leases[c.GlobalRank()]
+	t := &c.leases[c.Rank()]
 	t.mu.Lock()
 	busy := t.busy[id-1]
 	t.busy[id-1] = true

@@ -194,20 +194,20 @@ func (c *Comm) recvReliable(src, tag int) netsim.Packet {
 	want := c.recvSeq[k]
 	deadline := c.deadline()
 	for {
-		pkt, ok := c.recvPktDeadline(src, tag, deadline)
+		pkt, ok := c.p.RecvDeadline(src, tag, deadline)
 		if !ok {
-			panic(c.noteFault(&FaultError{Rank: c.GlobalRank(), Src: c.glob(src), Tag: tag, Kind: "timeout", Op: "recv", When: c.p.Now()}))
+			panic(c.noteFault(&FaultError{Rank: c.Rank(), Src: src, Tag: tag, Kind: "timeout", Op: "recv", When: c.p.Now()}))
 		}
 		seq, data, ok := deframe(pkt.Payload)
 		if !ok {
-			panic(c.noteFault(&FaultError{Rank: c.GlobalRank(), Src: c.glob(src), Tag: tag, Kind: "corrupt", Op: "recv", When: c.p.Now()}))
+			panic(c.noteFault(&FaultError{Rank: c.Rank(), Src: src, Tag: tag, Kind: "corrupt", Op: "recv", When: c.p.Now()}))
 		}
 		if seq < want {
 			c.discards++
 			continue // duplicate delivery of an already-consumed message
 		}
 		if seq > want {
-			panic(c.noteFault(&FaultError{Rank: c.GlobalRank(), Src: c.glob(src), Tag: tag, Kind: "lost", Op: "recv", When: c.p.Now()}))
+			panic(c.noteFault(&FaultError{Rank: c.Rank(), Src: src, Tag: tag, Kind: "lost", Op: "recv", When: c.p.Now()}))
 		}
 		c.recvSeq[k] = want + 1
 		c.noteProgress()

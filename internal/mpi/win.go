@@ -72,7 +72,7 @@ func (w *Win) PutLogical(target, offset int, data []byte, logical int) (completi
 		payload = putFrame(uint32(w.fenced), uint32(idx), data)
 		bytes += putHdr
 	}
-	return w.c.sendMsg(target, w.tag, netsim.SendOpts{
+	return w.c.p.SendMsg(target, w.tag, netsim.SendOpts{
 		Payload: payload, Bytes: bytes, Meta: offset,
 		ProtoOverhead: w.c.Config().RMAOverhead, Unmatched: true,
 	})
@@ -92,7 +92,7 @@ func (w *Win) PutN(target, offset, n int) (completion float64) {
 		payload = putFrame(uint32(w.fenced), uint32(idx), nil)
 		bytes += putHdr
 	}
-	return w.c.sendMsg(target, w.tag, netsim.SendOpts{
+	return w.c.p.SendMsg(target, w.tag, netsim.SendOpts{
 		Payload: payload, Bytes: bytes, Meta: offset,
 		ProtoOverhead: w.c.Config().RMAOverhead, Unmatched: true,
 	})
@@ -117,11 +117,8 @@ func (w *Win) Fence(expected []int) {
 			src = rep.Missing[0]
 			kind = "lost"
 		}
-		outstanding := make([]int, 0, len(rep.Corrupt)+len(rep.Missing))
-		for _, r := range append(append([]int(nil), rep.Corrupt...), rep.Missing...) {
-			outstanding = append(outstanding, w.c.glob(r))
-		}
-		panic(w.c.noteFault(&FaultError{Rank: w.c.GlobalRank(), Src: w.c.glob(src), Tag: w.tag, Kind: kind, Op: "fence",
+		outstanding := append(append([]int(nil), rep.Corrupt...), rep.Missing...)
+		panic(w.c.noteFault(&FaultError{Rank: w.c.Rank(), Src: src, Tag: w.tag, Kind: kind, Op: "fence",
 			When: w.c.Now(), Outstanding: outstanding}))
 	}
 }
@@ -208,7 +205,7 @@ func (w *Win) drainReliable(src, cnt int, latest *float64, drained *int64) (corr
 	seen := make([]bool, cnt)
 	deadline := w.c.deadline()
 	for got := 0; got < cnt; {
-		pkt, ok := w.c.recvPktDeadline(src, w.tag, deadline)
+		pkt, ok := w.c.p.RecvDeadline(src, w.tag, deadline)
 		if !ok {
 			missing = true
 			break

@@ -502,23 +502,16 @@ func (eng *Engine) process(p *Proc) (blocked bool) {
 
 // discardCrashed parks p at its scheduled crash time: the pending
 // request is dropped and p is never resumed. Peers observe the silence
-// through watchdog deadlines or the deadlock diagnostic. A permanent
-// kill is reported with its own event kind ("kill") and counter so the
-// recovery controller can tell a respawnable crash from a dead rank.
+// through watchdog deadlines or the deadlock diagnostic.
 func (eng *Engine) discardCrashed(p *Proc) bool {
 	if eng.inj == nil || p.crashed {
 		return false
 	}
-	if parked, permanent := eng.inj.crashed(p.rank, p.clock); parked {
+	if eng.inj.crashed(p.rank, p.clock) {
 		p.crashed = true
 		eng.stats.Faults.Crashes++
-		kind := "crash"
-		if permanent {
-			eng.stats.Faults.Kills++
-			kind = "kill"
-		}
 		if eng.cfg.FaultObserver != nil {
-			eng.cfg.FaultObserver(FaultEvent{T: p.clock, Kind: kind, Src: p.rank, Dst: -1, Tag: -1})
+			eng.cfg.FaultObserver(FaultEvent{T: p.clock, Kind: "crash", Src: p.rank, Dst: -1, Tag: -1})
 		}
 		return true
 	}

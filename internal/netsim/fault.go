@@ -116,14 +116,6 @@ type FaultPlan struct {
 	// attempt.
 	CrashSchedule []CrashSpec
 
-	// KillRank permanently kills that rank at virtual time KillAt: like a
-	// crash, but the rank never respawns — WithCrashesAfter always keeps
-	// a kill armed, so every recovery attempt re-kills the rank and the
-	// controller must shrink onto the survivors instead of respawning
-	// (docs/ROBUSTNESS.md). Enabled only when KillAt > 0.
-	KillRank int
-	KillAt   float64
-
 	// Retry overrides the transport retry/watchdog policy (zero fields
 	// take defaults).
 	Retry RetryPolicy
@@ -151,17 +143,15 @@ type FaultStats struct {
 	Retries         int     // transport retransmissions
 	Lost            int     // messages permanently lost (retries exhausted)
 	RetryDelayS     float64 // total virtual seconds of retransmit backoff
-	Crashes         int     // ranks parked by a crash (kills included)
-	Kills           int     // ranks parked by a permanent kill (never respawn)
+	Crashes         int     // ranks parked by a crash
 }
 
 // FaultEvent describes one injected fault, delivered to
 // Config.FaultObserver on the scheduler goroutine as the engine decides
 // it. Kind is one of "stall", "spike", "retry", "lost",
-// "silent_corrupt", "duplicate", "crash", or "kill" (a permanent crash
-// that never respawns); Delay carries the virtual seconds a
-// stall/spike/retry added (0 otherwise). Dst is -1 for crashes and
-// kills, which have no message in flight.
+// "silent_corrupt", "duplicate" or "crash"; Delay carries the virtual
+// seconds a stall/spike/retry added (0 otherwise). Dst is -1 for
+// crashes, which have no message in flight.
 type FaultEvent struct {
 	T        float64 // virtual time at the deciding proc
 	Kind     string
@@ -281,43 +271,32 @@ func (in *injector) duplicate() bool {
 	return false
 }
 
-// crashed reports whether rank must be parked at time now; permanent
-// reports whether the park is a kill (the rank never respawns).
-func (in *injector) crashed(rank int, now float64) (parked, permanent bool) {
-	if in.plan.KillAt > 0 && in.plan.KillRank == rank && now >= in.plan.KillAt {
-		return true, true
-	}
+// crashed reports whether rank must be parked at time now.
+func (in *injector) crashed(rank int, now float64) bool {
 	if in.plan.CrashAt > 0 && in.plan.CrashRank == rank && now >= in.plan.CrashAt {
-		return true, false
+		return true
 	}
 	for _, cs := range in.plan.CrashSchedule {
 		if cs.At > 0 && cs.Rank == rank && now >= cs.At {
-			return true, cs.Permanent
+			return true
 		}
 	}
-	return false, false
+	return false
 }
 
 // CrashSpec schedules one rank crash at a virtual time (see
-// FaultPlan.CrashSchedule). Permanent marks a kill: the rank never
-// respawns, so WithCrashesAfter always keeps the entry armed. The zero
-// value injects nothing.
+// FaultPlan.CrashSchedule). The zero value injects nothing.
 type CrashSpec struct {
-	Rank      int
-	At        float64
-	Permanent bool
+	Rank int
+	At   float64
 }
 
 // Crashes returns every enabled crash of the plan (the legacy
-// CrashRank/CrashAt pair, the KillRank/KillAt pair, plus the schedule),
-// sorted by time.
+// CrashRank/CrashAt pair plus the schedule), sorted by time.
 func (p *FaultPlan) Crashes() []CrashSpec {
 	var out []CrashSpec
 	if p.CrashAt > 0 {
 		out = append(out, CrashSpec{Rank: p.CrashRank, At: p.CrashAt})
-	}
-	if p.KillAt > 0 {
-		out = append(out, CrashSpec{Rank: p.KillRank, At: p.KillAt, Permanent: true})
 	}
 	for _, cs := range p.CrashSchedule {
 		if cs.At > 0 {
@@ -330,18 +309,15 @@ func (p *FaultPlan) Crashes() []CrashSpec {
 
 // WithCrashesAfter returns a copy of the plan keeping only the crashes
 // strictly later than t — what remains armed after a recovery rolled the
-// pipeline back past the crashes already absorbed. Permanent kills are
-// always kept: a dead rank stays dead no matter how far the pipeline
-// rolls back, which is what forces the shrink path. The copy's RNG seed
+// pipeline back past the crashes already absorbed. The copy's RNG seed
 // is left untouched; the caller reseeds per attempt if it wants fresh
 // (still deterministic) transport noise.
 func (p *FaultPlan) WithCrashesAfter(t float64) *FaultPlan {
 	q := *p
 	q.CrashRank, q.CrashAt = 0, 0
-	q.KillRank, q.KillAt = 0, 0
 	q.CrashSchedule = nil
 	for _, cs := range p.Crashes() {
-		if cs.Permanent || cs.At > t {
+		if cs.At > t {
 			q.CrashSchedule = append(q.CrashSchedule, cs)
 		}
 	}
@@ -415,13 +391,8 @@ func (p *FaultPlan) Scenario() string {
 	if p.CrashAt > 0 {
 		parts = append(parts, fmt.Sprintf("crash-rank%d", p.CrashRank))
 	}
-	if p.KillAt > 0 {
-		parts = append(parts, fmt.Sprintf("kill-rank%d", p.KillRank))
-	}
 	for _, cs := range p.CrashSchedule {
-		if cs.At > 0 && cs.Permanent {
-			parts = append(parts, fmt.Sprintf("kill-rank%d", cs.Rank))
-		} else if cs.At > 0 {
+		if cs.At > 0 {
 			parts = append(parts, fmt.Sprintf("crash-rank%d", cs.Rank))
 		}
 	}

@@ -304,44 +304,6 @@ func TestDiffGate(t *testing.T) {
 	if d := analyze.Diff(&ckptBase, &ckptBase, 0.10); d.Regressed() {
 		t.Errorf("identical checkpointing artifacts regressed: %+v", d)
 	}
-
-	// Elastic shrink against a clean baseline: the run finished on fewer
-	// ranks than it started with, so its numbers are never comparable —
-	// the gate fails with an explicit diagnostic and the post-shrink
-	// throughput ratio is reported alongside.
-	shrunk := *base
-	shrunk.Rows = append([]analyze.Row(nil), base.Rows...)
-	shrunk.Rows[0].Seconds = base.Rows[0].Seconds * 1.05 // within threshold, still gated
-	shrunk.Rows[0].Faults = &analyze.FaultRow{
-		Crashes: 1, Rollbacks: 1, Shrinks: 1, RanksLost: 1,
-		MigratedBytes: 1 << 20, ShrinkMTTRSeconds: 0.03,
-	}
-	d = analyze.Diff(base, &shrunk, 0.10)
-	if !d.Regressed() || len(d.Degraded) != 1 ||
-		d.Degraded[0] != "fp64/12 [shrink appeared: 1 arc(s), 1 rank(s) lost]" {
-		t.Errorf("shrunk row not flagged explicitly: %+v", d)
-	}
-	if len(d.ShrinkRatios) != 1 || d.ShrinkRatios[0].Metric != "post_shrink_seconds" ||
-		d.ShrinkRatios[0].New != shrunk.Rows[0].Seconds {
-		t.Errorf("post-shrink throughput ratio missing: %+v", d.ShrinkRatios)
-	}
-
-	// Both sides shrunk identically: comparable again (the generic
-	// degraded case is also skipped because the baseline is degraded),
-	// and shrink MTTR gates like any lower-is-better metric.
-	shrunkBase := shrunk
-	shrunkWorse := *base
-	shrunkWorse.Rows = append([]analyze.Row(nil), shrunk.Rows...)
-	worse := *shrunk.Rows[0].Faults
-	worse.ShrinkMTTRSeconds = 0.07
-	shrunkWorse.Rows[0].Faults = &worse
-	d = analyze.Diff(&shrunkBase, &shrunkWorse, 0.10)
-	if !d.Regressed() || len(d.Regressions) != 1 || d.Regressions[0].Metric != "shrink_mttr_seconds" {
-		t.Errorf("shrink-MTTR doubling passed the gate: %+v", d)
-	}
-	if len(d.Degraded) != 0 || len(d.ShrinkRatios) != 0 {
-		t.Errorf("both-shrunk comparison flagged degraded: %+v", d)
-	}
 }
 
 // TestDiffErrorGate pins the errtrack columns of the bench gate: per-

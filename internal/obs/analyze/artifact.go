@@ -183,14 +183,6 @@ type FaultRow struct {
 	Rollbacks       int64   `json:"rollbacks,omitempty"`
 	Restarts        int64   `json:"restarts,omitempty"`
 	MTTRSeconds     float64 `json:"mttr_seconds,omitempty"`
-	// Elastic-shrink ledger: a row with Shrinks > 0 finished on fewer
-	// ranks than it started with (permanent loss absorbed by
-	// re-decomposing onto the survivors) — its numbers describe a
-	// degraded topology, never comparable to a full-size baseline.
-	Shrinks           int64   `json:"shrinks,omitempty"`
-	RanksLost         int64   `json:"ranks_lost,omitempty"`
-	MigratedBytes     int64   `json:"migrated_bytes,omitempty"`
-	ShrinkMTTRSeconds float64 `json:"shrink_mttr_seconds,omitempty"`
 }
 
 // Degraded reports whether the row left the fast path: recovery work
@@ -198,12 +190,8 @@ type FaultRow struct {
 // a recovered measurement is not comparable to a fault-free baseline).
 func (f *FaultRow) Degraded() bool {
 	return f != nil && (f.Lost > 0 || f.Crashes > 0 || f.Repairs > 0 || f.FallbackPeers > 0 ||
-		f.Rollbacks > 0 || f.Restarts > 0 || f.Shrinks > 0)
+		f.Rollbacks > 0 || f.Restarts > 0)
 }
-
-// Shrunk reports whether the row's membership shrank mid-run: the row
-// finished on a smaller rank count than it was configured with.
-func (f *FaultRow) Shrunk() bool { return f != nil && f.Shrinks > 0 }
 
 // FaultRowFrom extracts the fault counters of a run's metric registry;
 // nil when the run saw no faults at all. The counters come from one
@@ -225,15 +213,9 @@ func FaultRowFrom(m *obs.Metrics) *FaultRow {
 		CheckpointBytes: s.Counters["recovery/checkpoint_bytes"],
 		Rollbacks:       s.Counters["recovery/rollbacks"],
 		Restarts:        s.Counters["recovery/restarts"],
-		Shrinks:         s.Counters["shrink/events"],
-		RanksLost:       s.Counters["shrink/ranks_lost"],
-		MigratedBytes:   s.Counters["shrink/migrated_bytes"],
 	}
 	if h, ok := s.Hists["recovery/mttr_s"]; ok {
 		f.MTTRSeconds = h.Sum
-	}
-	if h, ok := s.Hists["shrink/mttr_s"]; ok {
-		f.ShrinkMTTRSeconds = h.Sum
 	}
 	if f == (FaultRow{}) {
 		return nil

@@ -46,12 +46,6 @@ type DiffResult struct {
 	// autotuner that loses to a configuration it could have picked is a
 	// regression even though the tuned row has no baseline of its own.
 	TunedSlower []DiffLine
-	// ShrinkRatios reports, for each row that shrank against a clean
-	// baseline (already failing the gate via Degraded), the post-shrink
-	// throughput ratio — how much slower the degraded topology ran than
-	// the full-size baseline. Informational: it sizes the cost of
-	// surviving, it does not gate on its own.
-	ShrinkRatios []DiffLine
 }
 
 // Regressed reports whether the gate should fail.
@@ -115,18 +109,6 @@ func Diff(oldA, newA *Artifact, threshold float64) DiffResult {
 			}
 		}
 		switch {
-		case nr.Faults.Shrunk() && !or.Faults.Shrunk():
-			// A run that lost ranks permanently finished on a smaller
-			// machine than its baseline: explicitly called out ahead of the
-			// generic degraded case, with the throughput cost quantified.
-			d.Degraded = append(d.Degraded, fmt.Sprintf("%s [shrink appeared: %d arc(s), %d rank(s) lost]",
-				rowName(nr), nr.Faults.Shrinks, nr.Faults.RanksLost))
-			if or.Seconds > 0 && nr.Seconds > 0 {
-				d.ShrinkRatios = append(d.ShrinkRatios, DiffLine{
-					Row: rowName(nr), Metric: "post_shrink_seconds", Old: or.Seconds, New: nr.Seconds,
-					Delta: (nr.Seconds - or.Seconds) / or.Seconds,
-				})
-			}
 		case nr.Faults.Degraded() && !or.Faults.Degraded():
 			d.Degraded = append(d.Degraded, rowName(nr))
 		case nr.Faults != nil && nr.Faults.CheckpointBytes > 0 &&
@@ -138,7 +120,6 @@ func Diff(oldA, newA *Artifact, threshold float64) DiffResult {
 		}
 		if or.Faults != nil && nr.Faults != nil {
 			compare("mttr_seconds", or.Faults.MTTRSeconds, nr.Faults.MTTRSeconds, true)
-			compare("shrink_mttr_seconds", or.Faults.ShrinkMTTRSeconds, nr.Faults.ShrinkMTTRSeconds, true)
 		}
 	}
 	// Best fixed-configuration baseline per GPU count and pipeline
@@ -207,11 +188,7 @@ func (d DiffResult) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "REGRESSION %-24s missing from new artifact\n", m)
 	}
 	for _, g := range d.Degraded {
-		fmt.Fprintf(w, "DEGRADED   %-24s measured on a degraded path (repairs/fallback/losses/rollbacks/shrinks); not comparable to baseline\n", g)
-	}
-	for _, l := range d.ShrinkRatios {
-		fmt.Fprintf(w, "SHRUNK     %-24s %-9s full-size %.4g, post-shrink %.4g (%.2fx slower)\n",
-			l.Row, l.Metric, l.Old, l.New, l.New/l.Old)
+		fmt.Fprintf(w, "DEGRADED   %-24s measured on a degraded path (repairs/fallback/losses/rollbacks); not comparable to baseline\n", g)
 	}
 	for _, o := range d.OverBudget {
 		fmt.Fprintf(w, "OVERBUDGET %s\n", o)

@@ -26,10 +26,8 @@ const (
 	// EventRecovery marks one transition of the crash-recovery protocol
 	// (internal/recover) or of the exchange re-promotion hysteresis. Label
 	// carries the transition ("checkpoint", "commit", "crash_verdict",
-	// "rollback", "respawn", "resume", "give_up", "probe", "repromote",
-	// and the elastic-shrink arc "shrink_verdict", "shrink_agree",
-	// "replan", "migrate"); Value the epoch involved (-1 when none), and
-	// Msg the diagnostic.
+	// "rollback", "respawn", "resume", "give_up", "probe", "repromote");
+	// Value the epoch involved (-1 when none), and Msg the diagnostic.
 	// Replays validate the sequencing: a resume of epoch e must follow a
 	// commit of epoch e.
 	EventRecovery = "recovery"

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/mpi"
@@ -23,32 +22,14 @@ const (
 	MetricMTTRS               = "recovery/mttr_s"
 )
 
-// Registry names of the elastic shrink path (printed under shrink/*).
-// MTTR after a shrink is tracked separately from plain respawn MTTR: a
-// shrink pays agreement + re-planning + migration on top of the backoff.
+// Recovery-event labels (obs.EventRecovery), in protocol order.
 const (
-	MetricShrinks       = "shrink/events"
-	MetricShrinkLost    = "shrink/ranks_lost"
-	MetricShrinkMTTRS   = "shrink/mttr_s"
-	MetricMigratedBytes = "shrink/migrated_bytes"
-)
-
-// Recovery-event labels (obs.EventRecovery), in protocol order. The
-// shrink labels trace the elastic arc: verdict (respawn budget
-// exhausted for a dead rank) → agree (survivors fixed the membership) →
-// replan (pipeline rebuilt at the new size) → migrate (checkpoint data
-// redistributed) → resume.
-const (
-	LabelCommit        = "commit"
-	LabelCrashVerdict  = "crash_verdict"
-	LabelRollback      = "rollback"
-	LabelRespawn       = "respawn"
-	LabelResume        = "resume"
-	LabelGiveUp        = "give_up"
-	LabelShrinkVerdict = "shrink_verdict"
-	LabelShrinkAgree   = "shrink_agree"
-	LabelReplan        = "replan"
-	LabelMigrate       = "migrate"
+	LabelCommit       = "commit"
+	LabelCrashVerdict = "crash_verdict"
+	LabelRollback     = "rollback"
+	LabelRespawn      = "respawn"
+	LabelResume       = "resume"
+	LabelGiveUp       = "give_up"
 )
 
 // Policy bounds and paces the restart loop. All delays are virtual
@@ -75,17 +56,6 @@ type Policy struct {
 	// WriteBW is the checkpoint store's write bandwidth in bytes/s (the
 	// virtual cost each rank pays per snapshot).
 	WriteBW float64
-	// ReadBW is the store's read bandwidth for shrink migration (each
-	// survivor pays it per peer snapshot it fetches); 0 takes WriteBW.
-	ReadBW float64
-	// Shrink enables elastic shrink recovery: when the restart budget is
-	// exhausted by a crash verdict, instead of giving up the survivors
-	// agree on the reduced membership (mpi.Comm.Shrink), the pipeline is
-	// re-planned at P−k ranks, the last committed cut's snapshots are
-	// migrated to the new owners, and stepping resumes — with a fresh
-	// restart budget for the shrunken membership. Off (the default)
-	// preserves the historic give-up behavior byte-for-byte.
-	Shrink bool
 }
 
 // withDefaults fills zero-valued knobs.
@@ -101,9 +71,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.WriteBW == 0 {
 		p.WriteBW = 25e9
-	}
-	if p.ReadBW == 0 {
-		p.ReadBW = p.WriteBW
 	}
 	return p
 }
@@ -143,18 +110,6 @@ type Rank struct {
 	c       *mpi.Comm
 	resume  int
 	writeBW float64
-	readBW  float64
-
-	// Shrink-migration context, set by the controller on the first
-	// attempt of a shrunken membership that must redistribute the resume
-	// epoch's snapshots (all zero otherwise): prevSize/prevRank locate
-	// this rank in the membership that committed the resume epoch, and
-	// oldToNew maps each old local rank to its new local rank (-1 for a
-	// rank that died).
-	migrate  bool
-	prevSize int
-	prevRank int
-	oldToNew []int
 }
 
 // Resume returns the committed epoch this attempt resumes from (-1 for
@@ -166,39 +121,6 @@ func (rk *Rank) Resume() int {
 	return rk.resume
 }
 
-// Migrating reports whether this attempt must redistribute the resume
-// epoch's snapshots from a larger previous membership (the shrink
-// migration phase; docs/ROBUSTNESS.md).
-func (rk *Rank) Migrating() bool { return rk != nil && rk.migrate }
-
-// PrevSize returns the rank count of the membership that committed the
-// resume epoch (0 when not migrating).
-func (rk *Rank) PrevSize() int {
-	if rk == nil {
-		return 0
-	}
-	return rk.prevSize
-}
-
-// PrevRank returns this rank's local rank in the previous membership
-// (-1 when not migrating).
-func (rk *Rank) PrevRank() int {
-	if rk == nil || !rk.migrate {
-		return -1
-	}
-	return rk.prevRank
-}
-
-// OldToNew maps each previous-membership local rank to its local rank
-// in the current membership (-1 = dead). Nil when not migrating; the
-// caller must not mutate it.
-func (rk *Rank) OldToNew() []int {
-	if rk == nil {
-		return nil
-	}
-	return rk.oldToNew
-}
-
 // Restore fetches and CRC-validates this rank's snapshot of the resume
 // epoch.
 func (rk *Rank) Restore() ([]byte, error) {
@@ -206,21 +128,6 @@ func (rk *Rank) Restore() ([]byte, error) {
 		return nil, fmt.Errorf("recover: nothing to restore")
 	}
 	return rk.st.Restore(rk.c.Rank(), rk.resume)
-}
-
-// RestorePeer fetches a previous-membership rank's snapshot of the
-// resume epoch — the shrink migration's read path — charging the
-// store's read bandwidth to this rank's clock.
-func (rk *Rank) RestorePeer(oldRank int) ([]byte, error) {
-	if rk == nil || rk.resume < 0 {
-		return nil, fmt.Errorf("recover: nothing to restore")
-	}
-	snap, err := rk.st.Restore(oldRank, rk.resume)
-	if err != nil {
-		return nil, err
-	}
-	rk.c.Elapse(float64(len(snap)+frameHdr) / rk.readBW)
-	return snap, nil
 }
 
 // Checkpoint persists this rank's snapshot of an epoch and commits the
@@ -261,34 +168,13 @@ type Recovery struct {
 	Cause   string  // the verdict's diagnostic
 }
 
-// Shrink records one elastic shrink arc: the membership change and its
-// timeline (respawn budget exhausted → agreement → re-plan → migrate →
-// resume).
-type Shrink struct {
-	Attempt  int     // attempt (within its arc) whose failure triggered the shrink
-	Dead     []int   // global ranks shrunk away, ascending
-	FromSize int     // membership size before
-	ToSize   int     // membership size after
-	Epoch    int     // committed epoch migrated from (-1 = restart from scratch)
-	CrashT   float64 // virtual time of the first crash of the failing attempt
-	DetectT  float64 // virtual time of the watchdog verdict
-	ResumeT  float64 // virtual time the shrunken membership resumed at
-	Cause    string  // the verdict's diagnostic
-}
-
 // Outcome summarizes a completed (recovered or fault-free) run.
 type Outcome struct {
 	Result     netsim.Result
 	Attempts   int // bodies executed; 1 means no recovery was needed
 	Recoveries []Recovery
-	// Shrinks records the elastic shrink arcs the run survived (empty
-	// unless Policy.Shrink absorbed a permanent rank loss).
-	Shrinks []Shrink
-	// Survivors is the final membership as global ranks — nil when the
-	// run finished at full size, the post-shrink group otherwise.
-	Survivors []int
 	// MTTRSeconds is the total virtual crash→resume time across all
-	// recoveries and shrinks (0 for a fault-free run).
+	// recoveries (0 for a fault-free run).
 	MTTRSeconds float64
 }
 
@@ -346,32 +232,19 @@ func (ct *Controller) Run(cfg netsim.Config, rec *obs.Recorder, body func(*mpi.C
 	met := rec.Metrics()
 
 	var recoveries []Recovery
-	var shrinks []Shrink
 	var resumeAt float64
 	plan := cfg.Faults
-	// Elastic-shrink membership state. members is the current membership
-	// as global ranks (nil = full world, the only shape Policy.Shrink
-	// off ever sees); ownerMembers is the membership that committed the
-	// current resume epoch, so a mismatch means the next attempt must
-	// migrate snapshot data to the new owners.
-	var members []int
-	ownerMembers := members
-	deadSet := make(map[int]bool)
-	totalAttempts := 0
 	for attempt := 0; ; attempt++ {
 		attCfg := cfg
 		attCfg.Faults = plan
-		// Mirror crash/kill fault events so the verdict can time the
-		// outage and the shrink path can name the dead; the observer runs
-		// on the scheduler goroutine and the engine joins it before
-		// returning, so the capture is race-free.
+		// Mirror crash fault events so the verdict can time the outage;
+		// the observer runs on the scheduler goroutine and the engine
+		// joins it before returning, so the capture is race-free.
 		var crashT []float64
-		var crashed []int
 		prevObs := attCfg.FaultObserver
 		attCfg.FaultObserver = func(fe netsim.FaultEvent) {
-			if fe.Kind == "crash" || fe.Kind == "kill" {
+			if fe.Kind == "crash" {
 				crashT = append(crashT, fe.T)
-				crashed = append(crashed, fe.Src)
 			}
 			if prevObs != nil {
 				prevObs(fe)
@@ -379,43 +252,22 @@ func (ct *Controller) Run(cfg netsim.Config, rec *obs.Recorder, body func(*mpi.C
 		}
 		resumeEpoch := st.LastCommitted()
 		startAt := resumeAt
-		rankCtx := migrationContext(members, ownerMembers, resumeEpoch)
 		res, err := mpi.RunWithChecked(attCfg, rec, func(c *mpi.Comm) {
-			if members != nil && deadSet[c.Rank()] {
-				return // dead ranks never rejoin — their body is a no-op
-			}
 			if startAt > 0 {
 				c.AdvanceTo(startAt)
 			}
-			cc := c
-			if members != nil {
-				cc = c.Shrink(deadRanks(deadSet))
-			}
-			rk := &Rank{st: st, c: cc, resume: resumeEpoch, writeBW: pol.WriteBW, readBW: pol.ReadBW}
-			rankCtx.apply(rk, cc.GlobalRank())
-			body(cc, rk)
+			body(c, &Rank{st: st, c: c, resume: resumeEpoch, writeBW: pol.WriteBW})
 		})
-		totalAttempts++
-		if st.LastCommitted() > resumeEpoch {
-			// The current membership advanced the committed cut; it owns
-			// the snapshots rollback would now return to.
-			ownerMembers = members
-		}
 		if err == nil {
 			var mttr float64
 			for _, r := range recoveries {
 				mttr += r.ResumeT - r.CrashT
 			}
-			for _, s := range shrinks {
-				mttr += s.ResumeT - s.CrashT
-			}
-			return Outcome{Result: res, Attempts: totalAttempts, Recoveries: recoveries,
-				Shrinks: shrinks, Survivors: members, MTTRSeconds: mttr}, nil
+			return Outcome{Result: res, Attempts: attempt + 1, Recoveries: recoveries, MTTRSeconds: mttr}, nil
 		}
 		detectT, cause, isCrash := crashVerdict(err, res, crashT)
 		if !isCrash {
-			return Outcome{Result: res, Attempts: totalAttempts, Recoveries: recoveries,
-				Shrinks: shrinks, Survivors: members}, err
+			return Outcome{Result: res, Attempts: attempt + 1, Recoveries: recoveries}, err
 		}
 		log.Emit(obs.Event{T: detectT, Rank: -1, Kind: obs.EventRecovery, Label: LabelCrashVerdict,
 			Peer: -1, Value: float64(st.LastCommitted()), Msg: cause})
@@ -424,56 +276,12 @@ func (ct *Controller) Run(cfg netsim.Config, rec *obs.Recorder, body func(*mpi.C
 			firstCrash = crashT[0]
 		}
 		if attempt >= pol.MaxRestarts {
-			newDead := survivableDead(members, deadSet, crashed, cfg.Ranks())
-			if !pol.Shrink || len(newDead) == 0 {
-				log.Emit(obs.Event{T: detectT, Rank: -1, Kind: obs.EventRecovery, Label: LabelGiveUp,
-					Peer: -1, Value: float64(st.LastCommitted()),
-					Msg: fmt.Sprintf("restart budget (%d) exhausted", pol.MaxRestarts)})
-				return Outcome{Result: res, Attempts: totalAttempts, Recoveries: recoveries,
-						Shrinks: shrinks, Survivors: members},
-					&UnrecoverableError{Attempts: totalAttempts, LastEpoch: st.LastCommitted(),
-						Recoveries: recoveries, Cause: err}
-			}
-			// Elastic shrink: drop the ranks that exhausted the budget,
-			// resume the survivors on a re-decomposed pipeline with a
-			// fresh budget (docs/ROBUSTNESS.md).
-			st.Rollback()
-			epoch := st.LastCommitted()
-			fromSize := memberCount(members, cfg.Ranks())
-			if ownerMembers == nil && epoch >= 0 {
-				// The full world committed the epoch the survivors will
-				// migrate from; materialize it so the rank mappings exist.
-				ownerMembers = worldList(cfg.Ranks())
-			}
-			for _, r := range newDead {
-				deadSet[r] = true
-			}
-			members = survivorList(members, deadSet, cfg.Ranks())
-			resumeAt = detectT + backoffDelay(pol, attempt, jitter)
-			sh := Shrink{Attempt: attempt, Dead: newDead, FromSize: fromSize, ToSize: len(members),
-				Epoch: epoch, CrashT: firstCrash, DetectT: detectT, ResumeT: resumeAt, Cause: cause}
-			shrinks = append(shrinks, sh)
-			if plan != nil {
-				plan = plan.WithCrashesAfter(detectT)
-			}
-			log.Emit(obs.Event{T: detectT, Rank: -1, Kind: obs.EventRecovery, Label: LabelShrinkVerdict,
-				Peer: -1, Value: float64(len(newDead)), Msg: cause})
-			log.Emit(obs.Event{T: detectT, Rank: -1, Kind: obs.EventRecovery, Label: LabelShrinkAgree,
-				Peer: -1, Value: float64(len(members)), Msg: fmt.Sprintf("dead %v", newDead)})
-			log.Emit(obs.Event{T: resumeAt, Rank: -1, Kind: obs.EventRecovery, Label: LabelReplan,
-				Peer: -1, Value: float64(len(members)), Msg: fmt.Sprintf("%d -> %d ranks", fromSize, len(members))})
-			if epoch >= 0 {
-				log.Emit(obs.Event{T: resumeAt, Rank: -1, Kind: obs.EventRecovery, Label: LabelMigrate,
-					Peer: -1, Value: float64(epoch)})
-			}
-			log.Emit(obs.Event{T: resumeAt, Rank: -1, Kind: obs.EventRecovery, Label: LabelResume,
-				Peer: -1, Value: float64(epoch)})
-			met.Add(MetricShrinks, 1)
-			met.Add(MetricShrinkLost, int64(len(newDead)))
-			met.Add(MetricRollbacks, 1)
-			met.Observe(MetricShrinkMTTRS, resumeAt-firstCrash)
-			attempt = -1 // fresh restart budget for the shrunken membership
-			continue
+			log.Emit(obs.Event{T: detectT, Rank: -1, Kind: obs.EventRecovery, Label: LabelGiveUp,
+				Peer: -1, Value: float64(st.LastCommitted()),
+				Msg: fmt.Sprintf("restart budget (%d) exhausted", pol.MaxRestarts)})
+			return Outcome{Result: res, Attempts: attempt + 1, Recoveries: recoveries},
+				&UnrecoverableError{Attempts: attempt + 1, LastEpoch: st.LastCommitted(),
+					Recoveries: recoveries, Cause: err}
 		}
 		// Roll back to the last committed cut and schedule the respawn:
 		// exponential backoff with deterministic jitter, in virtual time.
@@ -499,137 +307,6 @@ func (ct *Controller) Run(cfg netsim.Config, rec *obs.Recorder, body func(*mpi.C
 		met.Add(MetricRestarts, 1)
 		met.Observe(MetricMTTRS, resumeAt-firstCrash)
 	}
-}
-
-// memberCount returns the size of a membership (nil = full world).
-func memberCount(members []int, world int) int {
-	if members == nil {
-		return world
-	}
-	return len(members)
-}
-
-// deadRanks returns the dead set as a sorted slice of global ranks.
-func deadRanks(deadSet map[int]bool) []int {
-	out := make([]int, 0, len(deadSet))
-	for r := range deadSet {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// worldList materializes the full-world membership 0..world-1.
-func worldList(world int) []int {
-	out := make([]int, world)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// survivableDead filters the attempt's crashed ranks down to the new
-// deaths that leave at least one survivor: already-dead ranks are
-// dropped, and if removing the crashed ranks would empty the membership
-// the shrink is not survivable and nil is returned.
-func survivableDead(members []int, deadSet map[int]bool, crashed []int, world int) []int {
-	fresh := make(map[int]bool)
-	for _, r := range crashed {
-		if !deadSet[r] {
-			fresh[r] = true
-		}
-	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	if memberCount(members, world)-len(fresh) < 1 {
-		return nil
-	}
-	return deadRanks(fresh)
-}
-
-// survivorList materializes the membership left after removing the dead
-// set from the current membership.
-func survivorList(members []int, deadSet map[int]bool, world int) []int {
-	var out []int
-	if members == nil {
-		members = worldList(world)
-	}
-	for _, r := range members {
-		if !deadSet[r] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// rankContext carries the per-attempt migration wiring from the
-// controller into each rank's handle.
-type rankContext struct {
-	migrate  bool
-	prevSize int
-	prevRank map[int]int // global rank → local rank in the owner membership
-	oldToNew []int       // owner-membership local rank → current local rank (-1 = dead)
-}
-
-// migrationContext decides whether the next attempt must migrate and
-// precomputes the rank mappings: it must when a committed epoch exists
-// whose snapshots were written by a different (larger) membership than
-// the one about to run. The controller materializes the world owner
-// list before the first shrink, so ownerMembers is nil only when
-// members is too.
-func migrationContext(members, ownerMembers []int, resumeEpoch int) rankContext {
-	if resumeEpoch < 0 || equalMembers(members, ownerMembers) {
-		return rankContext{}
-	}
-	ctx := rankContext{migrate: true, prevSize: len(ownerMembers)}
-	newLocal := make(map[int]int, len(members))
-	for i, g := range members {
-		newLocal[g] = i
-	}
-	ctx.prevRank = make(map[int]int, len(ownerMembers))
-	ctx.oldToNew = make([]int, len(ownerMembers))
-	for old, g := range ownerMembers {
-		ctx.prevRank[g] = old
-		if nw, ok := newLocal[g]; ok {
-			ctx.oldToNew[old] = nw
-		} else {
-			ctx.oldToNew[old] = -1
-		}
-	}
-	return ctx
-}
-
-// apply installs the migration context into one rank's handle.
-func (ctx rankContext) apply(rk *Rank, globalRank int) {
-	if !ctx.migrate {
-		return
-	}
-	rk.migrate = true
-	rk.prevSize = ctx.prevSize
-	rk.oldToNew = ctx.oldToNew
-	if old, ok := ctx.prevRank[globalRank]; ok {
-		rk.prevRank = old
-	} else {
-		rk.prevRank = -1
-	}
-}
-
-// equalMembers reports whether two memberships are identical (nil means
-// the full world).
-func equalMembers(a, b []int) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // crashVerdict classifies a failed attempt: it is recoverable when the

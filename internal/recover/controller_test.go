@@ -104,16 +104,14 @@ func TestControllerEngineEquivalence(t *testing.T) {
 	}
 }
 
-func TestControllerAbsorbsDoubleFault(t *testing.T) {
-	// A second crash during recovery (scheduled past the first verdict)
-	// must be caught by the same loop: two rollbacks, three attempts.
-	opts := core.Options{Backend: core.BackendOSC}
+// doubleFault returns a machine whose plan crashes rank 2 mid-run and
+// rank 4 in the middle of the first recovery attempt. A probe with the
+// first crash alone learns where attempt 2 runs in virtual time; its
+// timeline is identical to the double-fault run up to the second crash
+// (same seed, same plan prefix).
+func doubleFault(t *testing.T, opts core.Options) netsim.Config {
+	t.Helper()
 	half := baselineTime(t, opts) / 2
-
-	// Probe with the first crash alone to learn where attempt 2 runs in
-	// virtual time, then aim the second crash at its middle. The probe's
-	// timeline is identical to the double-fault run up to the second
-	// crash (same seed, same plan prefix).
 	probeCfg := netsim.Summit(1)
 	probeCfg.Faults = &netsim.FaultPlan{Seed: 23, CrashRank: 2, CrashAt: half}
 	_, probe, err := core.MeasureRecoverable[complex128](nil, probeCfg, testN, opts, 2, true, recov.Policy{})
@@ -125,6 +123,14 @@ func TestControllerAbsorbsDoubleFault(t *testing.T) {
 	cfg := netsim.Summit(1)
 	cfg.Faults = &netsim.FaultPlan{Seed: 23, CrashRank: 2, CrashAt: half,
 		CrashSchedule: []netsim.CrashSpec{{Rank: 4, At: second}}}
+	return cfg
+}
+
+func TestControllerAbsorbsDoubleFault(t *testing.T) {
+	// A second crash during recovery (scheduled past the first verdict)
+	// must be caught by the same loop: two rollbacks, three attempts.
+	opts := core.Options{Backend: core.BackendOSC}
+	cfg := doubleFault(t, opts)
 	res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true, recov.Policy{})
 	if err != nil {
 		t.Fatalf("double-fault recovery failed: %v", err)
@@ -161,6 +167,78 @@ func TestControllerGivesUpWithTypedDiagnosis(t *testing.T) {
 	}
 	if ue.Cause == nil {
 		t.Error("give-up diagnosis lost its cause chain")
+	}
+}
+
+func TestControllerBudgetCountsRestarts(t *testing.T) {
+	// MaxRestarts bounds respawns, not attempts: a budget of one absorbs
+	// the first crash of the double fault and gives up on the second.
+	opts := core.Options{Backend: core.BackendOSC}
+	cfg := doubleFault(t, opts)
+	_, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true, recov.Policy{MaxRestarts: 1})
+	var ue *recov.UnrecoverableError
+	if !errors.As(err, &ue) {
+		t.Fatalf("error is %T (%v), want *recov.UnrecoverableError", err, err)
+	}
+	if ue.Attempts != 2 || out.Attempts != 2 || len(ue.Recoveries) != 1 {
+		t.Errorf("gave up after %d/%d attempts with %d recoveries, want 2, 2 and 1", ue.Attempts, out.Attempts, len(ue.Recoveries))
+	}
+}
+
+func TestControllerRestoreIsBitIdentical(t *testing.T) {
+	// A crash inside the one checked transform: the respawned attempt
+	// resumes from the committed cut the store reports, skips the epochs
+	// it covers, restores the committed epoch from its snapshot and
+	// finishes the pipeline with a spectrum bit-identical to a fault-free
+	// run's — on a lossless and on a lossy, healing backend.
+	for _, opts := range []core.Options{
+		{Backend: core.BackendOSC},
+		{Backend: core.BackendCompressed, Tolerance: 1e-6},
+	} {
+		t.Run(opts.Backend.String(), func(t *testing.T) {
+			// run returns every rank's spectrum, the outcome, the resume
+			// epoch rank 0 saw per attempt, and when rank 0 began the
+			// transform.
+			run := func(cfg netsim.Config) ([][]complex128, recov.Outcome, []int, float64) {
+				outs := make([][]complex128, cfg.Ranks())
+				var resumes []int
+				var start float64
+				ct := &recov.Controller{}
+				out, err := ct.Run(cfg, nil, func(c *mpi.Comm, rk *recov.Rank) {
+					o := opts
+					o.Recovery = rk
+					pl := core.NewPlan[complex128](c, testN, o)
+					in := make([]complex128, pl.InBox().Count())
+					core.FillBox(in, pl.InBox(), pl.InOrder(), 1)
+					if c.Rank() == 0 {
+						resumes = append(resumes, rk.Resume())
+						start = c.Now()
+					}
+					outs[c.Rank()] = append([]complex128(nil), pl.Forward(in)...)
+				})
+				if err != nil {
+					t.Fatalf("run failed: %v", err)
+				}
+				return outs, out, resumes, start
+			}
+			clean, cleanOut, _, start := run(netsim.Summit(1))
+			cfg := netsim.Summit(1)
+			cfg.Faults = &netsim.FaultPlan{Seed: 26, CrashRank: 3, CrashAt: (start + cleanOut.Result.Time) / 2}
+			got, out, resumes, _ := run(cfg)
+			if len(out.Recoveries) != 1 || len(resumes) != 2 {
+				t.Fatalf("recoveries %d, attempts seen by rank 0 %d; want 1 and 2", len(out.Recoveries), len(resumes))
+			}
+			if e := out.Recoveries[0].Epoch; e < 1 || e >= 4 || resumes[1] != e {
+				t.Fatalf("respawn resumed from epoch %d, store committed %d; want the same mid-transform epoch", resumes[1], e)
+			}
+			for r := range clean {
+				for i := range clean[r] {
+					if got[r][i] != clean[r][i] {
+						t.Fatalf("rank %d element %d: recovered %v, fault-free %v", r, i, got[r][i], clean[r][i])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 	recov "repro/internal/recover"
 )
 
-// Fuzz suite for the checkpoint store's frame codec (satellite of the
-// elastic-shrink work): arbitrary bytes must either decode to the exact
+// Fuzz suite for the checkpoint store's frame codec: arbitrary bytes must either decode to the exact
 // framed payload or fail with a typed *FrameError — never panic, never
 // silently load a damaged snapshot.
 
