@@ -55,3 +55,32 @@ func TestRecorderConcurrentRanks(t *testing.T) {
 		}
 	}
 }
+
+// TestShardsMergeInRankOrder: the registry's gauges and histograms do
+// not depend on the order rank bodies write in, which the parallel
+// engine leaves to the host. Arrival order would sum 1e16, 1, -1e16 to
+// 0 one way and to 1 the other, and would keep whichever gauge came
+// last.
+func TestShardsMergeInRankOrder(t *testing.T) {
+	type write struct {
+		rank int
+		v    float64
+	}
+	snap := func(order []write) Snapshot {
+		rec := New(Options{Metrics: true})
+		for _, w := range order {
+			rec.Rank(w.rank).Observe("h", w.v)
+			rec.Rank(w.rank).Set("g", float64(w.rank))
+		}
+		return rec.Metrics().Snapshot()
+	}
+	a := snap([]write{{0, 1e16}, {1, 1}, {0, -1e16}})
+	b := snap([]write{{0, 1e16}, {0, -1e16}, {1, 1}})
+	if a.Hists["h"] != b.Hists["h"] || a.Hists["h"].Sum != 1 {
+		t.Errorf("histogram depends on arrival order: %+v vs %+v", a.Hists["h"], b.Hists["h"])
+	}
+	c := snap([]write{{1, 1}, {0, 1e16}, {0, -1e16}})
+	if a.Gauges["g"] != 1 || c.Gauges["g"] != 1 {
+		t.Errorf("gauge depends on arrival order: %v vs %v, want rank 1's value", a.Gauges["g"], c.Gauges["g"])
+	}
+}

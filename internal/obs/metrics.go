@@ -11,19 +11,42 @@ import (
 // A nil *Metrics is valid and records nothing. Names are slash-scoped
 // ("compress/fwd0/raw_bytes"); callers on hot paths should precompute
 // them so recording stays allocation-free.
+//
+// Gauges and histograms keep one shard per writer: shard 0 for callers
+// outside a rank body (drivers, the recovery controller), shard r+1 for
+// rank r (Rank.Set, Rank.Observe). Reads merge the shards in shard
+// order. Under the parallel engine rank bodies write in host order, and
+// neither a float sum nor a last write is independent of that order;
+// per-writer shards folded in rank order are.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
-	gauges   map[string]float64
-	hists    map[string]*hist
+	gauges   map[string][]gauge
+	hists    map[string][]hist
 }
 
 func newMetrics() *Metrics {
 	return &Metrics{
 		counters: make(map[string]int64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]*hist),
+		gauges:   make(map[string][]gauge),
+		hists:    make(map[string][]hist),
 	}
+}
+
+// gauge is one writer's last value of a gauge.
+type gauge struct {
+	v   float64
+	set bool
+}
+
+// shard returns shard i of name's shards in m, growing them to hold it.
+func shard[T any](m map[string][]T, name string, i int) *T {
+	s := m[name]
+	if i >= len(s) {
+		s = append(s, make([]T, i+1-len(s))...)
+		m[name] = s
+	}
+	return &s[i]
 }
 
 // hist is a power-of-two-bucket histogram over non-negative samples.
@@ -65,6 +88,40 @@ func (h *hist) observe(v float64) {
 	h.buckets[b]++
 }
 
+// mergeHists folds per-writer shards in shard order.
+func mergeHists(hs []hist) hist {
+	var out hist
+	for i := range hs {
+		h := &hs[i]
+		out.nonfinite += h.nonfinite
+		if h.count == 0 {
+			continue
+		}
+		if out.count == 0 || h.min < out.min {
+			out.min = h.min
+		}
+		if out.count == 0 || h.max > out.max {
+			out.max = h.max
+		}
+		out.count += h.count
+		out.sum += h.sum
+		for b, n := range h.buckets {
+			out.buckets[b] += n
+		}
+	}
+	return out
+}
+
+// mergeGauges returns the last value of the highest shard that set one.
+func mergeGauges(gs []gauge) float64 {
+	for i := len(gs) - 1; i >= 0; i-- {
+		if gs[i].set {
+			return gs[i].v
+		}
+	}
+	return 0
+}
+
 // Add increments counter name by v.
 func (m *Metrics) Add(name string, v int64) {
 	if m == nil {
@@ -76,27 +133,26 @@ func (m *Metrics) Add(name string, v int64) {
 }
 
 // Set stores gauge name (last write wins).
-func (m *Metrics) Set(name string, v float64) {
+func (m *Metrics) Set(name string, v float64) { m.set(name, 0, v) }
+
+// Observe records one histogram sample under name.
+func (m *Metrics) Observe(name string, v float64) { m.observe(name, 0, v) }
+
+func (m *Metrics) set(name string, sh int, v float64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	m.gauges[name] = v
+	*shard(m.gauges, name, sh) = gauge{v: v, set: true}
 	m.mu.Unlock()
 }
 
-// Observe records one histogram sample under name.
-func (m *Metrics) Observe(name string, v float64) {
+func (m *Metrics) observe(name string, sh int, v float64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	h := m.hists[name]
-	if h == nil {
-		h = &hist{}
-		m.hists[name] = h
-	}
-	h.observe(v)
+	shard(m.hists, name, sh).observe(v)
 	m.mu.Unlock()
 }
 
@@ -195,10 +251,11 @@ func (m *Metrics) Hist(name string) (HistStat, bool) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h, ok := m.hists[name]
+	hs, ok := m.hists[name]
 	if !ok {
 		return HistStat{}, false
 	}
+	h := mergeHists(hs)
 	return h.stat(), true
 }
 
@@ -229,10 +286,11 @@ func (m *Metrics) Snapshot() Snapshot {
 	for n, v := range m.counters {
 		s.Counters[n] = v
 	}
-	for n, v := range m.gauges {
-		s.Gauges[n] = v
+	for n, gs := range m.gauges {
+		s.Gauges[n] = mergeGauges(gs)
 	}
-	for n, h := range m.hists {
+	for n, hs := range m.hists {
+		h := mergeHists(hs)
 		s.Hists[n] = h.stat()
 	}
 	return s

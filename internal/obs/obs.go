@@ -409,20 +409,21 @@ func (rk *Rank) Add(name string, v int64) {
 	rk.rec.metrics.Add(name, v)
 }
 
-// Set stores a gauge value in the shared registry.
+// Set stores a gauge value in this rank's shard of the shared registry.
 func (rk *Rank) Set(name string, v float64) {
 	if rk == nil {
 		return
 	}
-	rk.rec.metrics.Set(name, v)
+	rk.rec.metrics.set(name, rk.id+1, v)
 }
 
-// Observe records a histogram sample in the shared registry.
+// Observe records a histogram sample in this rank's shard of the shared
+// registry.
 func (rk *Rank) Observe(name string, v float64) {
 	if rk == nil {
 		return
 	}
-	rk.rec.metrics.Observe(name, v)
+	rk.rec.metrics.observe(name, rk.id+1, v)
 }
 
 // EventsOn reports whether an event log is attached — the gate for
