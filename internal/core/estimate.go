@@ -55,7 +55,7 @@ type Traffic struct {
 // ForwardTraffic returns the traffic of every forward reshape of an n
 // transform over p ranks on the simScale-enlarged grid (elemBytes is the
 // pipeline element size: 16 for complex128, 8 for complex64). Each
-// stage's box overlaps are intersected once into a dense p×p matrix, so
+// stage's send lists are written once into a dense p×p matrix, so
 // pricing it under many choices does no box arithmetic.
 func ForwardTraffic(p int, n [3]int, simScale int, pencilIO bool, elemBytes int) []Traffic {
 	s := max(simScale, 1)
@@ -66,11 +66,11 @@ func ForwardTraffic(p int, n [3]int, simScale int, pencilIO bool, elemBytes int)
 	}
 	out := make([]Traffic, len(stages))
 	for si, st := range stages {
-		from, to := stageBoxes(ns, st[0], p), stageBoxes(ns, st[1], p)
+		from, to := stageDecomp(ns, st[0], p), stageDecomp(ns, st[1], p)
 		m := make([]int, p*p)
 		for src := 0; src < p; src++ {
-			for dst := 0; dst < p; dst++ {
-				m[src*p+dst] = elemBytes * grid.Intersect(from[src], to[dst]).Count()
+			for _, t := range grid.PlanFor(src, from, to).Send {
+				m[src*p+t.Rank] = elemBytes * t.Count
 			}
 		}
 		out[si] = Traffic{Label: "fwd" + strconv.Itoa(si), Bytes: func(dst, src int) int { return m[src*p+dst] }}

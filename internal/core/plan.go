@@ -24,17 +24,17 @@ type Plan[C fft.Complex] struct {
 	pipe
 	n [3]int
 
-	boxes  [5][]grid.Box // in, x-pencils, y-pencils, z-pencils, out
+	decomp [5]grid.Decomp // in, x-pencils, y-pencils, z-pencils, out
 	orders [5]grid.Order
 	// first and last are the input and output stages: the bricks 0 and 4
 	// of the general configuration, or — with Options.PencilIO, x-pencil
 	// input and z-pencil output — 1 and 3, which leaves only the x→y and
 	// y→z redistributions.
 	first, last int
-	// simBoxes mirror boxes for the SimScale-enlarged grid; the time
-	// plane draws message sizes and kernel volumes from these while the
-	// data plane uses boxes.
-	simBoxes [5][]grid.Box
+	// simDecomp mirrors decomp on the SimScale-enlarged grid; the time
+	// plane draws message sizes and kernel volumes from it while the
+	// data plane uses decomp.
+	simDecomp [5]grid.Decomp
 
 	fwd [4]*reshape[C]
 	bwd [4]*reshape[C]
@@ -83,16 +83,14 @@ func NewPlan[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *Plan[C] {
 	pl.stream.SetObserver(c.Obs())
 
 	ns := [3]int{opts.SimScale * n[0], opts.SimScale * n[1], opts.SimScale * n[2]}
-	for s := 0; s < 4; s++ {
-		pl.boxes[s] = stageBoxes(n, s, p)
-		pl.simBoxes[s] = stageBoxes(ns, s, p)
+	for s := 0; s < 5; s++ {
+		pl.decomp[s] = stageDecomp(n, s, p)
+		pl.simDecomp[s] = stageDecomp(ns, s, p)
 	}
-	// The output bricks are the input bricks: one table, not two.
-	pl.boxes[4], pl.simBoxes[4] = pl.boxes[0], pl.simBoxes[0]
 	pl.orders = [5]grid.Order{grid.Natural, grid.ForAxis(0), grid.ForAxis(1), grid.ForAxis(2), grid.Natural}
 
 	wire := complexCodec[C](pl.elemSize())
-	stage := func(s int) layout { return layout{s, pl.boxes[s], pl.simBoxes[s], pl.orders[s]} }
+	stage := func(s int) layout { return layout{s, pl.decomp[s], pl.simDecomp[s], pl.orders[s]} }
 	pl.first, pl.last = 0, 4
 	if opts.PencilIO {
 		pl.first, pl.last = 1, 3
@@ -106,10 +104,10 @@ func NewPlan[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *Plan[C] {
 	me := c.Rank()
 	for axis := 0; axis < 3; axis++ {
 		pl.fftPlans[axis] = fft.NewPlan[C](n[axis])
-		pl.batch[axis] = pl.boxes[axis+1][me].Count() / n[axis]
+		pl.batch[axis] = pl.decomp[axis+1].Box(me).Count() / n[axis]
 	}
 	if opts.PencilIO {
-		pl.pencilScratch = make([]C, 0, pl.boxes[1][me].Count())
+		pl.pencilScratch = make([]C, 0, pl.decomp[1].Box(me).Count())
 	}
 	return pl
 }
@@ -117,7 +115,7 @@ func NewPlan[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *Plan[C] {
 // InBox returns this rank's share of the input decomposition: a brick in
 // the general configuration, an x-pencil with Options.PencilIO. The
 // input of Forward is its data laid out with InOrder.
-func (pl *Plan[C]) InBox() grid.Box { return pl.boxes[pl.first][pl.c.Rank()] }
+func (pl *Plan[C]) InBox() grid.Box { return pl.decomp[pl.first].Box(pl.c.Rank()) }
 
 // InOrder returns the memory layout of Forward's input (natural order in
 // both configurations — an x-pencil is stride-1 in x already).
@@ -126,7 +124,7 @@ func (pl *Plan[C]) InOrder() grid.Order { return pl.orders[pl.first] }
 // OutBox returns this rank's share of the output decomposition: equal to
 // InBox in the general four-reshape configuration, a z-pencil with
 // Options.PencilIO.
-func (pl *Plan[C]) OutBox() grid.Box { return pl.boxes[pl.last][pl.c.Rank()] }
+func (pl *Plan[C]) OutBox() grid.Box { return pl.decomp[pl.last].Box(pl.c.Rank()) }
 
 // OutOrder returns the memory layout of Forward's output (z-fastest for
 // the z-pencil output of the PencilIO configuration).
@@ -161,7 +159,7 @@ func (pl *Plan[C]) Backward(in []C) []C {
 	out := pl.run(in, fft.Inverse)
 	scale := 1 / float64(pl.n[0]*pl.n[1]*pl.n[2])
 	s := C(complex(scale, 0))
-	simCount := pl.simBoxes[pl.first][pl.c.Rank()].Count()
+	simCount := pl.simDecomp[pl.first].Box(pl.c.Rank()).Count()
 	pl.kernel(obs.PhaseScale, &pl.profile.Scale, 0, pl.opts.Device.CopyCost(simCount*pl.elemSize()), func() {
 		for i := range out {
 			out[i] *= s
@@ -277,10 +275,11 @@ func (pl *Plan[C]) restoreSnapshot(r *reshape[C], snap []byte) []C {
 	if err != nil {
 		fail(err.Error())
 	}
-	if want := len(r.outBuf) * pl.elemSize(); len(body) != want {
+	out := r.output()
+	if want := len(out) * pl.elemSize(); len(body) != want {
 		fail(fmt.Sprintf("snapshot holds %d data bytes, reshape needs %d", len(body), want))
 	}
-	decodeComplex(body, r.outBuf)
+	decodeComplex(body, out)
 	leds := pl.ledgers()
 	if len(states) != len(leds) {
 		fail(fmt.Sprintf("snapshot holds %d ledgers, plan has %d", len(states), len(leds)))
@@ -290,7 +289,7 @@ func (pl *Plan[C]) restoreSnapshot(r *reshape[C], snap []byte) []C {
 			fail(err.Error())
 		}
 	}
-	return r.outBuf
+	return out
 }
 
 // snapshotSections splits a serialized snapshot into its data body and
@@ -323,14 +322,14 @@ func snapshotSections(snap []byte) (body []byte, leds [][]byte, err error) {
 	return body, leds, nil
 }
 
-// stageBoxes returns a pipeline stage's decomposition of an n grid over
-// p ranks: stages 0 and 4 are the brick input/output, stages 1..3 the
-// axis pencils.
-func stageBoxes(n [3]int, stage, p int) []grid.Box {
+// stageDecomp returns a pipeline stage's decomposition of an n grid
+// over p ranks: stages 0 and 4 are the brick input/output, stages 1..3
+// the axis pencils.
+func stageDecomp(n [3]int, stage, p int) grid.Decomp {
 	if stage == 0 || stage == 4 {
-		return grid.Bricks(n, grid.Factor3(p))
+		return grid.BrickDecomp(n, p)
 	}
-	return grid.Pencils(n, stage-1, p)
+	return grid.PencilDecomp(n, stage-1, p)
 }
 
 // fftStage runs the batched 1-D FFTs of one direction on the GPU
@@ -340,7 +339,7 @@ func stageBoxes(n [3]int, stage, p int) []grid.Box {
 func (pl *Plan[C]) fftStage(data []C, axis, sign int) {
 	s := pl.opts.SimScale
 	simLen := s * pl.n[axis]
-	simBatch := pl.simBoxes[axis+1][pl.c.Rank()].Count() / simLen
+	simBatch := pl.simDecomp[axis+1].Box(pl.c.Rank()).Count() / simLen
 	pl.kernel(obs.PhaseFFT, &pl.profile.FFT, 0, pl.opts.Device.FFTCost(simLen, simBatch, pl.precBits), func() {
 		pl.fftPlans[axis].Batch(data, pl.batch[axis], sign)
 	})

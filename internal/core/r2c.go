@@ -66,15 +66,15 @@ func NewPlanR2C[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *PlanR2C[C] 
 
 	s := pp.opts.SimScale
 	ns := [3]int{s * n[0], s * n[1], s * n[2]}
-	brick := layout{0, stageBoxes(n, 0, p), stageBoxes(ns, 0, p), grid.Natural}
-	pencil := layout{1, stageBoxes(n, 1, p), stageBoxes(ns, 1, p), grid.Natural}
+	brick := layout{0, stageDecomp(n, 0, p), stageDecomp(ns, 0, p), grid.Natural}
+	pencil := layout{1, stageDecomp(n, 1, p), stageDecomp(ns, 1, p), grid.Natural}
 	wire := realCodec(pp.precBits)
 	pl.fwd = newReshape(pp, wire, &pl.pack, brick, pencil, "r2c-real")
 	pl.bwd = newReshape(pp, wire, &pl.pack, pencil, brick, "r2c-real-back")
 
 	pl.r2c = fft.NewPlanR2C[C](n[0])
-	pl.xbatch = pencil.boxes[me].Count() / n[0]
-	pl.pencil = make([]float64, pencil.boxes[me].Count())
+	pl.xbatch = pencil.decomp.Box(me).Count() / n[0]
+	pl.pencil = make([]float64, pencil.decomp.Box(me).Count())
 	pl.spec = make([]C, pl.xbatch*pl.r2c.SpectrumLen())
 	// r2c along x on the GPU: half-length complex FFTs plus untangle.
 	pl.cost = pp.opts.Device.FFTCost(s*n[0]/2, pl.xbatch*s*s, pp.precBits)

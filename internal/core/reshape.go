@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"sort"
 
 	"repro/internal/exchange"
 	"repro/internal/fft"
@@ -61,9 +62,9 @@ func maxCount(ts []grid.Transfer) int {
 // draws message sizes and kernel volumes from, and the local memory
 // order of the stage's data.
 type layout struct {
-	stage           int
-	boxes, simBoxes []grid.Box
-	order           grid.Order
+	stage             int
+	decomp, simDecomp grid.Decomp
+	order             grid.Order
 }
 
 // codec is a reshape element's wire format: little-endian bytes (size
@@ -159,7 +160,7 @@ type reshape[E any] struct {
 	metricTime string
 	label      string
 	// toStage identifies the output decomposition stage (index into
-	// pl.boxes/orders).
+	// pl.decomp/orders).
 	toStage int
 
 	x transport
@@ -187,20 +188,19 @@ func newReshape[E any](pp *pipe, wire codec[E], pack *[]E, from, to layout, labe
 		pp:         pp,
 		wire:       wire,
 		pack:       pack,
-		plan:       grid.NewPlan(me, from.boxes, to.boxes),
-		fromBox:    from.boxes[me],
+		plan:       grid.PlanFor(me, from.decomp, to.decomp),
+		fromBox:    from.decomp.Box(me),
 		fromOrder:  from.order,
-		toBox:      to.boxes[me],
+		toBox:      to.decomp.Box(me),
 		toOrder:    to.order,
 		metricTime: "exchange/" + label + "/time_s",
 		label:      label,
 		toStage:    to.stage,
 	}
-	simPlan := grid.NewPlan(me, from.simBoxes, to.simBoxes)
+	simPlan := grid.PlanFor(me, from.simDecomp, to.simDecomp)
 	r.simSendTotal, r.simRecvTotal = simPlan.SendTotal, simPlan.RecvTotal
 
 	r.packLen = max(maxCount(r.plan.Send), maxCount(r.plan.Recv))
-	r.outBuf = make([]E, r.toBox.Count())
 
 	// Resolve this reshape's exchange choice: the fixed Options, unless
 	// an attached tune plan covers the label. The transport keys off the
@@ -224,21 +224,36 @@ func newReshape[E any](pp *pipe, wire codec[E], pack *[]E, from, to layout, labe
 			panic("core: compressed backends require the FP64 pipeline")
 		}
 	}
-	r.x = r.newTransport(choice, from, to, simPlan)
+	r.x = r.newTransport(choice, simPlan)
 	return r
+}
+
+// pairCount(pl, me)(dst, src) is what src sends dst in rank me's plan
+// pl, found in pl.Send if src == me, else in pl.Recv (dst must be me).
+func pairCount(pl grid.Plan, me int) func(dst, src int) int {
+	return func(dst, src int) int {
+		ts, peer := pl.Send, dst
+		if src != me {
+			ts, peer = pl.Recv, src
+		}
+		i := sort.Search(len(ts), func(i int) bool { return ts[i].Rank >= peer })
+		if i == len(ts) || ts[i].Rank != peer {
+			return 0
+		}
+		return ts[i].Count
+	}
 }
 
 // newTransport builds the exchange a choice names — the one place that
 // maps a Backend onto an implementation. The two-sided all-to-all also
 // registers the reshape's send-completion leases.
-func (r *reshape[E]) newTransport(choice ExchangeChoice, from, to layout, simPlan grid.Plan) transport {
+func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) transport {
 	pp := r.pp
 	c := pp.c
 	p := c.Size()
 	scaled := pp.opts.SimScale > 1
 	elem, vals := r.wire.size, r.wire.vals
-	overlap := func(dst, src int) int { return grid.Intersect(from.boxes[src], to.boxes[dst]).Count() }
-	simOverlap := func(dst, src int) int { return grid.Intersect(from.simBoxes[src], to.simBoxes[dst]).Count() }
+	overlap, simOverlap := pairCount(r.plan, c.Rank()), pairCount(simPlan, c.Rank())
 	maxSend := func(pl grid.Plan) int {
 		return int(c.AllreduceFloat64("max", float64(maxCount(pl.Send))))
 	}
@@ -399,6 +414,7 @@ func (r *reshape[E]) execute(local []E) []E {
 
 	// Unpack into the target layout, then hand the senders their leased
 	// buffers back.
+	out := r.output()
 	pp.kernel(obs.PhaseUnpack, &pp.profile.Unpack, recvWire, dev.CopyCost(recvWire), func() {
 		for _, t := range r.plan.Recv {
 			if byBytes {
@@ -406,11 +422,20 @@ func (r *reshape[E]) execute(local []E) []E {
 			} else {
 				r.wire.fromVals(recvVals[t.Rank], pack[:t.Count])
 			}
-			grid.Unpack(pack[:t.Count], t.Sub, r.outBuf, r.toBox, r.toOrder)
+			grid.Unpack(pack[:t.Count], t.Sub, out, r.toBox, r.toOrder)
 		}
 	})
 	if r.lease != 0 {
 		c.ReleaseRecv()
+	}
+	return out
+}
+
+// output returns the reshape's output buffer, allocated on first use
+// like the send buffers, so a reshape that never runs holds none.
+func (r *reshape[E]) output() []E {
+	if r.outBuf == nil {
+		r.outBuf = make([]E, r.toBox.Count())
 	}
 	return r.outBuf
 }

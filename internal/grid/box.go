@@ -108,33 +108,81 @@ func split1(n, g, i int) (lo, hi int) {
 	return n * i / g, n * (i + 1) / g
 }
 
-// Bricks decomposes an n[0]×n[1]×n[2] grid over a g[0]×g[1]×g[2] process
-// grid into one near-cubic brick per rank. Rank r owns coordinate
-// (r mod g0, (r/g0) mod g1, r/(g0·g1)).
-func Bricks(n [3]int, g [3]int) []Box {
-	p := g[0] * g[1] * g[2]
-	boxes := make([]Box, p)
-	for r := 0; r < p; r++ {
-		c := [3]int{r % g[0], (r / g[0]) % g[1], r / (g[0] * g[1])}
-		var b Box
-		for d := 0; d < 3; d++ {
-			b.Lo[d], b.Hi[d] = split1(n[d], g[d], c[d])
-		}
-		boxes[r] = b
+// span returns, in closed form, the parts [lo,hi) of n split into g
+// whose split1 range meets [a,b); an empty [a,b) meets none.
+func span(n, g, a, b int) (lo, hi int) {
+	if a >= b {
+		return 0, 0
 	}
-	return boxes
+	return (g*(a+1)+n-1)/n - 1, (g*b + n - 1) / n
 }
 
-// Pencils decomposes the grid into p pencils spanning the full extent of
-// the given axis, with the two remaining axes split over Factor2(p)
-// (lower factor on the lower remaining axis).
-func Pencils(n [3]int, axis, p int) []Box {
+// Decomp is a decomposition of an N[0]×N[1]×N[2] grid over a
+// G[0]×G[1]×G[2] process grid, held as arithmetic instead of a box per
+// rank. Rank r owns coordinate (r mod G0, (r/G0) mod G1, r/(G0·G1)).
+type Decomp struct {
+	N, G [3]int
+}
+
+// BrickDecomp decomposes the grid over p ranks into near-cubic bricks
+// on the Factor3(p) process grid.
+func BrickDecomp(n [3]int, p int) Decomp {
+	return Decomp{n, Factor3(p)}
+}
+
+// PencilDecomp decomposes the grid into p pencils spanning the full
+// extent of the given axis, with the two remaining axes split over
+// Factor2(p) (lower factor on the lower remaining axis).
+func PencilDecomp(n [3]int, axis, p int) Decomp {
 	f := Factor2(p)
 	var g [3]int
 	g[axis] = 1
 	others := otherAxes(axis)
 	g[others[0]], g[others[1]] = f[0], f[1]
-	return Bricks(n, g)
+	return Decomp{n, g}
+}
+
+// Box returns rank r's share of the grid.
+func (d Decomp) Box(r int) Box {
+	c := [3]int{r % d.G[0], (r / d.G[0]) % d.G[1], r / (d.G[0] * d.G[1])}
+	var b Box
+	for a := 0; a < 3; a++ {
+		b.Lo[a], b.Hi[a] = split1(d.N[a], d.G[a], c[a])
+	}
+	return b
+}
+
+// meeting visits in rank order the ranks whose parts meet b's range on
+// every axis: a superset of the ranks whose boxes overlap b.
+func (d Decomp) meeting(b Box) func(visit func(r int, box Box)) {
+	var lo, hi [3]int
+	for a := 0; a < 3; a++ {
+		lo[a], hi[a] = span(d.N[a], d.G[a], b.Lo[a], b.Hi[a])
+	}
+	return func(visit func(int, Box)) {
+		for z := lo[2]; z < hi[2]; z++ {
+			for y := lo[1]; y < hi[1]; y++ {
+				for x := lo[0]; x < hi[0]; x++ {
+					r := x + d.G[0]*(y+d.G[1]*z)
+					visit(r, d.Box(r))
+				}
+			}
+		}
+	}
+}
+
+// Bricks returns the per-rank box table of Decomp{n, g}.
+func Bricks(n [3]int, g [3]int) []Box {
+	boxes := make([]Box, g[0]*g[1]*g[2])
+	for r := range boxes {
+		boxes[r] = Decomp{n, g}.Box(r)
+	}
+	return boxes
+}
+
+// Pencils returns the per-rank box table of PencilDecomp(n, axis, p).
+func Pencils(n [3]int, axis, p int) []Box {
+	return Bricks(n, PencilDecomp(n, axis, p).G)
 }
 
 func otherAxes(axis int) [2]int {
@@ -147,18 +195,4 @@ func otherAxes(axis int) [2]int {
 		return [2]int{0, 1}
 	}
 	panic("grid: invalid axis")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

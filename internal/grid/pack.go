@@ -101,22 +101,44 @@ type Plan struct {
 }
 
 // NewPlan computes the reshape plan for rank me between two
-// decompositions of the same global grid.
+// decompositions of the same global grid, given as per-rank box tables.
 func NewPlan(me int, inBoxes, outBoxes []Box) Plan {
+	return newPlan(inBoxes[me], outBoxes[me], table(outBoxes), table(inBoxes))
+}
+
+// PlanFor returns what NewPlan returns on the tables of from and to
+// (which decompose the same grid), visiting only candidate partners:
+// O(partners) per rank instead of O(P).
+func PlanFor(me int, from, to Decomp) Plan {
+	in, out := from.Box(me), to.Box(me)
+	return newPlan(in, out, to.meeting(in), from.meeting(out))
+}
+
+// table visits every box of a per-rank table in rank order.
+func table(boxes []Box) func(visit func(r int, box Box)) {
+	return func(visit func(int, Box)) {
+		for r, b := range boxes {
+			visit(r, b)
+		}
+	}
+}
+
+// newPlan is the body NewPlan and PlanFor share: sendTo and recvFrom
+// visit, in rank order, the candidate peers of boxes in and out.
+func newPlan(in, out Box, sendTo, recvFrom func(func(int, Box))) Plan {
 	var pl Plan
-	for r := range outBoxes {
-		ov := Intersect(inBoxes[me], outBoxes[r])
-		if !ov.Empty() {
-			pl.Send = append(pl.Send, Transfer{Rank: r, Sub: ov, Offset: pl.SendTotal, Count: ov.Count()})
-			pl.SendTotal += ov.Count()
-		}
-	}
-	for r := range inBoxes {
-		ov := Intersect(outBoxes[me], inBoxes[r])
-		if !ov.Empty() {
-			pl.Recv = append(pl.Recv, Transfer{Rank: r, Sub: ov, Offset: pl.RecvTotal, Count: ov.Count()})
-			pl.RecvTotal += ov.Count()
-		}
-	}
+	pl.Send, pl.SendTotal = transfers(in, sendTo)
+	pl.Recv, pl.RecvTotal = transfers(out, recvFrom)
 	return pl
+}
+
+// transfers lays out mine's non-empty overlaps with the peers' boxes.
+func transfers(mine Box, peers func(func(int, Box))) (ts []Transfer, total int) {
+	peers(func(r int, b Box) {
+		if ov := Intersect(mine, b); !ov.Empty() {
+			ts = append(ts, Transfer{Rank: r, Sub: ov, Offset: total, Count: ov.Count()})
+			total += ov.Count()
+		}
+	})
+	return ts, total
 }
