@@ -40,14 +40,15 @@ verify:
 	$(MAKE) strays
 
 # strays fails, listing them, if a process whose executable is one of
-# this module's binaries — benchmark, a cmd/* driver, a test binary — is
-# alive: a backgrounded run left behind (test binaries wherever they
-# run). It also lists the toolchain processes (go, compile, link, vet)
+# this module's binaries — benchmark, a cmd/* driver, an examples/*
+# program (`go run ./examples/structurefactor` in verify), a test
+# binary — is alive: a backgrounded run left behind (test binaries
+# wherever they run). It also lists the toolchain processes (go, compile, link, vet)
 # whose working directory is inside this checkout: a `go test`, `go run`
 # or build that outlived its caller. It matches executable names in `ps -eo pid,comm` and
 # working directories in /proc/<pid>/cwd; `pgrep -f` would match the
 # shell that runs the check. Prints nothing when clean.
-STRAY_NAMES = benchmark $(filter-out internal,$(notdir $(wildcard cmd/*)))
+STRAY_NAMES = benchmark $(filter-out internal,$(notdir $(wildcard cmd/*))) $(notdir $(wildcard examples/*))
 STRAY_TOOLS = go compile link vet
 strays:
 	@root=$$(pwd -P); \
@@ -140,8 +141,9 @@ chaos-recovery:
 
 # fuzz runs every native fuzz target for a short fixed budget — the
 # snapshot frame decoder and round-trip (internal/recover), the hostile
-# window-slot decoder (internal/exchange), and the tune-plan loader
-# (internal/tune). The patterns are anchored:
+# window-slot decoder (internal/exchange), the tune-plan loader
+# (internal/tune), and the arithmetic reshape plan against the
+# box-table one (internal/grid). The patterns are anchored:
 # `go test -fuzz` rejects a pattern matching more than one target.
 # Part of `make verify`; corpus findings land in testdata/fuzz/ — commit
 # them as regression seeds.
@@ -151,6 +153,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzSnapshotFrameRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/recover/
 	go test -run '^$$' -fuzz '^FuzzDecodeSlot$$' -fuzztime $(FUZZTIME) ./internal/exchange/
 	go test -run '^$$' -fuzz '^FuzzLoadTunePlan$$' -fuzztime $(FUZZTIME) ./internal/tune/
+	go test -run '^$$' -fuzz '^FuzzPlanFor$$' -fuzztime $(FUZZTIME) ./internal/grid/
 
 # trace-demo runs a small compressed strong-scaling cell and writes a
 # Chrome-trace JSON (open in chrome://tracing or ui.perfetto.dev) plus
