@@ -139,18 +139,35 @@ func (Cast16) ErrorBound() float64 { return 4.9e-4 }
 // MinNormal implements Method.
 func (Cast16) MinNormal() float64 { return 0x1p-14 } // FP16 Xmin
 
-// Compress implements Method.
+// Compress implements Method. Values whose biased exponent lies in
+// 1009..1038 (FP16 normals, plus the top binade's round-up to Inf) are
+// rounded on the bit pattern in line and rebiased by 1023-15 = 1008;
+// the rest take precision.FromFloat64.
 func (Cast16) Compress(dst []byte, src []float64) int {
 	for i, v := range src {
-		binary.LittleEndian.PutUint16(dst[2*i:], uint16(precision.FromFloat64(v)))
+		b := math.Float64bits(v)
+		var h uint16
+		if b>>52&0x7ff-1009 < 30 {
+			h = uint16(b>>48)&0x8000 | uint16(precision.TrimBits(b, 10)>>42-1008<<10)
+		} else {
+			h = uint16(precision.FromFloat64(v))
+		}
+		binary.LittleEndian.PutUint16(dst[2*i:], h)
 	}
 	return 2 * len(src)
 }
 
-// Decompress implements Method.
+// Decompress implements Method. Normal values (exponent field 1..30)
+// are rebiased in line; zeros, subnormals, Inf and NaN take
+// precision.Float16.Float64.
 func (Cast16) Decompress(dst []float64, src []byte) int {
 	for i := range dst {
-		dst[i] = precision.Float16(binary.LittleEndian.Uint16(src[2*i:])).Float64()
+		h := binary.LittleEndian.Uint16(src[2*i:])
+		if h>>10&0x1f-1 < 30 {
+			dst[i] = math.Float64frombits(uint64(h&0x8000)<<48 | (uint64(h&0x7fff)+1008<<10)<<42)
+		} else {
+			dst[i] = precision.Float16(h).Float64()
+		}
 	}
 	return 2 * len(dst)
 }
@@ -218,36 +235,67 @@ func (t Trim) ErrorBound() float64 { return precision.TrimUnitRoundoff(t.M) }
 // MinNormal implements Method: trimming keeps the full FP64 exponent.
 func (t Trim) MinNormal() float64 { return 0x1p-1022 }
 
-// Compress implements Method.
+// Compress implements Method. Widths up to 32 bits (M ≤ 20) round and
+// pack in one loop over a local accumulator, storing a 32-bit word
+// whenever one fills; wider values go through bitWriter.
 func (t Trim) Compress(dst []byte, src []float64) int {
-	w := bitWriter{buf: dst}
 	width := uint(t.BitsPerValue())
 	shift := 52 - t.M
-	for _, v := range src {
-		b := math.Float64bits(precision.TrimFloat64(v, t.M))
+	var acc uint64
+	var bits uint
+	i, n := 0, 0
+	for ; width <= 32 && i < len(src); i++ {
 		// Layout: sign(1) | exponent(11) | top M mantissa bits.
-		packed := b >> shift
-		w.write(packed, width)
+		acc |= precision.TrimBits(math.Float64bits(src[i]), t.M) >> shift << bits
+		if bits += width; bits >= 32 {
+			binary.LittleEndian.PutUint32(dst[n:], uint32(acc))
+			acc >>= 32
+			bits -= 32
+			n += 4
+		}
+	}
+	w := bitWriter{buf: dst, acc: acc, bits: bits, n: n}
+	for ; i < len(src); i++ {
+		w.write(precision.TrimBits(math.Float64bits(src[i]), t.M)>>shift, width)
 	}
 	return w.flush()
 }
 
-// Decompress implements Method.
+// Decompress implements Method. It mirrors Compress: widths up to 32
+// bits unpack over a local accumulator while a whole 32-bit word is left
+// to load; the stream's last bytes and wider values go through
+// bitReader.
 func (t Trim) Decompress(dst []float64, src []byte) int {
-	r := bitReader{buf: src}
 	width := uint(t.BitsPerValue())
 	shift := 52 - t.M
-	for i := range dst {
-		packed := r.read(width)
-		dst[i] = math.Float64frombits(packed << shift)
+	mask := uint64(1)<<width - 1
+	var acc uint64
+	var bits uint
+	i, n := 0, 0
+	for ; width <= 32 && i < len(dst) && (bits >= width || n+4 <= len(src)); i++ {
+		if bits < width {
+			acc |= uint64(binary.LittleEndian.Uint32(src[n:])) << bits
+			bits += 32
+			n += 4
+		}
+		dst[i] = math.Float64frombits(acc & mask << shift)
+		acc >>= width
+		bits -= width
+	}
+	r := bitReader{buf: src, acc: acc, bits: bits, n: n}
+	for ; i < len(dst); i++ {
+		dst[i] = math.Float64frombits(r.read(width) << shift)
 	}
 	return r.consumed()
 }
 
+// bitWriter packs fields of up to 64 bits LSB-first into buf, storing
+// one little-endian 32-bit word whenever 32 bits are pending. A field
+// must not have bits set above its width.
 type bitWriter struct {
 	buf  []byte
 	acc  uint64
-	bits uint
+	bits uint // pending bits in acc, < 32 between calls
 	n    int
 }
 
@@ -258,30 +306,32 @@ func (w *bitWriter) write(v uint64, width uint) {
 		return
 	}
 	w.acc |= v << w.bits
-	w.bits += width
-	for w.bits >= 8 {
-		w.buf[w.n] = byte(w.acc)
-		w.n++
-		w.acc >>= 8
-		w.bits -= 8
+	if w.bits += width; w.bits >= 32 {
+		binary.LittleEndian.PutUint32(w.buf[w.n:], uint32(w.acc))
+		w.n += 4
+		w.acc >>= 32
+		w.bits -= 32
 	}
 }
 
+// flush writes the pending bits, zero-padded to a whole byte, and
+// returns the stream length ⌈bits/8⌉.
 func (w *bitWriter) flush() int {
-	if w.bits > 0 {
+	for ; w.bits > 0; w.bits -= min(w.bits, 8) {
 		w.buf[w.n] = byte(w.acc)
 		w.n++
-		w.acc = 0
-		w.bits = 0
+		w.acc >>= 8
 	}
 	return w.n
 }
 
+// bitReader unpacks a bitWriter stream, loading a 32-bit word at a time
+// and single bytes only for the last < 4 bytes of buf.
 type bitReader struct {
 	buf  []byte
 	acc  uint64
-	bits uint
-	n    int
+	bits uint // loaded bits not yet read
+	n    int  // bytes loaded
 }
 
 func (r *bitReader) read(width uint) uint64 {
@@ -289,6 +339,11 @@ func (r *bitReader) read(width uint) uint64 {
 		lo := r.read(32)
 		hi := r.read(width - 32)
 		return lo | hi<<32
+	}
+	if r.bits < width && r.n+4 <= len(r.buf) {
+		r.acc |= uint64(binary.LittleEndian.Uint32(r.buf[r.n:])) << r.bits
+		r.n += 4
+		r.bits += 32
 	}
 	for r.bits < width {
 		r.acc |= uint64(r.buf[r.n]) << r.bits
@@ -301,7 +356,9 @@ func (r *bitReader) read(width uint) uint64 {
 	return v
 }
 
-func (r *bitReader) consumed() int { return r.n }
+// consumed returns the bytes the fields read so far occupy, ⌈bits/8⌉:
+// whole bytes loaded ahead of the last field are not counted.
+func (r *bitReader) consumed() int { return r.n - int(r.bits/8) }
 
 // FromTolerance selects the method with the highest compression ratio
 // whose worst-case relative error stays at or below etol, following

@@ -272,31 +272,28 @@ func TestRatiosAreOrdered(t *testing.T) {
 	}
 }
 
-func BenchmarkCast32Compress(b *testing.B) {
+// BenchmarkCodecs times encode and decode of 64 Ki uniform values in
+// (-1, 1) for every Method; MB/s counts the float64 side.
+func BenchmarkCodecs(b *testing.B) {
 	src := randData(1<<16, 1)
-	dst := make([]byte, Cast32{}.MaxCompressedLen(len(src)))
-	b.SetBytes(int64(8 * len(src)))
-	for i := 0; i < b.N; i++ {
-		Cast32{}.Compress(dst, src)
-	}
-}
-
-func BenchmarkTrimCompress(b *testing.B) {
-	src := randData(1<<16, 1)
-	m := Trim{M: 20}
-	dst := make([]byte, m.MaxCompressedLen(len(src)))
-	b.SetBytes(int64(8 * len(src)))
-	for i := 0; i < b.N; i++ {
-		m.Compress(dst, src)
-	}
-}
-
-func BenchmarkBlockCompress(b *testing.B) {
-	src := randData(1<<16, 1)
-	m := Block{Bits: 16}
-	dst := make([]byte, m.MaxCompressedLen(len(src)))
-	b.SetBytes(int64(8 * len(src)))
-	for i := 0; i < b.N; i++ {
-		m.Compress(dst, src)
+	out := make([]float64, len(src))
+	for _, m := range []Method{
+		None{}, Cast32{}, Cast16{}, CastBF16{}, Trim{M: 19}, Trim{M: 40},
+		Block{Bits: 16}, Scaled{Inner: Cast16{}}, Lossless{},
+	} {
+		buf := make([]byte, m.MaxCompressedLen(len(src)))
+		n := m.Compress(buf, src)
+		b.Run(m.Name()+"/encode", func(b *testing.B) {
+			b.SetBytes(int64(8 * len(src)))
+			for i := 0; i < b.N; i++ {
+				m.Compress(buf, src)
+			}
+		})
+		b.Run(m.Name()+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(8 * len(src)))
+			for i := 0; i < b.N; i++ {
+				m.Decompress(out, buf[:n])
+			}
+		})
 	}
 }

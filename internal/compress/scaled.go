@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 )
 
 // Scaled wraps a narrow-range method (typically Cast16) with a per-message
@@ -48,12 +49,22 @@ func (s Scaled) Compress(dst []byte, src []float64) int {
 		scale = math.Ldexp(1, -ilogb(maxAbs))
 	}
 	binary.LittleEndian.PutUint64(dst, math.Float64bits(scale))
-	scaled := make([]float64, len(src))
+	p := scratchPool.Get().(*[]float64)
+	if cap(*p) < len(src) {
+		*p = make([]float64, len(src))
+	}
+	scaled := (*p)[:len(src)]
 	for i, v := range src {
 		scaled[i] = v * scale
 	}
-	return 8 + s.Inner.Compress(dst[8:], scaled)
+	n := s.Inner.Compress(dst[8:], scaled)
+	scratchPool.Put(p)
+	return 8 + n
 }
+
+// scratchPool holds Scaled.Compress's scaled copies of its input, so
+// Scaled stays a plain comparable value and allocates nothing per call.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // Decompress implements Method.
 func (s Scaled) Decompress(dst []float64, src []byte) int {

@@ -66,6 +66,8 @@ type CompressedOSC struct {
 	expected   []int
 	stage      []byte      // compressed staging ("first internal buffer")
 	out        [][]float64 // decompressed results, reused across calls
+	done       []float64   // per-group kernel completion time, per call
+	damaged    []bool      // per-source decode failure, cleared per call
 	heal       *healer
 }
 
@@ -116,6 +118,7 @@ func NewCompressedOSC(c *mpi.Comm, method compress.Method, stream *gpu.Stream, c
 	for s := 0; s < p; s++ {
 		out[s] = make([]float64, recvCounts[s])
 	}
+	groups := splitGroups(order, chunks)
 	x := &CompressedOSC{
 		c:          c,
 		win:        c.WinCreate(make([]byte, winSize)),
@@ -130,10 +133,12 @@ func NewCompressedOSC(c *mpi.Comm, method compress.Method, stream *gpu.Stream, c
 		sendOff:    sendOff,
 		stagePos:   stagePos,
 		order:      order,
-		groups:     splitGroups(order, chunks),
+		groups:     groups,
 		expected:   expected,
 		stage:      make([]byte, stageSize),
 		out:        out,
+		done:       make([]float64, len(groups)),
+		damaged:    make([]bool, p),
 		heal:       newHealer(c),
 	}
 	x.SetLabel("exchange")
@@ -210,7 +215,7 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 	// Phase 1 (§V-B): submit one compression kernel per chunk, all up
 	// front, on the same stream.
 	rk := x.c.Obs()
-	done := make([]float64, len(x.groups))
+	done := x.done
 	kernelTime := 0.0
 	for g, group := range x.groups {
 		group := group
@@ -329,7 +334,8 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 	// marks the source damaged instead of panicking or reading out of
 	// range.
 	buf := x.win.Buffer()
-	damaged := make([]bool, x.c.Size())
+	damaged := x.damaged
+	clear(damaged)
 	for _, s := range rep.Corrupt {
 		damaged[s] = true
 	}

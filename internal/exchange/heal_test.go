@@ -93,6 +93,47 @@ func fp16(v float64) float64 {
 	return d[0]
 }
 
+func TestCompressedOSCClearsDamageEachEpoch(t *testing.T) {
+	// Epoch 0 puts large payloads under certain silent corruption, so
+	// every partner's slot is repaired. Epoch 1 sends zeros, which
+	// Lossless shrinks below the corruption floor: nothing is damaged,
+	// so nothing may be re-fetched again.
+	cfg := machine(1)
+	cfg.Faults = silentPlan(14)
+	p := cfg.Ranks()
+	const vals = 32
+	_, err := mpi.RunChecked(cfg, func(c *mpi.Comm) {
+		me := c.Rank()
+		x := NewCompressedOSC(c, compress.Lossless{}, gpu.NewStream(gpu.V100(), c), 3, UniformCount(vals))
+		value := func(src, dst, i, epoch int) float64 {
+			return float64((1-epoch)*(src*1000+dst*100+i+1)) / 7
+		}
+		for epoch := 0; epoch < 2; epoch++ {
+			send := make([][]float64, p)
+			for d := range send {
+				send[d] = make([]float64, vals)
+				for i := range send[d] {
+					send[d][i] = value(me, d, i, epoch)
+				}
+			}
+			got := x.Exchange(send)
+			for s := 0; s < p; s++ {
+				for i := 0; i < vals; i++ {
+					if got[s][i] != value(s, me, i, epoch) {
+						t.Errorf("epoch %d rank %d from %d value %d: corrupt delivery", epoch, me, s, i)
+					}
+				}
+			}
+			if r := x.Health().Repairs; r != int64(p-1) {
+				t.Errorf("rank %d after epoch %d: %d repairs, want the first epoch's %d", me, epoch, r, p-1)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("run error: %v", err)
+	}
+}
+
 func TestCompressedOSCHealsToLossless(t *testing.T) {
 	// A lossy method under certain put corruption: every slot is damaged,
 	// every slot is re-fetched as raw FP64 — so the results are exact

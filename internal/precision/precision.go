@@ -135,30 +135,20 @@ func (h BFloat16) Float32() float32 { return math.Float32frombits(uint32(h) << 1
 // Float64 converts a BFloat16 to float64 exactly.
 func (h BFloat16) Float64() float64 { return float64(h.Float32()) }
 
-// TrimFloat64 rounds x to a float64 with only m mantissa bits retained
-// (0 ≤ m ≤ 52), using round-to-nearest-even. m = 52 is the identity,
-// m = 23 matches the FP32 mantissa, m = 10 matches FP16's. The exponent
-// range is unchanged (unlike a format cast), which isolates the mantissa
-// contribution studied in Fig. 2.
-func TrimFloat64(x float64, m uint) float64 {
-	if m >= f64ManBits {
-		return x
-	}
-	b := math.Float64bits(x)
-	exp := b >> 52 & 0x7ff
-	if exp == 0x7ff { // Inf/NaN untouched
-		return x
+// TrimBits rounds the binary64 bit pattern b to m retained mantissa
+// bits (0 ≤ m ≤ 52) with round-to-nearest-even and clears the 52-m bits
+// below them. m = 52 is the identity, m = 23 matches the FP32 mantissa,
+// m = 10 matches FP16's. The exponent range is unchanged (unlike a
+// format cast), which isolates the mantissa contribution studied in
+// Fig. 2. Inf and NaN are returned untouched; a carry out of the
+// mantissa rounds into the exponent, as it should.
+func TrimBits(b uint64, m uint) uint64 {
+	if m >= f64ManBits || b>>52&0x7ff == 0x7ff {
+		return b
 	}
 	shift := f64ManBits - m
-	mask := uint64(1)<<shift - 1
-	rem := b & mask
-	b &^= mask
-	half := uint64(1) << (shift - 1)
-	if rem > half || (rem == half && b>>shift&1 == 1) {
-		// Round up; carry may ripple into the exponent, which is correct.
-		b += 1 << shift
-	}
-	return math.Float64frombits(b)
+	b += 1<<(shift-1) - 1 + b>>shift&1
+	return b &^ (1<<shift - 1)
 }
 
 // Format describes a floating-point arithmetic as in Table I of the paper.

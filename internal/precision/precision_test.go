@@ -169,18 +169,23 @@ func TestBFloat16ErrorBound(t *testing.T) {
 	}
 }
 
+// trim rounds x to m mantissa bits through TrimBits.
+func trim(x float64, m uint) float64 {
+	return math.Float64frombits(TrimBits(math.Float64bits(x), m))
+}
+
 func TestTrimIdentityAt52(t *testing.T) {
-	f := func(x float64) bool { return TrimFloat64(x, 52) == x || math.IsNaN(x) }
+	f := func(b uint64) bool { return TrimBits(b, 52) == b }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestTrimIdempotent(t *testing.T) {
-	f := func(x float64, mRaw uint8) bool {
+	f := func(b uint64, mRaw uint8) bool {
 		m := uint(mRaw) % 53
-		y := TrimFloat64(x, m)
-		return TrimFloat64(y, m) == y || math.IsNaN(y)
+		y := TrimBits(b, m)
+		return TrimBits(y, m) == y
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Error(err)
@@ -194,7 +199,7 @@ func TestTrimErrorBound(t *testing.T) {
 			return true
 		}
 		m := uint(mRaw) % 53
-		y := TrimFloat64(x, m)
+		y := trim(x, m)
 		u := TrimUnitRoundoff(m)
 		return math.Abs(y-x) <= u*math.Abs(x)*(1+1e-12)
 	}
@@ -210,7 +215,7 @@ func TestTrim23MatchesFloat32Mantissa(t *testing.T) {
 		if math.IsNaN(x) || math.Abs(x) > 1e38 || (x != 0 && math.Abs(x) < 1e-38) {
 			return true
 		}
-		return TrimFloat64(x, 23) == float64(float32(x))
+		return trim(x, 23) == float64(float32(x))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
 		t.Error(err)
@@ -220,24 +225,45 @@ func TestTrim23MatchesFloat32Mantissa(t *testing.T) {
 func TestTrimZeroBits(t *testing.T) {
 	// m=0 keeps only the implicit bit: result is a power of two (or zero),
 	// within a factor of sqrt(2)-ish of x.
-	got := TrimFloat64(1.4, 0)
+	got := trim(1.4, 0)
 	if got != 1.0 && got != 2.0 {
-		t.Errorf("TrimFloat64(1.4, 0) = %g, want 1 or 2", got)
+		t.Errorf("trim(1.4, 0) = %g, want 1 or 2", got)
 	}
-	if TrimFloat64(1.6, 0) != 2.0 {
-		t.Errorf("TrimFloat64(1.6, 0) = %g, want 2", TrimFloat64(1.6, 0))
+	if trim(1.6, 0) != 2.0 {
+		t.Errorf("trim(1.6, 0) = %g, want 2", trim(1.6, 0))
+	}
+}
+
+func TestTrimTiesToEven(t *testing.T) {
+	cases := []struct {
+		x    float64
+		m    uint
+		want float64
+	}{
+		{1 + math.Ldexp(1, -11), 10, 1},                       // tie, even below
+		{1 + 3*math.Ldexp(1, -11), 10, 1 + math.Ldexp(1, -9)}, // tie, even above
+		{-(1 + 3*math.Ldexp(1, -11)), 10, -(1 + math.Ldexp(1, -9))},
+		{1.5, 0, 2}, // the exponent's low bit is the even bit at m=0
+		{3, 0, 2},
+		{6, 0, 8},
+		{2 - math.Ldexp(1, -52), 51, 2}, // tie rounds up into the exponent
+	}
+	for _, c := range cases {
+		if got := trim(c.x, c.m); got != c.want {
+			t.Errorf("trim(%v, %d) = %v, want %v", c.x, c.m, got, c.want)
+		}
 	}
 }
 
 func TestTrimPreservesSpecials(t *testing.T) {
-	if !math.IsInf(TrimFloat64(math.Inf(1), 5), 1) {
-		t.Error("TrimFloat64(+Inf) != +Inf")
-	}
-	if !math.IsNaN(TrimFloat64(math.NaN(), 5)) {
-		t.Error("TrimFloat64(NaN) != NaN")
-	}
-	if TrimFloat64(0, 5) != 0 {
-		t.Error("TrimFloat64(0) != 0")
+	for _, b := range []uint64{
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		math.Float64bits(math.NaN()), 0x7ff0000000000001, 0xfff8000000000fff,
+		0, 1 << 63,
+	} {
+		if got := TrimBits(b, 5); got != b {
+			t.Errorf("TrimBits(%#x, 5) = %#x, want it untouched", b, got)
+		}
 	}
 }
 
