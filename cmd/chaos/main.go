@@ -146,11 +146,11 @@ func step[T comparable](c *mpi.Comm, rep *report, label string, n int, pat func(
 }
 
 func linear(c *mpi.Comm, rep *report, label string) (func(), ledger) {
-	return step(c, rep, label, msgBytes, pbyte, c.Alltoallv), nil
+	return step(c, rep, label, msgBytes, pbyte, func(send [][]byte) [][]byte { return c.AlltoallvSparse(send, nil, nil) }), nil
 }
 
 func pairwise(c *mpi.Comm, rep *report, label string) (func(), ledger) {
-	return step(c, rep, label, msgBytes, pbyte, func(send [][]byte) [][]byte { return exchange.PairwiseAlltoallv(c, send) }), nil
+	return step(c, rep, label, msgBytes, pbyte, func(send [][]byte) [][]byte { return exchange.PairwiseAlltoallv(c, send, nil) }), nil
 }
 
 func osc(c *mpi.Comm, rep *report, label string) (func(), ledger) {

@@ -32,7 +32,7 @@ func TestStepDetectsCorruption(t *testing.T) {
 	rep := &report{}
 	mpi.Run(netsim.Summit(1), func(c *mpi.Comm) {
 		step(c, rep, "x", 4, pbyte, func(send [][]byte) [][]byte {
-			got := c.Alltoallv(send)
+			got := c.AlltoallvSparse(send, nil, nil)
 			if c.Rank() == 2 {
 				got[3][1] ^= 0xff
 				got[3][2] ^= 0xff

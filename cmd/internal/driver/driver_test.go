@@ -178,7 +178,7 @@ func TestPick(t *testing.T) {
 // observed runs one small traced cell through a started session.
 func observed(s *Session, label, cell string) {
 	mpi.RunWith(s.Machine(6), s.Recorder(label, cell), func(c *mpi.Comm) {
-		c.Alltoallv(make([][]byte, c.Size()))
+		c.AlltoallvSparse(make([][]byte, c.Size()), nil, nil)
 		c.Barrier()
 	})
 }
@@ -271,7 +271,7 @@ func TestTelemetryStream(t *testing.T) {
 			send[d] = make([]byte, 128)
 		}
 		for it := 0; it < 2; it++ {
-			exchange.PairwiseAlltoallv(c, send)
+			exchange.PairwiseAlltoallv(c, send, nil)
 		}
 	})
 	_ = err // crashes are a legal outcome of a fault plan

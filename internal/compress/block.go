@@ -109,9 +109,9 @@ func (b Block) Decompress(dst []float64, src []byte) int {
 	var q [blockN]int64
 	shift := uint(blockFixBits) - b.Bits
 	for off := 0; off < len(dst); off += blockN {
-		ec := int(r.read(blockExpBits))
+		ec := int(r.field(blockExpBits))
 		for i := 0; i < blockN; i++ {
-			q[i] = unSignMag(r.read(b.Bits), b.Bits) << shift
+			q[i] = unSignMag(r.field(b.Bits), b.Bits) << shift
 		}
 		if ec == blockExpEmpty {
 			for i := 0; i < blockN && off+i < len(dst); i++ {

@@ -101,7 +101,7 @@ func (b Block3D) Decompress(dst []float64, src []byte, dims [3]int) int {
 	var blk [b3N]float64
 	var q [b3N]int64
 	forEachBlock(dims, func(bx, by, bz int) {
-		ec := int(r.read(blockExpBits))
+		ec := int(r.field(blockExpBits))
 		decodeEmbedded(&r, &q, b3N*int(b.Bits), blockFixBits-1)
 		if ec == blockExpEmpty {
 			for i := range blk {

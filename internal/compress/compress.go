@@ -301,9 +301,14 @@ type bitWriter struct {
 
 func (w *bitWriter) write(v uint64, width uint) {
 	if width > 32 {
-		w.write(v&0xffffffff, 32)
-		w.write(v>>32, width-32)
-		return
+		// The low 32 bits complete a word store on their own; the
+		// rest follows as an ordinary field.
+		w.acc |= v & 0xffffffff << w.bits
+		binary.LittleEndian.PutUint32(w.buf[w.n:], uint32(w.acc))
+		w.n += 4
+		w.acc >>= 32
+		v >>= 32
+		width -= 32
 	}
 	w.acc |= v << w.bits
 	if w.bits += width; w.bits >= 32 {
@@ -334,21 +339,28 @@ type bitReader struct {
 	n    int  // bytes loaded
 }
 
+// read returns the next field of up to 64 bits; a wider than 32-bit
+// one is two fields, low word first, as write stored it.
 func (r *bitReader) read(width uint) uint64 {
-	if width > 32 {
-		lo := r.read(32)
-		hi := r.read(width - 32)
-		return lo | hi<<32
+	if width <= 32 {
+		return r.field(width)
 	}
-	if r.bits < width && r.n+4 <= len(r.buf) {
-		r.acc |= uint64(binary.LittleEndian.Uint32(r.buf[r.n:])) << r.bits
-		r.n += 4
-		r.bits += 32
-	}
+	return r.field(32) | r.field(width-32)<<32
+}
+
+// field reads a field of at most 32 bits, loading a whole word while
+// one is left in buf and single bytes after that.
+func (r *bitReader) field(width uint) uint64 {
 	for r.bits < width {
-		r.acc |= uint64(r.buf[r.n]) << r.bits
-		r.n++
-		r.bits += 8
+		if r.n+4 <= len(r.buf) {
+			r.acc |= uint64(binary.LittleEndian.Uint32(r.buf[r.n:])) << r.bits
+			r.n += 4
+			r.bits += 32
+		} else {
+			r.acc |= uint64(r.buf[r.n]) << r.bits
+			r.n++
+			r.bits += 8
+		}
 	}
 	v := r.acc & (1<<width - 1)
 	r.acc >>= width

@@ -65,12 +65,12 @@ func (b *budgetReader) get() (uint64, bool) {
 		return 0, false
 	}
 	b.left--
-	return b.r.read(1), true
+	return b.r.field(1), true
 }
 
 func (b *budgetReader) drain() {
 	for b.left > 0 {
-		b.r.read(1)
+		b.r.field(1)
 		b.left--
 	}
 }

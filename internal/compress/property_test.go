@@ -14,6 +14,8 @@ import (
 // size promise. The magnitude window per method keeps the inputs inside
 // the target format's normal range, where the relative bounds are
 // defined (Cast16's 4.9e-4 holds for fp16 normals, not subnormals).
+// Messages holding ±Inf and NaN must pass (b) too, and come back with
+// those values in place and the finite ones within the bound.
 
 type propCase struct {
 	m Method
@@ -24,6 +26,11 @@ type propCase struct {
 	// blockRel: the bound is relative to the 4-block max (Block), or the
 	// message max (Scaled), instead of per-value.
 	blockRel, msgRel bool
+	// nonFiniteLost: a known departure. Block quantizes against the
+	// block's exponent, which ±Inf and NaN poison: the whole 4-block
+	// decodes to finite garbage, with no error. The non-finite check
+	// asserts that, so a fix flips it.
+	nonFiniteLost bool
 }
 
 func propCases() []propCase {
@@ -36,8 +43,8 @@ func propCases() []propCase {
 		{m: Trim{M: 8}, minExp: -300, maxExp: 300, fixedRate: true},
 		{m: Trim{M: 16}, minExp: -300, maxExp: 300, fixedRate: true},
 		{m: Trim{M: 40}, minExp: -300, maxExp: 300, fixedRate: true},
-		{m: Block{Bits: 12}, minExp: -10, maxExp: 10, fixedRate: true, blockRel: true},
-		{m: Block{Bits: 20}, minExp: -10, maxExp: 10, fixedRate: true, blockRel: true},
+		{m: Block{Bits: 12}, minExp: -10, maxExp: 10, fixedRate: true, blockRel: true, nonFiniteLost: true},
+		{m: Block{Bits: 20}, minExp: -10, maxExp: 10, fixedRate: true, blockRel: true, nonFiniteLost: true},
 		{m: Scaled{Inner: Cast16{}}, minExp: -100, maxExp: 100, msgRel: true},
 		{m: Scaled{Inner: Trim{M: 10}}, minExp: -100, maxExp: 100, msgRel: true},
 	}
@@ -100,7 +107,51 @@ func TestPropertyErrorContracts(t *testing.T) {
 					}
 				}
 			}
+			checkNonFiniteContract(t, tc, rng)
 		})
+	}
+}
+
+// checkNonFiniteContract runs tc's method on messages holding ±Inf and
+// NaN: [+Inf, 1, 0.5] and random messages with non-finite values
+// planted. DecompressChecked must accept every stream; non-finite
+// values must come back in place and the finite ones within the bound
+// (relative to the finite peak for Scaled) — or, for Block, decode
+// finite, the asserted departure.
+func checkNonFiniteContract(t *testing.T, tc propCase, rng *rand.Rand) {
+	t.Helper()
+	msgs := [][]float64{{math.Inf(1), 1, 0.5}}
+	for trial := 0; trial < 10; trial++ {
+		src := randVals(rng, 1+rng.Intn(300), tc.minExp, tc.maxExp)
+		for k := 0; k < 1+len(src)/16; k++ {
+			src[rng.Intn(len(src))] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[k%3]
+		}
+		msgs = append(msgs, src)
+	}
+	for trial, src := range msgs {
+		buf := make([]byte, tc.m.MaxCompressedLen(len(src)))
+		wrote := tc.m.Compress(buf, src)
+		got := make([]float64, len(src))
+		if _, err := tc.m.DecompressChecked(got, buf[:wrote]); err != nil {
+			t.Fatalf("non-finite trial %d: DecompressChecked rejected Compress output: %v", trial, err)
+		}
+		finiteSrc, finiteGot := make([]float64, 0, len(src)), make([]float64, 0, len(src))
+		for i, v := range src {
+			switch {
+			case math.IsInf(v, 0) || math.IsNaN(v):
+				kept := got[i] == v || math.IsNaN(v) && math.IsNaN(got[i])
+				if tc.nonFiniteLost && (kept || math.IsInf(got[i], 0) || math.IsNaN(got[i])) {
+					t.Fatalf("non-finite trial %d: %v at %d decoded to %v; the known departure (finite garbage) is gone, update nonFiniteLost",
+						trial, v, i, got[i])
+				}
+				if !tc.nonFiniteLost && !kept {
+					t.Fatalf("non-finite trial %d: %v at %d decoded to %v", trial, v, i, got[i])
+				}
+			case !tc.nonFiniteLost:
+				finiteSrc, finiteGot = append(finiteSrc, v), append(finiteGot, got[i])
+			}
+		}
+		checkErrorBound(t, tc, trial, finiteSrc, finiteGot)
 	}
 }
 

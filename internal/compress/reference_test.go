@@ -136,19 +136,23 @@ func (refCast16) Decompress(dst []float64, src []byte) int {
 	return 2 * len(dst)
 }
 
-// refScaled is Scaled with a fresh scaled copy per call.
+// refScaled is Scaled with a fresh scaled copy per call. Its scale is
+// the largest finite magnitude's, capped at 2¹⁰²³.
 type refScaled struct{ Scaled }
 
 func (s refScaled) Compress(dst []byte, src []float64) int {
 	maxAbs := 0.0
 	for _, v := range src {
-		if a := math.Abs(v); a > maxAbs {
+		if a := math.Abs(v); a > maxAbs && !math.IsInf(a, 0) {
 			maxAbs = a
 		}
 	}
 	scale := 1.0
 	if maxAbs > 0 {
 		scale = math.Ldexp(1, -ilogb(maxAbs))
+		if math.IsInf(scale, 0) {
+			scale = 0x1p1023 // a subnormal peak
+		}
 	}
 	binary.LittleEndian.PutUint64(dst, math.Float64bits(scale))
 	scaled := make([]float64, len(src))
@@ -214,7 +218,9 @@ var codecLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1001}
 // buffers and requires identical lengths and buffers (no stray bytes
 // past the stream either), then decodes the reference stream with both,
 // exactly as long and with spare bytes after it, and requires the same
-// bits and the same consumed count. The checked decoder must agree.
+// bits and the same consumed count. The checked decoder must accept the
+// stream and agree, and non-finite inputs must come back in place
+// (checkNonFinite).
 func checkMatches(t testing.TB, got, want Method, src []float64) {
 	t.Helper()
 	size := want.MaxCompressedLen(len(src)) + 8
@@ -237,15 +243,33 @@ func checkMatches(t testing.TB, got, want Method, src []float64) {
 				got.Name(), len(src), len(stream), gu, wu, wn)
 		}
 		sameBits(t, got.Name()+" decode", gd, wd)
+		checkNonFinite(t, got, src, gd)
 		cu, err := got.DecompressChecked(gd, stream)
-		if _, werr := want.DecompressChecked(make([]float64, len(src)), stream); (err == nil) != (werr == nil) {
-			t.Fatalf("%s, %d values: checked decode error %v, reference %v", got.Name(), len(src), err, werr)
+		if _, werr := want.DecompressChecked(make([]float64, len(src)), stream); err != nil || werr != nil {
+			t.Fatalf("%s, %d values: checked decode rejected the codec's own stream: %v (reference: %v)", got.Name(), len(src), err, werr)
 		}
-		if err == nil {
-			if cu != wu {
-				t.Fatalf("%s, %d values: checked decode consumed %d bytes, reference %d", got.Name(), len(src), cu, wu)
-			}
-			sameBits(t, got.Name()+" checked decode", gd, wd)
+		if cu != wu {
+			t.Fatalf("%s, %d values: checked decode consumed %d bytes, reference %d", got.Name(), len(src), cu, wu)
+		}
+		sameBits(t, got.Name()+" checked decode", gd, wd)
+	}
+}
+
+// checkNonFinite requires every ±Inf of src to decode to the same
+// infinity and every NaN to a NaN. Trim keeps only the top M mantissa
+// bits, so a NaN whose payload lies entirely below them decodes to the
+// infinity of its sign (Trim(0) turns every NaN into one): a known
+// departure, asserted so that a fix flips it.
+func checkNonFinite(t testing.TB, m Method, src, got []float64) {
+	t.Helper()
+	for i, v := range src {
+		want := v
+		if tr, ok := m.(Trim); ok && math.IsNaN(v) && math.Float64bits(v)&(1<<52-1)>>(52-tr.M) == 0 {
+			want = math.Copysign(math.Inf(1), v)
+		}
+		if math.IsInf(want, 0) && got[i] != want || math.IsNaN(want) && !math.IsNaN(got[i]) {
+			t.Fatalf("%s, %d values: value %d (%#016x) decoded to %v, want %v",
+				m.Name(), len(src), i, math.Float64bits(v), got[i], want)
 		}
 	}
 }
@@ -381,6 +405,22 @@ func FuzzCodecMatchesReference(f *testing.F) {
 	f.Add(seed, uint8(19))
 	f.Add(seed[:8*7], uint8(10))
 	f.Add([]byte{}, uint8(52))
+	// Non-finite messages: a finite peak beside ±Inf (Scaled once wrote
+	// a zero scale header for them), NaNs alone, and a subnormal peak
+	// (once an infinite header).
+	for _, vals := range [][]float64{
+		{math.Inf(1), 1, 0.5},
+		{math.Inf(-1), math.NaN(), 3e5, -2},
+		{math.NaN(), math.Float64frombits(0x7ff0000000000001)},
+		{math.Inf(1), math.SmallestNonzeroFloat64, -0x1p-1060},
+	} {
+		b := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		f.Add(b, uint8(0))
+		f.Add(b, uint8(23))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, m uint8) {
 		src := make([]float64, len(data)/8)
 		for i := range src {

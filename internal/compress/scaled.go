@@ -34,19 +34,24 @@ func (s Scaled) ErrorBound() float64 { return s.Inner.ErrorBound() }
 // conservative static answer.
 func (s Scaled) MinNormal() float64 { return s.Inner.MinNormal() }
 
-// Compress implements Method.
+// Compress implements Method. The scale normalizes the largest finite
+// magnitude, so the header is always a finite power of two: ±Inf and
+// NaN stay what they are under any scale, and reach the inner method
+// unchanged.
 func (s Scaled) Compress(dst []byte, src []float64) int {
 	maxAbs := 0.0
 	for _, v := range src {
-		if a := math.Abs(v); a > maxAbs {
+		if a := math.Abs(v); a > maxAbs && a <= math.MaxFloat64 {
 			maxAbs = a
 		}
 	}
 	scale := 1.0
 	if maxAbs > 0 {
 		// Normalize the largest magnitude to ~1 using a power of two so
-		// that scaling is exact in binary floating point.
-		scale = math.Ldexp(1, -ilogb(maxAbs))
+		// that scaling is exact in binary floating point. Below 2⁻¹⁰²³
+		// the scale stops at 2¹⁰²³, the largest power of two a header
+		// can hold.
+		scale = math.Ldexp(1, -max(ilogb(maxAbs), -1023))
 	}
 	binary.LittleEndian.PutUint64(dst, math.Float64bits(scale))
 	p := scratchPool.Get().(*[]float64)

@@ -251,7 +251,6 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 	pp := r.pp
 	c := pp.c
 	p := c.Size()
-	scaled := pp.opts.SimScale > 1
 	elem, vals := r.wire.size, r.wire.vals
 	overlap, simOverlap := pairCount(r.plan, c.Rank()), pairCount(simPlan, c.Rank())
 	maxSend := func(pl grid.Plan) int {
@@ -264,13 +263,11 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 		for _, t := range r.plan.Recv {
 			recvNonzero[t.Rank] = true
 		}
-		// Per-destination logical wire bytes (scaled-volume mode only).
-		var logical []int
-		if scaled {
-			logical = make([]int, p)
-			for _, t := range simPlan.Send {
-				logical[t.Rank] = elem * t.Count
-			}
+		// Per-destination wire bytes, from the simulated plan (the real
+		// one unless SimScale > 1).
+		logical := make([]int, p)
+		for _, t := range simPlan.Send {
+			logical[t.Rank] = elem * t.Count
 		}
 		r.lease = c.NewLeases(len(r.plan.Send))
 		return transport{bytes: func(send [][]byte, lease []int) [][]byte {
@@ -278,9 +275,7 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 		}}
 	case BackendOSC:
 		osc := exchange.NewOSC(c, func(dst, src int) int { return elem * overlap(dst, src) }, true)
-		if scaled {
-			osc.Logical = func(dst, src int) int { return elem * simOverlap(dst, src) }
-		}
+		osc.Logical = func(dst, src int) int { return elem * simOverlap(dst, src) }
 		return transport{bytes: func(send [][]byte, _ []int) [][]byte { return osc.Exchange(send) }, ledger: osc}
 	case BackendBruck:
 		// Bruck requires uniform blocks: pad every pairwise payload to
@@ -291,7 +286,9 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 		// all ranks.
 		block := elem * maxSend(r.plan)
 		logical := block
-		if scaled {
+		if pp.opts.SimScale > 1 {
+			// A second reduction for the simulated plan: unconditional,
+			// it would add messages to unscaled runs.
 			logical = elem * maxSend(simPlan)
 		}
 		padded := make([][]byte, p)
@@ -325,17 +322,13 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 			func(dst, src int) int { return vals * overlap(dst, src) })
 		cosc.SetLabel(r.label)
 		cosc.Pipelined = !pp.opts.DisablePipeline
-		if scaled {
-			cosc.SimCounts = func(dst, src int) int { return vals * simOverlap(dst, src) }
-		}
+		cosc.SimCounts = func(dst, src int) int { return vals * simOverlap(dst, src) }
 		return transport{vals: cosc.Exchange, ledger: cosc}
 	case BackendCompressedTwoSided:
 		c2s := exchange.NewTwoSidedCompressed(c, choice.Method, pp.stream,
 			func(dst, src int) int { return vals * overlap(dst, src) })
 		c2s.SetLabel(r.label)
-		if scaled {
-			c2s.SimCounts = func(dst, src int) int { return vals * simOverlap(dst, src) }
-		}
+		c2s.SimCounts = func(dst, src int) int { return vals * simOverlap(dst, src) }
 		return transport{vals: c2s.Exchange}
 	}
 	panic("core: unknown backend " + choice.Backend.String())

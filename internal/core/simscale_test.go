@@ -13,23 +13,19 @@ import (
 // run charges — the same forward time and the same netsim.Stats, bit
 // for bit — on every backend, on bricks and with PencilIO, in both
 // precisions (the compressed backends are FP64 only) and with one
-// method of each fixed-rate compressor family. Two known departures
-// are asserted exactly, so a fix and a new drift both fail:
-//
-//   - Bruck pads to the maximum pairwise count. In scaled mode each
-//     reshape reduces that maximum twice at construction, for the data
-//     plan and for the simulated plan (newTransport's maxSend), so the
-//     scaled run sends one extra AllreduceFloat64 per reshape. Its
-//     forward time departs as well, by ULPs to 0.03% at 12 ranks and by
-//     up to 4.7% at 24 ranks, for a cause not isolated.
-//   - TwoSidedCompressed charges len(payload)·sim/cv per message, which
-//     scales the 4-byte length header with the data. The excess bytes
-//     are the same for every method, and at 24 ranks on bricks the
-//     forward time departs too (by 2e-6).
+// method of each fixed-rate compressor family. One known departure is
+// asserted exactly, so a fix and a new drift both fail: Bruck pads to
+// the maximum pairwise count. In scaled mode each reshape reduces that
+// maximum twice at construction, for the data plan and for the
+// simulated plan (newTransport's maxSend), so the scaled run sends one
+// extra AllreduceFloat64 per reshape. Its forward time departs as well,
+// by ULPs to 0.03% at 12 ranks and by up to 4.7% at 24 ranks, for a
+// cause not isolated.
 //
 // Variable-rate methods (Lossless) compress the values they are given,
-// and Scaled's 8-byte scale header is scaled like TwoSidedCompressed's,
-// so neither can be exact and neither is claimed (EXPERIMENTS.md note E).
+// and Scaled's 8-byte scale header is scaled with its data by the
+// compressed transports' wire rule, so neither can be exact and neither
+// is claimed (EXPERIMENTS.md note E).
 func TestSimScaleIsExact(t *testing.T) {
 	const s = 2
 	small, big := [3]int{16, 16, 16}, [3]int{16 * s, 16 * s, 16 * s}
@@ -45,18 +41,6 @@ func TestSimScaleIsExact(t *testing.T) {
 		for _, b := range []Backend{BackendCompressed, BackendCompressedTwoSided} {
 			cells = append(cells, cell{Options{Backend: b, Method: m}, false})
 		}
-	}
-	// The 4-byte header excess of TwoSidedCompressed per link class
-	// (inter, intra, local), by rank count and PencilIO.
-	type key struct {
-		ranks int
-		pio   bool
-	}
-	header := map[key][3]int64{
-		{12, false}: {2760, 5246, 2314},
-		{12, true}:  {1344, 2016, 1344},
-		{24, false}: {12208, 8720, 3968},
-		{24, true}:  {6928, 4240, 2848},
 	}
 	measure := func(cfg netsim.Config, n [3]int, opts Options, c64 bool) Result {
 		if c64 {
@@ -86,8 +70,7 @@ func TestSimScaleIsExact(t *testing.T) {
 				scaled := measure(cfg, small, opts, cl.c64)
 
 				want, timeDeparts := full.Stats, false
-				switch opts.Backend {
-				case BackendBruck:
+				if opts.Backend == BackendBruck {
 					reshapes := 8 // fwd0..3 and bwd0..3
 					if pio {
 						reshapes = 4
@@ -97,12 +80,6 @@ func TestSimScaleIsExact(t *testing.T) {
 					want.BytesIntra += int64(reshapes) * allreduce.BytesIntra
 					want.BytesLocal += int64(reshapes) * allreduce.BytesLocal
 					timeDeparts = true
-				case BackendCompressedTwoSided:
-					h := header[key{ranks, pio}]
-					want.BytesInter += h[0]
-					want.BytesIntra += h[1]
-					want.BytesLocal += h[2]
-					timeDeparts = ranks == 24 && !pio
 				}
 				if scaled.Stats != want {
 					t.Errorf("%d ranks %s: scaled stats %+v, want %+v (full %+v)", ranks, name, scaled.Stats, want, full.Stats)

@@ -70,13 +70,14 @@ func newCell(c *mpi.Comm, spec Spec, msgBytes int) (run func(), cosc *Compressed
 			sizes[i] = msgBytes
 		}
 		if spec.Algo == AlgoLinear {
-			return func() { c.AlltoallvN(sizes) }, nil
+			return func() { c.AlltoallvLeased(nil, nil, nil, sizes) }, nil
 		}
-		return func() { PairwiseAlltoallvN(c, sizes) }, nil
+		return func() { PairwiseAlltoallv(c, nil, sizes) }, nil
 	case AlgoBruck:
-		return func() { BruckAlltoallN(c, msgBytes) }, nil
+		return func() { BruckAlltoall(c, nil, msgBytes, msgBytes) }, nil
 	case AlgoOSC, AlgoOSCNaive:
-		return NewOSCPhantom(c, Uniform(msgBytes), spec.Algo == AlgoOSC).ExchangeN, nil
+		o := NewOSCPhantom(c, Uniform(msgBytes), spec.Algo == AlgoOSC)
+		return func() { o.Exchange(nil) }, nil
 	case AlgoOSCComp:
 		count := msgBytes / 8
 		if count < 1 {

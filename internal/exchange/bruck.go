@@ -13,6 +13,8 @@ const tagBruck = 104
 // Each block is charged logicalBlock wire bytes — the scaled-volume
 // mode: payloads stay real at blockSize while the time plane sees each
 // block as logicalBlock bytes; pass blockSize for an unscaled exchange.
+// A nil send is the phantom exchange: the same rounds and wire sizes,
+// no payloads, and a nil result.
 func BruckAlltoall(c *mpi.Comm, send [][]byte, blockSize, logicalBlock int) [][]byte {
 	p := c.Size()
 	r := c.Rank()
@@ -24,10 +26,12 @@ func BruckAlltoall(c *mpi.Comm, send [][]byte, blockSize, logicalBlock int) [][]
 
 	// Phase 1 — local rotation: slot j holds the block destined to rank
 	// (r + j) mod p.
-	blocks := make([][]byte, p)
-	for j := 0; j < p; j++ {
-		src := send[(r+j)%p]
-		blocks[j] = append([]byte(nil), src...)
+	var blocks [][]byte
+	if send != nil {
+		blocks = make([][]byte, p)
+		for j := 0; j < p; j++ {
+			blocks[j] = append([]byte(nil), send[(r+j)%p]...)
+		}
 	}
 
 	// Phase 2 — ⌈log2 p⌉ rounds: send every slot whose index has bit k
@@ -42,16 +46,24 @@ func BruckAlltoall(c *mpi.Comm, send [][]byte, blockSize, logicalBlock int) [][]
 				outIdx = append(outIdx, j)
 			}
 		}
-		packed := make([]byte, 0, len(outIdx)*blockSize)
-		for _, j := range outIdx {
-			packed = append(packed, blocks[j]...)
+		var packed []byte
+		if blocks != nil {
+			packed = make([]byte, 0, len(outIdx)*blockSize)
+			for _, j := range outIdx {
+				packed = append(packed, blocks[j]...)
+			}
 		}
 		c.SendLogical(dst, tagBruck+round, packed, len(outIdx)*logicalBlock)
 		got := c.Recv(src, tagBruck+round)
-		for i, j := range outIdx {
-			copy(blocks[j], got[i*blockSize:(i+1)*blockSize])
+		if blocks != nil {
+			for i, j := range outIdx {
+				copy(blocks[j], got[i*blockSize:(i+1)*blockSize])
+			}
 		}
 		round++
+	}
+	if blocks == nil {
+		return nil
 	}
 
 	// Phase 3 — inverse rotation: slot j now holds the block that
@@ -61,25 +73,4 @@ func BruckAlltoall(c *mpi.Comm, send [][]byte, blockSize, logicalBlock int) [][]
 		recv[(r-j+p)%p] = blocks[j]
 	}
 	return recv
-}
-
-// BruckAlltoallN is the phantom (timing-only) variant: it replays the
-// Bruck message pattern with the same aggregated sizes but no payloads.
-func BruckAlltoallN(c *mpi.Comm, blockSize int) {
-	p := c.Size()
-	r := c.Rank()
-	round := 0
-	for k := 1; k < p; k <<= 1 {
-		dst := (r + k) % p
-		src := (r - k + p) % p
-		n := 0
-		for j := 0; j < p; j++ {
-			if j&k != 0 {
-				n++
-			}
-		}
-		c.SendN(dst, tagBruck+round, n*blockSize)
-		c.RecvPacket(src, tagBruck+round)
-		round++
-	}
 }

@@ -36,25 +36,20 @@ func UniformCount(n int) CountFn {
 type CompressedOSC struct {
 	c      *mpi.Comm
 	win    *mpi.Win
-	method compress.Method
 	stream *gpu.Stream
 	chunks int
 	counts CountFn
 	// Pipelined toggles the §V-B overlap; false synchronizes the stream
 	// before issuing any put (the ablation baseline).
 	Pipelined bool
-	// SimCounts, when non-nil, gives the simulated value counts used for
-	// timing (kernel costs and wire bytes) in place of the real counts —
-	// the scaled-volume experiment mode (see DESIGN.md).
+	// SimCounts gives the value counts used for timing (kernel costs and
+	// wire bytes). The constructor sets it to the real counts; the
+	// scaled-volume experiment mode replaces it with the simulated ones
+	// (see DESIGN.md).
 	SimCounts CountFn
 
-	// Precomputed metric names of this exchange's label (SetLabel).
-	metricRaw, metricWire, metricErr, metricOverlap, metricAchieved string
-	metricTrkMaxRel, metricTrkRMS, metricTrkVals                    string
-	label                                                           string
-	// errScratch holds decompressed values while measuring the achieved
-	// error; allocated lazily and only when an event log is attached.
-	errScratch []float64
+	errAttr              // the codec and its attribution under the label
+	metricOverlap string // exchange/<label>/overlap_efficiency
 
 	recvCounts []int
 	slotOff    []int // window offset of each source's slot
@@ -91,12 +86,14 @@ func NewCompressedOSC(c *mpi.Comm, method compress.Method, stream *gpu.Stream, c
 
 	recvCounts := make([]int, p)
 	slotOff := make([]int, p)
+	slotLen := make([]int, p)
 	expected := make([]int, p)
 	winSize := 0
 	for s := 0; s < p; s++ {
 		recvCounts[s] = counts(me, s)
 		slotOff[s] = winSize
-		winSize += slotBytes(recvCounts[s])
+		slotLen[s] = slotBytes(recvCounts[s])
+		winSize += slotLen[s]
 		if recvCounts[s] > 0 {
 			expected[s] = 1
 		}
@@ -105,7 +102,6 @@ func NewCompressedOSC(c *mpi.Comm, method compress.Method, stream *gpu.Stream, c
 	for d := 0; d < p; d++ {
 		sendSizes[d] = slotBytes(counts(d, me))
 	}
-	slotLen := recvSizesBytes(recvCounts, slotBytes)
 	sendOff := exchangeOffsets(c, slotLen, slotOff, sendSizes)
 	order := ringOrder(c, true)
 	stagePos := make([]int, p)
@@ -122,11 +118,12 @@ func NewCompressedOSC(c *mpi.Comm, method compress.Method, stream *gpu.Stream, c
 	x := &CompressedOSC{
 		c:          c,
 		win:        c.WinCreate(make([]byte, winSize)),
-		method:     method,
+		errAttr:    errAttr{method: method},
 		stream:     stream,
 		chunks:     chunks,
 		counts:     counts,
 		Pipelined:  true,
+		SimCounts:  counts,
 		recvCounts: recvCounts,
 		slotOff:    slotOff,
 		slotLen:    slotLen,
@@ -149,20 +146,8 @@ func NewCompressedOSC(c *mpi.Comm, method compress.Method, stream *gpu.Stream, c
 // compression is reported as compress/<label>/{raw,wire}_bytes plus the
 // error-bound gauge. The FFT plan labels its reshapes fwd0..3 / bwd0..3.
 func (x *CompressedOSC) SetLabel(label string) {
-	x.label = label
-	x.metricRaw, x.metricWire, x.metricErr = obs.CompressMetricNames(label)
+	x.errAttr.setLabel(label)
 	x.metricOverlap = "exchange/" + label + "/overlap_efficiency"
-	x.metricAchieved = "compress/" + label + "/achieved_error"
-	x.metricTrkMaxRel, x.metricTrkRMS, x.metricTrkVals = obs.ErrtrackMetricNames(label)
-}
-
-// recvSizesBytes maps value counts to window slot sizes.
-func recvSizesBytes(counts []int, slotBytes func(int) int) []int {
-	out := make([]int, len(counts))
-	for i, c := range counts {
-		out[i] = slotBytes(c)
-	}
-	return out
 }
 
 // splitGroups divides the destination order into up to k contiguous,
@@ -195,10 +180,6 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 		}
 	}
 
-	simCounts := x.counts
-	if x.SimCounts != nil {
-		simCounts = x.SimCounts
-	}
 	// Phase 0 (reliable mode only): peers downgraded to the two-sided
 	// path get their data up front, uncompressed (lossless), over the
 	// checksummed-and-retried transport. Sends never block, so this
@@ -224,7 +205,7 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 			if healing && x.heal.fellTo[dst] {
 				continue
 			}
-			cv := simCounts(dst, me)
+			cv := x.SimCounts(dst, me)
 			inBytes += 8 * cv
 			outBytes += x.method.MaxCompressedLen(cv)
 		}
@@ -254,7 +235,6 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 	// wall-clock work outside the virtual timeline; off (and free) when
 	// telemetry is off.
 	measure := rk.EventsOn()
-	worstErr, measured := 0.0, false
 	if !x.Pipelined {
 		if st := x.stream.ReadyAt() - x.c.Now(); st > 0 {
 			rk.Span(obs.TrackHost, obs.PhaseCompressWait, x.c.Now(), x.c.Now()+st, 0)
@@ -271,37 +251,23 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 			x.c.AdvanceTo(done[g])
 		}
 		for _, dst := range group {
-			if x.counts(dst, me) == 0 || (healing && x.heal.fellTo[dst]) {
+			cv := x.counts(dst, me)
+			if cv == 0 || (healing && x.heal.fellTo[dst]) {
 				continue
 			}
 			slot := x.stage[x.stagePos[dst]:]
 			clen := int(binary.LittleEndian.Uint32(slot))
-			logical := 4 + clen
-			if cv := x.counts(dst, me); x.SimCounts != nil && cv > 0 {
-				// Charge the wire as if the chunk held the simulated
-				// value count at the same compression rate.
-				logical = 4 + clen*simCounts(dst, me)/cv
-			}
-			rawBytes += 8 * int64(simCounts(dst, me))
+			sim := x.SimCounts(dst, me)
+			logical := slotWire(clen, cv, sim)
+			rawBytes += 8 * int64(sim)
 			wireBytes += int64(logical)
 			if measure {
-				if st, ok := slotStats(x.method, &x.errScratch, slot[:4+clen], send[dst]); ok {
-					measured = true
-					if st.MaxRel > worstErr {
-						worstErr = st.MaxRel
-					}
-					rk.Observe(x.metricTrkMaxRel, st.MaxRel)
-					rk.Observe(x.metricTrkRMS, st.RMS())
-					rk.Add(x.metricTrkVals, st.N)
-					rk.Emit(errtrack.AttrEvent(x.c.Now(), x.label, dst, x.method.ErrorBound(), st))
-				}
+				x.slot(rk, x.c.Now(), dst, slot[:4+clen], send[dst])
 			}
 			x.win.PutLogical(dst, x.sendOff[dst], slot[:4+clen], logical)
 		}
 	}
-	rk.Add(x.metricRaw, rawBytes)
-	rk.Add(x.metricWire, wireBytes)
-	rk.Set(x.metricErr, x.method.ErrorBound())
+	x.volume(rk, rawBytes, wireBytes)
 	rk.Observe(metricOverlapStall, stall)
 	if kernelTime > 0 {
 		eff := 1 - stall/kernelTime
@@ -310,13 +276,7 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 		}
 		rk.Set(x.metricOverlap, eff)
 	}
-	if measured {
-		rk.Observe(x.metricAchieved, worstErr)
-		rk.Emit(obs.Event{
-			T: x.c.Now(), Kind: obs.EventError, Label: x.label, Peer: -1,
-			Value: worstErr, Bound: x.method.ErrorBound(),
-		})
-	}
+	x.achieved(rk, x.c.Now())
 
 	// Phase 3: close the epoch. In reliable mode the fence reports (per
 	// peer) corrupt or missing puts instead of panicking, so the epilogue
@@ -334,20 +294,13 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 	// marks the source damaged instead of panicking or reading out of
 	// range.
 	buf := x.win.Buffer()
-	damaged := x.damaged
-	clear(damaged)
-	for _, s := range rep.Corrupt {
-		damaged[s] = true
-	}
-	for _, s := range rep.Missing {
-		damaged[s] = true
-	}
+	damaged := damagedBy(x.damaged, rep)
 	inBytes, outBytes := 0, 0
 	for s, cnt := range x.recvCounts {
 		if cnt == 0 || (healing && x.heal.fellFrom[s]) {
 			continue
 		}
-		sc := simCounts(me, s)
+		sc := x.SimCounts(me, s)
 		inBytes += x.method.MaxCompressedLen(sc)
 		outBytes += 8 * sc
 	}
@@ -367,9 +320,82 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 	})
 	x.stream.Synchronize()
 	if healing {
-		x.healEpoch(send, damaged)
+		x.heal.epilogue(damaged, x.recvCounts,
+			func(d int) int { return x.counts(d, me) },
+			func(d int) []byte { return f64Bytes(send[d]) },
+			func(s int, data []byte) { f64Into(x.out[s], data, s) })
 	}
 	return x.out
+}
+
+// slotWire is the one scaled wire-size rule of the compressed
+// transports: a slot's 4-byte length header plus its clen compressed
+// bytes, scaled from the cv real values to sim simulated ones at the
+// same compression rate. The header is not scaled; sim == cv charges
+// exactly 4 + clen.
+func slotWire(clen, cv, sim int) int { return 4 + clen*sim/cv }
+
+// errAttr is the achieved-compression and per-slot error attribution
+// both compressed transports report under their label: raw and wire
+// bytes with the error-bound gauge every epoch, and — with an event log
+// attached — each slot's round-trip error statistics plus the epoch's
+// worst error.
+type errAttr struct {
+	method compress.Method // the exchange's codec
+	label  string
+	// Precomputed metric names of the label (setLabel).
+	metricRaw, metricWire, metricErr, metricAchieved string
+	metricTrkMaxRel, metricTrkRMS, metricTrkVals     string
+	// scratch holds decompressed values while measuring the achieved
+	// error; allocated lazily and only when an event log is attached.
+	scratch  []float64
+	worst    float64
+	measured bool
+}
+
+func (a *errAttr) setLabel(label string) {
+	a.label = label
+	a.metricRaw, a.metricWire, a.metricErr = obs.CompressMetricNames(label)
+	a.metricAchieved = "compress/" + label + "/achieved_error"
+	a.metricTrkMaxRel, a.metricTrkRMS, a.metricTrkVals = obs.ErrtrackMetricNames(label)
+}
+
+// volume records one epoch's raw and wire bytes and the error bound.
+func (a *errAttr) volume(rk *obs.Rank, raw, wire int64) {
+	rk.Add(a.metricRaw, raw)
+	rk.Add(a.metricWire, wire)
+	rk.Set(a.metricErr, a.method.ErrorBound())
+}
+
+// slot round-trips the compressed slot bound for peer on the host and
+// records its error against the original values. Wall-clock work only,
+// never virtual time.
+func (a *errAttr) slot(rk *obs.Rank, now float64, peer int, slot []byte, vals []float64) {
+	st, ok := slotStats(a.method, &a.scratch, slot, vals)
+	if !ok {
+		return
+	}
+	a.measured = true
+	if st.MaxRel > a.worst {
+		a.worst = st.MaxRel
+	}
+	rk.Observe(a.metricTrkMaxRel, st.MaxRel)
+	rk.Observe(a.metricTrkRMS, st.RMS())
+	rk.Add(a.metricTrkVals, st.N)
+	rk.Emit(errtrack.AttrEvent(now, a.label, peer, a.method.ErrorBound(), st))
+}
+
+// achieved closes an epoch's attribution: the worst error its slots
+// measured, if any, and a reset for the next epoch.
+func (a *errAttr) achieved(rk *obs.Rank, now float64) {
+	if a.measured {
+		rk.Observe(a.metricAchieved, a.worst)
+		rk.Emit(obs.Event{
+			T: now, Kind: obs.EventError, Label: a.label, Peer: -1,
+			Value: a.worst, Bound: a.method.ErrorBound(),
+		})
+	}
+	a.worst, a.measured = 0, false
 }
 
 // minNormal64 is the smallest positive normal float64. Relative error
@@ -439,29 +465,6 @@ func decodeSlot(m compress.Method, dst []float64, slot []byte) error {
 	}
 	_, err := m.DecompressChecked(dst, slot[4:4+clen])
 	return err
-}
-
-// healEpoch is the reliable-mode epilogue of one exchange: drain the
-// two-sided deliveries of fallen-back sources, re-fetch every damaged
-// slot over the lossless path, and escalate repeatedly failing links to
-// a permanent fallback.
-func (x *CompressedOSC) healEpoch(send [][]float64, damaged []bool) {
-	me := x.c.Rank()
-	p := x.c.Size()
-	for s := 0; s < p; s++ {
-		if x.recvCounts[s] > 0 && x.heal.fellFrom[s] {
-			f64Into(x.out[s], x.c.Recv(s, tagFallback), s)
-		}
-	}
-	putSrc := make([]bool, p)
-	putDst := make([]bool, p)
-	for r := 0; r < p; r++ {
-		putSrc[r] = x.recvCounts[r] > 0 && !x.heal.fellFrom[r]
-		putDst[r] = x.counts(r, me) > 0 && !x.heal.fellTo[r]
-	}
-	x.heal.round(damaged, putSrc, putDst,
-		func(d int) []byte { return f64Bytes(send[d]) },
-		func(s int, data []byte) { f64Into(x.out[s], data, s) })
 }
 
 // Health reports the cumulative degradation of this exchange: repaired

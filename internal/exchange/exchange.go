@@ -1,10 +1,10 @@
 // Package exchange implements the all-to-all algorithms compared in the
-// paper next to the default linear MPI_Alltoallv (mpi.Comm.Alltoallv, the
-// baseline whose bandwidth collapses at scale in Fig. 3): a pairwise
-// ring, the log-round Bruck algorithm, the one-sided
-// OSC_Alltoall of Algorithm 3 with node-aware ordering and window
-// caching, and the compressed OSC exchange with the §V-B pipeline that
-// overlaps GPU compression kernels with RDMA puts.
+// paper next to the default linear MPI_Alltoallv
+// (mpi.Comm.AlltoallvLeased, the baseline whose bandwidth collapses at
+// scale in Fig. 3): a pairwise ring, the log-round Bruck algorithm, the
+// one-sided OSC_Alltoall of Algorithm 3 with node-aware ordering and
+// window caching, and the compressed OSC exchange with the §V-B
+// pipeline that overlaps GPU compression kernels with RDMA puts.
 package exchange
 
 import (
@@ -25,41 +25,40 @@ const (
 
 // PairwiseAlltoallv is the classic ring: p steps; at step j each rank
 // sends to (r+j) mod p and receives from (r−j) mod p, completing each
-// exchange before the next step. Bounded concurrency, two-sided.
-func PairwiseAlltoallv(c *mpi.Comm, send [][]byte) [][]byte {
+// exchange before the next step. Bounded concurrency, two-sided. Like
+// mpi.Comm.AlltoallvLeased, a nil send is the phantom exchange (it
+// returns nil), and logical, when non-nil, gives each message's wire
+// bytes in place of len(send[d]).
+func PairwiseAlltoallv(c *mpi.Comm, send [][]byte, logical []int) [][]byte {
 	p := c.Size()
 	r := c.Rank()
-	recv := make([][]byte, p)
+	var recv [][]byte
+	if send != nil {
+		recv = make([][]byte, p)
+	}
 	latest := c.Now()
 	for j := 0; j < p; j++ {
 		dst := (r + j) % p
 		src := (r - j + p) % p
-		c.Send(dst, tagPairwise, send[dst])
+		var data []byte
+		if send != nil {
+			data = send[dst]
+		}
+		n := len(data)
+		if logical != nil {
+			n = logical[dst]
+		}
+		c.SendLogical(dst, tagPairwise, data, n)
 		pkt := c.RecvPacket(src, tagPairwise)
-		recv[src] = pkt.Payload
+		if recv != nil {
+			recv[src] = pkt.Payload
+		}
 		if pkt.Arrival > latest {
 			latest = pkt.Arrival
 		}
 	}
 	c.AdvanceTo(latest)
 	return recv
-}
-
-// PairwiseAlltoallvN is the phantom variant of PairwiseAlltoallv.
-func PairwiseAlltoallvN(c *mpi.Comm, sizes []int) {
-	p := c.Size()
-	r := c.Rank()
-	latest := c.Now()
-	for j := 0; j < p; j++ {
-		dst := (r + j) % p
-		src := (r - j + p) % p
-		c.SendN(dst, tagPairwise, sizes[dst])
-		pkt := c.RecvPacket(src, tagPairwise)
-		if pkt.Arrival > latest {
-			latest = pkt.Arrival
-		}
-	}
-	c.AdvanceTo(latest)
 }
 
 // ringOrder returns the destination sequence of Algorithm 3: node

@@ -44,11 +44,11 @@ func checkAlltoall(t *testing.T, name string, run func(c *mpi.Comm, send [][]byt
 }
 
 func TestLinearAlltoallv(t *testing.T) {
-	checkAlltoall(t, "linear", (*mpi.Comm).Alltoallv)
+	checkAlltoall(t, "linear", func(c *mpi.Comm, send [][]byte) [][]byte { return c.AlltoallvSparse(send, nil, nil) })
 }
 
 func TestPairwiseAlltoallv(t *testing.T) {
-	checkAlltoall(t, "pairwise", PairwiseAlltoallv)
+	checkAlltoall(t, "pairwise", func(c *mpi.Comm, send [][]byte) [][]byte { return PairwiseAlltoallv(c, send, nil) })
 }
 
 func TestOSCExchange(t *testing.T) {
@@ -442,6 +442,58 @@ func TestOSCBeatsTwoSidedCompressed(t *testing.T) {
 	}
 }
 
+// TestDefaultWireSizesAreReal: an exchange whose Logical or SimCounts
+// the caller leaves alone charges the real sizes — exactly what setting
+// them to the plan's own sizes charges, the form core uses whenever
+// SimScale is 1.
+func TestDefaultWireSizesAreReal(t *testing.T) {
+	cfg := machine(2)
+	p := cfg.Ranks()
+	counts := func(dst, src int) int { return 16 + (dst+2*src)%5 }
+	size := func(dst, src int) int { return 8 * counts(dst, src) }
+	for _, name := range []string{"osc", "compressed-osc", "two-sided-compressed"} {
+		run := func(explicit bool) netsim.Result {
+			return mpi.Run(cfg, func(c *mpi.Comm) {
+				me := c.Rank()
+				vals := make([][]float64, p)
+				raw := make([][]byte, p)
+				for d := range vals {
+					vals[d] = make([]float64, counts(d, me))
+					for i := range vals[d] {
+						vals[d][i] = float64(me+d+i) / 7
+					}
+					raw[d] = payload(me, d, size(d, me))
+				}
+				stream := gpu.NewStream(gpu.V100(), c)
+				switch name {
+				case "osc":
+					o := NewOSC(c, size, true)
+					if explicit {
+						o.Logical = size
+					}
+					o.Exchange(raw)
+				case "compressed-osc":
+					x := NewCompressedOSC(c, compress.Cast32{}, stream, 2, counts)
+					if explicit {
+						x.SimCounts = counts
+					}
+					x.Exchange(vals)
+				default:
+					x := NewTwoSidedCompressed(c, compress.Cast32{}, stream, counts)
+					if explicit {
+						x.SimCounts = counts
+					}
+					x.Exchange(vals)
+				}
+			})
+		}
+		def, set := run(false), run(true)
+		if def.Time != set.Time || def.Stats != set.Stats {
+			t.Errorf("%s: default sizes charge %v s, %+v; the real sizes %v s, %+v", name, def.Time, def.Stats, set.Time, set.Stats)
+		}
+	}
+}
+
 func mkSend(rank, p, count int) [][]float64 {
 	send := make([][]float64, p)
 	for d := range send {
@@ -481,7 +533,7 @@ func TestBruckMessageCountLogarithmic(t *testing.T) {
 	cfg := machine(16) // 96 ranks
 	p := cfg.Ranks()
 	res := mpi.Run(cfg, func(c *mpi.Comm) {
-		BruckAlltoallN(c, 1024)
+		BruckAlltoall(c, nil, 1024, 1024)
 	})
 	rounds := 0
 	for k := 1; k < p; k <<= 1 {
@@ -493,14 +545,17 @@ func TestBruckMessageCountLogarithmic(t *testing.T) {
 }
 
 // TestBruckWinsAtSmallMessages: in the latency/per-message-cost bound
-// regime the log-round algorithm must beat the linear one.
+// regime the log-round algorithm must beat the linear one and the
+// one-sided ring — the cell that keeps Bruck in the tuner's candidate
+// set (ROADMAP item 27).
 func TestBruckWinsAtSmallMessages(t *testing.T) {
 	cfg := machine(32) // 192 ranks
 	small := 64        // bytes per pair
-	bwLinear := NodeBandwidthSpec(nil, cfg, Spec{Algo: AlgoLinear}, small, 1)
 	bwBruck := NodeBandwidthSpec(nil, cfg, Spec{Algo: AlgoBruck}, small, 1)
-	if bwBruck <= bwLinear {
-		t.Errorf("bruck %.3g not above linear %.3g at small messages", bwBruck, bwLinear)
+	for _, algo := range []string{AlgoLinear, AlgoOSC} {
+		if bw := NodeBandwidthSpec(nil, cfg, Spec{Algo: algo}, small, 1); bwBruck <= bw {
+			t.Errorf("bruck %.3g not above %s %.3g at small messages", bwBruck, algo, bw)
+		}
 	}
 }
 

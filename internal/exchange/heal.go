@@ -193,18 +193,46 @@ func (h *healer) demoteFrom(s int) {
 	h.probeFrom[s] = h.epoch + h.waitFrom[s]
 }
 
-// round runs the post-fence verdict/repair protocol. damaged[s] marks
-// sources whose put payload did not survive the epoch (fence report or
-// decode failure); putSrc/putDst mark the peers that exchanged puts
-// this epoch (fallen-back peers excluded). resend(d) produces the
-// lossless payload for a re-fetch demanded by destination d; accept(s,
-// data) installs a repaired payload from source s.
+// damagedBy clears damaged and marks every source a fence report
+// flags, corrupt or missing.
+func damagedBy(damaged []bool, rep mpi.FenceReport) []bool {
+	clear(damaged)
+	for _, s := range rep.Corrupt {
+		damaged[s] = true
+	}
+	for _, s := range rep.Missing {
+		damaged[s] = true
+	}
+	return damaged
+}
+
+// epilogue is the reliable-mode close of one exchange, shared by OSC
+// and CompressedOSC: it drains the two-sided deliveries of fallen-back
+// sources, then runs the post-fence verdict/repair protocol over the
+// peers that exchanged puts this epoch. recvN[s] and sendN(d) are the
+// plan's sizes from source s and to destination d (0: no traffic).
+// damaged[s] marks sources whose put payload did not survive the epoch
+// (fence report or decode failure). resend(d) produces the lossless
+// payload for a re-fetch demanded by destination d; accept(s, data)
+// installs a fallback or repaired payload from source s.
 //
 // The round is deadlock-free by construction: it is send-only until
 // every peer's matching send has been issued (simulated sends never
 // block), so verdict receives consume step-1 sends and repair receives
 // consume step-3 sends.
-func (h *healer) round(damaged, putSrc, putDst []bool, resend func(int) []byte, accept func(int, []byte)) {
+func (h *healer) epilogue(damaged []bool, recvN []int, sendN func(int) int, resend func(int) []byte, accept func(int, []byte)) {
+	p := len(recvN)
+	for s := 0; s < p; s++ {
+		if recvN[s] > 0 && h.fellFrom[s] {
+			accept(s, h.c.Recv(s, tagFallback))
+		}
+	}
+	putSrc := make([]bool, p)
+	putDst := make([]bool, p)
+	for r := 0; r < p; r++ {
+		putSrc[r] = recvN[r] > 0 && !h.fellFrom[r]
+		putDst[r] = sendN(r) > 0 && !h.fellTo[r]
+	}
 	// Step 1: tell every put source whether its data survived.
 	for s := range putSrc {
 		if !putSrc[s] {

@@ -368,6 +368,37 @@ func TestHealingIdleWithoutFaults(t *testing.T) {
 	}
 }
 
+func TestPhantomOSCSkipsHealing(t *testing.T) {
+	// The phantom exchange carries no data to verify or repair, so even
+	// in reliable mode it closes with a plain fence: its traffic is the
+	// same with a (fault-free) plan as without one — a verdict round
+	// would add two-sided messages.
+	run := func(plan *netsim.FaultPlan) netsim.Stats {
+		cfg := machine(1)
+		cfg.Faults = plan
+		res, err := mpi.RunChecked(cfg, func(c *mpi.Comm) {
+			o := NewOSCPhantom(c, Uniform(128), true)
+			for i := 0; i < 2; i++ {
+				if got := o.Exchange(nil); got != nil {
+					t.Errorf("rank %d: phantom exchange returned %d payloads", c.Rank(), len(got))
+				}
+			}
+			if h := o.Health(); h.Degraded() || h.Promotions > 0 {
+				t.Errorf("rank %d: phantom exchange healed: %v", c.Rank(), h)
+			}
+		})
+		if err != nil {
+			t.Fatalf("run error: %v", err)
+		}
+		return res.Stats
+	}
+	plain, reliable := run(nil), run(&netsim.FaultPlan{Seed: 19})
+	if reliable.Messages != plain.Messages || reliable.Puts != plain.Puts || reliable.Fences != plain.Fences {
+		t.Errorf("reliable phantom traffic %d msgs / %d puts / %d fences, plain %d / %d / %d",
+			reliable.Messages, reliable.Puts, reliable.Fences, plain.Messages, plain.Puts, plain.Fences)
+	}
+}
+
 func TestCompressedOSCSurvivesDropStorm(t *testing.T) {
 	// Transport-level drops healed by retries underneath the exchange:
 	// no degradation surfaces, data intact.

@@ -34,6 +34,7 @@ type OSC struct {
 	sendOff   []int // my offset within each destination's window
 	order     []int
 	expected  []int
+	out       [][]byte // per-source result slices of the window
 	heal      *healer
 	// FlushEvery bounds the number of outstanding puts: after this many
 	// puts the origin waits for their completion (Algorithm 3 line 10
@@ -41,10 +42,10 @@ type OSC struct {
 	// notes unthrottled posting lacks). 0 disables flushing. NewOSC
 	// defaults it to the GPUs-per-node count.
 	FlushEvery int
-	// Logical, when non-nil, gives the bytes charged on the wire for the
-	// pair (dst, src) instead of the real payload size — the
-	// scaled-volume experiment mode, where timing reflects a larger
-	// simulated problem (see DESIGN.md).
+	// Logical gives the bytes charged on the wire for the pair (dst,
+	// src). The constructors set it to the plan's SizeFn; the
+	// scaled-volume experiment mode replaces it, so that timing
+	// reflects a larger simulated problem (see DESIGN.md).
 	Logical SizeFn
 }
 
@@ -57,8 +58,9 @@ func NewOSC(c *mpi.Comm, size SizeFn, nodeAware bool) *OSC {
 }
 
 // NewOSCPhantom builds an OSC whose window holds no real memory; only
-// ExchangeN (timing-only) may be used. It lets bandwidth benches run at
-// rank counts where materializing p² buffers would exhaust memory.
+// the phantom exchange (Exchange(nil), timing-only) may be used. It
+// lets bandwidth benches run at rank counts where materializing p²
+// buffers would exhaust memory.
 func NewOSCPhantom(c *mpi.Comm, size SizeFn, nodeAware bool) *OSC {
 	return newOSC(c, size, nodeAware, false)
 }
@@ -86,18 +88,25 @@ func newOSC(c *mpi.Comm, size SizeFn, nodeAware, alloc bool) *OSC {
 	}
 	sendOff := exchangeOffsets(c, recvSizes, offsets, sendSizes)
 	var buf []byte
+	var out [][]byte
 	if alloc {
 		buf = make([]byte, total)
+		out = make([][]byte, p)
+		for s, n := range recvSizes {
+			out[s] = buf[offsets[s] : offsets[s]+n : offsets[s]+n]
+		}
 	}
 	return &OSC{
 		c:         c,
 		win:       c.WinCreate(buf),
 		size:      size,
+		Logical:   size,
 		recvSizes: recvSizes,
 		offsets:   offsets,
 		sendOff:   sendOff,
 		order:     ringOrder(c, nodeAware),
 		expected:  expected,
+		out:       out,
 		heal:      newHealer(c),
 	}
 }
@@ -117,33 +126,37 @@ func (o *OSC) RestoreLedger(data []byte) error { return o.heal.restore(data) }
 
 // Exchange performs the all-to-all: send[d] goes to rank d and must be
 // size(d, me) bytes. The result, indexed by source, aliases the window
-// buffer and is valid until the next Exchange.
+// buffer and is valid until the next Exchange. A nil send is the
+// phantom exchange, the only one a phantom OSC runs: the same puts with
+// no payloads, no healing, a plain fence and a nil result.
 func (o *OSC) Exchange(send [][]byte) [][]byte {
-	if o.win.Buffer() == nil {
+	if send != nil && o.out == nil {
 		panic("exchange: Exchange on a phantom OSC (use NewOSC)")
 	}
 	me := o.c.Rank()
-	healing := o.heal.active()
-	o.heal.beginEpoch() // may re-enable demoted links whose probe is due
+	healing := send != nil && o.heal.active()
+	if healing {
+		o.heal.beginEpoch() // may re-enable demoted links whose probe is due
+	}
 	pending := 0
 	flushAt := o.c.Now()
 	for _, dst := range o.order {
-		if want := o.size(dst, me); len(send[dst]) != want {
-			panic("exchange: send size does not match the OSC plan")
+		n := o.size(dst, me)
+		var data []byte
+		if send != nil {
+			if data = send[dst]; len(data) != n {
+				panic("exchange: send size does not match the OSC plan")
+			}
 		}
-		if len(send[dst]) == 0 {
+		if n == 0 {
 			continue
 		}
 		if healing && o.heal.fellTo[dst] {
 			// Downgraded link: two-sided, checksummed, retried.
-			o.c.Send(dst, tagFallback, send[dst])
+			o.c.Send(dst, tagFallback, data)
 			continue
 		}
-		logical := len(send[dst])
-		if o.Logical != nil {
-			logical = o.Logical(dst, me)
-		}
-		done := o.win.PutLogical(dst, o.sendOff[dst], send[dst], logical)
+		done := o.win.PutLogical(dst, o.sendOff[dst], data, o.Logical(dst, me))
 		if done > flushAt {
 			flushAt = done
 		}
@@ -152,79 +165,30 @@ func (o *OSC) Exchange(send [][]byte) [][]byte {
 			pending = 0
 		}
 	}
-	buf := o.win.Buffer()
 	if !healing {
 		o.win.Fence(o.expected)
 	} else {
 		rep := o.win.FenceChecked(o.heal.maskExpected(o.expected))
-		o.healEpoch(send, rep, buf)
+		o.heal.epilogue(damagedBy(make([]bool, len(o.recvSizes)), rep), o.recvSizes,
+			func(d int) int { return o.size(d, me) },
+			func(d int) []byte { return send[d] },
+			o.place)
 	}
-	out := make([][]byte, len(o.recvSizes))
-	for s, n := range o.recvSizes {
-		out[s] = buf[o.offsets[s] : o.offsets[s]+n : o.offsets[s]+n]
+	if send == nil {
+		return nil
 	}
-	return out
+	return o.out
 }
 
-// ExchangeN is the phantom variant: size(d, me) logical bytes to each
-// rank, no payloads, no result.
-func (o *OSC) ExchangeN() {
-	me := o.c.Rank()
-	pending := 0
-	flushAt := o.c.Now()
-	for _, dst := range o.order {
-		n := o.size(dst, me)
-		if n == 0 {
-			continue
-		}
-		done := o.win.PutN(dst, o.sendOff[dst], n)
-		if done > flushAt {
-			flushAt = done
-		}
-		if pending++; o.FlushEvery > 0 && pending >= o.FlushEvery {
-			o.flush(flushAt)
-			pending = 0
-		}
-	}
-	o.win.Fence(o.expected)
-}
-
-// healEpoch is the reliable-mode epilogue of one exchange: drain the
-// two-sided deliveries of fallen-back sources, then run the
-// verdict/repair round over whatever the fence flagged, escalating
-// repeatedly failing links to a permanent fallback.
-func (o *OSC) healEpoch(send [][]byte, rep mpi.FenceReport, buf []byte) {
-	me := o.c.Rank()
-	p := o.c.Size()
-	for s := 0; s < p; s++ {
-		if o.recvSizes[s] > 0 && o.heal.fellFrom[s] {
-			o.place(s, o.c.Recv(s, tagFallback), buf)
-		}
-	}
-	damaged := make([]bool, p)
-	for _, s := range rep.Corrupt {
-		damaged[s] = true
-	}
-	for _, s := range rep.Missing {
-		damaged[s] = true
-	}
-	putSrc := make([]bool, p)
-	putDst := make([]bool, p)
-	for r := 0; r < p; r++ {
-		putSrc[r] = o.recvSizes[r] > 0 && !o.heal.fellFrom[r]
-		putDst[r] = o.size(r, me) > 0 && !o.heal.fellTo[r]
-	}
-	o.heal.round(damaged, putSrc, putDst,
-		func(d int) []byte { return send[d] },
-		func(s int, data []byte) { o.place(s, data, buf) })
-}
+// ExchangeN is Exchange(nil), the phantom exchange.
+func (o *OSC) ExchangeN() { o.Exchange(nil) }
 
 // place installs a two-sided payload into source s's window slot.
-func (o *OSC) place(s int, data, buf []byte) {
+func (o *OSC) place(s int, data []byte) {
 	if len(data) != o.recvSizes[s] {
 		panic(fmt.Sprintf("exchange: payload from rank %d carried %d bytes, want %d", s, len(data), o.recvSizes[s]))
 	}
-	copy(buf[o.offsets[s]:], data)
+	copy(o.out[s], data)
 }
 
 // flush waits until the outstanding puts completed at their targets and

@@ -75,9 +75,9 @@ func runWorkload(kind string, seed int64, faults, parallel bool) capture {
 			}
 			switch kind {
 			case "linear":
-				flat(cm.Alltoallv(send))
+				flat(cm.AlltoallvSparse(send, nil, nil))
 			case "pairwise":
-				flat(PairwiseAlltoallv(cm, send))
+				flat(PairwiseAlltoallv(cm, send, nil))
 			case "bruck":
 				flat(BruckAlltoall(cm, send, msgBytes, msgBytes))
 			}

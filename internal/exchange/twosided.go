@@ -7,7 +7,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/mpi"
 	"repro/internal/obs"
-	"repro/internal/obs/errtrack"
 )
 
 // TwoSidedCompressed applies the same lossy compression as CompressedOSC
@@ -17,30 +16,26 @@ import (
 // compression and the one-sided transport — in ablations.
 type TwoSidedCompressed struct {
 	c      *mpi.Comm
-	method compress.Method
 	stream *gpu.Stream
 	counts CountFn
-	// SimCounts enables the scaled-volume mode (see CompressedOSC).
+	// SimCounts gives the value counts used for timing (see
+	// CompressedOSC.SimCounts).
 	SimCounts CountFn
 
-	// Precomputed metric names of this exchange's label (SetLabel).
-	metricRaw, metricWire, metricErr, metricAchieved string
-	metricTrkMaxRel, metricTrkRMS, metricTrkVals     string
-	label                                            string
-	// errScratch holds decompressed values while measuring the achieved
-	// error; allocated lazily and only when an event log is attached.
-	errScratch []float64
+	errAttr // the codec and its attribution under the label
 
 	recvCounts  []int
 	recvNonzero []bool
 	// sendBufs[d] is the compressed staging for rank d, reused across
 	// calls once its receiver has released it: its send-completion lease
 	// is lease+d (mpi.AlltoallvLeased). payload and leases are the
-	// per-call headers handed to the all-to-all.
+	// per-call headers handed to the all-to-all, and logical their wire
+	// bytes.
 	sendBufs [][]byte
 	lease    int
 	payload  [][]byte
 	leases   []int
+	logical  []int
 	out      [][]float64
 }
 
@@ -50,15 +45,17 @@ func NewTwoSidedCompressed(c *mpi.Comm, method compress.Method, stream *gpu.Stre
 	me := c.Rank()
 	x := &TwoSidedCompressed{
 		c:           c,
-		method:      method,
+		errAttr:     errAttr{method: method},
 		stream:      stream,
 		counts:      counts,
+		SimCounts:   counts,
 		recvCounts:  make([]int, p),
 		recvNonzero: make([]bool, p),
 		sendBufs:    make([][]byte, p),
 		lease:       c.NewLeases(p),
 		payload:     make([][]byte, p),
 		leases:      make([]int, p),
+		logical:     make([]int, p),
 		out:         make([][]float64, p),
 	}
 	for s := 0; s < p; s++ {
@@ -79,12 +76,7 @@ func NewTwoSidedCompressed(c *mpi.Comm, method compress.Method, stream *gpu.Stre
 
 // SetLabel names this exchange in the metric registry (see
 // CompressedOSC.SetLabel).
-func (x *TwoSidedCompressed) SetLabel(label string) {
-	x.label = label
-	x.metricRaw, x.metricWire, x.metricErr = obs.CompressMetricNames(label)
-	x.metricAchieved = "compress/" + label + "/achieved_error"
-	x.metricTrkMaxRel, x.metricTrkRMS, x.metricTrkVals = obs.ErrtrackMetricNames(label)
-}
+func (x *TwoSidedCompressed) SetLabel(label string) { x.errAttr.setLabel(label) }
 
 // Exchange compresses send (counts(d, me) float64 values per rank d) on
 // the GPU, runs the two-sided all-to-all on the compressed payloads, and
@@ -96,16 +88,12 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 	me := x.c.Rank()
 	p := x.c.Size()
 	dev := x.stream.Device()
-	simCounts := x.counts
-	if x.SimCounts != nil {
-		simCounts = x.SimCounts
-	}
 
 	// One compression kernel over the whole send buffer, then a full
 	// synchronization — no overlap with communication by design.
 	inBytes, outBytes := 0, 0
 	for d := 0; d < p; d++ {
-		cv := simCounts(d, me)
+		cv := x.SimCounts(d, me)
 		inBytes += 8 * cv
 		outBytes += x.method.MaxCompressedLen(cv)
 	}
@@ -129,67 +117,33 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 	})
 	x.stream.Synchronize()
 
-	// Logical sizes for the scaled-volume mode follow the compression
-	// rate applied to the simulated counts.
-	var logical []int
-	if x.SimCounts != nil {
-		logical = make([]int, p)
-		for d := 0; d < p; d++ {
-			if cv := x.counts(d, me); cv > 0 {
-				logical[d] = len(payload[d]) * simCounts(d, me) / cv
-			}
-		}
-	}
 	var rawBytes, wireBytes int64
 	for d := 0; d < p; d++ {
-		if x.counts(d, me) == 0 {
-			continue
-		}
-		rawBytes += 8 * int64(simCounts(d, me))
-		if logical != nil {
-			wireBytes += int64(logical[d])
-		} else {
-			wireBytes += int64(len(payload[d]))
+		x.logical[d] = 0
+		if cv := x.counts(d, me); cv > 0 {
+			sim := x.SimCounts(d, me)
+			x.logical[d] = slotWire(len(payload[d])-4, cv, sim)
+			rawBytes += 8 * int64(sim)
+			wireBytes += int64(x.logical[d])
 		}
 	}
 	rk := x.c.Obs()
-	rk.Add(x.metricRaw, rawBytes)
-	rk.Add(x.metricWire, wireBytes)
-	rk.Set(x.metricErr, x.method.ErrorBound())
+	x.volume(rk, rawBytes, wireBytes)
 
 	// With an event log attached, measure the error this epoch actually
 	// introduced by round-tripping each compressed payload on the host —
 	// the same per-peer attribution CompressedOSC reports, so ablations
-	// are comparable stage for stage. Wall-clock only, never virtual time.
+	// are comparable stage for stage.
 	if rk.EventsOn() {
-		worstErr, measured := 0.0, false
 		for d := 0; d < p; d++ {
-			if x.counts(d, me) == 0 {
-				continue
+			if x.counts(d, me) > 0 {
+				x.slot(rk, x.c.Now(), d, payload[d], send[d])
 			}
-			st, ok := slotStats(x.method, &x.errScratch, payload[d], send[d])
-			if !ok {
-				continue
-			}
-			measured = true
-			if st.MaxRel > worstErr {
-				worstErr = st.MaxRel
-			}
-			rk.Observe(x.metricTrkMaxRel, st.MaxRel)
-			rk.Observe(x.metricTrkRMS, st.RMS())
-			rk.Add(x.metricTrkVals, st.N)
-			rk.Emit(errtrack.AttrEvent(x.c.Now(), x.label, d, x.method.ErrorBound(), st))
 		}
-		if measured {
-			rk.Observe(x.metricAchieved, worstErr)
-			rk.Emit(obs.Event{
-				T: x.c.Now(), Kind: obs.EventError, Label: x.label, Peer: -1,
-				Value: worstErr, Bound: x.method.ErrorBound(),
-			})
-		}
+		x.achieved(rk, x.c.Now())
 	}
 
-	recv := x.c.AlltoallvLeased(payload, x.leases, x.recvNonzero, logical)
+	recv := x.c.AlltoallvLeased(payload, x.leases, x.recvNonzero, x.logical)
 
 	// Decompress the received slots in one kernel.
 	inBytes, outBytes = 0, 0
@@ -197,7 +151,7 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 		if cnt == 0 {
 			continue
 		}
-		sc := simCounts(me, s)
+		sc := x.SimCounts(me, s)
 		inBytes += x.method.MaxCompressedLen(sc)
 		outBytes += 8 * sc
 	}

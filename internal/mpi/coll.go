@@ -103,73 +103,54 @@ func (c *Comm) AllreduceFloat64(op string, v float64) float64 {
 	return acc
 }
 
-// Alltoallv is the baseline generalized all-to-all: the default linear
+// AlltoallvLeased is the generalized all-to-all: the default linear
 // algorithm of Open MPI's basic module, which posts every send up front
 // (flooding the fabric — this is the behaviour whose degradation Fig. 3
-// shows) and then drains every receive. send[d] is the payload for rank
-// d; the returned slice holds one received payload per source rank. The
-// slice is reused by this rank's next alltoallv, and each payload is the
-// sender's own buffer, handed over zero-copy.
-func (c *Comm) Alltoallv(send [][]byte) [][]byte {
-	return c.alltoallvImpl(send, nil, nil, c.collTag(), false, nil, nil)
-}
-
-// AlltoallvSparse is Alltoallv for callers that know the global pattern
-// (as MPI_Alltoallv's count arrays provide): empty sends are skipped,
-// and only sources with recvNonzero[src] are drained. logical, when
-// non-nil, overrides each message's on-the-wire size for timing (the
-// scaled-volume experiment mode). The payloads are handed over
+// shows) and then drains every receive. Every message is (wire bytes,
+// optional payload):
+//
+//   - send[d] is the payload for rank d; a nil send is the phantom
+//     exchange, which moves no payloads and returns nil.
+//   - logical[d], when non-nil, is the message's size on the wire
+//     (the scaled-volume mode, see DESIGN.md, and the only size a
+//     phantom exchange has); nil charges len(send[d]).
+//   - recvNonzero, when non-nil, carries the global pattern (as
+//     MPI_Alltoallv's count arrays do): empty sends are skipped, and
+//     only sources with recvNonzero[src] are drained.
+//   - lease[d] is the send-completion id LeasedBuf gave send[d]
+//     (lease.go), or 0 for a buffer the caller will not reuse; nil
+//     means none. Each leased payload stays busy until its receiver's
+//     ReleaseRecv.
+//
+// The returned slice holds one received payload per source rank and is
+// reused by this rank's next all-to-all. Payloads are handed over
 // zero-copy: a sender must not modify send[d] until rank d is done with
-// it — AlltoallvLeased tells it when.
-func (c *Comm) AlltoallvSparse(send [][]byte, recvNonzero []bool, logical []int) [][]byte {
-	return c.alltoallvImpl(send, nil, recvNonzero, c.collTag(), false, logical, nil)
-}
-
-// AlltoallvLeased is AlltoallvSparse over reusable send buffers with
-// send completion (lease.go): lease[d] is the id LeasedBuf gave send[d],
-// or 0 for a buffer the caller will not reuse. Each leased payload stays
-// busy until its receiver's ReleaseRecv.
+// it, which its lease tells.
 func (c *Comm) AlltoallvLeased(send [][]byte, lease []int, recvNonzero []bool, logical []int) [][]byte {
-	return c.alltoallvImpl(send, nil, recvNonzero, c.collTag(), false, logical, lease)
-}
-
-// AlltoallvN is the phantom variant of Alltoallv: sizes[d] logical bytes
-// are sent to each rank d with no payload. It returns nothing.
-func (c *Comm) AlltoallvN(sizes []int) {
-	c.alltoallvImpl(nil, sizes, nil, c.collTag(), true, nil, nil)
-}
-
-func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, base int, phantom bool, logicalSizes, lease []int) [][]byte {
 	p := c.Size()
 	r := c.Rank()
-	logical := func(dst int) int {
-		switch {
-		case phantom:
-			return sizes[dst]
-		case logicalSizes != nil:
-			return logicalSizes[dst]
-		default:
-			return len(send[dst])
-		}
-	}
+	base := c.collTag()
 	sparse := recvNonzero != nil
 	// Post all sends in rank order, self first (mirrors the basic
 	// linear implementation); sparse mode skips empty peers.
 	active := 0
 	for i := 0; i < p; i++ {
 		dst := (r + i) % p
-		n := logical(dst)
+		var payload []byte
+		if send != nil {
+			payload = send[dst]
+		}
+		n := len(payload)
+		if logical != nil {
+			n = logical[dst]
+		}
 		if sparse && n == 0 {
 			continue
 		}
 		active++
-		var payload []byte
 		meta := 0
-		if !phantom {
-			payload = send[dst]
-			if lease != nil {
-				meta = lease[dst]
-			}
+		if lease != nil {
+			meta = lease[dst]
 		}
 		lat, proto := c.rendezvousCost(dst, n)
 		c.p.SendMsg(dst, base, netsim.SendOpts{Payload: payload, Bytes: n, Meta: meta, ExtraLatency: lat, ProtoOverhead: proto})
@@ -187,11 +168,13 @@ func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, bas
 		}
 		matchCost = cfg.MatchCost * float64(depth)
 	}
-	if !phantom {
+	var recv [][]byte
+	if send != nil {
 		if c.recv == nil {
 			c.recv = make([][]byte, p)
 		}
-		clear(c.recv)
+		recv = c.recv
+		clear(recv)
 	}
 	latest := c.Now()
 	for i := 0; i < p; i++ {
@@ -201,19 +184,25 @@ func (c *Comm) alltoallvImpl(send [][]byte, sizes []int, recvNonzero []bool, bas
 		}
 		pkt := c.recvInternal(src, base)
 		c.Elapse(matchCost)
-		if !phantom {
-			c.recv[src] = pkt.Payload
-			if pkt.Meta != 0 {
-				c.held = append(c.held, heldLease{pkt.Src, pkt.Meta})
-			}
+		if recv != nil {
+			recv[src] = pkt.Payload
+		}
+		if pkt.Meta != 0 {
+			c.held = append(c.held, heldLease{pkt.Src, pkt.Meta})
 		}
 		if pkt.Arrival > latest {
 			latest = pkt.Arrival
 		}
 	}
 	c.AdvanceTo(latest)
-	if phantom {
-		return nil
-	}
-	return c.recv
+	return recv
 }
+
+// AlltoallvSparse is AlltoallvLeased without send completion.
+func (c *Comm) AlltoallvSparse(send [][]byte, recvNonzero []bool, logical []int) [][]byte {
+	return c.AlltoallvLeased(send, nil, recvNonzero, logical)
+}
+
+// AlltoallvN is the dense phantom all-to-all: sizes[d] wire bytes to
+// each rank d, no payloads.
+func (c *Comm) AlltoallvN(sizes []int) { c.AlltoallvLeased(nil, nil, nil, sizes) }

@@ -246,10 +246,10 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 }
 
 // SendLogical is Send charging logical wire bytes for the message
-// instead of len(data) — the scaled-volume mode (see DESIGN.md) for
-// algorithms that must still move real payloads, the two-sided analogue
-// of the one-sided window's Logical size function. logical == len(data)
-// is exactly Send.
+// instead of len(data): the scaled-volume mode (see DESIGN.md), the
+// two-sided analogue of the one-sided window's Logical size function.
+// logical == len(data) is exactly Send, and nil data is a phantom
+// message of logical bytes, timed like a real one.
 func (c *Comm) SendLogical(dst, tag int, data []byte, logical int) {
 	checkUserTag(tag)
 	if c.reliable {
@@ -264,21 +264,6 @@ func (c *Comm) SendLogical(dst, tag int, data []byte, logical int) {
 	}
 	lat, proto := c.rendezvousCost(dst, logical)
 	c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical, ExtraLatency: lat, ProtoOverhead: proto})
-}
-
-// SendN transmits a phantom message of n logical bytes (no payload),
-// used by bandwidth benchmarks at scales where materializing the data
-// would be infeasible. Timing is identical to Send.
-func (c *Comm) SendN(dst, tag, n int) {
-	checkUserTag(tag)
-	if c.reliable {
-		payload := frame(c.nextSendSeq(dst, tag), nil)
-		lat, proto := c.rendezvousCost(dst, n)
-		c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: n + frameHdr, ExtraLatency: lat, ProtoOverhead: proto})
-		return
-	}
-	lat, proto := c.rendezvousCost(dst, n)
-	c.p.SendMsg(dst, tag, netsim.SendOpts{Bytes: n, ExtraLatency: lat, ProtoOverhead: proto})
 }
 
 // Recv blocks until the message from src with the given tag arrives and

@@ -117,7 +117,7 @@ func TestCollectivesSurviveDropStorm(t *testing.T) {
 		for d := range send {
 			send[d] = []byte{byte(c.Rank())}
 		}
-		for r, p := range c.Alltoallv(send) {
+		for r, p := range c.AlltoallvSparse(send, nil, nil) {
 			if len(p) != 1 || p[0] != byte(r) {
 				t.Errorf("rank %d alltoallv[%d] = %v", c.Rank(), r, p)
 			}
@@ -147,7 +147,7 @@ func TestAlltoallvUnderFaults(t *testing.T) {
 		for d := range send {
 			send[d] = bytes.Repeat([]byte{byte(c.Rank()<<4 | d)}, 128)
 		}
-		recv := c.Alltoallv(send)
+		recv := c.AlltoallvSparse(send, nil, nil)
 		for s, p := range recv {
 			want := bytes.Repeat([]byte{byte(s<<4 | c.Rank())}, 128)
 			if !bytes.Equal(p, want) {

@@ -74,7 +74,7 @@ func TestAlltoallvSparseAsymmetric(t *testing.T) {
 		for d := range dense {
 			dense[d] = []byte{byte(d)}
 		}
-		c.Alltoallv(dense)
+		c.AlltoallvSparse(dense, nil, nil)
 		send := make([][]byte, p)
 		recvNonzero := make([]bool, p)
 		for d := range send {
@@ -221,8 +221,8 @@ func TestEagerThresholdSwitch(t *testing.T) {
 	Run(cfg, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.SendN(6, 1, DefaultEagerThreshold)
-			c.SendN(6, 2, DefaultEagerThreshold+1)
+			c.SendLogical(6, 1, nil, DefaultEagerThreshold)
+			c.SendLogical(6, 2, nil, DefaultEagerThreshold+1)
 		case 6:
 			a := c.RecvPacket(0, 1)
 			b := c.RecvPacket(0, 2)

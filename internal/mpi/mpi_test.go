@@ -47,7 +47,7 @@ func TestRendezvousSurcharge(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			c.SetEagerThreshold(big + 1)
-			c.SendN(6, 1, big)
+			c.SendLogical(6, 1, nil, big)
 		case 6:
 			c.SetEagerThreshold(big + 1)
 			pkt := c.RecvPacket(0, 1)
@@ -57,7 +57,7 @@ func TestRendezvousSurcharge(t *testing.T) {
 	Run(cfg, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
-			c.SendN(6, 1, big) // default threshold: rendezvous
+			c.SendLogical(6, 1, nil, big) // default threshold: rendezvous
 		case 6:
 			pkt := c.RecvPacket(0, 1)
 			rdvT = pkt.Arrival
@@ -121,7 +121,7 @@ func TestAlltoallvCorrectness(t *testing.T) {
 				// Variable sizes: rank r sends r+d+1 bytes to d.
 				send[d] = bytes.Repeat([]byte{byte(10*c.Rank() + d)}, c.Rank()+d+1)
 			}
-			recv := c.Alltoallv(send)
+			recv := c.AlltoallvSparse(send, nil, nil)
 			for s := 0; s < p; s++ {
 				want := bytes.Repeat([]byte{byte(10*s + c.Rank())}, s+c.Rank()+1)
 				if !bytes.Equal(recv[s], want) {

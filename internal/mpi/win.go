@@ -78,24 +78,11 @@ func (w *Win) PutLogical(target, offset int, data []byte, logical int) (completi
 	})
 }
 
-// PutN is the phantom variant of PutLogical: n logical bytes, no payload (in
+// PutN is PutLogical of a phantom payload: n wire bytes, no data (in
 // reliable mode a header-only frame so the fence can still account for
 // it).
 func (w *Win) PutN(target, offset, n int) (completion float64) {
-	idx := w.puts[target]
-	w.puts[target]++
-	w.c.obs.Add(metricPuts, 1)
-	w.c.obs.Add(metricPutBytes, int64(n))
-	var payload []byte
-	bytes := n
-	if w.c.reliable {
-		payload = putFrame(uint32(w.fenced), uint32(idx), nil)
-		bytes += putHdr
-	}
-	return w.c.p.SendMsg(target, w.tag, netsim.SendOpts{
-		Payload: payload, Bytes: bytes, Meta: offset,
-		ProtoOverhead: w.c.Config().RMAOverhead, Unmatched: true,
-	})
+	return w.PutLogical(target, offset, nil, n)
 }
 
 // Fence closes an access epoch: it drains the expected put packets into
