@@ -143,10 +143,12 @@ chaos-recovery:
 # snapshot frame decoder and round-trip (internal/recover), the hostile
 # window-slot decoder (internal/exchange), the tune-plan loader
 # (internal/tune), the arithmetic reshape plan against the box-table
-# one (internal/grid), and the word-at-a-time Trim, Cast16 and
+# one (internal/grid), the word-at-a-time Trim, Cast16 and
 # Scaled(Cast16) kernels against their byte-at-a-time reference copies
-# (internal/compress). The patterns are anchored:
-# `go test -fuzz` rejects a pattern matching more than one target.
+# (internal/compress), and the engine's per-source inbox against the
+# per-(src, tag) map queue it replaced (internal/netsim). The patterns
+# are anchored: `go test -fuzz` rejects a pattern matching more than
+# one target.
 # Part of `make verify`; corpus findings land in testdata/fuzz/ — commit
 # them as regression seeds.
 FUZZTIME = 5s
@@ -157,6 +159,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzLoadTunePlan$$' -fuzztime $(FUZZTIME) ./internal/tune/
 	go test -run '^$$' -fuzz '^FuzzPlanFor$$' -fuzztime $(FUZZTIME) ./internal/grid/
 	go test -run '^$$' -fuzz '^FuzzCodecMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/compress/
+	go test -run '^$$' -fuzz '^FuzzMailbox$$' -fuzztime $(FUZZTIME) ./internal/netsim/
 
 # trace-demo runs a small compressed strong-scaling cell and writes a
 # Chrome-trace JSON (open in chrome://tracing or ui.perfetto.dev) plus

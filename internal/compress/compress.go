@@ -246,7 +246,7 @@ func (t Trim) Compress(dst []byte, src []float64) int {
 	i, n := 0, 0
 	for ; width <= 32 && i < len(src); i++ {
 		// Layout: sign(1) | exponent(11) | top M mantissa bits.
-		acc |= precision.TrimBits(math.Float64bits(src[i]), t.M) >> shift << bits
+		acc |= trimBits(math.Float64bits(src[i]), t.M) >> shift << bits
 		if bits += width; bits >= 32 {
 			binary.LittleEndian.PutUint32(dst[n:], uint32(acc))
 			acc >>= 32
@@ -256,9 +256,24 @@ func (t Trim) Compress(dst []byte, src []float64) int {
 	}
 	w := bitWriter{buf: dst, acc: acc, bits: bits, n: n}
 	for ; i < len(src); i++ {
-		w.write(precision.TrimBits(math.Float64bits(src[i]), t.M)>>shift, width)
+		w.write(trimBits(math.Float64bits(src[i]), t.M)>>shift, width)
 	}
 	return w.flush()
+}
+
+// trimBits is precision.TrimBits for a stream that keeps only the top m
+// mantissa bits: a NaN whose payload lies entirely below them gets its
+// quiet bit (bit 51) set, so it still decodes as a NaN. With m = 0 the
+// stream keeps no mantissa bit, and a NaN decodes as the infinity of
+// its sign.
+func trimBits(b uint64, m uint) uint64 {
+	if b>>52&0x7ff == 0x7ff {
+		if b<<12 != 0 && b<<12>>(64-m) == 0 {
+			b |= 1 << 51
+		}
+		return b
+	}
+	return precision.TrimBits(b, m)
 }
 
 // Decompress implements Method. It mirrors Compress: widths up to 32

@@ -79,6 +79,30 @@ func TestTrimZeroMantissaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTrimKeepsLowPayloadNaN: a NaN whose payload lies entirely below
+// the kept mantissa bits decodes as a NaN of its sign, on the fused
+// (M ≤ 20) and the bitWriter (M ≥ 21) paths. Infinities, a quiet NaN
+// and finite values keep their bits above the cut, as before.
+func TestTrimKeepsLowPayloadNaN(t *testing.T) {
+	src := []float64{
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff0000000000100),
+		math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8000000000001), 1.5,
+	}
+	for _, m := range []uint{1, 8, 20, 21, 40, 51} {
+		out := roundTrip(t, Trim{M: m}, src)
+		for i, v := range out {
+			b := math.Float64bits(src[i])
+			if i < 2 {
+				if !math.IsNaN(v) || math.Signbit(v) != math.Signbit(src[i]) {
+					t.Errorf("Trim(%d): NaN %#016x decoded as %v (%#016x)", m, b, v, math.Float64bits(v))
+				}
+			} else if want := b &^ (1<<(52-m) - 1); math.Float64bits(v) != want {
+				t.Errorf("Trim(%d): %#016x decoded as %#016x, want %#016x", m, b, math.Float64bits(v), want)
+			}
+		}
+	}
+}
+
 func TestScaledTrimComposition(t *testing.T) {
 	// Scaled wraps any inner method, including bit-packed trim.
 	src := []float64{1e8, -2e9, 3e7, 0}

@@ -78,13 +78,20 @@ func (r *refBitReader) read(width uint) uint64 {
 func (r *refBitReader) consumed() int { return r.n }
 
 // refTrimFloat64 rounds x to m mantissa bits on a float64 round trip.
+// Inf and NaN keep their bits, except that a NaN whose payload lies
+// entirely below the top m mantissa bits (m ≥ 1) gets its quiet bit
+// set, so it survives the trim as a NaN.
 func refTrimFloat64(x float64, m uint) float64 {
 	if m >= 52 {
 		return x
 	}
 	b := math.Float64bits(x)
 	exp := b >> 52 & 0x7ff
-	if exp == 0x7ff { // Inf/NaN untouched
+	if exp == 0x7ff {
+		mant := b & (1<<52 - 1)
+		if m >= 1 && mant != 0 && mant>>(52-m) == 0 {
+			return math.Float64frombits(b | 1<<51)
+		}
 		return x
 	}
 	shift := 52 - m
@@ -256,15 +263,14 @@ func checkMatches(t testing.TB, got, want Method, src []float64) {
 }
 
 // checkNonFinite requires every ±Inf of src to decode to the same
-// infinity and every NaN to a NaN. Trim keeps only the top M mantissa
-// bits, so a NaN whose payload lies entirely below them decodes to the
-// infinity of its sign (Trim(0) turns every NaN into one): a known
-// departure, asserted so that a fix flips it.
+// infinity and every NaN to a NaN. Trim(0) keeps no mantissa bit, so it
+// turns every NaN into the infinity of its sign: a known departure,
+// asserted so that a fix flips it.
 func checkNonFinite(t testing.TB, m Method, src, got []float64) {
 	t.Helper()
 	for i, v := range src {
 		want := v
-		if tr, ok := m.(Trim); ok && math.IsNaN(v) && math.Float64bits(v)&(1<<52-1)>>(52-tr.M) == 0 {
+		if tr, ok := m.(Trim); ok && tr.M == 0 && math.IsNaN(v) {
 			want = math.Copysign(math.Inf(1), v)
 		}
 		if math.IsInf(want, 0) && got[i] != want || math.IsNaN(want) && !math.IsNaN(got[i]) {

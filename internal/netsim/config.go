@@ -66,10 +66,11 @@ type Config struct {
 	Faults *FaultPlan `json:"-"`
 
 	// FaultObserver, when non-nil, receives one FaultEvent per injected
-	// fault as the engine decides it. Like Tracer it is called only from
-	// the scheduler goroutine — in parallel mode too — so observation
-	// order is deterministic and observing never perturbs virtual time.
-	// It must not call back into the engine.
+	// fault as the engine decides it. Like Tracer it is called serially,
+	// in processing order, on whichever goroutine holds the baton (the
+	// scheduler's in parallel mode), so observation order is
+	// deterministic and observing never perturbs virtual time. It must
+	// not call back into the engine.
 	FaultObserver func(FaultEvent) `json:"-"`
 
 	// MatchCost is the receiver-side cost of scanning one entry of the

@@ -117,11 +117,14 @@ type Proc struct {
 	deadline float64 // watchdog deadline of the blocked match (0 = none)
 	timedOut bool
 	crashed  bool
-	mailbox  map[pktKey][]Packet
+	// inbox holds, per source rank, the packets queued for this rank in
+	// arrival order: a circular list, inbox[src] its newest node (whose
+	// next is the oldest). Matching walks one source's list for the
+	// oldest packet with the tag, which is MPI's per-(src, tag) FIFO.
+	inbox    []*pktNode
 	buffered int // matchable packets queued (unexpected-queue length)
 	done     bool
 	err      interface{} // recovered panic value
-	heapIdx  int
 
 	// One-sided synchronization counters (CountFence/CountFlush). They
 	// are per-proc — rank bodies increment them while running, which in
@@ -241,9 +244,8 @@ func (p *Proc) SendMsg(dst, tag int, opts SendOpts) (arrival float64) {
 // Recv blocks until a message from src with the given tag arrives, and
 // returns it. The rank's clock advances to the arrival time.
 func (p *Proc) Recv(src, tag int) Packet {
-	p.req = request{kind: reqMatch, src: src, tag: tag}
-	p.yield()
-	return p.resp
+	pkt, _ := p.RecvDeadline(src, tag, 0)
+	return pkt
 }
 
 // RecvDeadline is Recv with a virtual-time watchdog: if no matching
@@ -253,6 +255,9 @@ func (p *Proc) Recv(src, tag int) Packet {
 // runnable work — exactly the condition under which the receive would
 // otherwise hang — so healthy traffic is never cut short.
 func (p *Proc) RecvDeadline(src, tag int, deadline float64) (Packet, bool) {
+	if src < 0 || src >= len(p.eng.procs) {
+		panic(fmt.Sprintf("netsim: receive from invalid rank %d", src))
+	}
 	p.req = request{kind: reqMatch, src: src, tag: tag, deadline: deadline}
 	p.yield()
 	if p.timedOut {
@@ -262,8 +267,34 @@ func (p *Proc) RecvDeadline(src, tag int, deadline float64) (Packet, bool) {
 	return p.resp, true
 }
 
+// yield hands p's request to the engine. In parallel mode and during
+// bring-up it goes to the scheduler on Run's goroutine. Otherwise p holds
+// the baton: it processes requests in (clock, rank) order until some
+// proc must resume, and returns at once if that is p, else wakes it and
+// parks. With nothing left to process, the baton goes back to Run.
 func (p *Proc) yield() {
-	p.eng.yieldCh <- p
+	eng := p.eng
+	next := p
+	if eng.baton && eng.ready.Len() > 0 && earlier(eng.ready[0], p) {
+		next, eng.ready[0] = eng.ready[0], p
+		heap.Fix(&eng.ready, 0)
+	}
+	for eng.baton {
+		if eng.discardCrashed(next) {
+			eng.alive--
+		} else if !eng.process(next) {
+			if next != p {
+				next.wake <- struct{}{}
+				<-p.wake
+			}
+			return
+		}
+		if eng.ready.Len() == 0 {
+			break
+		}
+		next = heap.Pop(&eng.ready).(*Proc)
+	}
+	eng.yieldCh <- p
 	<-p.wake
 }
 
@@ -276,6 +307,8 @@ type Engine struct {
 	bus     []resource
 	yieldCh chan *Proc
 	ready   procHeap
+	baton   bool // sequential bring-up is over: yielding bodies schedule
+	alive   int  // bodies neither finished nor crashed
 	// running holds the procs whose bodies are executing concurrently in
 	// parallel mode, ordered by (lb, rank); empty in sequential mode.
 	running runHeap
@@ -285,6 +318,10 @@ type Engine struct {
 	// deadlocks become a returned error instead of an engine panic.
 	check bool
 	fails []RankFailure
+
+	free   *pktNode  // matched pooled inbox nodes, for reuse
+	pooled int       // pooled nodes allocated so far (≤ nodePool)
+	slab   []pktNode // uncarved rest of the current overflow slab
 }
 
 // Run executes body once per rank of the machine described by cfg and
@@ -326,8 +363,9 @@ var envParallel = sync.OnceValue(func() bool {
 	return v != "" && v != "0"
 })
 
-// newEngine builds the engine and spawns one (parked) goroutine per
-// rank; nothing runs until the scheduler wakes it.
+// newEngine builds the engine (one P×P table holds every inbox) and
+// spawns one parked goroutine per rank running body, none if body is
+// nil; nothing runs until the scheduler wakes it.
 func newEngine(cfg Config, body func(*Proc), check bool) *Engine {
 	n := cfg.Ranks()
 	eng := &Engine{
@@ -337,22 +375,27 @@ func newEngine(cfg Config, body func(*Proc), check bool) *Engine {
 		ingress: make([]resource, cfg.Nodes),
 		bus:     make([]resource, cfg.Nodes),
 		yieldCh: make(chan *Proc),
+		alive:   n,
 		check:   check,
 	}
 	if cfg.Faults != nil {
 		eng.inj = newInjector(cfg.Faults, &eng.stats.Faults)
 	}
-	for r := 0; r < n; r++ {
-		p := &Proc{
-			eng:     eng,
-			rank:    r,
-			node:    cfg.NodeOf(r),
-			wake:    make(chan struct{}),
-			mailbox: make(map[pktKey][]Packet),
-			heapIdx: -1,
-			runIdx:  -1,
+	inboxes := make([]*pktNode, n*n)
+	for r := range eng.procs {
+		eng.procs[r] = &Proc{
+			eng:    eng,
+			rank:   r,
+			node:   cfg.NodeOf(r),
+			wake:   make(chan struct{}),
+			inbox:  inboxes[r*n : (r+1)*n : (r+1)*n],
+			runIdx: -1,
 		}
-		eng.procs[r] = p
+	}
+	if body == nil {
+		return eng
+	}
+	for _, p := range eng.procs {
 		go func() {
 			<-p.wake
 			defer func() {
@@ -367,21 +410,20 @@ func newEngine(cfg Config, body func(*Proc), check bool) *Engine {
 }
 
 // runSequential is the classic cooperative engine: exactly one rank
-// goroutine is runnable at any moment and the scheduler always resumes
-// the pending request with the smallest (clock, rank).
+// goroutine is runnable at any moment and requests are processed in
+// (clock, rank) order, after bring-up by the yielding bodies themselves
+// (Proc.yield). Body panics and deadlocks still surface here.
 func (eng *Engine) runSequential() (Result, error) {
 	// Pinning to one OS thread avoids cross-core channel handoffs,
 	// which dominate wall time at large rank counts.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	alive := len(eng.procs)
-	// Bring every proc to its first request.
+	// Bring every proc to its first request, then pass the baton.
 	for _, p := range eng.procs {
-		if eng.resume(p) {
-			alive--
-		}
+		eng.resume(p)
 	}
+	eng.baton = true
 	var deadlock *DeadlockError
-	for alive > 0 {
+	for eng.alive > 0 {
 		if eng.ready.Len() == 0 {
 			if eng.fireDeadline() {
 				continue
@@ -394,13 +436,9 @@ func (eng *Engine) runSequential() (Result, error) {
 		}
 		p := heap.Pop(&eng.ready).(*Proc)
 		if eng.discardCrashed(p) {
-			alive--
-			continue
-		}
-		if !eng.process(p) {
-			if eng.resume(p) {
-				alive--
-			}
+			eng.alive--
+		} else if !eng.process(p) {
+			eng.resume(p)
 		}
 	}
 	return eng.finalize(deadlock)
@@ -418,37 +456,34 @@ func (eng *Engine) runSequential() (Result, error) {
 // set — no concurrently executing body can still produce an earlier
 // event. When the head is not safe the scheduler blocks for the next
 // yield, shrinking the running set until it is. All engine state
-// (resources, mailboxes, stats, fault injector, tracer) is touched only
+// (resources, inboxes, stats, fault injector, tracer) is touched only
 // by this scheduler goroutine, in the sequential processing order;
 // bodies only ever touch their own Proc between yields.
 func (eng *Engine) runParallel() (Result, error) {
-	alive := len(eng.procs)
 	// Launch every body; all of them run concurrently from the start.
 	for _, p := range eng.procs {
 		eng.resumeAsync(p)
 	}
 	var deadlock *DeadlockError
 loop:
-	for alive > 0 {
+	for eng.alive > 0 {
 		// Draining may retire the last finishers — re-check before
 		// concluding anything from an empty ready+running state.
-		if eng.drainYields(&alive); alive == 0 {
+		if eng.drainYields(); eng.alive == 0 {
 			break
 		}
 		switch {
 		case eng.ready.Len() > 0 && eng.safeHead():
 			p := heap.Pop(&eng.ready).(*Proc)
 			if eng.discardCrashed(p) {
-				alive--
-				continue
-			}
-			if !eng.process(p) {
+				eng.alive--
+			} else if !eng.process(p) {
 				eng.resumeAsync(p)
 			}
 		case eng.running.Len() > 0:
 			// The earliest pending request may still come from a body
 			// that is executing; wait for one to yield or finish.
-			eng.admit(<-eng.yieldCh, &alive)
+			eng.admit(<-eng.yieldCh)
 		default:
 			// No body running, none ready: all live ranks are blocked —
 			// the exact condition of the sequential engine's idle path.
@@ -477,21 +512,23 @@ func (eng *Engine) process(p *Proc) (blocked bool) {
 	case reqDeliver:
 		eng.deliver(p)
 	case reqMatch:
-		key := pktKey{p.req.src, p.req.tag}
-		if q := p.mailbox[key]; len(q) > 0 && (p.req.deadline == 0 || q[0].Arrival <= p.req.deadline) {
-			eng.completeMatch(p, key)
-		} else if len(q) > 0 && p.req.deadline > 0 {
+		src, deadline := p.req.src, p.req.deadline
+		prev := p.find(src, p.req.tag)
+		switch {
+		case prev == nil:
+			p.blocked = true
+			p.pending = pktKey{src, p.req.tag}
+			p.deadline = deadline
+			return true
+		case deadline == 0 || prev.next.pkt.Arrival <= deadline:
+			eng.completeMatch(p, src, prev)
+		default:
 			// A message is queued but arrives after the deadline:
 			// the watchdog fires at the deadline instant.
-			if p.req.deadline > p.clock {
-				p.clock = p.req.deadline
+			if deadline > p.clock {
+				p.clock = deadline
 			}
 			p.timedOut = true
-		} else {
-			p.blocked = true
-			p.pending = key
-			p.deadline = p.req.deadline
-			return true
 		}
 	case reqResolved:
 	default:
@@ -546,11 +583,11 @@ func (eng *Engine) resumeAsync(p *Proc) {
 
 // drainYields admits every yield already queued on yieldCh without
 // blocking, so the safety check sees the freshest running set.
-func (eng *Engine) drainYields(alive *int) {
+func (eng *Engine) drainYields() {
 	for {
 		select {
 		case q := <-eng.yieldCh:
-			eng.admit(q, alive)
+			eng.admit(q)
 		default:
 			return
 		}
@@ -559,19 +596,25 @@ func (eng *Engine) drainYields(alive *int) {
 
 // admit moves a yielded proc from the running set to the ready heap
 // (or retires it if its body finished).
-func (eng *Engine) admit(q *Proc, alive *int) {
+func (eng *Engine) admit(q *Proc) {
 	heap.Remove(&eng.running, q.runIdx)
 	if q.done {
-		*alive--
-		if q.err != nil {
-			if !eng.check {
-				panic(q.err)
-			}
-			eng.fails = append(eng.fails, RankFailure{Rank: q.rank, Value: q.err})
-		}
-		return
+		eng.retire(q)
+	} else {
+		heap.Push(&eng.ready, q)
 	}
-	heap.Push(&eng.ready, q)
+}
+
+// retire takes a finished body off the live count; its panic
+// propagates (Run) or is collected (RunChecked).
+func (eng *Engine) retire(q *Proc) {
+	eng.alive--
+	if q.err != nil {
+		if !eng.check {
+			panic(q.err)
+		}
+		eng.fails = append(eng.fails, RankFailure{Rank: q.rank, Value: q.err})
+	}
 }
 
 // safeHead reports whether the ready heap's minimum request is ordered
@@ -589,22 +632,17 @@ func (eng *Engine) safeHead() bool {
 	return h.rank < r.rank
 }
 
-// resume transfers control to p until it yields again; it returns true
-// if p finished. A yielding p with a fresh request is queued.
-func (eng *Engine) resume(p *Proc) (finished bool) {
+// resume wakes p and waits for the baton to come back (sequential mode):
+// a body finished, or found nothing left to process. During bring-up, a
+// yielding p with its first request is queued.
+func (eng *Engine) resume(p *Proc) {
 	p.wake <- struct{}{}
-	q := <-eng.yieldCh
-	if q.done {
-		if q.err != nil {
-			if !eng.check {
-				panic(q.err)
-			}
-			eng.fails = append(eng.fails, RankFailure{Rank: q.rank, Value: q.err})
-		}
-		return true
+	switch q := <-eng.yieldCh; {
+	case q.done:
+		eng.retire(q)
+	case !eng.baton:
+		heap.Push(&eng.ready, q)
 	}
-	heap.Push(&eng.ready, q)
-	return false
 }
 
 // fireDeadline resolves the earliest watchdog deadline among blocked
@@ -744,38 +782,31 @@ func (eng *Engine) deliver(p *Proc) {
 		return
 	}
 	dst := eng.procs[req.dst]
-	key := pktKey{p.rank, req.tag}
 	copies := 1
 	if duplicated {
 		copies = 2
 	}
 	for i := 0; i < copies; i++ {
-		dst.mailbox[key] = append(dst.mailbox[key], pkt)
+		eng.push(dst, pkt)
 		if !pkt.unmatched {
 			dst.buffered++
 		}
 	}
 
-	if dst.blocked && dst.pending == key && (dst.deadline == 0 || pkt.Arrival <= dst.deadline) {
+	if dst.blocked && dst.pending == (pktKey{p.rank, req.tag}) && (dst.deadline == 0 || pkt.Arrival <= dst.deadline) {
 		dst.blocked = false
 		dst.deadline = 0
-		eng.completeMatch(dst, key)
+		eng.completeMatch(dst, p.rank, dst.find(p.rank, req.tag))
 		dst.req.kind = reqResolved
 		heap.Push(&eng.ready, dst)
 	}
 }
 
-// completeMatch pops the earliest packet for key into p.resp and raises
-// p's clock to its arrival, charging the message-matching cost for
-// two-sided packets (proportional to the unexpected-queue depth).
-func (eng *Engine) completeMatch(p *Proc, key pktKey) {
-	q := p.mailbox[key]
-	pkt := q[0]
-	if len(q) == 1 {
-		delete(p.mailbox, key)
-	} else {
-		p.mailbox[key] = q[1:]
-	}
+// completeMatch takes the packet after prev into p.resp and raises p's
+// clock to its arrival, charging the message-matching cost for two-sided
+// packets (proportional to the unexpected-queue depth).
+func (eng *Engine) completeMatch(p *Proc, src int, prev *pktNode) {
+	pkt := eng.take(p, src, prev)
 	if pkt.Arrival > p.clock {
 		p.clock = pkt.Arrival
 	}
@@ -793,6 +824,76 @@ func (eng *Engine) completeMatch(p *Proc, key pktKey) {
 	p.resp = pkt
 }
 
+// pktNode is one queued packet of a per-source inbox list.
+type pktNode struct {
+	pkt    Packet
+	next   *pktNode
+	pooled bool // recycled through Engine.free when matched
+}
+
+// nodePool caps the inbox nodes an engine recycles; a node beyond it is
+// carved from a slab of slabNodes and left to the collector once
+// matched, because recycling slab nodes would pin whole slabs.
+const nodePool, slabNodes = 1024, 256
+
+// push appends pkt to p's inbox for its source.
+func (eng *Engine) push(p *Proc, pkt Packet) {
+	n := eng.free
+	switch {
+	case n != nil:
+		eng.free = n.next
+	case eng.pooled < nodePool:
+		eng.pooled++
+		n = &pktNode{pooled: true}
+	default:
+		if len(eng.slab) == 0 {
+			eng.slab = make([]pktNode, slabNodes)
+		}
+		n, eng.slab = &eng.slab[0], eng.slab[1:]
+	}
+	n.pkt = pkt
+	if tail := p.inbox[pkt.Src]; tail != nil {
+		n.next, tail.next = tail.next, n
+	} else {
+		n.next = n
+	}
+	p.inbox[pkt.Src] = n
+}
+
+// find returns the node before the oldest packet from src with the
+// given tag in p's inbox (the newest node precedes the oldest), or nil
+// if none is queued.
+func (p *Proc) find(src, tag int) *pktNode {
+	tail := p.inbox[src]
+	for prev := tail; prev != nil; prev = prev.next {
+		if prev.next.pkt.Tag == tag {
+			return prev
+		}
+		if prev.next == tail {
+			break
+		}
+	}
+	return nil
+}
+
+// take unlinks the node after prev from p's inbox for src and returns
+// its packet. The node is zeroed, so it holds no payload, and goes back
+// to the free list if it is a pooled one.
+func (eng *Engine) take(p *Proc, src int, prev *pktNode) Packet {
+	n := prev.next
+	if n == prev {
+		p.inbox[src] = nil
+	} else if prev.next = n.next; n == p.inbox[src] {
+		p.inbox[src] = prev
+	}
+	pkt, pooled := n.pkt, n.pooled
+	*n = pktNode{}
+	if pooled {
+		n.pooled, n.next, eng.free = true, eng.free, n
+	}
+	return pkt
+}
+
 // deadlockDiag builds the structural deadlock diagnostic: every blocked
 // rank's pending (src, tag) at its current clock, in rank order.
 func (eng *Engine) deadlockDiag() *DeadlockError {
@@ -808,30 +909,26 @@ func (eng *Engine) deadlockDiag() *DeadlockError {
 // procHeap orders procs by clock (rank breaks ties for determinism).
 type procHeap []*Proc
 
-func (h procHeap) Len() int { return len(h) }
-func (h procHeap) Less(i, j int) bool {
-	if h[i].clock != h[j].clock {
-		return h[i].clock < h[j].clock
-	}
-	return h[i].rank < h[j].rank
-}
-func (h procHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
+func (h procHeap) Len() int           { return len(h) }
+func (h procHeap) Less(i, j int) bool { return earlier(h[i], h[j]) }
+func (h procHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *procHeap) Push(x interface{}) {
-	p := x.(*Proc)
-	p.heapIdx = len(*h)
-	*h = append(*h, p)
+	*h = append(*h, x.(*Proc))
 }
 func (h *procHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	p := old[n-1]
-	p.heapIdx = -1
 	*h = old[:n-1]
 	return p
+}
+
+// earlier reports whether a's pending request sorts before b's.
+func earlier(a, b *Proc) bool {
+	if a.clock != b.clock {
+		return a.clock < b.clock
+	}
+	return a.rank < b.rank
 }
 
 // runHeap orders concurrently executing procs by (lb, rank), where lb

@@ -161,6 +161,20 @@ func TestSendToInvalidRankPanics(t *testing.T) {
 	})
 }
 
+// TestRecvFromInvalidRankPanics: a receive names its source's inbox, so
+// an out-of-range source panics in the caller's body (it used to wait
+// forever and surface as a deadlock).
+func TestRecvFromInvalidRankPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "netsim: receive from invalid rank 99" {
+			t.Errorf("recovered %v, want the invalid-rank panic", r)
+		}
+	}()
+	Run(tiny(), func(p *Proc) {
+		p.Recv(99, 0)
+	})
+}
+
 // TestEgressFIFOProperty: messages from one sender to one receiver over
 // the same resources arrive in nondecreasing order of completion.
 func TestEgressFIFOProperty(t *testing.T) {

@@ -147,8 +147,8 @@ type FaultStats struct {
 }
 
 // FaultEvent describes one injected fault, delivered to
-// Config.FaultObserver on the scheduler goroutine as the engine decides
-// it. Kind is one of "stall", "spike", "retry", "lost",
+// Config.FaultObserver serially, in processing order, as the engine
+// decides it. Kind is one of "stall", "spike", "retry", "lost",
 // "silent_corrupt", "duplicate" or "crash"; Delay carries the virtual
 // seconds a stall/spike/retry added (0 otherwise). Dst is -1 for
 // crashes, which have no message in flight.

@@ -238,8 +238,9 @@ func (ct *Controller) Run(cfg netsim.Config, rec *obs.Recorder, body func(*mpi.C
 		attCfg := cfg
 		attCfg.Faults = plan
 		// Mirror crash fault events so the verdict can time the outage;
-		// the observer runs on the scheduler goroutine and the engine
-		// joins it before returning, so the capture is race-free.
+		// the observer runs serialized on whichever goroutine holds the
+		// engine's baton, and the engine has received the baton back on
+		// Run's goroutine before returning, so the capture is race-free.
 		var crashT []float64
 		prevObs := attCfg.FaultObserver
 		attCfg.FaultObserver = func(fe netsim.FaultEvent) {
