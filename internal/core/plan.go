@@ -3,13 +3,13 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"strconv"
 
 	"repro/internal/compress"
 	"repro/internal/fft"
 	"repro/internal/gpu"
 	"repro/internal/grid"
+	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
@@ -38,8 +38,6 @@ type Plan[C fft.Complex] struct {
 
 	fwd [4]*reshape[C]
 	bwd [4]*reshape[C]
-	// pack is the (un)packing scratch all reshapes share.
-	pack []C
 
 	fftPlans [3]*fft.Plan[C]
 	batch    [3]int
@@ -89,17 +87,17 @@ func NewPlan[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *Plan[C] {
 	}
 	pl.orders = [5]grid.Order{grid.Natural, grid.ForAxis(0), grid.ForAxis(1), grid.ForAxis(2), grid.Natural}
 
-	wire := complexCodec[C](pl.elemSize())
+	wire := codec[C]{size: pl.elemSize()}
 	stage := func(s int) layout { return layout{s, pl.decomp[s], pl.simDecomp[s], pl.orders[s]} }
 	pl.first, pl.last = 0, 4
 	if opts.PencilIO {
 		pl.first, pl.last = 1, 3
 	}
 	for s := 0; s < pl.last-pl.first; s++ {
-		pl.fwd[s] = newReshape(&pl.pipe, wire, &pl.pack, stage(pl.first+s), stage(pl.first+s+1), "fwd"+strconv.Itoa(s))
+		pl.fwd[s] = newReshape(&pl.pipe, wire, stage(pl.first+s), stage(pl.first+s+1), "fwd"+strconv.Itoa(s))
 	}
 	for s := 0; s < pl.last-pl.first; s++ {
-		pl.bwd[s] = newReshape(&pl.pipe, wire, &pl.pack, stage(pl.last-s), stage(pl.last-s-1), "bwd"+strconv.Itoa(s))
+		pl.bwd[s] = newReshape(&pl.pipe, wire, stage(pl.last-s), stage(pl.last-s-1), "bwd"+strconv.Itoa(s))
 	}
 	me := c.Rank()
 	for axis := 0; axis < 3; axis++ {
@@ -253,8 +251,7 @@ func (pl *Plan[C]) snapshot(data []C) []byte {
 		size += 4 + len(states[i])
 	}
 	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(bodyLen))
-	buf = buf[:4+bodyLen]
-	encodeComplex(buf[4:], data)
+	buf = append(buf, mem.View[byte](data)...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(states)))
 	for _, st := range states {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st)))
@@ -279,7 +276,7 @@ func (pl *Plan[C]) restoreSnapshot(r *reshape[C], snap []byte) []C {
 	if want := len(out) * pl.elemSize(); len(body) != want {
 		fail(fmt.Sprintf("snapshot holds %d data bytes, reshape needs %d", len(body), want))
 	}
-	decodeComplex(body, out)
+	copy(mem.View[byte](out), body)
 	leds := pl.ledgers()
 	if len(states) != len(leds) {
 		fail(fmt.Sprintf("snapshot holds %d ledgers, plan has %d", len(states), len(leds)))
@@ -347,68 +344,3 @@ func (pl *Plan[C]) fftStage(data []C, axis, sign int) {
 
 // elemSize is the bytes of one pipeline element: two precBits-wide parts.
 func (pl *Plan[C]) elemSize() int { return 2 * pl.precBits / 8 }
-
-// complexToFloats flattens complex values into interleaved re/im float64s.
-func complexToFloats[C fft.Complex](src []C, dst []float64) {
-	switch s := any(src).(type) {
-	case []complex64:
-		for i, v := range s {
-			dst[2*i] = float64(real(v))
-			dst[2*i+1] = float64(imag(v))
-		}
-	case []complex128:
-		for i, v := range s {
-			dst[2*i] = real(v)
-			dst[2*i+1] = imag(v)
-		}
-	}
-}
-
-// floatsToComplex is the inverse of complexToFloats.
-func floatsToComplex[C fft.Complex](src []float64, dst []C) {
-	switch d := any(dst).(type) {
-	case []complex64:
-		for i := range d {
-			d[i] = complex(float32(src[2*i]), float32(src[2*i+1]))
-		}
-	case []complex128:
-		for i := range d {
-			d[i] = complex(src[2*i], src[2*i+1])
-		}
-	}
-}
-
-// encodeComplex serializes complex values little-endian into dst (8
-// bytes per complex64 element, 16 per complex128).
-func encodeComplex[C fft.Complex](dst []byte, src []C) {
-	switch s := any(src).(type) {
-	case []complex64:
-		for i, v := range s {
-			binary.LittleEndian.PutUint32(dst[8*i:], math.Float32bits(real(v)))
-			binary.LittleEndian.PutUint32(dst[8*i+4:], math.Float32bits(imag(v)))
-		}
-	case []complex128:
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(dst[16*i:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(dst[16*i+8:], math.Float64bits(imag(v)))
-		}
-	}
-}
-
-// decodeComplex deserializes encodeComplex output.
-func decodeComplex[C fft.Complex](b []byte, dst []C) {
-	switch d := any(dst).(type) {
-	case []complex64:
-		for i := range d {
-			re := math.Float32frombits(binary.LittleEndian.Uint32(b[8*i:]))
-			im := math.Float32frombits(binary.LittleEndian.Uint32(b[8*i+4:]))
-			d[i] = complex(re, im)
-		}
-	case []complex128:
-		for i := range d {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
-			d[i] = complex(re, im)
-		}
-	}
-}

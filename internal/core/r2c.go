@@ -27,7 +27,6 @@ type PlanR2C[C fft.Complex] struct {
 
 	// Real reshapes: bricks of n → x-pencils of n, and back.
 	fwd, bwd *reshape[float64]
-	pack     []float64 // their (un)packing scratch
 	pencil   []float64 // c2r output (x-pencil of n)
 	spec     []C       // r2c output (x̃-pencil of nr)
 
@@ -69,8 +68,8 @@ func NewPlanR2C[C fft.Complex](c *mpi.Comm, n [3]int, opts Options) *PlanR2C[C] 
 	brick := layout{0, stageDecomp(n, 0, p), stageDecomp(ns, 0, p), grid.Natural}
 	pencil := layout{1, stageDecomp(n, 1, p), stageDecomp(ns, 1, p), grid.Natural}
 	wire := realCodec(pp.precBits)
-	pl.fwd = newReshape(pp, wire, &pl.pack, brick, pencil, "r2c-real")
-	pl.bwd = newReshape(pp, wire, &pl.pack, pencil, brick, "r2c-real-back")
+	pl.fwd = newReshape(pp, wire, brick, pencil, "r2c-real")
+	pl.bwd = newReshape(pp, wire, pencil, brick, "r2c-real-back")
 
 	pl.r2c = fft.NewPlanR2C[C](n[0])
 	pl.xbatch = pencil.decomp.Box(me).Count() / n[0]

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"encoding/binary"
-	"math"
 	"sort"
 
 	"repro/internal/exchange"
-	"repro/internal/fft"
 	"repro/internal/gpu"
 	"repro/internal/grid"
+	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
@@ -67,57 +65,42 @@ type layout struct {
 	order             grid.Order
 }
 
-// codec is a reshape element's wire format: little-endian bytes (size
-// per element) for the lossless transports, flat float64 values (vals
-// per element) for the compressed ones. Every conversion writes into a
-// buffer its caller owns.
-type codec[E any] struct {
-	size, vals int
-	encode     func(dst []byte, src []E)
-	decode     func(b []byte, dst []E)
-	toVals     func(src []E, dst []float64)
-	fromVals   func(src []float64, dst []E)
-}
-
-// complexCodec ships pencil data: 8 bytes per complex64 element, 16 per
-// complex128, interleaved re/im values.
-func complexCodec[C fft.Complex](elemSize int) codec[C] {
-	return codec[C]{elemSize, 2, encodeComplex[C], decodeComplex[C], complexToFloats[C], floatsToComplex[C]}
+// codec is a reshape element's wire format, size bytes per element. The
+// wire is the elements' own memory, viewed as bytes or, on the
+// compressed (FP64-only) transports, as size/8 float64 values per
+// element (mem.View: little-endian, interleaved re/im for complex
+// elements), so packing is the only pass over the data. The pencils'
+// codec is codec[C]{size: elemSize}. The exception is a wire value
+// narrower than its element: narrow and widen, set only then, convert
+// through the reshape's stage scratch.
+type codec[E mem.Word] struct {
+	size   int
+	narrow func(dst []byte, src []E)
+	widen  func(src []byte, dst []E)
 }
 
 // realCodec ships the real bricks of the r2c transform at the
-// pipeline's wire precision: 4 bytes per value in the FP32 pipeline, 8
-// in FP64.
+// pipeline's wire precision: the float64 values themselves in FP64, and
+// in FP32 narrowed to float32 — the one codec whose wire is not its
+// elements' memory, since PlanR2C takes float64 input in both pipelines.
 func realCodec(precBits int) codec[float64] {
-	w := codec[float64]{
-		size: 8, vals: 1,
-		encode: func(dst []byte, src []float64) {
+	if precBits != 32 {
+		return codec[float64]{size: 8}
+	}
+	return codec[float64]{
+		size: 4,
+		narrow: func(dst []byte, src []float64) {
+			w := mem.View[float32](dst)
 			for i, v := range src {
-				binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+				w[i] = float32(v)
 			}
 		},
-		decode: func(b []byte, dst []float64) {
-			for i := range dst {
-				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		widen: func(src []byte, dst []float64) {
+			for i, v := range mem.View[float32](src) {
+				dst[i] = float64(v)
 			}
 		},
-		toVals:   func(src, dst []float64) { copy(dst, src) },
-		fromVals: func(src, dst []float64) { copy(dst, src) },
 	}
-	if precBits == 32 {
-		w.size = 4
-		w.encode = func(dst []byte, src []float64) {
-			for i, v := range src {
-				binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(v)))
-			}
-		}
-		w.decode = func(b []byte, dst []float64) {
-			for i := range dst {
-				dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
-			}
-		}
-	}
-	return w
 }
 
 // ledgered is the checkpointable part of an exchange (OSC and
@@ -141,7 +124,7 @@ type transport struct {
 
 // reshape moves data of element type E between two decompositions
 // through its resolved all-to-all transport.
-type reshape[E any] struct {
+type reshape[E mem.Word] struct {
 	pp        *pipe
 	wire      codec[E]
 	plan      grid.Plan
@@ -164,30 +147,27 @@ type reshape[E any] struct {
 	toStage int
 
 	x transport
-	// The reshape's send buffers: one block in the transport's format
-	// (wireBytes or wireVals), holding plan.Send[i]'s payload at its
-	// Offset. It is materialised by the first execute and packed in place
+	// block is the reshape's send block: plan.Send[i]'s payload in wire
+	// format at byte wire.size·Offset, allocated word-aligned (mem.Bytes)
+	// so that every payload views as its elements. Pack writes into that
+	// view, and the transport sends the same memory as bytes or float64
+	// values. It is materialised by the first execute and packed in place
 	// by every later one. lease is the id of plan.Send[0]'s
 	// send-completion lease (the others follow in order), or 0: only the
 	// two-sided all-to-all hands the payloads to their receivers as-is,
 	// every other transport is done with them when it returns.
-	wireBytes []byte
-	wireVals  []float64
-	lease     int
-	// pack is the plan's scratch for packing into elements before
-	// conversion, shared by its reshapes of element type E; packLen is
-	// the most this reshape needs of it.
-	pack    *[]E
-	packLen int
-	outBuf  []E
+	block []byte
+	lease int
+	// stage is the narrowing codec's element scratch (nil otherwise).
+	stage  []E
+	outBuf []E
 }
 
-func newReshape[E any](pp *pipe, wire codec[E], pack *[]E, from, to layout, label string) *reshape[E] {
+func newReshape[E mem.Word](pp *pipe, wire codec[E], from, to layout, label string) *reshape[E] {
 	me := pp.c.Rank()
 	r := &reshape[E]{
 		pp:         pp,
 		wire:       wire,
-		pack:       pack,
 		plan:       grid.PlanFor(me, from.decomp, to.decomp),
 		fromBox:    from.decomp.Box(me),
 		fromOrder:  from.order,
@@ -199,8 +179,6 @@ func newReshape[E any](pp *pipe, wire codec[E], pack *[]E, from, to layout, labe
 	}
 	simPlan := grid.PlanFor(me, from.simDecomp, to.simDecomp)
 	r.simSendTotal, r.simRecvTotal = simPlan.SendTotal, simPlan.RecvTotal
-
-	r.packLen = max(maxCount(r.plan.Send), maxCount(r.plan.Recv))
 
 	// Resolve this reshape's exchange choice: the fixed Options, unless
 	// an attached tune plan covers the label. The transport keys off the
@@ -251,7 +229,7 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 	pp := r.pp
 	c := pp.c
 	p := c.Size()
-	elem, vals := r.wire.size, r.wire.vals
+	elem, vals := r.wire.size, r.wire.size/8
 	overlap, simOverlap := pairCount(r.plan, c.Rank()), pairCount(simPlan, c.Rank())
 	maxSend := func(pl grid.Plan) int {
 		return int(c.AllreduceFloat64("max", float64(maxCount(pl.Send))))
@@ -344,36 +322,34 @@ func (r *reshape[E]) execute(local []E) []E {
 	rk := c.Obs()
 	byBytes := r.x.bytes != nil
 	sendWire, recvWire := r.simSendTotal*r.wire.size, r.simRecvTotal*r.wire.size
-	if r.wireBytes == nil && r.wireVals == nil {
+	if r.block == nil {
 		r.materialize()
 	}
-	if cap(*r.pack) < r.packLen {
-		*r.pack = make([]E, r.packLen)
-	}
-	pack := *r.pack
 
 	// Pack every destination's overlap, reordered to the target layout,
-	// into its wire buffer — unless its receiver still holds that buffer
-	// from the last call (the lease is busy), in which case the payload
-	// goes out in a fresh one. Destinations with no overlap keep nil
-	// payloads (the transports read them as zero-length).
+	// straight into its payload of the send block — unless its receiver
+	// still holds that payload from the last call (the lease is busy), in
+	// which case it goes out in a fresh buffer. Destinations with no
+	// overlap keep nil payloads (the transports read them as
+	// zero-length).
 	pp.kernel(obs.PhasePack, &pp.profile.Pack, sendWire, dev.CopyCost(sendWire), func() {
 		for i, t := range r.plan.Send {
-			src := pack[:t.Count]
-			grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, src)
-			if !byBytes {
-				lo, hi := r.wire.vals*t.Offset, r.wire.vals*(t.Offset+t.Count)
-				r.wire.toVals(src, r.wireVals[lo:hi])
-				pp.sendVals[t.Rank] = r.wireVals[lo:hi:hi]
-				continue
-			}
 			lo, hi := r.wire.size*t.Offset, r.wire.size*(t.Offset+t.Count)
-			buf := r.wireBytes[lo:hi:hi]
+			buf := r.block[lo:hi:hi]
 			if r.lease != 0 {
 				buf, pp.sendLease[t.Rank] = c.LeasedBuf(r.lease+i, buf)
 			}
-			r.wire.encode(buf, src)
-			pp.sendBytes[t.Rank] = buf
+			if r.wire.narrow == nil {
+				grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, mem.View[E](buf))
+			} else {
+				grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, r.stage)
+				r.wire.narrow(buf, r.stage[:t.Count])
+			}
+			if byBytes {
+				pp.sendBytes[t.Rank] = buf
+			} else {
+				pp.sendVals[t.Rank] = mem.View[float64](buf)
+			}
 		}
 	})
 
@@ -410,12 +386,17 @@ func (r *reshape[E]) execute(local []E) []E {
 	out := r.output()
 	pp.kernel(obs.PhaseUnpack, &pp.profile.Unpack, recvWire, dev.CopyCost(recvWire), func() {
 		for _, t := range r.plan.Recv {
-			if byBytes {
-				r.wire.decode(recvBytes[t.Rank], pack[:t.Count])
-			} else {
-				r.wire.fromVals(recvVals[t.Rank], pack[:t.Count])
+			var in []E
+			switch {
+			case !byBytes:
+				in = mem.View[E](recvVals[t.Rank])
+			case r.wire.narrow == nil:
+				in = mem.View[E](recvBytes[t.Rank][:r.wire.size*t.Count])
+			default:
+				in = r.stage[:t.Count]
+				r.wire.widen(recvBytes[t.Rank][:r.wire.size*t.Count], in)
 			}
-			grid.Unpack(pack[:t.Count], t.Sub, out, r.toBox, r.toOrder)
+			grid.Unpack(in, t.Sub, out, r.toBox, r.toOrder)
 		}
 	})
 	if r.lease != 0 {
@@ -433,19 +414,22 @@ func (r *reshape[E]) output() []E {
 	return r.outBuf
 }
 
-// materialize allocates the reshape's send buffers in the transport's
-// format, and the plan's headers the first time one is needed.
+// materialize allocates the reshape's send block (and the narrowing
+// codec's stage scratch), and the plan's headers the first time one is
+// needed.
 func (r *reshape[E]) materialize() {
 	pp := r.pp
 	p := pp.c.Size()
+	r.block = mem.Bytes(r.wire.size * r.plan.SendTotal)
+	if r.wire.narrow != nil {
+		r.stage = make([]E, max(maxCount(r.plan.Send), maxCount(r.plan.Recv)))
+	}
 	if r.x.bytes == nil {
-		r.wireVals = make([]float64, r.wire.vals*r.plan.SendTotal)
 		if pp.sendVals == nil {
 			pp.sendVals = make([][]float64, p)
 		}
 		return
 	}
-	r.wireBytes = make([]byte, r.wire.size*r.plan.SendTotal)
 	if pp.sendBytes == nil {
 		pp.sendBytes, pp.sendLease = make([][]byte, p), make([]int, p)
 	}

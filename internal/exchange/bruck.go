@@ -1,6 +1,9 @@
 package exchange
 
-import "repro/internal/mpi"
+import (
+	"repro/internal/mem"
+	"repro/internal/mpi"
+)
 
 const tagBruck = 104
 
@@ -25,12 +28,16 @@ func BruckAlltoall(c *mpi.Comm, send [][]byte, blockSize, logicalBlock int) [][]
 	}
 
 	// Phase 1 — local rotation: slot j holds the block destined to rank
-	// (r + j) mod p.
+	// (r + j) mod p. The slots share one word-aligned allocation, so a
+	// receiver whose block size is a whole number of elements may view
+	// each result block as those elements (mem.View).
 	var blocks [][]byte
 	if send != nil {
+		all := mem.Bytes(p * blockSize)
 		blocks = make([][]byte, p)
 		for j := 0; j < p; j++ {
-			blocks[j] = append([]byte(nil), send[(r+j)%p]...)
+			blocks[j] = all[j*blockSize : (j+1)*blockSize : (j+1)*blockSize]
+			copy(blocks[j], send[(r+j)%p])
 		}
 	}
 

@@ -3,6 +3,7 @@ package exchange
 import (
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
@@ -90,7 +91,9 @@ func newOSC(c *mpi.Comm, size SizeFn, nodeAware, alloc bool) *OSC {
 	var buf []byte
 	var out [][]byte
 	if alloc {
-		buf = make([]byte, total)
+		// Word-aligned, so that a receiver may view each source's slot
+		// as the elements it holds (mem.View).
+		buf = mem.Bytes(total)
 		out = make([][]byte, p)
 		for s, n := range recvSizes {
 			out[s] = buf[offsets[s] : offsets[s]+n : offsets[s]+n]

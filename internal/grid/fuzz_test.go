@@ -122,3 +122,77 @@ func TestOrderIndexBijective(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzPackUnpack holds Pack and Unpack, which step through a sub-box
+// with strides computed once, to a per-element Order.Index reference:
+// for a random box at a random origin, a random (possibly empty)
+// sub-box, random source and destination layouts and a random receiving
+// box around the sub-box, Pack must list the sub-box's elements in
+// destination order, and Unpack must put each one at its Index in the
+// receiving box and touch nothing else.
+func FuzzPackUnpack(f *testing.F) {
+	for _, seed := range []int64{0, 1, 2, 42} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		around := func(in Box, pad int) Box {
+			var b Box
+			for d := 0; d < 3; d++ {
+				b.Lo[d] = in.Lo[d] - rng.Intn(pad+1)
+				b.Hi[d] = in.Hi[d] + rng.Intn(pad+1)
+			}
+			return b
+		}
+		var sub Box
+		for d := 0; d < 3; d++ {
+			sub.Lo[d] = rng.Intn(6)
+			sub.Hi[d] = sub.Lo[d] + rng.Intn(7) // empty when 0
+		}
+		srcBox, dstBox := around(sub, 4), around(sub, 4)
+		srcOrder, dstOrder := randOrder(rng), randOrder(rng)
+
+		src := make([]int, srcBox.Count())
+		for i := range src {
+			src[i] = i + 1
+		}
+		var want []int
+		var c [3]int
+		a0, a1, a2 := dstOrder[0], dstOrder[1], dstOrder[2]
+		for c[a2] = sub.Lo[a2]; c[a2] < sub.Hi[a2]; c[a2]++ {
+			for c[a1] = sub.Lo[a1]; c[a1] < sub.Hi[a1]; c[a1]++ {
+				for c[a0] = sub.Lo[a0]; c[a0] < sub.Hi[a0]; c[a0]++ {
+					want = append(want, src[srcOrder.Index(srcBox, c)])
+				}
+			}
+		}
+		packed := make([]int, sub.Count())
+		if n := Pack(src, srcBox, srcOrder, sub, dstOrder, packed); n != len(want) {
+			t.Fatalf("Pack of %v from %v wrote %d elements, want %d", sub, srcBox, n, len(want))
+		}
+		for i := range want {
+			if packed[i] != want[i] {
+				t.Fatalf("Pack of %v from %v %v to order %v: element %d is %d, want %d",
+					sub, srcBox, srcOrder, dstOrder, i, packed[i], want[i])
+			}
+		}
+
+		dst := make([]int, dstBox.Count())
+		if n := Unpack(packed, sub, dst, dstBox, dstOrder); n != len(want) {
+			t.Fatalf("Unpack of %v into %v read %d elements, want %d", sub, dstBox, n, len(want))
+		}
+		for c[2] = dstBox.Lo[2]; c[2] < dstBox.Hi[2]; c[2]++ {
+			for c[1] = dstBox.Lo[1]; c[1] < dstBox.Hi[1]; c[1]++ {
+				for c[0] = dstBox.Lo[0]; c[0] < dstBox.Hi[0]; c[0]++ {
+					w := 0 // untouched outside the sub-box
+					if sub.Contains(c[0], c[1], c[2]) {
+						w = src[srcOrder.Index(srcBox, c)]
+					}
+					if got := dst[dstOrder.Index(dstBox, c)]; got != w {
+						t.Fatalf("Unpack of %v into %v %v: point %v holds %d, want %d", sub, dstBox, dstOrder, c, got, w)
+					}
+				}
+			}
+		}
+	})
+}

@@ -29,45 +29,57 @@ func (o Order) Index(b Box, c [3]int) int {
 // out with srcOrder) into dst, contiguously, ordered by dstOrder (the
 // receiver's layout). It returns the number of elements written.
 func Pack[T any](src []T, srcBox Box, srcOrder Order, sub Box, dstOrder Order, dst []T) int {
-	n := 0
-	a0, a1, a2 := dstOrder[0], dstOrder[1], dstOrder[2]
-	var c [3]int
-	for i2 := sub.Lo[a2]; i2 < sub.Hi[a2]; i2++ {
-		c[a2] = i2
-		for i1 := sub.Lo[a1]; i1 < sub.Hi[a1]; i1++ {
-			c[a1] = i1
-			c[a0] = sub.Lo[a0]
-			base := srcOrder.Index(srcBox, c)
-			stride := strideOf(srcBox, srcOrder, a0)
-			for i0 := 0; i0 < sub.Size(a0); i0++ {
-				dst[n] = src[base+i0*stride]
-				n++
-			}
-		}
-	}
-	return n
+	return move(dst, walk(sub, dstOrder, sub, dstOrder), src, walk(srcBox, srcOrder, sub, dstOrder))
 }
 
 // Unpack scatters contiguous data (ordered by dstOrder, as produced by
 // Pack with the same dstOrder) into dst, the storage of dstBox laid out
 // with dstOrder. It returns the number of elements read.
 func Unpack[T any](src []T, sub Box, dst []T, dstBox Box, dstOrder Order) int {
-	n := 0
-	a0, a1, a2 := dstOrder[0], dstOrder[1], dstOrder[2]
-	var c [3]int
-	for i2 := sub.Lo[a2]; i2 < sub.Hi[a2]; i2++ {
-		c[a2] = i2
-		for i1 := sub.Lo[a1]; i1 < sub.Hi[a1]; i1++ {
-			c[a1] = i1
-			c[a0] = sub.Lo[a0]
-			base := dstOrder.Index(dstBox, c)
-			// dstOrder[0] is stride-1 in dst by construction.
-			copyN := sub.Size(a0)
-			copy(dst[base:base+copyN], src[n:n+copyN])
-			n += copyN
+	return move(dst, walk(dstBox, dstOrder, sub, dstOrder), src, walk(sub, dstOrder, sub, dstOrder))
+}
+
+// rows locates a sub-box's elements in some storage: element (i0, i1,
+// i2) of the visit sits at base + i0·stride[0] + i1·stride[1] +
+// i2·stride[2], for i < n.
+type rows struct {
+	base      int
+	stride, n [3]int
+}
+
+// walk computes once per sub-box what a per-row Index would recompute:
+// where sub starts in the storage of box laid out with lay, and the
+// strides of the axes that ord visits sub in. walk(sub, ord, sub, ord)
+// is sub packed contiguously in order ord.
+func walk(box Box, lay Order, sub Box, ord Order) rows {
+	w := rows{base: lay.Index(box, sub.Lo)}
+	for k, a := range ord {
+		w.stride[k], w.n[k] = strideOf(box, lay, a), sub.Size(a)
+	}
+	return w
+}
+
+// move copies the elements that from locates in src to where to locates
+// them in dst (the same visit), row by row; a row that is stride-1 on
+// both sides moves as one copy. It returns the number of elements.
+func move[T any](dst []T, to rows, src []T, from rows) int {
+	n := to.n
+	for i2 := 0; i2 < n[2]; i2++ {
+		for i1 := 0; i1 < n[1]; i1++ {
+			d := to.base + i1*to.stride[1] + i2*to.stride[2]
+			s := from.base + i1*from.stride[1] + i2*from.stride[2]
+			if to.stride[0] == 1 && from.stride[0] == 1 {
+				copy(dst[d:d+n[0]], src[s:s+n[0]])
+				continue
+			}
+			for range n[0] {
+				dst[d] = src[s]
+				d += to.stride[0]
+				s += from.stride[0]
+			}
 		}
 	}
-	return n
+	return n[0] * n[1] * n[2]
 }
 
 // strideOf returns the stride of axis within the layout (box, order).

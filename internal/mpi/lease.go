@@ -1,6 +1,10 @@
 package mpi
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/mem"
+)
 
 // Send completion for reusable send buffers. A two-sided payload reaches
 // its receiver zero-copy (netsim hands the sender's slice over as-is), so
@@ -51,7 +55,8 @@ func (c *Comm) NewLeases(n int) int {
 // overwritten — it was never sent, or the receiver of its last send has
 // released it — that is own and id, and the lease is taken: the caller
 // must send own under it. Otherwise it is a fresh buffer of the same
-// length and no lease (0).
+// length and no lease (0), allocated by mem.Bytes so that a receiver may
+// view it as the elements the caller packs into it.
 func (c *Comm) LeasedBuf(id int, own []byte) ([]byte, int) {
 	t := &c.leases[c.Rank()]
 	t.mu.Lock()
@@ -59,7 +64,7 @@ func (c *Comm) LeasedBuf(id int, own []byte) ([]byte, int) {
 	t.busy[id-1] = true
 	t.mu.Unlock()
 	if busy {
-		return make([]byte, len(own)), 0
+		return mem.Bytes(len(own)), 0
 	}
 	return own, id
 }
