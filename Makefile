@@ -1,6 +1,6 @@
 # Convenience targets; the repo needs only the Go toolchain.
 
-.PHONY: build test lint loc strays verify verify-parallel trace-demo telemetry-demo errmap-demo tune-demo bench benchdiff results results-check chaos chaos-race chaos-recovery fuzz clean
+.PHONY: build test lint loc strays verify trace-demo telemetry-demo errmap-demo tune-demo bench benchdiff results results-check chaos chaos-race chaos-recovery fuzz clean
 
 build:
 	go build ./...
@@ -12,12 +12,14 @@ test:
 # a shuffled-order test pass (no test may depend on package test order;
 # the shuffle seed is echoed by the test binary on failure, rerun with
 # go test -shuffle=<seed>), the race detector over every package (rank
-# bodies execute truly concurrently when the parallel engine is on, so
-# all of them must be race-clean), the fixed-seed determinism smoke
-# proving the parallel engine bit-identical to the sequential one, and
-# fixed-seed chaos sweeps — one per engine mode, plus one under the
-# race detector — and the structure-factor example, the executed caller
-# of the real-to-complex plan (it exits 1 when its Bragg peak misses).
+# bodies are goroutines that hand one baton between them; it checks
+# that every access to shared state is ordered by that handoff or by a
+# lock), the determinism smoke — FuzzScheduler's committed seeds,
+# which hold the baton scheduler to the reference scheduler it replaced
+# (docs/DETERMINISM.md) — fixed-seed chaos sweeps, one of them under
+# the race detector, and the structure-factor example, the executed
+# caller of the real-to-complex plan (it exits 1 when its Bragg peak
+# misses).
 # `go test ./...` includes the dead-code gate (deadcode_test.go). The
 # last step, strays, fails the recipe if anything it (or anyone else)
 # started from this module is still running.
@@ -27,9 +29,8 @@ verify:
 	go test -shuffle=on ./...
 	$(MAKE) lint
 	go test -race ./...
-	go test -run TestParallelEquivalenceSmoke ./internal/exchange/
+	go test -run '^FuzzScheduler$$' ./internal/netsim/
 	go run ./cmd/chaos -seeds 8
-	go run ./cmd/chaos -seeds 8 -parallel
 	go run -race ./cmd/chaos -seeds 8
 	$(MAKE) chaos-recovery
 	$(MAKE) fuzz
@@ -99,22 +100,6 @@ loc:
 	done | awk '{print; n += $$2; t += $$3} /^(internal|cmd)\// {sn += $$2; st += $$3} \
 		END {printf "%-28s %8d %8d\n%-28s %8d %8d\n", "internal+cmd", sn, st, "total", n, t}'
 
-# verify-parallel re-runs the tier-1 tests with NETSIM_PARALLEL=1, which
-# forces every netsim run in the tree onto the parallel engine — the
-# whole test suite doubles as a determinism suite because all its
-# expectations were recorded against the sequential engine. The bench
-# artifacts regenerated under -parallel must also be byte-identical to
-# the committed sequential baselines.
-verify-parallel:
-	NETSIM_PARALLEL=1 go test ./...
-	NETSIM_PARALLEL=1 go test -race ./internal/obs/... ./internal/exchange/... ./internal/mpi/... ./internal/netsim/... ./internal/core/...
-	$(eval TMP := $(shell mktemp -d))
-	go run ./cmd/fftbench $(BENCH_FFT_FLAGS) -parallel -json $(TMP)/fft.json > /dev/null
-	go run ./cmd/alltoallbench $(BENCH_A2A_FLAGS) -parallel -json $(TMP)/alltoall.json > /dev/null
-	cmp BENCH_fft.json $(TMP)/fft.json
-	cmp BENCH_alltoall.json $(TMP)/alltoall.json
-	rm -rf $(TMP)
-
 # chaos sweeps randomized seeded fault plans (drop storms, corruption,
 # duplicates, degraded NICs, rank crashes) across every exchange
 # algorithm, asserting that each run completes bit-identically or fails
@@ -123,21 +108,18 @@ verify-parallel:
 chaos:
 	go run ./cmd/chaos -seeds 60
 
-# chaos-race soaks the same sweep under the race detector, in both
-# engine modes (the parallel engine runs rank bodies on real threads).
+# chaos-race soaks the same sweep under the race detector.
 chaos-race:
 	go run -race ./cmd/chaos -seeds 25
-	go run -race ./cmd/chaos -seeds 25 -parallel
 
 # chaos-recovery sweeps the crash-recovery workloads: the same seeded
 # fault plans run under the recovery controller (epoch checkpoints,
 # rollback/respawn on crash verdicts, with double-fault and
-# restart-budget stratification per seed — docs/ROBUSTNESS.md), in both
-# engine modes; seeds 1..20 hit all three crash paths (recover,
-# unrecoverable, double fault). Part of `make verify`.
+# restart-budget stratification per seed — docs/ROBUSTNESS.md); seeds
+# 1..20 hit all three crash paths (recover, unrecoverable, double
+# fault). Part of `make verify`.
 chaos-recovery:
 	go run ./cmd/chaos -seeds 20 -workloads recover-osc,recover-comp
-	go run ./cmd/chaos -seeds 20 -workloads recover-osc,recover-comp -parallel
 
 # fuzz runs every native fuzz target for a short fixed budget — the
 # snapshot frame decoder and round-trip (internal/recover), the hostile
@@ -146,8 +128,10 @@ chaos-recovery:
 # one and the stride-stepping Pack/Unpack against a per-element
 # Order.Index reference (internal/grid), the word-at-a-time Trim, Cast16 and
 # Scaled(Cast16) kernels against their byte-at-a-time reference copies
-# (internal/compress), and the engine's per-source inbox against the
-# per-(src, tag) map queue it replaced (internal/netsim). The patterns
+# (internal/compress), the engine's per-source inbox against the
+# per-(src, tag) map queue it replaced and the baton scheduler against
+# the reference scheduler it replaced, over random rank programs
+# (internal/netsim). The patterns
 # are anchored: `go test -fuzz` rejects a pattern matching more than
 # one target.
 # Part of `make verify`; corpus findings land in testdata/fuzz/ — commit
@@ -162,6 +146,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzPackUnpack$$' -fuzztime $(FUZZTIME) ./internal/grid/
 	go test -run '^$$' -fuzz '^FuzzCodecMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/compress/
 	go test -run '^$$' -fuzz '^FuzzMailbox$$' -fuzztime $(FUZZTIME) ./internal/netsim/
+	go test -run '^$$' -fuzz '^FuzzScheduler$$' -fuzztime $(FUZZTIME) ./internal/netsim/
 
 # trace-demo runs a small compressed strong-scaling cell and writes a
 # Chrome-trace JSON (open in chrome://tracing or ui.perfetto.dev) plus

@@ -250,11 +250,10 @@ func explicit(err error) bool {
 
 // cell is the per-cell configuration the runners share.
 type cell struct {
-	seed     int64
-	timeout  time.Duration
-	verbose  bool
-	parallel bool
-	rec      *obs.Recorder
+	seed    int64
+	timeout time.Duration
+	verbose bool
+	rec     *obs.Recorder
 }
 
 // machine is the cell's one-node simulated machine under its seeded
@@ -263,7 +262,6 @@ type cell struct {
 // workloads so crash plans actually kill a rank mid-exchange.
 func (cl cell) machine() netsim.Config {
 	cfg := netsim.Summit(1)
-	cfg.Parallel = cl.parallel
 	cfg.Faults = netsim.RandomPlan(cl.seed)
 	if cfg.Faults.CrashAt > 0 {
 		cfg.Faults.CrashAt = 0.5e-6 * float64(1+cl.seed%40)
@@ -384,13 +382,12 @@ func firstLine(s string) string {
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
-	s := driver.New("chaos", stdout, stderr, driver.Telemetry|driver.Parallel)
+	s := driver.New("chaos", stdout, stderr, driver.Telemetry)
 	seeds := s.Flags.Int("seeds", 60, "number of fault plans to sweep")
 	start := s.Flags.Int64("start", 1, "first seed (plans are deterministic per seed)")
 	workloadsFlag := s.Flags.String("workloads", "linear,pairwise,osc,osc-comp,osc-comp16", "exchange workloads to sweep (also: recover-osc,recover-comp — crash-recovery cells)")
 	timeout := s.Flags.Duration("timeout", 60*time.Second, "wall-clock hang guard per run")
 	verbose := s.Flags.Bool("v", false, "print every cell, not just summaries and violations")
-	s.Help("parallel", "run the simulator's parallel engine (verdicts are bit-identical; docs/DETERMINISM.md)")
 	if err := s.Parse(args); err != nil {
 		return err
 	}
@@ -401,7 +398,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := s.Start(); err != nil {
 		return err
 	}
-	cl := cell{timeout: *timeout, verbose: *verbose, parallel: s.Parallel}
+	cl := cell{timeout: *timeout, verbose: *verbose}
 	if s.Events != nil {
 		// One recorder for the whole soak: counters accumulate across
 		// cells, and every cell's events land in the same stream.

@@ -52,7 +52,7 @@ func parseMethod(s string) (compress.Method, error) {
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
-	s := driver.New("heffte", stdout, stderr, driver.Observe|driver.Parallel)
+	s := driver.New("heffte", stdout, stderr, driver.Observe)
 	nFlag := s.Flags.Int("n", 64, "cubic problem size per dimension")
 	s.Flags.Int("gpus", 24, "GPU count (multiple of 6)")
 	backend := s.Flags.String("backend", "osc+compression", "alltoallv | osc | osc+compression")

@@ -31,14 +31,12 @@ type Group uint
 const (
 	Telemetry Group = 1 << iota // -eventlog -errtrack
 	exports                     // -trace -metrics
-	Parallel                    // -parallel
-	faults                      // -faults
+	Machine                     // -faults
 	Recovery                    // -recover
 	Tuning                      // -autotune -tunetol -tuneplan -tuneprobe
 	Artifact                    // -json -plot
 
 	Observe = Telemetry | exports
-	Machine = Parallel | faults
 )
 
 // Session is one run of a driver.
@@ -51,7 +49,6 @@ type Session struct {
 	Errtrack  string
 	Trace     string
 	Metrics   bool
-	Parallel  bool
 	Faults    int64
 	Recover   bool
 	Autotune  bool
@@ -92,10 +89,7 @@ func New(name string, stdout, stderr io.Writer, groups Group) *Session {
 		fs.StringVar(&s.Trace, "trace", "", "write a Chrome-trace JSON of the last measured cell to this file")
 		fs.BoolVar(&s.Metrics, "metrics", false, "print the metrics report of the last measured cell")
 	}
-	if groups&Parallel != 0 {
-		fs.BoolVar(&s.Parallel, "parallel", false, "run the simulator's parallel engine (bit-identical results; docs/DETERMINISM.md)")
-	}
-	if groups&faults != 0 {
+	if groups&Machine != 0 {
 		fs.Int64Var(&s.Faults, "faults", 0, "inject the seeded fault plan netsim.RandomPlan(seed); 0 disables (docs/ROBUSTNESS.md)")
 	}
 	if groups&Recovery != 0 {
@@ -212,10 +206,9 @@ func (s *Session) Start() error {
 	return nil
 }
 
-// Machine returns the g-GPU Summit under the -parallel and -faults flags.
+// Machine returns the g-GPU Summit under the -faults flag.
 func (s *Session) Machine(g int) netsim.Config {
 	m := netsim.Summit(g / 6)
-	m.Parallel = s.Parallel
 	if s.Faults != 0 {
 		m.Faults = netsim.RandomPlan(s.Faults)
 	}

@@ -29,7 +29,7 @@ func TestFlagTable(t *testing.T) {
 		name  string
 		group Group
 	}{
-		{"Telemetry", Telemetry}, {"Observe", Observe}, {"Parallel", Parallel}, {"Machine", Machine},
+		{"Telemetry", Telemetry}, {"Observe", Observe}, {"Machine", Machine},
 		{"Recovery", Recovery}, {"Tuning", Tuning}, {"Artifact", Artifact},
 	} {
 		fmt.Fprintf(&got, "== %s\n", g.name)
@@ -54,7 +54,7 @@ func TestFlagTable(t *testing.T) {
 // TestBenchRegistersEveryGroup: the bench pair serves the whole table.
 func TestBenchRegistersEveryGroup(t *testing.T) {
 	b := NewBench("x", io.Discard, io.Discard)
-	for _, name := range []string{"trace", "metrics", "eventlog", "errtrack", "parallel", "faults",
+	for _, name := range []string{"trace", "metrics", "eventlog", "errtrack", "faults",
 		"recover", "autotune", "tunetol", "tuneplan", "tuneprobe", "json", "plot"} {
 		if b.Flags.Lookup(name) == nil {
 			t.Errorf("NewBench does not register -%s", name)
@@ -113,18 +113,18 @@ func TestSingleGPUCount(t *testing.T) {
 	if len(s.GPUs) != 1 || s.GPUs[0] != 18 {
 		t.Errorf("GPUs = %v, want [18]", s.GPUs)
 	}
-	if m := s.Machine(18); m.Nodes != 3 || m.Parallel || m.Faults != nil {
-		t.Errorf("Machine(18) = %d nodes, parallel %v, faults %v", m.Nodes, m.Parallel, m.Faults)
+	if m := s.Machine(18); m.Nodes != 3 || m.Faults != nil {
+		t.Errorf("Machine(18) = %d nodes, faults %v", m.Nodes, m.Faults)
 	}
 }
 
 func TestMachineAppliesFlags(t *testing.T) {
 	s := New("x", io.Discard, io.Discard, Machine)
-	if err := s.Parse([]string{"-parallel", "-faults", "17"}); err != nil {
+	if err := s.Parse([]string{"-faults", "17"}); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.Machine(12); m.Nodes != 2 || !m.Parallel || m.Faults == nil {
-		t.Errorf("Machine(12) = %d nodes, parallel %v, faults %v", m.Nodes, m.Parallel, m.Faults)
+	if m := s.Machine(12); m.Nodes != 2 || m.Faults == nil {
+		t.Errorf("Machine(12) = %d nodes, faults %v", m.Nodes, m.Faults)
 	}
 }
 

@@ -18,10 +18,14 @@ import (
 	"repro/internal/netsim"
 )
 
-func main() {
-	machine := netsim.Summit(2)
-	n := [3]int{32, 32, 32}
+// The machine and grid the example differentiates on (main_test.go
+// gates the same runs).
+var (
+	machine = netsim.Summit(2) // 12 GPUs
+	n       = [3]int{32, 32, 32}
+)
 
+func main() {
 	errMP := derivativeError[complex128](machine, n, core.Options{
 		Backend: core.BackendCompressed, Method: compress.Cast32{},
 	})

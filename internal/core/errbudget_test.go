@@ -104,58 +104,48 @@ func TestStageBoundsShape(t *testing.T) {
 // TestErrtrackZeroCostWhenOff is the non-perturbation contract: runs
 // with and without the whole telemetry stack attached — event log, its
 // JSONL sink and the error tracker — produce bit-identical virtual
-// times and accuracy, under both engines. Telemetry is wall-clock-only
-// bookkeeping; the moment it shifts a virtual timestamp, it is
-// perturbing the experiment.
+// times and accuracy. Telemetry is wall-clock-only bookkeeping; the
+// moment it shifts a virtual timestamp, it is perturbing the
+// experiment.
 func TestErrtrackZeroCostWhenOff(t *testing.T) {
 	opts := Options{Backend: BackendCompressed, Method: compress.Cast16{}}
 	n := [3]int{16, 16, 16}
-	for _, parallel := range []bool{false, true} {
-		cfg := machine(12)
-		cfg.Parallel = parallel
+	cfg := machine(12)
+	off := Measure[complex128](cfg, n, opts, 1, true)
 
-		off := Measure[complex128](cfg, n, opts, 1, true)
+	rec := obs.New(obs.Options{Metrics: true})
+	log := obs.NewEventLog()
+	trk := errtrack.New()
+	log.Observe(trk.Observe)
+	var sink strings.Builder
+	log.SetSink(&sink)
+	rec.SetEventLog(log)
+	on := MeasureWith[complex128](rec, cfg, n, opts, 1, true)
 
-		rec := obs.New(obs.Options{Metrics: true})
-		log := obs.NewEventLog()
-		trk := errtrack.New()
-		log.Observe(trk.Observe)
-		var sink strings.Builder
-		log.SetSink(&sink)
-		rec.SetEventLog(log)
-		on := MeasureWith[complex128](rec, cfg, n, opts, 1, true)
-
-		if off.ForwardTime != on.ForwardTime || off.Gflops != on.Gflops {
-			t.Errorf("parallel=%v: tracked run shifted virtual time: off %v/%v on %v/%v",
-				parallel, off.ForwardTime, off.Gflops, on.ForwardTime, on.Gflops)
-		}
-		if off.RelErr != on.RelErr && !(math.IsNaN(off.RelErr) && math.IsNaN(on.RelErr)) {
-			t.Errorf("parallel=%v: RelErr differs: %v vs %v", parallel, off.RelErr, on.RelErr)
-		}
-		if len(trk.Snapshot().Cells) == 0 {
-			t.Errorf("parallel=%v: tracked run recorded nothing", parallel)
-		}
-		if n := strings.Count(sink.String(), "\n"); int64(n) != log.Total() || log.SinkErr() != nil {
-			t.Errorf("parallel=%v: sink holds %d lines of %d events (sink error %v)", parallel, n, log.Total(), log.SinkErr())
-		}
-		if !strings.Contains(sink.String(), `"kind":"`+obs.EventErrAttr+`"`) {
-			t.Errorf("parallel=%v: sink carries no %s events", parallel, obs.EventErrAttr)
-		}
+	if off.ForwardTime != on.ForwardTime || off.Gflops != on.Gflops {
+		t.Errorf("tracked run shifted virtual time: off %v/%v on %v/%v",
+			off.ForwardTime, off.Gflops, on.ForwardTime, on.Gflops)
+	}
+	if off.RelErr != on.RelErr && !(math.IsNaN(off.RelErr) && math.IsNaN(on.RelErr)) {
+		t.Errorf("RelErr differs: %v vs %v", off.RelErr, on.RelErr)
+	}
+	if len(trk.Snapshot().Cells) == 0 {
+		t.Error("tracked run recorded nothing")
+	}
+	if n := strings.Count(sink.String(), "\n"); int64(n) != log.Total() || log.SinkErr() != nil {
+		t.Errorf("sink holds %d lines of %d events (sink error %v)", n, log.Total(), log.SinkErr())
+	}
+	if !strings.Contains(sink.String(), `"kind":"`+obs.EventErrAttr+`"`) {
+		t.Errorf("sink carries no %s events", obs.EventErrAttr)
 	}
 }
 
-// TestTrackerDeterministicAcrossEngines demands the snapshot itself —
-// aggregates, pair matrix, ledger — be identical between the sequential
-// and parallel engines, event order notwithstanding.
-func TestTrackerDeterministicAcrossEngines(t *testing.T) {
+// TestTrackerDeterministicAcrossRuns demands the snapshot itself —
+// aggregates, pair matrix, ledger — be identical between two runs of
+// the same cell.
+func TestTrackerDeterministicAcrossRuns(t *testing.T) {
 	opts := Options{Backend: BackendCompressed, Method: compress.Cast32{}}
-	var reports []errtrack.Report
-	for _, parallel := range []bool{false, true} {
-		cfg := machine(12)
-		cfg.Parallel = parallel
-		reports = append(reports, measureTracked(t, cfg, opts))
-	}
-	a, b := reports[0], reports[1]
+	a, b := measureTracked(t, machine(12), opts), measureTracked(t, machine(12), opts)
 	if len(a.Cells) != len(b.Cells) {
 		t.Fatalf("cell counts differ: %d vs %d", len(a.Cells), len(b.Cells))
 	}
@@ -170,7 +160,7 @@ func TestTrackerDeterministicAcrossEngines(t *testing.T) {
 			// summed fields (SumSq, RMS, Drift) must agree to the bit; the
 			// whole report is a pure function of the event multiset.
 			if !reflect.DeepEqual(x, y) {
-				t.Errorf("stage %s diverges across engines:\nseq %+v\npar %+v", x.Label, x, y)
+				t.Errorf("stage %s diverges across runs:\n%+v\n%+v", x.Label, x, y)
 			}
 		}
 	}

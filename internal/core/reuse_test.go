@@ -13,10 +13,9 @@ import (
 // TestRepeatedTransformsBitIdentical: every reshape packs into the same
 // wire buffers on every call, so back-to-back transforms must reproduce
 // the first call's output bit for bit, with one rank running behind the
-// others, under both engines (the parallel one runs rank bodies, and so
-// the lease releases, on concurrent threads). Every backend, the
-// PencilIO configuration (two reshapes per direction, so a reshape's
-// next call comes soonest) and the real-to-complex plan are covered.
+// others. Every backend, the PencilIO configuration (two reshapes per
+// direction, so a reshape's next call comes soonest) and the
+// real-to-complex plan are covered.
 // The lease rules that keep a reused buffer from reaching a receiver
 // early are tested in mpi and exchange: here every reshape's next call
 // depends on data its receivers send only after unpacking, so the
@@ -36,54 +35,51 @@ func TestRepeatedTransformsBitIdentical(t *testing.T) {
 			t.Errorf("%s: call %d differs from call 0", name, call)
 		}
 	}
-	for _, parallel := range []bool{false, true} {
-		cfg := machine(ranks)
-		cfg.Parallel = parallel
-		for _, b := range []Backend{BackendAlltoallv, BackendOSC, BackendCompressed, BackendCompressedTwoSided, BackendBruck} {
-			for _, pencil := range []bool{false, true} {
-				opts := Options{Backend: b, PencilIO: pencil}
-				if b.compressed() {
-					opts.Method = compress.Cast32{}
+	cfg := machine(ranks)
+	for _, b := range []Backend{BackendAlltoallv, BackendOSC, BackendCompressed, BackendCompressedTwoSided, BackendBruck} {
+		for _, pencil := range []bool{false, true} {
+			opts := Options{Backend: b, PencilIO: pencil}
+			if b.compressed() {
+				opts.Method = compress.Cast32{}
+			}
+			name := b.String()
+			if pencil {
+				name += "/pencil"
+			}
+			mpi.Run(cfg, func(c *mpi.Comm) {
+				pl := NewPlan[complex128](c, n, opts)
+				in := make([]complex128, pl.InBox().Count())
+				FillBox(in, pl.InBox(), pl.InOrder(), 3)
+				var fwd, bwd []complex128
+				for call := 0; call < calls; call++ {
+					delay(c)
+					out := pl.Forward(in)
+					same(name+" forward", call, out, &fwd)
+					delay(c)
+					same(name+" backward", call, pl.Backward(out), &bwd)
 				}
-				name := b.String()
-				if pencil {
-					name += "/pencil"
-				}
-				mpi.Run(cfg, func(c *mpi.Comm) {
-					pl := NewPlan[complex128](c, n, opts)
-					in := make([]complex128, pl.InBox().Count())
-					FillBox(in, pl.InBox(), pl.InOrder(), 3)
-					var fwd, bwd []complex128
-					for call := 0; call < calls; call++ {
-						delay(c)
-						out := pl.Forward(in)
-						same(name+" forward", call, out, &fwd)
-						delay(c)
-						same(name+" backward", call, pl.Backward(out), &bwd)
-					}
-				})
+			})
+		}
+	}
+	mpi.Run(cfg, func(c *mpi.Comm) {
+		pl := NewPlanR2C[complex128](c, n, Options{Backend: BackendAlltoallv})
+		in := make([]float64, pl.InBox().Count())
+		fillRealBrick(in, pl.InBox(), 3)
+		var fwd []complex128
+		var bwd []float64
+		for call := 0; call < calls; call++ {
+			delay(c)
+			out := pl.Forward(in)
+			same("r2c forward", call, out, &fwd)
+			delay(c)
+			back := pl.Backward(out)
+			if call == 0 {
+				bwd = slices.Clone(back)
+			} else if !slices.Equal(back, bwd) {
+				t.Errorf("r2c backward: call %d differs from call 0", call)
 			}
 		}
-		mpi.Run(cfg, func(c *mpi.Comm) {
-			pl := NewPlanR2C[complex128](c, n, Options{Backend: BackendAlltoallv})
-			in := make([]float64, pl.InBox().Count())
-			fillRealBrick(in, pl.InBox(), 3)
-			var fwd []complex128
-			var bwd []float64
-			for call := 0; call < calls; call++ {
-				delay(c)
-				out := pl.Forward(in)
-				same("r2c forward", call, out, &fwd)
-				delay(c)
-				back := pl.Backward(out)
-				if call == 0 {
-					bwd = slices.Clone(back)
-				} else if !slices.Equal(back, bwd) {
-					t.Errorf("r2c backward: call %d differs from call 0", call)
-				}
-			}
-		})
-	}
+	})
 }
 
 // TestSteadyStateForwardAllocations guards the reused wire buffers: once

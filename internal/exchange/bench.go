@@ -155,9 +155,8 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 		run, cosc := newCell(c, spec, msgBytes)
 		// One iteration = one recovery epoch: epochs the committed
 		// checkpoint covers are skipped (their ledger state is restored),
-		// the rest execute and checkpoint. myPerformed is rank-local (the
-		// bodies run concurrently under the parallel engine); rank 0
-		// publishes it after the closing barrier.
+		// the rest execute and checkpoint. myPerformed is rank-local;
+		// rank 0 publishes it after the closing barrier.
 		epoch, myPerformed := 0, 0
 		t0, t1 := timedLoop(c, iters, func(measured bool) {
 			epoch++

@@ -120,8 +120,7 @@ func runWith(cfg netsim.Config, rec *obs.Recorder, body func(*Comm), check bool)
 		// Mirror injected faults into the live event stream. Like the
 		// Tracer, the observer runs serialized, in processing order, on
 		// whichever goroutine holds the engine's baton, so event order
-		// is deterministic under both engines and emission never touches
-		// virtual time.
+		// is deterministic and emission never touches virtual time.
 		prev := cfg.FaultObserver
 		cfg.FaultObserver = func(fe netsim.FaultEvent) {
 			if prev != nil {

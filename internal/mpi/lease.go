@@ -28,8 +28,9 @@ import (
 // leaseTable is one rank's leases: busy[id-1] is set from the owner's
 // LeasedBuf until the buffer's receiver releases it. The Run shares one
 // table per rank between all ranks (receivers release into the sender's
-// table), so every access holds mu — bodies run on concurrent threads
-// under the parallel engine.
+// table), so every access holds mu: the engine hands the baton between
+// rank goroutines, and the lock is what orders their accesses for the
+// race detector.
 type leaseTable struct {
 	mu   sync.Mutex
 	busy []bool

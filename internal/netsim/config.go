@@ -67,10 +67,9 @@ type Config struct {
 
 	// FaultObserver, when non-nil, receives one FaultEvent per injected
 	// fault as the engine decides it. Like Tracer it is called serially,
-	// in processing order, on whichever goroutine holds the baton (the
-	// scheduler's in parallel mode), so observation order is
-	// deterministic and observing never perturbs virtual time. It must
-	// not call back into the engine.
+	// in processing order, on whichever goroutine holds the baton, so
+	// observation order is deterministic and observing never perturbs
+	// virtual time. It must not call back into the engine.
 	FaultObserver func(FaultEvent) `json:"-"`
 
 	// MatchCost is the receiver-side cost of scanning one entry of the
@@ -81,17 +80,11 @@ type Config struct {
 	MatchCost     float64
 	MatchQueueCap int
 
-	// Parallel selects the conservative parallel execution mode: rank
-	// bodies execute truly concurrently across OS cores between their
-	// communication events, while the engine serializes event processing
-	// in the exact (virtual clock, rank) order of the sequential
-	// scheduler. Every output — virtual times, Stats, FaultStats, trace
-	// events, exchanged payloads — is bit-identical to Parallel == false;
-	// the win is wall-clock, on workloads whose rank bodies carry real
-	// CPU work (compression kernels, FFT models, CRC framing). See
-	// docs/DETERMINISM.md for the equivalence contract. The environment
-	// variable NETSIM_PARALLEL=1 forces this mode for every run (the
-	// `make verify-parallel` tier).
+	// Parallel has no effect: the simulator has one scheduler. The field
+	// stays only because benchmark/ still sets it; the benchmark change
+	// of ROADMAP item 15 removes it together with benchmark/'s
+	// parallelPairs and its netsim.parallel_speedup and
+	// parallel_cpu_ratio metrics, which read about 1.0 until then.
 	Parallel bool
 }
 

@@ -3,10 +3,7 @@ package netsim
 import (
 	"container/heap"
 	"fmt"
-	"os"
 	"runtime"
-	"sort"
-	"sync"
 )
 
 // Packet is a delivered message as seen by the receiver.
@@ -125,22 +122,6 @@ type Proc struct {
 	buffered int // matchable packets queued (unexpected-queue length)
 	done     bool
 	err      interface{} // recovered panic value
-
-	// One-sided synchronization counters (CountFence/CountFlush). They
-	// are per-proc — rank bodies increment them while running, which in
-	// parallel mode happens on many OS threads at once — and are merged
-	// into Stats in rank order when the run finishes, so the totals are
-	// identical in both modes.
-	fences  int
-	flushes int
-
-	// Parallel-mode scheduler state (owned by the scheduler goroutine):
-	// lb is the lower bound on the virtual time of this proc's next
-	// request while its body runs concurrently (the clock at resume —
-	// clocks only grow inside a body), runIdx its slot in the running
-	// heap.
-	lb     float64
-	runIdx int
 }
 
 // Rank returns this rank's id.
@@ -177,14 +158,12 @@ func (p *Proc) AdvanceTo(t float64) {
 
 // CountFence and CountFlush let the runtime layer attribute one-sided
 // synchronization events (window fences, put-throttling flushes) to the
-// run's Stats; they do not touch the clock. The counts land in per-proc
-// counters (bodies run concurrently in parallel mode; a shared counter
-// here would be a data race) and are summed into Stats at the end of
-// the run.
-func (p *Proc) CountFence() { p.fences++ }
+// run's Stats; they do not touch the clock. Only the body holding the
+// baton runs, so they count straight into the engine's Stats.
+func (p *Proc) CountFence() { p.eng.stats.Fences++ }
 
 // CountFlush counts one put-throttling flush wait (see CountFence).
-func (p *Proc) CountFlush() { p.flushes++ }
+func (p *Proc) CountFlush() { p.eng.stats.Flushes++ }
 
 // Send transfers a message of the given logical size toward dst, tagged
 // tag. payload may be nil for phantom transfers; it is handed to the
@@ -267,11 +246,11 @@ func (p *Proc) RecvDeadline(src, tag int, deadline float64) (Packet, bool) {
 	return p.resp, true
 }
 
-// yield hands p's request to the engine. In parallel mode and during
-// bring-up it goes to the scheduler on Run's goroutine. Otherwise p holds
-// the baton: it processes requests in (clock, rank) order until some
-// proc must resume, and returns at once if that is p, else wakes it and
-// parks. With nothing left to process, the baton goes back to Run.
+// yield hands p's request to the engine. During bring-up it goes to
+// Run's goroutine. Otherwise p holds the baton: it processes requests
+// in (clock, rank) order until some proc must resume, and returns at
+// once if that is p, else wakes it and parks. With nothing left to
+// process, the baton goes back to Run.
 func (p *Proc) yield() {
 	eng := p.eng
 	next := p
@@ -309,9 +288,6 @@ type Engine struct {
 	ready   procHeap
 	baton   bool // sequential bring-up is over: yielding bodies schedule
 	alive   int  // bodies neither finished nor crashed
-	// running holds the procs whose bodies are executing concurrently in
-	// parallel mode, ordered by (lb, rank); empty in sequential mode.
-	running runHeap
 	stats   Stats
 	inj     *injector // nil unless cfg.Faults is set
 	// check selects error-collecting mode (RunChecked): rank panics and
@@ -347,21 +323,8 @@ func RunChecked(cfg Config, body func(*Proc)) (Result, error) {
 
 func run(cfg Config, body func(*Proc), check bool) (Result, error) {
 	cfg.validate()
-	eng := newEngine(cfg, body, check)
-	if cfg.Parallel || envParallel() {
-		return eng.runParallel()
-	}
-	return eng.runSequential()
+	return newEngine(cfg, body, check).runSequential()
 }
-
-// envParallel reports whether NETSIM_PARALLEL forces the parallel
-// engine for every run regardless of Config.Parallel. It backs the
-// `make verify-parallel` tier: the whole test suite re-runs under the
-// parallel scheduler without per-test plumbing. Empty or "0" disables.
-var envParallel = sync.OnceValue(func() bool {
-	v := os.Getenv("NETSIM_PARALLEL")
-	return v != "" && v != "0"
-})
 
 // newEngine builds the engine (one P×P table holds every inbox) and
 // spawns one parked goroutine per rank running body, none if body is
@@ -384,12 +347,11 @@ func newEngine(cfg Config, body func(*Proc), check bool) *Engine {
 	inboxes := make([]*pktNode, n*n)
 	for r := range eng.procs {
 		eng.procs[r] = &Proc{
-			eng:    eng,
-			rank:   r,
-			node:   cfg.NodeOf(r),
-			wake:   make(chan struct{}),
-			inbox:  inboxes[r*n : (r+1)*n : (r+1)*n],
-			runIdx: -1,
+			eng:   eng,
+			rank:  r,
+			node:  cfg.NodeOf(r),
+			wake:  make(chan struct{}),
+			inbox: inboxes[r*n : (r+1)*n : (r+1)*n],
 		}
 	}
 	if body == nil {
@@ -444,67 +406,6 @@ func (eng *Engine) runSequential() (Result, error) {
 	return eng.finalize(deadlock)
 }
 
-// runParallel executes rank bodies truly concurrently while keeping
-// event processing in the exact total order of the sequential engine,
-// so every output is bit-identical (docs/DETERMINISM.md).
-//
-// The scheme is conservative lookahead over the yield protocol: a
-// resumed body owns its clock, which only grows, so the clock captured
-// at resume time (Proc.lb) is a lower bound on the virtual time of the
-// body's next request. The head of the ready heap is therefore safe to
-// process exactly when it sorts before (min lb, rank) over the running
-// set — no concurrently executing body can still produce an earlier
-// event. When the head is not safe the scheduler blocks for the next
-// yield, shrinking the running set until it is. All engine state
-// (resources, inboxes, stats, fault injector, tracer) is touched only
-// by this scheduler goroutine, in the sequential processing order;
-// bodies only ever touch their own Proc between yields.
-func (eng *Engine) runParallel() (Result, error) {
-	// Launch every body; all of them run concurrently from the start.
-	for _, p := range eng.procs {
-		eng.resumeAsync(p)
-	}
-	var deadlock *DeadlockError
-loop:
-	for eng.alive > 0 {
-		// Draining may retire the last finishers — re-check before
-		// concluding anything from an empty ready+running state.
-		if eng.drainYields(); eng.alive == 0 {
-			break
-		}
-		switch {
-		case eng.ready.Len() > 0 && eng.safeHead():
-			p := heap.Pop(&eng.ready).(*Proc)
-			if eng.discardCrashed(p) {
-				eng.alive--
-			} else if !eng.process(p) {
-				eng.resumeAsync(p)
-			}
-		case eng.running.Len() > 0:
-			// The earliest pending request may still come from a body
-			// that is executing; wait for one to yield or finish.
-			eng.admit(<-eng.yieldCh)
-		default:
-			// No body running, none ready: all live ranks are blocked —
-			// the exact condition of the sequential engine's idle path.
-			if eng.fireDeadline() {
-				continue
-			}
-			deadlock = eng.deadlockDiag()
-			if !eng.check {
-				panic(deadlock.Error() + "\n")
-			}
-			break loop
-		}
-	}
-	// Failures surfaced in wall-clock completion order; rank order makes
-	// the slice deterministic. (The sequential engine reports them in
-	// processing order instead, but RunError.Error sorts its lines, so
-	// rendered diagnostics match across modes.)
-	sort.Slice(eng.fails, func(i, j int) bool { return eng.fails[i].Rank < eng.fails[j].Rank })
-	return eng.finalize(deadlock)
-}
-
 // process handles p's pending request, returning true if p blocked on
 // an unmatched receive (and so must not be resumed).
 func (eng *Engine) process(p *Proc) (blocked bool) {
@@ -555,13 +456,10 @@ func (eng *Engine) discardCrashed(p *Proc) bool {
 	return false
 }
 
-// finalize merges the per-proc one-sided counters into Stats (in rank
-// order — the sums are mode-independent) and assembles the Result.
+// finalize assembles the Result.
 func (eng *Engine) finalize(deadlock *DeadlockError) (Result, error) {
 	res := Result{Stats: eng.stats, Clocks: make([]float64, len(eng.procs))}
 	for i, p := range eng.procs {
-		res.Stats.Fences += p.fences
-		res.Stats.Flushes += p.flushes
 		res.Clocks[i] = p.clock
 		if p.clock > res.Time {
 			res.Time = p.clock
@@ -571,38 +469,6 @@ func (eng *Engine) finalize(deadlock *DeadlockError) (Result, error) {
 		return res, &RunError{Failures: eng.fails, Deadlock: deadlock}
 	}
 	return res, nil
-}
-
-// resumeAsync wakes p without waiting for its next yield (parallel
-// mode). p's clock at this instant becomes its running lower bound.
-func (eng *Engine) resumeAsync(p *Proc) {
-	p.lb = p.clock
-	heap.Push(&eng.running, p)
-	p.wake <- struct{}{}
-}
-
-// drainYields admits every yield already queued on yieldCh without
-// blocking, so the safety check sees the freshest running set.
-func (eng *Engine) drainYields() {
-	for {
-		select {
-		case q := <-eng.yieldCh:
-			eng.admit(q)
-		default:
-			return
-		}
-	}
-}
-
-// admit moves a yielded proc from the running set to the ready heap
-// (or retires it if its body finished).
-func (eng *Engine) admit(q *Proc) {
-	heap.Remove(&eng.running, q.runIdx)
-	if q.done {
-		eng.retire(q)
-	} else {
-		heap.Push(&eng.ready, q)
-	}
 }
 
 // retire takes a finished body off the live count; its panic
@@ -617,23 +483,8 @@ func (eng *Engine) retire(q *Proc) {
 	}
 }
 
-// safeHead reports whether the ready heap's minimum request is ordered
-// before every request a running body could still produce — i.e. it
-// sorts strictly before (lb, rank) of the running heap's minimum. Ties
-// on the clock resolve by rank exactly as procHeap orders them.
-func (eng *Engine) safeHead() bool {
-	if eng.running.Len() == 0 {
-		return true
-	}
-	h, r := eng.ready[0], eng.running[0]
-	if h.clock != r.lb {
-		return h.clock < r.lb
-	}
-	return h.rank < r.rank
-}
-
-// resume wakes p and waits for the baton to come back (sequential mode):
-// a body finished, or found nothing left to process. During bring-up, a
+// resume wakes p and waits for the baton to come back: a body
+// finished, or found nothing left to process. During bring-up, a
 // yielding p with its first request is queued.
 func (eng *Engine) resume(p *Proc) {
 	p.wake <- struct{}{}
@@ -929,36 +780,4 @@ func earlier(a, b *Proc) bool {
 		return a.clock < b.clock
 	}
 	return a.rank < b.rank
-}
-
-// runHeap orders concurrently executing procs by (lb, rank), where lb
-// is each body's running lower bound — its clock when it was resumed.
-// Its minimum bounds from below every request the running set can
-// still produce (clocks never decrease inside a body).
-type runHeap []*Proc
-
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(i, j int) bool {
-	if h[i].lb != h[j].lb {
-		return h[i].lb < h[j].lb
-	}
-	return h[i].rank < h[j].rank
-}
-func (h runHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].runIdx = i
-	h[j].runIdx = j
-}
-func (h *runHeap) Push(x interface{}) {
-	p := x.(*Proc)
-	p.runIdx = len(*h)
-	*h = append(*h, p)
-}
-func (h *runHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	p.runIdx = -1
-	*h = old[:n-1]
-	return p
 }

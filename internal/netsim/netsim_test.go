@@ -285,13 +285,16 @@ func TestStatsCounters(t *testing.T) {
 		switch p.Rank() {
 		case 0:
 			p.Recv(0, 2)
+			p.CountFence()
 		case 1:
 			p.Recv(0, 0)
+			p.CountFlush()
 		case 6:
 			p.Recv(0, 1)
+			p.CountFence()
 		}
 	})
-	want := Stats{Messages: 3, BytesIntra: 100, BytesInter: 200, BytesLocal: 300}
+	want := Stats{Messages: 3, BytesIntra: 100, BytesInter: 200, BytesLocal: 300, Fences: 2, Flushes: 1}
 	if res.Stats != want {
 		t.Errorf("stats = %+v, want %+v", res.Stats, want)
 	}

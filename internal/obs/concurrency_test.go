@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestRecorderConcurrentRanks pins the concurrency contract the
-// parallel netsim engine relies on (docs/DETERMINISM.md): many rank
-// goroutines may drive their own Rank handles — spans, counters,
-// gauges, histograms — at the same time as the scheduler goroutine
+// TestRecorderConcurrentRanks pins the Recorder's concurrency
+// contract: many goroutines may drive their own Rank handles — spans,
+// counters, gauges, histograms — at the same time as another goroutine
 // streams Wire events and other callers mint new handles via Rank().
 // Run under -race (the verify tier does) this fails on any
 // unsynchronized access inside the Recorder or the Metrics registry.
@@ -57,10 +56,9 @@ func TestRecorderConcurrentRanks(t *testing.T) {
 }
 
 // TestShardsMergeInRankOrder: the registry's gauges and histograms do
-// not depend on the order rank bodies write in, which the parallel
-// engine leaves to the host. Arrival order would sum 1e16, 1, -1e16 to
-// 0 one way and to 1 the other, and would keep whichever gauge came
-// last.
+// not depend on the order rank bodies write in. Arrival order would sum
+// 1e16, 1, -1e16 to 0 one way and to 1 the other, and would keep
+// whichever gauge came last.
 func TestShardsMergeInRankOrder(t *testing.T) {
 	type write struct {
 		rank int

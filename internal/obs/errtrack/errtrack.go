@@ -294,7 +294,7 @@ type Report struct {
 
 // Snapshot copies the ledger into a Report. Pair matrices and series are
 // sorted by deterministic keys, so two trackers that saw the same event
-// multiset (live vs. replay, sequential vs. parallel engine) snapshot
+// multiset (live vs. replay) snapshot
 // byte-identically as long as retention bounds were not exceeded.
 func (t *Tracker) Snapshot() Report {
 	r := Report{Schema: ReportSchema}
@@ -349,12 +349,11 @@ func (st *stage) report() StageReport {
 	}
 	if st.dropped == 0 && len(keys) > 0 {
 		// Re-derive the squared-error sum by folding the sorted pair
-		// stats: a pair's own sum accumulates in its rank's program order
-		// (deterministic under both engines), so this fixed fold order
-		// makes the stage aggregate a pure function of the event multiset
-		// — arrival-order summation differs across engines in the last
-		// ulp. With dropped pairs the arrival-order sum stands, as the
-		// retained pairs no longer carry the whole stage.
+		// stats: a pair's own sum accumulates in its rank's program order,
+		// so this fixed fold order makes the stage aggregate a pure
+		// function of the event multiset, not of the order events
+		// arrived in. With dropped pairs the arrival-order sum stands, as
+		// the retained pairs no longer carry the whole stage.
 		sr.SumSq = pairSq
 		sr.RMS = Stat{N: sr.Values, SumSq: pairSq}.RMS()
 	}
@@ -383,10 +382,10 @@ func (st *stage) report() StageReport {
 // driftOf estimates error drift over a stage's timeline: the mean worst
 // relative error of the late half of the virtual-time span divided by
 // the early half's mean. Splitting at the time midpoint (rather than the
-// sample median) keeps the estimate independent of observation order,
-// which the parallel engine does not preserve; callers pass the sorted
-// series so the summation order is deterministic too. Returns 0 when
-// either half is empty or the early mean is zero.
+// sample median) keeps the estimate independent of observation order;
+// callers pass the sorted series so the summation order is
+// deterministic too. Returns 0 when either half is empty or the early
+// mean is zero.
 func driftOf(series []TimePoint) float64 {
 	if len(series) < 2 {
 		return 0

@@ -15,9 +15,10 @@ import (
 // Gauges and histograms keep one shard per writer: shard 0 for callers
 // outside a rank body (drivers, the recovery controller), shard r+1 for
 // rank r (Rank.Set, Rank.Observe). Reads merge the shards in shard
-// order. Under the parallel engine rank bodies write in host order, and
-// neither a float sum nor a last write is independent of that order;
-// per-writer shards folded in rank order are.
+// order, so a merged gauge is the highest-ranked writer's last value
+// and a histogram sums in rank order. One accumulator written in
+// processing order would keep a different last write and round its sums
+// differently, which would change the committed artifacts' bytes.
 type Metrics struct {
 	mu       sync.Mutex
 	counters map[string]int64
@@ -368,21 +369,6 @@ func (s Snapshot) CompressionStats() []CompressionStat {
 		out[i] = *byLabel[l]
 	}
 	return out
-}
-
-// CounterNames returns all counter names, sorted.
-func (m *Metrics) CounterNames() []string {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.counters))
-	for n := range m.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Compression-metric naming convention shared by the exchange layer and

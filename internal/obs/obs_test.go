@@ -165,7 +165,7 @@ func TestMetricsRegistry(t *testing.T) {
 	if got := m.Counter("a"); got != 4 {
 		t.Errorf("counter a = %d, want 4", got)
 	}
-	if names := m.CounterNames(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
+	if names := m.Snapshot().CounterNames(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Errorf("counter names = %v", names)
 	}
 	if v, ok := m.Snapshot().Gauges["g"]; !ok || v != 1.5 {

@@ -219,8 +219,8 @@ type Controller struct {
 // restart budget returns *UnrecoverableError.
 //
 // Everything the loop decides derives from virtual times and seeded
-// RNGs, so a faulted-and-recovered run is bit-identical to itself
-// across the sequential and parallel engines.
+// RNGs, so a faulted-and-recovered run is bit-identical to itself from
+// run to run.
 func (ct *Controller) Run(cfg netsim.Config, rec *obs.Recorder, body func(*mpi.Comm, *Rank)) (Outcome, error) {
 	pol := ct.Policy.withDefaults()
 	if ct.Store == nil {

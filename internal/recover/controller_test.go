@@ -61,46 +61,45 @@ func TestControllerRecoversMidRunCrash(t *testing.T) {
 	}
 }
 
-func TestControllerEngineEquivalence(t *testing.T) {
-	// The recovered run must be bit-identical to itself across the
-	// sequential and parallel engines: same virtual end time, same
-	// recovery timeline, same numerical result.
+func TestControllerDeterministicAcrossRuns(t *testing.T) {
+	// The recovered run must be bit-identical to itself from run to run:
+	// same virtual end time, same recovery timeline, same numerical
+	// result.
 	opts := core.Options{Backend: core.BackendCompressed, Tolerance: 1e-6}
 	half := baselineTime(t, opts) / 2
 
-	run := func(parallel bool) (core.Result, recov.Outcome) {
+	run := func() (core.Result, recov.Outcome) {
 		cfg := netsim.Summit(1)
-		cfg.Parallel = parallel
 		cfg.Faults = &netsim.FaultPlan{Seed: 22, CrashRank: 1, CrashAt: half,
 			DropProb: 0.01, SilentCorruptProb: 0.02}
 		res, out, err := core.MeasureRecoverable[complex128](nil, cfg, testN, opts, 2, true, recov.Policy{})
 		if err != nil {
-			t.Fatalf("parallel=%v: recovery failed: %v", parallel, err)
+			t.Fatalf("recovery failed: %v", err)
 		}
 		return res, out
 	}
-	seqRes, seqOut := run(false)
-	parRes, parOut := run(true)
+	resA, outA := run()
+	resB, outB := run()
 
-	if seqOut.Result.Time != parOut.Result.Time {
-		t.Errorf("virtual end time diverged: sequential %v, parallel %v", seqOut.Result.Time, parOut.Result.Time)
+	if outA.Result.Time != outB.Result.Time {
+		t.Errorf("virtual end time diverged: %v, then %v", outA.Result.Time, outB.Result.Time)
 	}
-	if seqOut.Attempts != parOut.Attempts || len(seqOut.Recoveries) != len(parOut.Recoveries) {
-		t.Fatalf("recovery shape diverged: %+v vs %+v", seqOut, parOut)
+	if outA.Attempts != outB.Attempts || len(outA.Recoveries) != len(outB.Recoveries) {
+		t.Fatalf("recovery shape diverged: %+v vs %+v", outA, outB)
 	}
-	for i := range seqOut.Recoveries {
-		if seqOut.Recoveries[i] != parOut.Recoveries[i] {
-			t.Errorf("recovery %d diverged: %+v vs %+v", i, seqOut.Recoveries[i], parOut.Recoveries[i])
+	for i := range outA.Recoveries {
+		if outA.Recoveries[i] != outB.Recoveries[i] {
+			t.Errorf("recovery %d diverged: %+v vs %+v", i, outA.Recoveries[i], outB.Recoveries[i])
 		}
 	}
-	if seqOut.MTTRSeconds != parOut.MTTRSeconds {
-		t.Errorf("MTTR diverged: %v vs %v", seqOut.MTTRSeconds, parOut.MTTRSeconds)
+	if outA.MTTRSeconds != outB.MTTRSeconds {
+		t.Errorf("MTTR diverged: %v vs %v", outA.MTTRSeconds, outB.MTTRSeconds)
 	}
-	if seqRes.RelErr != parRes.RelErr {
-		t.Errorf("numerical result diverged: %v vs %v", seqRes.RelErr, parRes.RelErr)
+	if resA.RelErr != resB.RelErr {
+		t.Errorf("numerical result diverged: %v vs %v", resA.RelErr, resB.RelErr)
 	}
-	if seqRes.ForwardTime != parRes.ForwardTime {
-		t.Errorf("forward time diverged: %v vs %v", seqRes.ForwardTime, parRes.ForwardTime)
+	if resA.ForwardTime != resB.ForwardTime {
+		t.Errorf("forward time diverged: %v vs %v", resA.ForwardTime, resB.ForwardTime)
 	}
 }
 

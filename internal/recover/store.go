@@ -69,9 +69,9 @@ func unframe(b []byte) ([]byte, error) {
 // epoch. Until the commit the epoch is pending and a Rollback discards
 // it, so a crash mid-checkpoint can never surface a torn cut — readers
 // only ever see LastCommitted. Per-rank slots are disjoint, so the
-// store's committed content is independent of the order concurrent
-// ranks saved in (the parallel engine runs rank bodies on real
-// threads).
+// store's committed content is independent of the order ranks saved
+// in. The lock orders accesses from the rank goroutines and from the
+// controller, which Run calls from outside the simulation.
 type Store struct {
 	mu        sync.Mutex
 	committed int                    // last committed epoch; -1 = none

@@ -168,9 +168,8 @@ func (c *Cell) BenchSpec() (exchange.Spec, error) {
 
 // Fingerprint is the canonical machine-model key of a plan cell: every
 // performance parameter of the config, none of the run-mode ones
-// (engine choice, faults, observers) — a plan tuned sequentially is
-// valid, and bit-identical, under the parallel engine and under fault
-// injection.
+// (faults, observers) — a plan tuned fault-free is valid, and
+// bit-identical, under fault injection.
 func Fingerprint(cfg netsim.Config) string {
 	return fmt.Sprintf("nodes=%d gpn=%d bw=%g/%g/%g lat=%g/%g send=%g proto=%g/%g rma=%g match=%g/%d",
 		cfg.Nodes, cfg.GPUsPerNode, cfg.InterBW, cfg.IntraBW, cfg.LocalBW,
@@ -210,7 +209,7 @@ func (p *Plan) Cell(machine, shape string) (*Cell, bool) {
 // fixed field order and a trailing newline. Encoding is deterministic —
 // equal plans encode to equal bytes — which is what makes the
 // save→load round trip byte-stable and lets the conformance suite
-// compare plans produced under different engines with bytes.Equal.
+// compare plans from separate tuning runs with bytes.Equal.
 func (p *Plan) Encode() ([]byte, error) {
 	if err := p.validate(); err != nil {
 		return nil, err

@@ -163,11 +163,10 @@ func TestFixedOptionsUniformOnly(t *testing.T) {
 }
 
 // TestFingerprintIgnoresRunMode: the machine key covers performance
-// parameters only, so engine choice and fault plans cannot fork plans.
+// parameters only, so fault plans cannot fork plans.
 func TestFingerprintIgnoresRunMode(t *testing.T) {
 	a := netsim.Summit(2)
 	b := a
-	b.Parallel = true
 	b.Faults = netsim.RandomPlan(42)
 	if Fingerprint(a) != Fingerprint(b) {
 		t.Fatal("fingerprint depends on run mode")

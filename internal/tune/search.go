@@ -14,9 +14,7 @@ import (
 // probeConfig strips the run-mode fields off the machine model before a
 // probe run: faults and observers must not leak into tuning decisions
 // (a plan has to be identical whether or not the consuming run injects
-// faults), and probes carry no recorders. The engine choice (Parallel)
-// is kept — it is bit-neutral by the determinism contract, and leaving
-// it visible is exactly what the conformance suite checks.
+// faults), and probes carry no recorders.
 func probeConfig(cfg netsim.Config) netsim.Config {
 	cfg.Faults = nil
 	cfg.FaultObserver = nil

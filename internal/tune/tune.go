@@ -11,9 +11,9 @@
 // simulation, from inputs that are identical on every rank (the machine
 // model and the shape), so the resulting plan is collectively identical
 // by construction. Probe runs are full deterministic simulations, so
-// plans — and the runs that consume them — are bit-stable across the
-// sequential and parallel engines. Selection breaks ties by a total
-// order on candidates, never by enumeration order.
+// plans — and the runs that consume them — are bit-stable from run to
+// run. Selection breaks ties by a total order on candidates, never by
+// enumeration order.
 package tune
 
 import (
