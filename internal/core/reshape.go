@@ -21,14 +21,16 @@ type pipe struct {
 	precBits int
 	profile  Profile
 
-	// The per-destination headers the transports take: P-length, filled
-	// and cleared by each execute, so the plan's reshapes share one set,
-	// allocated by the first reshape that needs it. sendLease holds the
-	// lease ids beside sendBytes (all zero but for the two-sided
-	// all-to-all).
+	// The per-destination headers the byte transports take: P-length,
+	// filled and cleared by each execute, so the plan's reshapes share
+	// one set, allocated by the first reshape that needs it. sendLease
+	// holds the lease ids beside sendBytes (all zero but for the
+	// two-sided all-to-all).
 	sendBytes [][]byte
-	sendVals  [][]float64
 	sendLease []int
+	// scratch holds the one peer's values a compressed transport is
+	// encoding or decoding (reshape.Send and Recv).
+	scratch []float64
 }
 
 // kernel runs one GPU kernel of the given cost to completion as a span
@@ -113,12 +115,14 @@ type ledgered interface {
 // transport is a reshape's resolved all-to-all. Exactly one of bytes and
 // vals is set — which one is all execute needs to know; ledger is the
 // exchange's healing ledger for the epoch checkpoints (nil for the
-// two-sided transports, which keep none). bytes takes the payloads'
-// lease ids beside them (see mpi.AlltoallvLeased; all zero when they
-// carry none).
+// two-sided transports, which keep none). bytes takes the packed
+// payloads and their lease ids beside them (see mpi.AlltoallvLeased;
+// all zero when they carry none). vals, a compressed transport, takes
+// the reshape itself as its exchange.Payloads and packs and unpacks one
+// peer at a time through it.
 type transport struct {
 	bytes  func(send [][]byte, lease []int) [][]byte
-	vals   func(send [][]float64) [][]float64
+	vals   func(exchange.Payloads)
 	ledger ledgered
 }
 
@@ -147,17 +151,22 @@ type reshape[E mem.Word] struct {
 	toStage int
 
 	x transport
-	// block is the reshape's send block: plan.Send[i]'s payload in wire
-	// format at byte wire.size·Offset, allocated word-aligned (mem.Bytes)
+	// block is the byte transports' send block: plan.Send[i]'s payload in
+	// wire format at byte wire.size·Offset (at slot·Rank when slot, the
+	// uniform block of Bruck, is set), allocated word-aligned (mem.Bytes)
 	// so that every payload views as its elements. Pack writes into that
-	// view, and the transport sends the same memory as bytes or float64
-	// values. It is materialised by the first execute and packed in place
-	// by every later one. lease is the id of plan.Send[0]'s
-	// send-completion lease (the others follow in order), or 0: only the
-	// two-sided all-to-all hands the payloads to their receivers as-is,
-	// every other transport is done with them when it returns.
+	// view, and the transport sends the same memory. It is materialised
+	// by the first execute and packed in place by every later one. lease
+	// is the id of plan.Send[0]'s send-completion lease (the others
+	// follow in order), or 0: only the two-sided all-to-all hands the
+	// payloads to their receivers as-is, every other transport is done
+	// with them when it returns.
 	block []byte
+	slot  int
 	lease int
+	// in is execute's input while a compressed transport runs: Send
+	// packs from it.
+	in []E
 	// stage is the narrowing codec's element scratch (nil otherwise).
 	stage  []E
 	outBuf []E
@@ -210,21 +219,27 @@ func newReshape[E mem.Word](pp *pipe, wire codec[E], from, to layout, label stri
 // pl, found in pl.Send if src == me, else in pl.Recv (dst must be me).
 func pairCount(pl grid.Plan, me int) func(dst, src int) int {
 	return func(dst, src int) int {
-		ts, peer := pl.Send, dst
 		if src != me {
-			ts, peer = pl.Recv, src
+			return transferWith(pl.Recv, src).Count
 		}
-		i := sort.Search(len(ts), func(i int) bool { return ts[i].Rank >= peer })
-		if i == len(ts) || ts[i].Rank != peer {
-			return 0
-		}
-		return ts[i].Count
+		return transferWith(pl.Send, dst).Count
 	}
+}
+
+// transferWith returns the transfer with peer in the rank-sorted list
+// ts, or the empty Transfer if there is none.
+func transferWith(ts []grid.Transfer, peer int) grid.Transfer {
+	i := sort.Search(len(ts), func(i int) bool { return ts[i].Rank >= peer })
+	if i == len(ts) || ts[i].Rank != peer {
+		return grid.Transfer{}
+	}
+	return ts[i]
 }
 
 // newTransport builds the exchange a choice names — the one place that
 // maps a Backend onto an implementation. The two-sided all-to-all also
-// registers the reshape's send-completion leases.
+// registers the reshape's send-completion leases, and a compressed
+// backend grows the plan's scratch to the reshape's largest transfer.
 func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) transport {
 	pp := r.pp
 	c := pp.c
@@ -233,6 +248,10 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 	overlap, simOverlap := pairCount(r.plan, c.Rank()), pairCount(simPlan, c.Rank())
 	maxSend := func(pl grid.Plan) int {
 		return int(c.AllreduceFloat64("max", float64(maxCount(pl.Send))))
+	}
+
+	if n := vals * max(maxCount(r.plan.Send), maxCount(r.plan.Recv)); choice.Backend.compressed() && len(pp.scratch) < n {
+		pp.scratch = make([]float64, n)
 	}
 
 	switch choice.Backend {
@@ -269,20 +288,16 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 			// it would add messages to unscaled runs.
 			logical = elem * maxSend(simPlan)
 		}
-		padded := make([][]byte, p)
-		for d := range padded {
-			padded[d] = make([]byte, block)
-		}
-		return transport{bytes: func(send [][]byte, _ []int) [][]byte {
+		// Every payload is packed at the start of its destination's
+		// uniform slot of the block (bytes past the overlap travel but
+		// are never unpacked), and Bruck runs in place on the block.
+		r.slot = block
+		bruck := exchange.NewBruck(c, block, logical)
+		return transport{bytes: func([][]byte, []int) [][]byte {
 			if block == 0 {
-				return padded
+				return nil
 			}
-			// Pad every pairwise payload into its uniform block (bytes
-			// past the overlap travel but are never unpacked).
-			for d := range padded {
-				copy(padded[d], send[d])
-			}
-			return exchange.BruckAlltoall(c, padded, block, logical)
+			return bruck.Exchange(r.block)
 		}}
 	case BackendCompressed:
 		// Scale the pipeline depth to the payload: one chunk per 256 KB
@@ -301,13 +316,13 @@ func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) tran
 		cosc.SetLabel(r.label)
 		cosc.Pipelined = !pp.opts.DisablePipeline
 		cosc.SimCounts = func(dst, src int) int { return vals * simOverlap(dst, src) }
-		return transport{vals: cosc.Exchange, ledger: cosc}
+		return transport{vals: cosc.ExchangeWith, ledger: cosc}
 	case BackendCompressedTwoSided:
 		c2s := exchange.NewTwoSidedCompressed(c, choice.Method, pp.stream,
 			func(dst, src int) int { return vals * overlap(dst, src) })
 		c2s.SetLabel(r.label)
 		c2s.SimCounts = func(dst, src int) int { return vals * simOverlap(dst, src) }
-		return transport{vals: c2s.Exchange}
+		return transport{vals: c2s.ExchangeWith}
 	}
 	panic("core: unknown backend " + choice.Backend.String())
 }
@@ -322,52 +337,71 @@ func (r *reshape[E]) execute(local []E) []E {
 	rk := c.Obs()
 	byBytes := r.x.bytes != nil
 	sendWire, recvWire := r.simSendTotal*r.wire.size, r.simRecvTotal*r.wire.size
-	if r.block == nil {
-		r.materialize()
-	}
+	out := r.output()
 
-	// Pack every destination's overlap, reordered to the target layout,
-	// straight into its payload of the send block — unless its receiver
-	// still holds that payload from the last call (the lease is busy), in
-	// which case it goes out in a fresh buffer. Destinations with no
-	// overlap keep nil payloads (the transports read them as
-	// zero-length).
-	pp.kernel(obs.PhasePack, &pp.profile.Pack, sendWire, dev.CopyCost(sendWire), func() {
-		for i, t := range r.plan.Send {
-			lo, hi := r.wire.size*t.Offset, r.wire.size*(t.Offset+t.Count)
-			buf := r.block[lo:hi:hi]
-			if r.lease != 0 {
-				buf, pp.sendLease[t.Rank] = c.LeasedBuf(r.lease+i, buf)
-			}
-			if r.wire.narrow == nil {
-				grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, mem.View[E](buf))
-			} else {
-				grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, r.stage)
-				r.wire.narrow(buf, r.stage[:t.Count])
-			}
-			if byBytes {
+	// A compressed transport packs and unpacks one peer at a time inside
+	// its codec kernels (Send and Received below), so there the pack and
+	// unpack kernels charge their time with no host work of their own.
+	var pack, unpack func()
+	var recv [][]byte
+	if byBytes {
+		if r.block == nil {
+			r.materialize()
+		}
+		// Pack every destination's overlap, reordered to the target
+		// layout, straight into its payload of the send block — unless
+		// its receiver still holds that payload from the last call (the
+		// lease is busy), in which case it goes out in a fresh buffer.
+		// Destinations with no overlap keep nil payloads (the
+		// transports read them as zero-length).
+		pack = func() {
+			for i, t := range r.plan.Send {
+				lo := r.wire.size * t.Offset
+				if r.slot > 0 {
+					lo = r.slot * t.Rank
+				}
+				hi := lo + r.wire.size*t.Count
+				buf := r.block[lo:hi:hi]
+				if r.lease != 0 {
+					buf, pp.sendLease[t.Rank] = c.LeasedBuf(r.lease+i, buf)
+				}
+				if r.wire.narrow == nil {
+					grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, mem.View[E](buf))
+				} else {
+					grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, r.stage)
+					r.wire.narrow(buf, r.stage[:t.Count])
+				}
 				pp.sendBytes[t.Rank] = buf
-			} else {
-				pp.sendVals[t.Rank] = mem.View[float64](buf)
 			}
 		}
-	})
+		// Unpack into the target layout.
+		unpack = func() {
+			for _, t := range r.plan.Recv {
+				wire := recv[t.Rank][:r.wire.size*t.Count]
+				var in []E
+				if r.wire.narrow == nil {
+					in = mem.View[E](wire)
+				} else {
+					in = r.stage[:t.Count]
+					r.wire.widen(wire, in)
+				}
+				grid.Unpack(in, t.Sub, out, r.toBox, r.toOrder)
+			}
+		}
+	}
+	pp.kernel(obs.PhasePack, &pp.profile.Pack, sendWire, dev.CopyCost(sendWire), pack)
 
 	tExchange := c.Now()
 	rk.Begin(obs.TrackHost, obs.PhaseExchange, tExchange)
-	var recvBytes [][]byte
-	var recvVals [][]float64
 	if byBytes {
-		recvBytes = r.x.bytes(pp.sendBytes, pp.sendLease)
-	} else {
-		recvVals = r.x.vals(pp.sendVals)
-	}
-	for _, t := range r.plan.Send {
-		if byBytes {
+		recv = r.x.bytes(pp.sendBytes, pp.sendLease)
+		for _, t := range r.plan.Send {
 			pp.sendBytes[t.Rank], pp.sendLease[t.Rank] = nil, 0
-		} else {
-			pp.sendVals[t.Rank] = nil
 		}
+	} else {
+		r.in = local
+		r.x.vals(r)
+		r.in = nil
 	}
 
 	tUnpack := c.Now()
@@ -381,28 +415,36 @@ func (r *reshape[E]) execute(local []E) []E {
 		Value: tUnpack - tExchange,
 	})
 
-	// Unpack into the target layout, then hand the senders their leased
-	// buffers back.
-	out := r.output()
-	pp.kernel(obs.PhaseUnpack, &pp.profile.Unpack, recvWire, dev.CopyCost(recvWire), func() {
-		for _, t := range r.plan.Recv {
-			var in []E
-			switch {
-			case !byBytes:
-				in = mem.View[E](recvVals[t.Rank])
-			case r.wire.narrow == nil:
-				in = mem.View[E](recvBytes[t.Rank][:r.wire.size*t.Count])
-			default:
-				in = r.stage[:t.Count]
-				r.wire.widen(recvBytes[t.Rank][:r.wire.size*t.Count], in)
-			}
-			grid.Unpack(in, t.Sub, out, r.toBox, r.toOrder)
-		}
-	})
+	pp.kernel(obs.PhaseUnpack, &pp.profile.Unpack, recvWire, dev.CopyCost(recvWire), unpack)
+	// Hand the senders their leased buffers back.
 	if r.lease != 0 {
 		c.ReleaseRecv()
 	}
 	return out
+}
+
+// Send packs rank dst's overlap of the input, reordered to the target
+// layout, into the plan's scratch: the values a compressed transport
+// encodes next (exchange.Payloads).
+func (r *reshape[E]) Send(dst int) []float64 {
+	t := transferWith(r.plan.Send, dst)
+	if t.Count == 0 {
+		return nil
+	}
+	buf := r.pp.scratch[:r.wire.size/8*t.Count]
+	grid.Pack(r.in, r.fromBox, r.fromOrder, t.Sub, r.toOrder, mem.View[E](buf))
+	return buf
+}
+
+// Recv returns the scratch that rank src's values decode into.
+func (r *reshape[E]) Recv(src int) []float64 {
+	return r.pp.scratch[:r.wire.size/8*transferWith(r.plan.Recv, src).Count]
+}
+
+// Received unpacks rank src's decoded values into the output.
+func (r *reshape[E]) Received(src int) {
+	t := transferWith(r.plan.Recv, src)
+	grid.Unpack(mem.View[E](r.Recv(src)), t.Sub, r.outBuf, r.toBox, r.toOrder)
 }
 
 // output returns the reshape's output buffer, allocated on first use
@@ -414,21 +456,15 @@ func (r *reshape[E]) output() []E {
 	return r.outBuf
 }
 
-// materialize allocates the reshape's send block (and the narrowing
-// codec's stage scratch), and the plan's headers the first time one is
-// needed.
+// materialize allocates a byte transport's send block (p uniform slots
+// on Bruck), the narrowing codec's stage scratch, and the plan's headers
+// the first time one is needed.
 func (r *reshape[E]) materialize() {
 	pp := r.pp
 	p := pp.c.Size()
-	r.block = mem.Bytes(r.wire.size * r.plan.SendTotal)
+	r.block = mem.Bytes(max(r.slot*p, r.wire.size*r.plan.SendTotal))
 	if r.wire.narrow != nil {
 		r.stage = make([]E, max(maxCount(r.plan.Send), maxCount(r.plan.Recv)))
-	}
-	if r.x.bytes == nil {
-		if pp.sendVals == nil {
-			pp.sendVals = make([][]float64, p)
-		}
-		return
 	}
 	if pp.sendBytes == nil {
 		pp.sendBytes, pp.sendLease = make([][]byte, p), make([]int, p)

@@ -83,33 +83,70 @@ func TestRepeatedTransformsBitIdentical(t *testing.T) {
 }
 
 // TestSteadyStateForwardAllocations guards the reused wire buffers: once
-// a plan has run, a forward 64³ transform on 24 ranks over the two-sided
-// all-to-all allocates at most 1 MB in total (each of its four reshapes
-// moves 4 MB, which used to be allocated afresh on every call).
+// a plan has run, a forward 64³ transform on 24 ranks allocates at most
+// 1 MB in total on every backend (each of its four reshapes moves 4 MB,
+// which used to be allocated afresh on every call, and Bruck's rounds
+// several times that).
 func TestSteadyStateForwardAllocations(t *testing.T) {
 	const ops = 3
 	n := [3]int{64, 64, 64}
-	var before, after runtime.MemStats
+	for _, b := range []Backend{BackendAlltoallv, BackendOSC, BackendBruck, BackendCompressed, BackendCompressedTwoSided} {
+		opts := Options{Backend: b, SimScale: 16}
+		if b.compressed() {
+			opts.Method = compress.Cast32{}
+		}
+		var before, after runtime.MemStats
+		mpi.Run(machine(24), func(c *mpi.Comm) {
+			pl := NewPlan[complex128](c, n, opts)
+			in := make([]complex128, pl.InBox().Count())
+			FillBox(in, pl.InBox(), grid.Natural, 1)
+			pl.Forward(in)
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			for i := 0; i < ops; i++ {
+				pl.Forward(in)
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+		})
+		perOp := float64(after.TotalAlloc-before.TotalAlloc) / ops
+		t.Logf("%s: steady-state Forward allocates %.3f MB per call", b, perOp/1e6)
+		if perOp > 1e6 {
+			t.Errorf("%s: steady-state Forward allocates %.2f MB, want <= 1 MB", b, perOp/1e6)
+		}
+	}
+}
+
+// TestCompressedPlanFootprint bounds the live heap of a 64³ compressed
+// plan on 24 ranks after one Forward: the compressed reshapes hold no
+// FP64 send block and their transports no decoded receive buffers, so
+// what is left is the input, the outputs, the windows and the
+// compressed staging. Measured 61.0 MB; the layout before, which staged
+// the pencil twice in FP64 per reshape, held 111.2 MB.
+func TestCompressedPlanFootprint(t *testing.T) {
+	const measured, margin = 61.0e6, 1.25
+	var ms runtime.MemStats
 	mpi.Run(machine(24), func(c *mpi.Comm) {
-		pl := NewPlan[complex128](c, n, Options{Backend: BackendAlltoallv, SimScale: 16})
+		pl := NewPlan[complex128](c, [3]int{64, 64, 64}, Options{Backend: BackendCompressed, Method: compress.Cast32{}})
 		in := make([]complex128, pl.InBox().Count())
 		FillBox(in, pl.InBox(), grid.Natural, 1)
 		pl.Forward(in)
 		c.Barrier()
 		if c.Rank() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		for i := 0; i < ops; i++ {
-			pl.Forward(in)
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
 		}
 		c.Barrier()
-		if c.Rank() == 0 {
-			runtime.ReadMemStats(&after)
-		}
+		runtime.KeepAlive(pl)
+		runtime.KeepAlive(in)
 	})
-	perOp := float64(after.TotalAlloc-before.TotalAlloc) / ops
-	t.Logf("steady-state Forward: %.3f MB per call", perOp/1e6)
-	if perOp > 1e6 {
-		t.Errorf("steady-state Forward allocates %.2f MB, want <= 1 MB", perOp/1e6)
+	t.Logf("live heap after one Forward: %.1f MB", float64(ms.HeapAlloc)/1e6)
+	if float64(ms.HeapAlloc) > measured*margin {
+		t.Errorf("live heap after one Forward is %.1f MB, want <= %.1f MB (measured %.1f MB × %.2f)",
+			float64(ms.HeapAlloc)/1e6, measured*margin/1e6, measured/1e6, margin)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/exchange"
 	"repro/internal/grid"
 	"repro/internal/mem"
 	"repro/internal/mpi"
@@ -101,8 +102,34 @@ func fieldIn[E mem.Word](sub grid.Box, o grid.Order) []E {
 }
 
 // wireTap wraps r's transport to record copies of every payload it is
-// handed and every payload it returns, as bytes.
+// handed and every payload it returns, as bytes: on the compressed
+// backends, every peer's values the codec takes from the reshape and
+// every peer's decoded values the reshape unpacks (payloadTap).
 type wireTap struct{ sent, recv [][]byte }
+
+// payloadTap is the reshape's exchange.Payloads as a compressed
+// transport sees it, recording what passes through into w.
+type payloadTap struct {
+	exchange.Payloads
+	w    *wireTap
+	last []float64 // the buffer of the last Recv
+}
+
+func (pt *payloadTap) Send(dst int) []float64 {
+	v := pt.Payloads.Send(dst)
+	pt.w.sent[dst] = refEncode(v, 8)
+	return v
+}
+
+func (pt *payloadTap) Recv(src int) []float64 {
+	pt.last = pt.Payloads.Recv(src)
+	return pt.last
+}
+
+func (pt *payloadTap) Received(src int) {
+	pt.w.recv[src] = refEncode(pt.last, 8)
+	pt.Payloads.Received(src)
+}
 
 func tap[E mem.Word](r *reshape[E]) *wireTap {
 	w := &wireTap{}
@@ -123,18 +150,10 @@ func tap[E mem.Word](r *reshape[E]) *wireTap {
 		return w
 	}
 	vs := r.x.vals
-	r.x.vals = func(send [][]float64) [][]float64 {
-		sent := make([][]byte, len(send))
-		for i, s := range send {
-			sent[i] = refEncode(s, 8)
-		}
-		w.sent = sent
-		recv := vs(send)
-		w.recv = make([][]byte, len(recv))
-		for i, s := range recv {
-			w.recv[i] = refEncode(s, 8)
-		}
-		return recv
+	r.x.vals = func(io exchange.Payloads) {
+		p := r.pp.c.Size()
+		w.sent, w.recv = make([][]byte, p), make([][]byte, p)
+		vs(&payloadTap{Payloads: io, w: w})
 	}
 	return w
 }

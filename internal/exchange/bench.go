@@ -74,7 +74,8 @@ func newCell(c *mpi.Comm, spec Spec, msgBytes int) (run func(), cosc *Compressed
 		}
 		return func() { PairwiseAlltoallv(c, nil, sizes) }, nil
 	case AlgoBruck:
-		return func() { BruckAlltoall(c, nil, msgBytes, msgBytes) }, nil
+		b := NewBruck(c, msgBytes, msgBytes)
+		return func() { b.Exchange(nil) }, nil
 	case AlgoOSC, AlgoOSCNaive:
 		o := NewOSCPhantom(c, Uniform(msgBytes), spec.Algo == AlgoOSC)
 		return func() { o.Exchange(nil) }, nil

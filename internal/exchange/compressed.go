@@ -20,6 +20,29 @@ func UniformCount(n int) CountFn {
 	return func(dst, src int) int { return n }
 }
 
+// Payloads is what a compressed exchange moves, asked for one peer at a
+// time: the transport takes a destination's values at the moment it
+// encodes them and hands back each source's values as it decodes them,
+// so neither side holds a whole send or receive buffer. A slice that
+// Send or Recv returns is valid until the next call of either.
+type Payloads interface {
+	// Send returns the counts(dst, me) values bound for rank dst.
+	Send(dst int) []float64
+	// Recv returns the buffer of counts(me, src) values that src's
+	// payload decodes into.
+	Recv(src int) []float64
+	// Received reports that Recv(src)'s buffer holds src's values.
+	Received(src int)
+}
+
+// wholeSlices is the Payloads of whole per-peer slices: Send(d) is
+// send[d], and values decode straight into out[s].
+type wholeSlices struct{ send, out [][]float64 }
+
+func (w *wholeSlices) Send(dst int) []float64 { return w.send[dst] }
+func (w *wholeSlices) Recv(src int) []float64 { return w.out[src] }
+func (w *wholeSlices) Received(int)           {}
+
 // CompressedOSC is the paper's contribution: the one-sided ring
 // all-to-all with lossy compression integrated into the transfer (§V-B).
 // The send buffer (the concatenation of all destination payloads in ring
@@ -60,7 +83,7 @@ type CompressedOSC struct {
 	groups     [][]int // ring order split into chunk groups
 	expected   []int
 	stage      []byte      // compressed staging ("first internal buffer")
-	out        [][]float64 // decompressed results, reused across calls
+	whole      wholeSlices // Exchange's payloads
 	done       []float64   // per-group kernel completion time, per call
 	damaged    []bool      // per-source decode failure, cleared per call
 	heal       *healer
@@ -110,10 +133,6 @@ func NewCompressedOSC(c *mpi.Comm, method compress.Method, stream *gpu.Stream, c
 		stagePos[dst] = stageSize
 		stageSize += slotBytes(counts(dst, me))
 	}
-	out := make([][]float64, p)
-	for s := 0; s < p; s++ {
-		out[s] = make([]float64, recvCounts[s])
-	}
 	groups := splitGroups(order, chunks)
 	x := &CompressedOSC{
 		c:          c,
@@ -133,7 +152,6 @@ func NewCompressedOSC(c *mpi.Comm, method compress.Method, stream *gpu.Stream, c
 		groups:     groups,
 		expected:   expected,
 		stage:      make([]byte, stageSize),
-		out:        out,
 		done:       make([]float64, len(groups)),
 		damaged:    make([]bool, p),
 		heal:       newHealer(c),
@@ -167,18 +185,36 @@ func splitGroups(order []int, k int) [][]int {
 	return groups
 }
 
-// Exchange performs the compressed all-to-all on float64 payloads:
-// send[d] (counts(d, me) values) is compressed and put into rank d's
-// window; the returned slices (indexed by source, reused across calls)
-// hold the decompressed data this rank received.
+// Exchange is ExchangeWith on whole float64 payloads: send[d]
+// (counts(d, me) values) is compressed and put into rank d's window;
+// the returned slices (indexed by source, allocated by the first call
+// and reused) hold the decompressed data this rank received.
 func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 	me := x.c.Rank()
-	dev := x.stream.Device()
 	for _, dst := range x.order {
 		if want := x.counts(dst, me); len(send[dst]) != want {
 			panic("exchange: send count does not match the compressed OSC plan")
 		}
 	}
+	if x.whole.out == nil {
+		x.whole.out = make([][]float64, len(x.recvCounts))
+		for s, n := range x.recvCounts {
+			x.whole.out[s] = make([]float64, n)
+		}
+	}
+	x.whole.send = send
+	x.ExchangeWith(&x.whole)
+	return x.whole.out
+}
+
+// ExchangeWith performs the compressed all-to-all over io: each
+// destination's values are taken inside the compression kernel that
+// encodes them, and each source's decode into io.Recv and go back
+// through io.Received — in the decompression kernel, or in the healing
+// epilogue for a repaired or fallen-back source.
+func (x *CompressedOSC) ExchangeWith(io Payloads) {
+	me := x.c.Rank()
+	dev := x.stream.Device()
 
 	// Phase 0 (reliable mode only): peers downgraded to the two-sided
 	// path get their data up front, uncompressed (lossless), over the
@@ -189,7 +225,7 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 	if healing {
 		for _, dst := range x.order {
 			if x.counts(dst, me) > 0 && x.heal.fellTo[dst] {
-				x.c.Send(dst, tagFallback, f64Bytes(send[dst]))
+				x.c.Send(dst, tagFallback, f64Bytes(io.Send(dst)))
 			}
 		}
 	}
@@ -213,8 +249,11 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 		kernelTime += cost
 		done[g] = x.stream.LaunchTagged(obs.PhaseCompress, cost, func() {
 			for _, dst := range group {
-				vals := send[dst]
-				if len(vals) == 0 || (healing && x.heal.fellTo[dst]) {
+				if healing && x.heal.fellTo[dst] {
+					continue
+				}
+				vals := io.Send(dst)
+				if len(vals) == 0 {
 					continue
 				}
 				slot := x.stage[x.stagePos[dst]:]
@@ -262,7 +301,7 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 			rawBytes += 8 * int64(sim)
 			wireBytes += int64(logical)
 			if measure {
-				x.slot(rk, x.c.Now(), dst, slot[:4+clen], send[dst])
+				x.slot(rk, x.c.Now(), dst, slot[:4+clen], io.Send(dst))
 			}
 			x.win.PutLogical(dst, x.sendOff[dst], slot[:4+clen], logical)
 		}
@@ -310,22 +349,26 @@ func (x *CompressedOSC) Exchange(send [][]float64) [][]float64 {
 				continue
 			}
 			slot := buf[x.slotOff[s] : x.slotOff[s]+x.slotLen[s]]
-			if err := decodeSlot(x.method, x.out[s], slot); err != nil {
+			if err := decodeSlot(x.method, io.Recv(s), slot); err != nil {
 				if !healing {
 					panic(err)
 				}
 				damaged[s] = true // re-fetched losslessly below
+				continue
 			}
+			io.Received(s)
 		}
 	})
 	x.stream.Synchronize()
 	if healing {
 		x.heal.epilogue(damaged, x.recvCounts,
 			func(d int) int { return x.counts(d, me) },
-			func(d int) []byte { return f64Bytes(send[d]) },
-			func(s int, data []byte) { f64Into(x.out[s], data, s) })
+			func(d int) []byte { return f64Bytes(io.Send(d)) },
+			func(s int, data []byte) {
+				f64Into(io.Recv(s), data, s)
+				io.Received(s)
+			})
 	}
-	return x.out
 }
 
 // slotWire is the one scaled wire-size rule of the compressed

@@ -85,7 +85,7 @@ func TestBruckMatchesTwoSidedPayloads(t *testing.T) {
 	}
 	twosided := gather(func(c *mpi.Comm, send [][]byte) [][]byte { return c.AlltoallvSparse(send, nil, nil) })
 	bruck := gather(func(c *mpi.Comm, send [][]byte) [][]byte {
-		return BruckAlltoall(c, send, bs, bs)
+		return bruckAlltoall(c, send, bs, bs)
 	})
 	for r := 0; r < p; r++ {
 		for s := 0; s < p; s++ {
@@ -109,7 +109,7 @@ func TestBruckLogicalPayloadsAndTiming(t *testing.T) {
 			for d := 0; d < p; d++ {
 				send[d] = payload(c.Rank(), d, bs)
 			}
-			recv := BruckAlltoall(c, send, bs, logical)
+			recv := bruckAlltoall(c, send, bs, logical)
 			for s := 0; s < p; s++ {
 				if !bytes.Equal(recv[s], payload(s, c.Rank(), bs)) {
 					t.Errorf("logical=%d rank %d from %d corrupt", logical, c.Rank(), s)

@@ -3,8 +3,8 @@ package exchange
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
+	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
@@ -394,15 +394,10 @@ func (h *healer) restore(data []byte) error {
 	return nil
 }
 
-// f64Bytes encodes values as little-endian float64s — the lossless wire
-// format of repair and fallback payloads.
-func f64Bytes(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
-}
+// f64Bytes copies values out as little-endian float64s (their own
+// memory, mem.View) — the lossless wire format of repair and fallback
+// payloads. It copies because the transport keeps the payload.
+func f64Bytes(vals []float64) []byte { return append([]byte(nil), mem.View[byte](vals)...) }
 
 // f64Into decodes a repair/fallback payload into dst, failing loudly on
 // a length mismatch (the two-sided path is checksummed, so a mismatch
@@ -411,7 +406,5 @@ func f64Into(dst []float64, data []byte, src int) {
 	if len(data) != 8*len(dst) {
 		panic(fmt.Sprintf("exchange: lossless payload from rank %d carried %d bytes, want %d", src, len(data), 8*len(dst)))
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
+	copy(mem.View[byte](dst), data)
 }

@@ -36,7 +36,6 @@ type TwoSidedCompressed struct {
 	payload  [][]byte
 	leases   []int
 	logical  []int
-	out      [][]float64
 }
 
 // NewTwoSidedCompressed builds the exchange for the fixed pattern counts.
@@ -56,12 +55,10 @@ func NewTwoSidedCompressed(c *mpi.Comm, method compress.Method, stream *gpu.Stre
 		payload:     make([][]byte, p),
 		leases:      make([]int, p),
 		logical:     make([]int, p),
-		out:         make([][]float64, p),
 	}
 	for s := 0; s < p; s++ {
 		x.recvCounts[s] = counts(me, s)
 		x.recvNonzero[s] = x.recvCounts[s] > 0
-		x.out[s] = make([]float64, x.recvCounts[s])
 	}
 	for d := 0; d < p; d++ {
 		if cv := counts(d, me); cv > 0 {
@@ -78,13 +75,14 @@ func NewTwoSidedCompressed(c *mpi.Comm, method compress.Method, stream *gpu.Stre
 // CompressedOSC.SetLabel).
 func (x *TwoSidedCompressed) SetLabel(label string) { x.errAttr.setLabel(label) }
 
-// Exchange compresses send (counts(d, me) float64 values per rank d) on
-// the GPU, runs the two-sided all-to-all on the compressed payloads, and
-// decompresses the received slots. The returned slices are reused across
-// calls. A staging buffer whose receiver has not yet released it (that
-// rank is still decompressing the previous call's payload) is not
-// overwritten: this call's payload for it goes out in a fresh buffer.
-func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
+// ExchangeWith compresses the counts(d, me) float64 values io.Send(d)
+// gives for every rank d on the GPU, runs the two-sided all-to-all on
+// the compressed payloads, and decompresses each received slot into
+// io.Recv(s), handing it back through io.Received(s). A staging buffer
+// whose receiver has not yet released it (that rank is still
+// decompressing the previous call's payload) is not overwritten: this
+// call's payload for it goes out in a fresh buffer.
+func (x *TwoSidedCompressed) ExchangeWith(io Payloads) {
 	me := x.c.Rank()
 	p := x.c.Size()
 	dev := x.stream.Device()
@@ -100,7 +98,7 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 	payload := x.payload
 	x.stream.LaunchTagged(obs.PhaseCompress, dev.CompressCost(inBytes, outBytes), func() {
 		for d := 0; d < p; d++ {
-			vals := send[d]
+			vals := io.Send(d)
 			if want := x.counts(d, me); len(vals) != want {
 				panic("exchange: send count does not match the two-sided compressed plan")
 			}
@@ -137,7 +135,7 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 	if rk.EventsOn() {
 		for d := 0; d < p; d++ {
 			if x.counts(d, me) > 0 {
-				x.slot(rk, x.c.Now(), d, payload[d], send[d])
+				x.slot(rk, x.c.Now(), d, payload[d], io.Send(d))
 			}
 		}
 		x.achieved(rk, x.c.Now())
@@ -161,10 +159,10 @@ func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
 				continue
 			}
 			clen := int(binary.LittleEndian.Uint32(recv[s]))
-			x.method.Decompress(x.out[s], recv[s][4:4+clen])
+			x.method.Decompress(io.Recv(s), recv[s][4:4+clen])
+			io.Received(s)
 		}
 	})
 	x.stream.Synchronize()
 	x.c.ReleaseRecv()
-	return x.out
 }

@@ -251,11 +251,19 @@ func (c *Comm) Send(dst, tag int, data []byte) {
 // logical == len(data) is exactly Send, and nil data is a phantom
 // message of logical bytes, timed like a real one.
 func (c *Comm) SendLogical(dst, tag int, data []byte, logical int) {
+	c.SendLeased(dst, tag, data, logical, 0)
+}
+
+// SendLeased is SendLogical for a payload sent under the calling rank's
+// send-completion lease (lease.go; 0 for none), which travels in
+// Packet.Meta: the receiver frees it with ReleasePacket once it is done
+// reading the payload.
+func (c *Comm) SendLeased(dst, tag int, data []byte, logical, lease int) {
 	checkUserTag(tag)
 	if c.reliable {
 		payload := frame(c.nextSendSeq(dst, tag), data)
 		lat, proto := c.rendezvousCost(dst, logical)
-		c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical + frameHdr, ExtraLatency: lat, ProtoOverhead: proto})
+		c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical + frameHdr, Meta: lease, ExtraLatency: lat, ProtoOverhead: proto})
 		return
 	}
 	payload := data
@@ -263,7 +271,7 @@ func (c *Comm) SendLogical(dst, tag int, data []byte, logical int) {
 		payload = append([]byte(nil), data...)
 	}
 	lat, proto := c.rendezvousCost(dst, logical)
-	c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical, ExtraLatency: lat, ProtoOverhead: proto})
+	c.p.SendMsg(dst, tag, netsim.SendOpts{Payload: payload, Bytes: logical, Meta: lease, ExtraLatency: lat, ProtoOverhead: proto})
 }
 
 // Recv blocks until the message from src with the given tag arrives and

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/mem"
+	"repro/internal/netsim"
 )
 
 // Send completion for reusable send buffers. A two-sided payload reaches
@@ -18,9 +19,11 @@ import (
 //     lags behind, or the packet was dropped — a fresh buffer that goes
 //     out without a lease;
 //   - AlltoallvLeased carries each payload's lease id in Packet.Meta,
-//     which two-sided sends leave unused;
+//     which two-sided sends leave unused, and so does SendLeased for a
+//     single message;
 //   - the receiver calls ReleaseRecv once it has unpacked the payloads,
-//     which frees every lease they carried.
+//     which frees every lease they carried, or ReleasePacket for the
+//     one message it received.
 //
 // Nothing blocks on a lease and no lease operation touches a virtual
 // clock, so timing is identical to fresh buffers on every call.
@@ -75,10 +78,18 @@ func (c *Comm) LeasedBuf(id int, own []byte) ([]byte, int) {
 // those payloads: their senders overwrite them on their next call.
 func (c *Comm) ReleaseRecv() {
 	for _, h := range c.held {
-		t := &c.leases[h.src]
-		t.mu.Lock()
-		t.busy[h.id-1] = false
-		t.mu.Unlock()
+		c.ReleasePacket(netsim.Packet{Src: h.src, Meta: h.id})
 	}
 	c.held = c.held[:0]
+}
+
+// ReleasePacket frees the lease a SendLeased message carried, if any:
+// the caller is done reading pkt's payload.
+func (c *Comm) ReleasePacket(pkt netsim.Packet) {
+	if pkt.Meta != 0 {
+		t := &c.leases[pkt.Src]
+		t.mu.Lock()
+		t.busy[pkt.Meta-1] = false
+		t.mu.Unlock()
+	}
 }

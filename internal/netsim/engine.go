@@ -264,7 +264,7 @@ func (p *Proc) yield() {
 		} else if !eng.process(next) {
 			if next != p {
 				next.wake <- struct{}{}
-				<-p.wake
+				p.park()
 			}
 			return
 		}
@@ -274,7 +274,16 @@ func (p *Proc) yield() {
 		next = heap.Pop(&eng.ready).(*Proc)
 	}
 	eng.yieldCh <- p
+	p.park()
+}
+
+// park blocks p's body until the scheduler wakes it. A wake from
+// release, at the end of the run, unwinds the body instead.
+func (p *Proc) park() {
 	<-p.wake
+	if p.eng.exiting {
+		runtime.Goexit()
+	}
 }
 
 // Engine drives a set of rank goroutines through virtual time.
@@ -287,6 +296,7 @@ type Engine struct {
 	yieldCh chan *Proc
 	ready   procHeap
 	baton   bool // sequential bring-up is over: yielding bodies schedule
+	exiting bool // the run is over: a woken body unwinds (release)
 	alive   int  // bodies neither finished nor crashed
 	stats   Stats
 	inj     *injector // nil unless cfg.Faults is set
@@ -323,7 +333,23 @@ func RunChecked(cfg Config, body func(*Proc)) (Result, error) {
 
 func run(cfg Config, body func(*Proc), check bool) (Result, error) {
 	cfg.validate()
-	return newEngine(cfg, body, check).runSequential()
+	eng := newEngine(cfg, body, check)
+	defer eng.release()
+	return eng.runSequential()
+}
+
+// release ends, on every exit path of run, the bodies it left parked:
+// crashed, deadlocked, or never resumed before a panic. Each is woken to
+// unwind (park); with the baton withdrawn, a deferred call that yields
+// only hands its request back here, so nothing touches the engine.
+func (eng *Engine) release() {
+	eng.exiting, eng.baton = true, false
+	for _, p := range eng.procs {
+		for !p.done {
+			p.wake <- struct{}{}
+			<-eng.yieldCh
+		}
+	}
 }
 
 // newEngine builds the engine (one P×P table holds every inbox) and
@@ -359,12 +385,12 @@ func newEngine(cfg Config, body func(*Proc), check bool) *Engine {
 	}
 	for _, p := range eng.procs {
 		go func() {
-			<-p.wake
 			defer func() {
 				p.err = recover()
 				p.done = true
 				eng.yieldCh <- p
 			}()
+			p.park()
 			body(p)
 		}()
 	}

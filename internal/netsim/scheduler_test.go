@@ -112,18 +112,13 @@ func decodeProgram(data []byte) schedProgram {
 }
 
 // run is one rank's body. It appends what the rank receives to out.
-// Once *stop is set, a crashed rank woken to be released exits.
-func (prog schedProgram) run(p *Proc, out *[]byte, stop *bool) {
+func (prog schedProgram) run(p *Proc, out *[]byte) {
 	r, n := p.Rank(), p.Size()
-	var queue []int // op indices of unreceived send ops
-	released := func() {
-		if *stop {
-			runtime.Goexit()
-		}
-	}
-	recv := func(src, tag int, dl float64) { // dl 0: a plain Recv
+	// queue holds the op indices of unreceived send ops; recv's dl 0 is
+	// a plain Recv.
+	var queue []int
+	recv := func(src, tag int, dl float64) {
 		pkt, ok := p.RecvDeadline(src, tag, dl)
-		released()
 		if !ok {
 			*out = append(*out, 0xEE)
 			return
@@ -142,11 +137,9 @@ func (prog schedProgram) run(p *Proc, out *[]byte, stop *bool) {
 			}
 			if kind == opSend {
 				p.SendMsg((r+arg)%n, tag, opts)
-				released()
 			}
 			for j := 0; j < n && kind == opA2A; j++ {
 				p.SendMsg((r+j)%n, tag+j, opts)
-				released()
 			}
 			queue = append(queue, i)
 		case opRecv:
@@ -183,7 +176,6 @@ func (prog schedProgram) run(p *Proc, out *[]byte, stop *bool) {
 		case opBarrier:
 			for j := 1; j < n; j++ {
 				p.Send((r+j)%n, tag, nil, 0)
-				released()
 			}
 			for j := 1; j < n; j++ {
 				dl := 0.0
@@ -219,8 +211,8 @@ func runProgram(t *testing.T, data []byte, reference bool) schedRun {
 	prog.cfg.FaultObserver = func(ev FaultEvent) { out.log = append(out.log, ev) }
 	prog.cfg.validate()
 	out.sink = make([][]byte, prog.cfg.Ranks())
-	stop := false
-	eng := newEngine(prog.cfg, func(p *Proc) { prog.run(p, &out.sink[p.rank], &stop) }, true)
+	eng := newEngine(prog.cfg, func(p *Proc) { prog.run(p, &out.sink[p.rank]) }, true)
+	defer eng.release()
 	run := eng.runSequential
 	if reference {
 		run = eng.runReference
@@ -229,14 +221,6 @@ func runProgram(t *testing.T, data []byte, reference bool) schedRun {
 	var re *RunError
 	if errors.As(err, &re) && re.Deadlock != nil {
 		t.Fatalf("program deadlocked: %v", err)
-	}
-	// Release the bodies a crash parked for good.
-	stop = true
-	for _, p := range eng.procs {
-		if p.crashed {
-			p.wake <- struct{}{}
-			<-eng.yieldCh
-		}
 	}
 	out.res = res
 	if err != nil {
