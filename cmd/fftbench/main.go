@@ -182,8 +182,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			if c.name == "tuned" {
 				// Tuned rows carry the decision record instead of the
-				// fixed-config model deltas (the cost model is keyed on
-				// a single backend, which a tuned plan need not have).
+				// fixed-config model deltas.
 				row.Tuning = driver.TuningRows(tunedCell, rec.Metrics(), func(label string) float64 {
 					h, _ := rec.Metrics().Hist("exchange/" + label + "/time_s")
 					return h.Mean()

@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -55,8 +56,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	s := driver.New("heffte", stdout, stderr, driver.Observe)
 	nFlag := s.Flags.Int("n", 64, "cubic problem size per dimension")
 	s.Flags.Int("gpus", 24, "GPU count (multiple of 6)")
-	backend := s.Flags.String("backend", "osc+compression", "alltoallv | osc | osc+compression")
-	methodFlag := s.Flags.String("method", "fp32", "compression method (compressed backend)")
+	names := make([]string, len(core.Backends))
+	for i, row := range core.Backends {
+		names[i] = row.Name
+	}
+	backend := s.Flags.String("backend", "osc+compression", strings.Join(names, " | "))
+	methodFlag := s.Flags.String("method", "fp32", "compression method (compressed backends)")
 	etol := s.Flags.Float64("etol", 0, "error tolerance e_tol (overrides -method when > 0)")
 	simFlag := s.Flags.Int("sim", 0, "simulated problem size per dimension (0 = same as -n)")
 	iters := s.Flags.Int("iters", 2, "measured iterations")
@@ -66,18 +71,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := s.Parse(args); err != nil {
 		return err
 	}
-	var opts core.Options
-	switch *backend {
-	case "alltoallv":
-		opts.Backend = core.BackendAlltoallv
-	case "osc":
-		opts.Backend = core.BackendOSC
-	case "osc+compression":
-		opts.Backend = core.BackendCompressed
-	default:
-		return driver.Usagef("unknown backend %q in -backend (valid: alltoallv, osc, osc+compression)", *backend)
+	i := slices.Index(names, *backend)
+	if i < 0 {
+		return driver.Usagef("unknown backend %q in -backend (valid: %s)", *backend, strings.Join(names, ", "))
 	}
-	if opts.Backend == core.BackendCompressed {
+	row := core.Backends[i]
+	opts := core.Options{Backend: row.Backend}
+	if row.Compressed {
 		if *fp32 {
 			return driver.Usagef("the compressed backend requires the FP64 pipeline")
 		}
@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "problem        : %d^3 (timed as %d^3)\n", *nFlag, simN)
 	fmt.Fprintf(stdout, "GPUs           : %d (%d nodes)\n", gpus, gpus/6)
 	fmt.Fprintf(stdout, "backend        : %s\n", *backend)
-	if opts.Backend == core.BackendCompressed {
+	if row.Compressed {
 		m := opts.Method
 		if m == nil {
 			m = compress.FromTolerance(opts.Tolerance)

@@ -18,7 +18,7 @@ func TestGolden(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	usage(t, "13 GPUs is not a positive multiple of 6", "-gpus", "13")
-	usage(t, `unknown backend "nope" in -backend (valid: alltoallv, osc, osc+compression)`, "-backend", "nope")
+	usage(t, `unknown backend "nope" in -backend (valid: alltoallv, bruck, osc, osc+compression, alltoallv+compression)`, "-backend", "nope")
 	usage(t, `unknown method "nope" in -method (valid: `, "-method", "nope")
 	usage(t, "bad trim width", "-method", "trim:99")
 	usage(t, "-sim must be a multiple of -n", "-n", "32", "-sim", "65")
@@ -27,6 +27,25 @@ func TestUsageErrors(t *testing.T) {
 	usage(t, "-sim must be >= 0 (got -8)", "-sim", "-8")
 	usage(t, "-etol must be >= 0 (got -1e-06)", "-etol", "-1e-6")
 	usage(t, "the compressed backend requires the FP64 pipeline", "-fp32")
+	usage(t, "the compressed backend requires the FP64 pipeline", "-fp32", "-backend", "alltoallv+compression")
+}
+
+// TestEveryBackendRuns: -backend accepts every row of core.Backends,
+// the two-sided compressed one included, and reports it on a tiny grid.
+func TestEveryBackendRuns(t *testing.T) {
+	for _, args := range [][]string{
+		{"-backend", "bruck"},
+		{"-backend", "alltoallv+compression", "-method", "fp16"},
+	} {
+		var out, errb bytes.Buffer
+		args = append([]string{"-n", "8", "-gpus", "12", "-iters", "1"}, args...)
+		if code := driver.ExitCode("heffte", run(args, &out, &errb), &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, errb.String())
+		}
+		if want := "backend        : " + args[7] + "\n"; !strings.Contains(out.String(), want) {
+			t.Errorf("%v: stdout lacks %q:\n%s", args, want, out.String())
+		}
+	}
 }
 
 // golden runs the driver in-process and compares its stdout, stderr and

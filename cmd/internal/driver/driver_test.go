@@ -367,7 +367,7 @@ func TestBenchTunePlanRoundTrip(t *testing.T) {
 			t.Errorf("search space %+v does not carry -tunetol/-tuneprobe", sp)
 		}
 		return &tune.Cell{Machine: tune.Fingerprint(b.Machine(6)), Shape: "s",
-			Stages: []tune.Choice{{Label: "fwd0", Algo: string(tune.OSC)}}}, nil
+			Stages: []tune.Choice{{Label: "fwd0", Algo: "osc"}}}, nil
 	}
 	if err := b.Parse([]string{"-autotune", "-tuneplan", plan}); err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func TestBenchTunePlanRoundTrip(t *testing.T) {
 	if err := b.Start([]string{"a", "tuned"}, map[string]string{}); err != nil {
 		t.Fatal(err)
 	}
-	if cell, err := b.Tuned(b.Machine(6), "s", nil); err != nil || cell.Stages[0].Algo != string(tune.OSC) {
+	if cell, err := b.Tuned(b.Machine(6), "s", nil); err != nil || cell.Stages[0].Algo != "osc" {
 		t.Errorf("replay of the tuned machine: %v, %v", cell, err)
 	}
 	if _, err := b.Tuned(b.Machine(12), "s", nil); err == nil || !strings.Contains(err.Error(), "holds no cell for this machine/shape (12 GPUs)") {

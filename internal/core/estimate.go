@@ -89,7 +89,7 @@ func Roofline(cfg netsim.Config, bytes func(dst, src int) int, choice ExchangeCh
 	if choice.Backend.compressed() {
 		ratio = choice.Method.Ratio()
 	}
-	oneSided := choice.Backend == BackendOSC || choice.Backend == BackendCompressed
+	oneSided := choice.Backend.Row().OneSided
 	perMsg := func(wire float64, proto float64) float64 {
 		switch {
 		case oneSided:
@@ -149,13 +149,13 @@ func Roofline(cfg netsim.Config, bytes func(dst, src int) int, choice ExchangeCh
 }
 
 // PredictExchanges runs the cost model for every forward reshape of a
-// plan with the given options (elemBytes is the pipeline element size).
+// plan with the given options (elemBytes is the pipeline element size),
+// each reshape under the choice the plan would run it with.
 func PredictExchanges(cfg netsim.Config, n [3]int, opts Options, elemBytes int) []ExchangeEstimate {
 	opts = opts.withDefaults()
-	choice := ExchangeChoice{Backend: opts.Backend, Chunks: opts.Chunks, Method: opts.Method}
 	var out []ExchangeEstimate
 	for _, t := range ForwardTraffic(cfg.Ranks(), n, opts.SimScale, opts.PencilIO, elemBytes) {
-		e := Roofline(cfg, t.Bytes, choice)
+		e := Roofline(cfg, t.Bytes, opts.choice(t.Label))
 		e.Label = t.Label
 		out = append(out, e)
 	}

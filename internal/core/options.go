@@ -11,6 +11,7 @@ package core
 
 import (
 	"repro/internal/compress"
+	"repro/internal/exchange"
 	"repro/internal/gpu"
 	recov "repro/internal/recover"
 )
@@ -41,27 +42,56 @@ const (
 	BackendBruck
 )
 
-func (b Backend) String() string {
-	switch b {
-	case BackendAlltoallv:
-		return "alltoallv"
-	case BackendOSC:
-		return "osc"
-	case BackendCompressed:
-		return "osc+compression"
-	case BackendCompressedTwoSided:
-		return "alltoallv+compression"
-	case BackendBruck:
-		return "bruck"
-	}
-	return "unknown"
+// BackendRow is one row of the backend table: everything the tree
+// knows about a transport apart from how to build it, which is
+// reshape.newTransport's switch.
+type BackendRow struct {
+	Backend Backend
+	// Name is the display name (Backend.String, heffte's -backend).
+	Name string
+	// Plan is the name a tune plan's "algo" field gives the backend; set
+	// only on Tunable rows.
+	Plan string
+	// Bench is the bandwidth harness's algorithm for the backend
+	// (exchange.Algos), or "" if the harness has none.
+	Bench string
+	// Compressed backends ship compressed float64 values, so they need a
+	// Method and the FP64 pipeline.
+	Compressed bool
+	// OneSided backends pay the RMA occupancy per message in the
+	// roofline, the others the two-sided protocol's.
+	OneSided bool
+	// Tunable backends are candidates of the autotuner.
+	Tunable bool
 }
+
+// Backends is the backend table, one row per Backend. The row index is
+// the autotuner's tie-break: simpler transports come first and win ties.
+var Backends = []BackendRow{
+	{Backend: BackendAlltoallv, Name: "alltoallv", Plan: "twosided", Bench: exchange.AlgoLinear, Tunable: true},
+	{Backend: BackendBruck, Name: "bruck", Plan: "bruck", Bench: exchange.AlgoBruck, Tunable: true},
+	{Backend: BackendOSC, Name: "osc", Plan: "osc", Bench: exchange.AlgoOSC, OneSided: true, Tunable: true},
+	{Backend: BackendCompressed, Name: "osc+compression", Plan: "compressed-osc", Bench: exchange.AlgoOSCComp,
+		Compressed: true, OneSided: true, Tunable: true},
+	{Backend: BackendCompressedTwoSided, Name: "alltoallv+compression", Compressed: true},
+}
+
+// Row returns b's row of the backend table; a value outside the table
+// gets a row named "unknown" with every flag off.
+func (b Backend) Row() BackendRow {
+	for _, row := range Backends {
+		if row.Backend == b {
+			return row
+		}
+	}
+	return BackendRow{Backend: b, Name: "unknown"}
+}
+
+func (b Backend) String() string { return b.Row().Name }
 
 // compressed reports whether the backend ships compressed float64 values
 // (and so needs a Method and the FP64 pipeline).
-func (b Backend) compressed() bool {
-	return b == BackendCompressed || b == BackendCompressedTwoSided
-}
+func (b Backend) compressed() bool { return b.Row().Compressed }
 
 // ExchangeChoice is one reshape's resolved exchange configuration — the
 // unit of the autotuner's decisions. Method must be non-nil for the
@@ -147,4 +177,19 @@ func (o Options) withDefaults() Options {
 		o.Method = compress.FromTolerance(o.Tolerance)
 	}
 	return o
+}
+
+// choice resolves the exchange of the reshape labelled label: the fixed
+// Options, unless the tune plan covers the label (a tuned choice with
+// Chunks == 0 keeps o.Chunks). o must have its defaults applied.
+func (o Options) choice(label string) ExchangeChoice {
+	if o.Tune != nil {
+		if ch, ok := o.Tune.Choice(label); ok {
+			if ch.Chunks == 0 {
+				ch.Chunks = o.Chunks
+			}
+			return ch
+		}
+	}
+	return ExchangeChoice{Backend: o.Backend, Chunks: o.Chunks, Method: o.Method}
 }

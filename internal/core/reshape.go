@@ -189,20 +189,10 @@ func newReshape[E mem.Word](pp *pipe, wire codec[E], from, to layout, label stri
 	simPlan := grid.PlanFor(me, from.simDecomp, to.simDecomp)
 	r.simSendTotal, r.simRecvTotal = simPlan.SendTotal, simPlan.RecvTotal
 
-	// Resolve this reshape's exchange choice: the fixed Options, unless
-	// an attached tune plan covers the label. The transport keys off the
-	// choice, never off pp.opts, so a tuned stage is constructed and
-	// executed exactly like — and is bit-identical to — the same stage
-	// under fixed Options.
-	choice := ExchangeChoice{Backend: pp.opts.Backend, Chunks: pp.opts.Chunks, Method: pp.opts.Method}
-	if pp.opts.Tune != nil {
-		if ch, ok := pp.opts.Tune.Choice(label); ok {
-			choice = ch
-			if choice.Chunks == 0 {
-				choice.Chunks = pp.opts.Chunks
-			}
-		}
-	}
+	// The transport keys off the resolved choice, never off pp.opts, so
+	// a tuned stage is constructed and executed exactly like — and is
+	// bit-identical to — the same stage under fixed Options.
+	choice := pp.opts.choice(label)
 	if choice.Backend.compressed() {
 		if choice.Method == nil {
 			panic("core: compressed exchange choice for " + label + " has no method")

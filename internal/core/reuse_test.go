@@ -36,7 +36,8 @@ func TestRepeatedTransformsBitIdentical(t *testing.T) {
 		}
 	}
 	cfg := machine(ranks)
-	for _, b := range []Backend{BackendAlltoallv, BackendOSC, BackendCompressed, BackendCompressedTwoSided, BackendBruck} {
+	for _, row := range Backends {
+		b := row.Backend
 		for _, pencil := range []bool{false, true} {
 			opts := Options{Backend: b, PencilIO: pencil}
 			if b.compressed() {
@@ -90,7 +91,8 @@ func TestRepeatedTransformsBitIdentical(t *testing.T) {
 func TestSteadyStateForwardAllocations(t *testing.T) {
 	const ops = 3
 	n := [3]int{64, 64, 64}
-	for _, b := range []Backend{BackendAlltoallv, BackendOSC, BackendBruck, BackendCompressed, BackendCompressedTwoSided} {
+	for _, row := range Backends {
+		b := row.Backend
 		opts := Options{Backend: b, SimScale: 16}
 		if b.compressed() {
 			opts.Method = compress.Cast32{}

@@ -203,19 +203,17 @@ func checkWire[E mem.Word](t *testing.T, name string, r *reshape[E]) {
 // values, checked here through the lossless None method.
 func TestWireMatchesReferenceEncoding(t *testing.T) {
 	n := [3]int{8, 12, 10}
-	for _, opts := range []Options{
-		{Backend: BackendAlltoallv},
-		{Backend: BackendOSC},
-		{Backend: BackendBruck},
-		{Backend: BackendCompressed, Method: compress.None{}},
-		{Backend: BackendCompressedTwoSided, Method: compress.None{}},
-	} {
+	for _, row := range Backends {
+		opts := Options{Backend: row.Backend}
+		if row.Compressed {
+			opts.Method = compress.None{}
+		}
 		mpi.Run(machine(12), func(c *mpi.Comm) {
-			name := opts.Backend.String()
+			name := row.Name
 			// fwd[1] is x-pencils to y-pencils: a transposing pack.
 			checkWire(t, name+"/complex128", NewPlan[complex128](c, n, opts).fwd[1])
 			checkWire(t, name+"/realFP64", NewPlanR2C[complex128](c, n, opts).fwd)
-			if !opts.Backend.compressed() { // the compressed backends need the FP64 pipeline
+			if !row.Compressed { // the compressed backends need the FP64 pipeline
 				checkWire(t, name+"/complex64", NewPlan[complex64](c, n, opts).fwd[1])
 				checkWire(t, name+"/realFP32", NewPlanR2C[complex64](c, n, opts).fwd)
 			}
@@ -239,7 +237,8 @@ func TestReshapeRoundTripBitIdentical(t *testing.T) {
 	faults := &netsim.FaultPlan{Seed: 5, DropProb: 0.05, DuplicateProb: 0.05,
 		SilentCorruptProb: 0.05, LatencySpikeProb: 0.1, LatencySpike: 1e-5,
 		Retry: netsim.RetryPolicy{MaxRetries: 60, RTO: 1e-6, Backoff: 1.5}}
-	for _, backend := range []Backend{BackendAlltoallv, BackendOSC, BackendBruck, BackendCompressed, BackendCompressedTwoSided} {
+	for _, row := range Backends {
+		backend := row.Backend
 		for _, fp := range []*netsim.FaultPlan{nil, faults} {
 			name := fmt.Sprintf("%s/faults=%t", backend, fp != nil)
 			opts := Options{Backend: backend}

@@ -449,12 +449,13 @@ type RunError struct {
 	Deadlock *DeadlockError
 }
 
+// Error lists the failures in the order they happened, so the first is
+// the one Unwrap returns when it is an error, then the deadlock.
 func (e *RunError) Error() string {
 	var parts []string
 	for _, f := range e.Failures {
 		parts = append(parts, f.String())
 	}
-	sort.Strings(parts)
 	if e.Deadlock != nil {
 		parts = append(parts, e.Deadlock.Error())
 	}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -237,6 +238,29 @@ func TestRunCheckedCollectsPanics(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "boom") {
 		t.Errorf("error %q does not carry the panic value", err.Error())
+	}
+}
+
+// TestRunErrorListsFailuresInOrder: the message lists the failures in
+// the order they happened, not as sorted strings (which put "rank 10"
+// before "rank 2"), so its first line is the failure Unwrap returns.
+func TestRunErrorListsFailuresInOrder(t *testing.T) {
+	cfg := tiny()
+	cfg.Nodes = 12
+	_, err := RunChecked(cfg, func(p *Proc) {
+		if p.Rank() == 2 || p.Rank() == 10 {
+			panic(fmt.Errorf("fault on rank %d", p.Rank()))
+		}
+	})
+	var re *RunError
+	if !errors.As(err, &re) || len(re.Failures) != 2 || re.Failures[0].Rank != 2 || re.Failures[1].Rank != 10 {
+		t.Fatalf("expected failures on ranks 2 then 10, got %v", err)
+	}
+	if want := "rank 2: fault on rank 2; rank 10: fault on rank 10"; err.Error() != want {
+		t.Errorf("error %q, want %q", err.Error(), want)
+	}
+	if got := errors.Unwrap(err); got != re.Failures[0].Value {
+		t.Errorf("Unwrap = %v, want the first failure", got)
 	}
 }
 

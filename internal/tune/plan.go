@@ -62,8 +62,8 @@ type Choice struct {
 	// Label is the stage's metric label (fwd0..3, or "alltoall" for the
 	// uniform-exchange cells).
 	Label string `json:"label"`
-	// Algo, Chunks, Method name the winning candidate (Method and
-	// Chunks only for compressed-osc).
+	// Algo names the winning candidate's backend by its core.Backends
+	// Plan name; Chunks and Method are set for the compressed rows only.
 	Algo   string `json:"algo"`
 	Chunks int    `json:"chunks,omitempty"`
 	Method string `json:"method,omitempty"`
@@ -102,19 +102,31 @@ func (ch Choice) String() string {
 	if ch.Method != "" {
 		s += "/" + ch.Method
 	}
-	if ch.Chunks > 0 && ch.Algo == string(CompressedOSC) {
+	if row, ok := planRow(ch.Algo); ok && row.Compressed && ch.Chunks > 0 {
 		s += fmt.Sprintf("/c%d", ch.Chunks)
 	}
 	return s
 }
 
+// planRow returns the tunable row of core.Backends whose Plan name is
+// algo.
+func planRow(algo string) (core.BackendRow, bool) {
+	for _, row := range core.Backends {
+		if row.Tunable && row.Plan == algo {
+			return row, true
+		}
+	}
+	return core.BackendRow{}, false
+}
+
 // candidate decodes the serialized choice.
 func (ch Choice) candidate() (Candidate, error) {
-	c := Candidate{Algo: Algorithm(ch.Algo), Chunks: ch.Chunks}
-	if c.Algo.order() < 0 {
-		return c, fmt.Errorf("unknown algorithm %q", ch.Algo)
+	row, ok := planRow(ch.Algo)
+	if !ok {
+		return Candidate{}, fmt.Errorf("unknown algorithm %q", ch.Algo)
 	}
-	if c.Algo == CompressedOSC {
+	c := Candidate{Backend: row.Backend, Chunks: ch.Chunks}
+	if row.Compressed {
 		m, err := MethodByName(ch.Method)
 		if err != nil {
 			return c, err
@@ -148,7 +160,7 @@ func (c *Cell) Choice(label string) (core.ExchangeChoice, bool) {
 		if err != nil {
 			panic("tune: unvalidated cell: " + err.Error())
 		}
-		return cand.choice(), true
+		return core.ExchangeChoice(cand), true
 	}
 	return core.ExchangeChoice{}, false
 }

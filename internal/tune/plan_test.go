@@ -29,6 +29,14 @@ func samplePlan() *Plan {
 	}
 }
 
+// Plans whose algo is not a tunable row's plan name: osc+compression is
+// the display name of compressed-osc's backend, alltoallv+compression
+// the compressed two-sided backend, which the tuner does not pick.
+const (
+	displayNamePlan = `{"schema":1,"budget":1,"cells":[{"machine":"m","shape":"s","stages":[{"label":"fwd0","algo":"osc+compression","chunks":4,"method":"FP64->FP32","predicted_s":1}]}]}`
+	untunablePlan   = `{"schema":1,"budget":1,"cells":[{"machine":"m","shape":"s","stages":[{"label":"fwd0","algo":"alltoallv+compression","chunks":4,"method":"FP64->FP32","predicted_s":1}]}]}`
+)
+
 func TestPlanRoundTripByteIdentical(t *testing.T) {
 	p := samplePlan()
 	path := filepath.Join(t.TempDir(), "plan.json")
@@ -74,6 +82,11 @@ func TestDecodeTypedErrors(t *testing.T) {
 		{"trailing-data", append(append([]byte(nil), valid...), []byte("{}")...), ErrPlanSyntax},
 		{"no-cells-ok", []byte(`{"schema":1,"budget":1,"cells":[]}`), nil},
 		{"bad-algo", []byte(`{"schema":1,"budget":1,"cells":[{"machine":"m","shape":"s","stages":[{"label":"fwd0","algo":"warp","predicted_s":1}]}]}`), ErrPlanInvalid},
+		// Plans speak the table's plan names: a display name, or the
+		// compressed two-sided backend (no plan name), is unknown.
+		{"display-name-algo", []byte(displayNamePlan), ErrPlanInvalid},
+		{"untunable-algo", []byte(untunablePlan), ErrPlanInvalid},
+		{"empty-algo", []byte(`{"schema":1,"budget":1,"cells":[{"machine":"m","shape":"s","stages":[{"label":"fwd0","algo":"","method":"FP64->FP32","predicted_s":1}]}]}`), ErrPlanInvalid},
 		{"bad-method", []byte(`{"schema":1,"budget":1,"cells":[{"machine":"m","shape":"s","stages":[{"label":"fwd0","algo":"compressed-osc","method":"ZFP","predicted_s":1}]}]}`), ErrPlanInvalid},
 		{"budget-violation", []byte(`{"schema":1,"budget":1e-9,"cells":[{"machine":"m","shape":"s","stages":[{"label":"fwd0","algo":"compressed-osc","method":"FP64->FP16","predicted_s":1}]}]}`), ErrPlanInvalid},
 		{"duplicate-cell", []byte(`{"schema":1,"budget":1,"cells":[{"machine":"m","shape":"s","stages":[{"label":"fwd0","algo":"osc","predicted_s":1}]},{"machine":"m","shape":"s","stages":[{"label":"fwd0","algo":"osc","predicted_s":1}]}]}`), ErrPlanInvalid},
@@ -195,6 +208,8 @@ func FuzzLoadTunePlan(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(displayNamePlan))
+	f.Add([]byte(untunablePlan))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {

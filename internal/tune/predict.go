@@ -19,11 +19,11 @@ import (
 // core's model comment for how far it sits from measurement); the probe
 // runs exist to catch the cases where its ordering is wrong.
 func Predict(cfg netsim.Config, dev gpu.Device, bytes func(dst, src int) int, cand Candidate) float64 {
-	if cand.Algo == Bruck {
+	if cand.Backend == core.BackendBruck {
 		return predictBruck(cfg, bytes)
 	}
-	t := core.Roofline(cfg, bytes, cand.choice()).Predicted
-	if cand.Algo == CompressedOSC {
+	t := core.Roofline(cfg, bytes, core.ExchangeChoice(cand)).Predicted
+	if cand.Backend.Row().Compressed {
 		exposed, device := kernelTimes(cfg, dev, bytes, cand)
 		t = math.Max(t, device) + exposed
 	}

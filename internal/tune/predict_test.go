@@ -106,19 +106,22 @@ func TestPredictGolden(t *testing.T) {
 }
 
 // TestPredictIsCoreModel is the contract that there is one model: for
-// the direct lossless algorithms, which add no tuner term, Predict on a
-// stage's traffic is core.PredictExchanges' prediction for that stage,
-// bit for bit.
+// every lossless row of core.Backends that adds no tuner term (all but
+// Bruck's log-round model), Predict on a stage's traffic is
+// core.PredictExchanges' prediction for that stage, bit for bit.
 func TestPredictIsCoreModel(t *testing.T) {
 	for _, sh := range modelShapes() {
 		cfg := netsim.Summit(sh.nodes)
 		stages := core.ForwardTraffic(cfg.Ranks(), goldenN, sh.simScale, sh.pencilIO, sh.elem)
-		for _, c := range []Candidate{{Algo: TwoSided}, {Algo: OSC}} {
-			opts := core.Options{Backend: c.choice().Backend, SimScale: sh.simScale, PencilIO: sh.pencilIO}
+		for _, row := range core.Backends {
+			if row.Compressed || row.Backend == core.BackendBruck {
+				continue
+			}
+			opts := core.Options{Backend: row.Backend, SimScale: sh.simScale, PencilIO: sh.pencilIO}
 			want := core.PredictExchanges(cfg, goldenN, opts, sh.elem)
 			for si, st := range stages {
-				if got := Predict(cfg, gpu.V100(), st.Bytes, c); got != want[si].Predicted {
-					t.Errorf("%s %s %s: Predict %v, PredictExchanges %v", sh, c.Algo, st.Label, got, want[si].Predicted)
+				if got := Predict(cfg, gpu.V100(), st.Bytes, Candidate{Backend: row.Backend}); got != want[si].Predicted {
+					t.Errorf("%s %s %s: Predict %v, PredictExchanges %v", sh, row.Name, st.Label, got, want[si].Predicted)
 				}
 			}
 		}

@@ -28,7 +28,7 @@ func probeConfig(cfg netsim.Config) netsim.Config {
 // candidates are probed with short seeded simulation runs and the
 // measured winner overrides all stages. C selects the pipeline
 // precision like core.Plan's parameter; complex64 restricts the space
-// to the lossless algorithms. base supplies the non-exchange options
+// to the lossless backends. base supplies the non-exchange options
 // (SimScale, PencilIO, Device) the probes and shape key use.
 func FFT[C fft.Complex](cfg netsim.Config, n [3]int, base core.Options, sp Space) (*Cell, error) {
 	cfg = probeConfig(cfg)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/netsim"
 )
@@ -99,10 +100,10 @@ func TestSelectOrderIndependent(t *testing.T) {
 // TestSelectProbedBeatsPredictedTies: when two candidates both carry
 // probes, the probe — not the prediction — decides.
 func TestSelectProbedBeatsPredictedTies(t *testing.T) {
-	a := Scored{Candidate: Candidate{Algo: TwoSided}, Predicted: 1e-4, Probed: 5e-4}
-	b := Scored{Candidate: Candidate{Algo: OSC}, Predicted: 2e-4, Probed: 1e-4}
+	a := Scored{Candidate: Candidate{Backend: core.BackendAlltoallv}, Predicted: 1e-4, Probed: 5e-4}
+	b := Scored{Candidate: Candidate{Backend: core.BackendOSC}, Predicted: 2e-4, Probed: 1e-4}
 	best, ok := Select([]Scored{a, b}, 0)
-	if !ok || best.Algo != OSC {
+	if !ok || best.Backend != core.BackendOSC {
 		t.Fatalf("probe did not override prediction: %+v", best)
 	}
 }
@@ -110,7 +111,7 @@ func TestSelectProbedBeatsPredictedTies(t *testing.T) {
 // TestSelectNoAdmissible: a slate of budget violators selects nothing.
 func TestSelectNoAdmissible(t *testing.T) {
 	cands := []Scored{
-		{Candidate: Candidate{Algo: CompressedOSC, Chunks: 4, Method: compress.Cast16{}}, Predicted: 1e-6},
+		{Candidate: Candidate{Backend: core.BackendCompressed, Chunks: 4, Method: compress.Cast16{}}, Predicted: 1e-6},
 	}
 	if _, ok := Select(cands, 1e-9); ok {
 		t.Fatal("selected a budget violator")
@@ -121,7 +122,7 @@ func TestSelectNoAdmissible(t *testing.T) {
 // candidates (the FP32 pipeline's restriction).
 func TestCandidatesLossless(t *testing.T) {
 	for _, c := range (Space{Lossless: true}).Candidates() {
-		if c.Method != nil || c.Algo == CompressedOSC {
+		if c.Method != nil || c.Backend.Row().Compressed {
 			t.Fatalf("lossless space holds %v", c)
 		}
 	}
@@ -146,7 +147,7 @@ func TestPredictChunkingTradeoff(t *testing.T) {
 	cfg := netsim.Summit(2)
 	bytes := func(dst, src int) int { return 64 * 1024 }
 	mk := func(chunks int) Candidate {
-		return Candidate{Algo: CompressedOSC, Chunks: chunks, Method: compress.Cast32{}}
+		return Candidate{Backend: core.BackendCompressed, Chunks: chunks, Method: compress.Cast32{}}
 	}
 	moderate := Predict(cfg, gpu.V100(), bytes, mk(4))
 	absurd := Predict(cfg, gpu.V100(), bytes, mk(4096))

@@ -18,76 +18,23 @@ package tune
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/exchange"
 )
 
-// Algorithm names the exchange algorithms the tuner chooses between
-// (the serialized vocabulary of a plan's "algo" fields).
-type Algorithm string
-
-const (
-	// TwoSided is the classical MPI_Alltoallv.
-	TwoSided Algorithm = "twosided"
-	// Bruck is the log-round aggregated algorithm (small messages).
-	Bruck Algorithm = "bruck"
-	// OSC is the one-sided ring, uncompressed.
-	OSC Algorithm = "osc"
-	// CompressedOSC is the one-sided ring with lossy compression
-	// pipelined into the transfer (the paper's contribution).
-	CompressedOSC Algorithm = "compressed-osc"
-)
-
-// algorithms is the tuner's vocabulary, one row per algorithm: its
-// serialized name, core's backend for it (which also selects the
-// roofline's transport rules in Predict), and its name in the bandwidth
-// harness (exchange.Algos). The index is the algorithm's rank in the
-// deterministic tie-break — simpler transports win ties. Every row but
-// CompressedOSC's is one lossless candidate.
-var algorithms = []struct {
-	name    Algorithm
-	backend core.Backend
-	bench   string
-}{
-	{TwoSided, core.BackendAlltoallv, exchange.AlgoLinear},
-	{Bruck, core.BackendBruck, exchange.AlgoBruck},
-	{OSC, core.BackendOSC, exchange.AlgoOSC},
-	{CompressedOSC, core.BackendCompressed, exchange.AlgoOSCComp},
-}
-
-// order returns the algorithm's row in the table, or -1 for a name
-// outside the tuner's vocabulary.
-func (a Algorithm) order() int {
-	for i, row := range algorithms {
-		if row.name == a {
-			return i
-		}
-	}
-	return -1
-}
-
-// Candidate is one point of the tuner's search space.
-type Candidate struct {
-	Algo Algorithm
-	// Chunks is the §V-B pipeline depth; CompressedOSC only (0 keeps
-	// the consumer's default).
-	Chunks int
-	// Method is the compression method; nil for the lossless algorithms.
-	Method compress.Method
-}
-
-// choice maps the candidate onto core's exchange configuration; its
-// algorithm must be in the table.
-func (c Candidate) choice() core.ExchangeChoice {
-	return core.ExchangeChoice{Backend: algorithms[c.Algo.order()].backend, Chunks: c.Chunks, Method: c.Method}
-}
+// Candidate is one point of the tuner's search space: an exchange
+// configuration on one of core.Backends' tunable rows. Chunks (the §V-B
+// pipeline depth; 0 keeps the consumer's default) and Method are set on
+// the compressed rows only.
+type Candidate core.ExchangeChoice
 
 // options maps the candidate onto fixed plan options over base.
 func (c Candidate) options(base core.Options) core.Options {
 	base.Tune = nil
-	base.Backend, base.Method = c.choice().Backend, c.Method
+	base.Backend, base.Method = c.Backend, c.Method
 	if c.Chunks > 0 {
 		base.Chunks = c.Chunks
 	}
@@ -96,27 +43,30 @@ func (c Candidate) options(base core.Options) core.Options {
 
 // spec maps the candidate onto the bandwidth harness's Spec.
 func (c Candidate) spec() exchange.Spec {
-	return exchange.Spec{Algo: algorithms[c.Algo.order()].bench, Method: c.Method, Chunks: c.Chunks}
+	return exchange.Spec{Algo: c.Backend.Row().Bench, Method: c.Method, Chunks: c.Chunks}
 }
 
 // record is the candidate's serialized form (Method and Chunks only for
-// compressed-osc), without the evidence fields.
+// the compressed rows), without the evidence fields.
 func (c Candidate) record() Choice {
-	ch := Choice{Algo: string(c.Algo)}
-	if c.Algo == CompressedOSC {
+	row := c.Backend.Row()
+	ch := Choice{Algo: row.Plan}
+	if row.Compressed {
 		ch.Chunks, ch.Method = c.Chunks, c.Method.Name()
 	}
 	return ch
 }
 
 // key is the candidate's position in the deterministic tie-break: a
-// tuple compared field by field after the predicted time.
+// tuple compared field by field after the predicted time, led by the
+// backend's row in core.Backends.
 func (c Candidate) key() (int, string, int) {
 	name := ""
 	if c.Method != nil {
 		name = c.Method.Name()
 	}
-	return c.Algo.order(), name, c.Chunks
+	row := slices.IndexFunc(core.Backends, func(r core.BackendRow) bool { return r.Backend == c.Backend })
+	return row, name, c.Chunks
 }
 
 // Scored pairs a candidate with its predicted (and, when probed,
@@ -135,13 +85,13 @@ type Space struct {
 	// bound a compression method's ErrorBound must not exceed, in the
 	// sense of core.StageBounds). 0 admits lossless candidates only.
 	Budget float64
-	// Chunks are the candidate pipeline depths for CompressedOSC.
+	// Chunks are the candidate pipeline depths of the compressed rows.
 	// Defaults to {1, 2, 4, 8, 16}.
 	Chunks []int
 	// Methods are the candidate compression methods. Defaults to the
 	// casts and two Trim variants; the Budget filter prunes them.
 	Methods []compress.Method
-	// Lossless restricts the space to the lossless algorithms regardless
+	// Lossless restricts the space to the lossless backends regardless
 	// of Budget (set for FP32 pipelines, which the compressed backends
 	// reject).
 	Lossless bool
@@ -175,14 +125,15 @@ func (s Space) withDefaults() Space {
 func (s Space) Candidates() []Candidate {
 	s = s.withDefaults()
 	var out []Candidate
-	for _, row := range algorithms {
+	for _, row := range core.Backends {
 		switch {
-		case row.name != CompressedOSC:
-			out = append(out, Candidate{Algo: row.name})
+		case !row.Tunable:
+		case !row.Compressed:
+			out = append(out, Candidate{Backend: row.Backend})
 		case !s.Lossless:
 			for _, m := range s.Methods {
 				for _, ch := range s.Chunks {
-					out = append(out, Candidate{Algo: CompressedOSC, Chunks: ch, Method: m})
+					out = append(out, Candidate{Backend: row.Backend, Chunks: ch, Method: m})
 				}
 			}
 		}
