@@ -11,11 +11,13 @@ import (
 	"repro/cmd/internal/driver"
 )
 
-// The golden cells: Fig. 4 at toy scale with the -metrics report, a
-// faulty run under the recovery runtime (stderr carries the recovery
-// report), and an autotuned run.
+// The golden cells: Fig. 4 at toy scale with the -metrics report, the
+// lossless ring and compressed two-sided columns the default configs do
+// not run, a faulty run under the recovery runtime (stderr carries the
+// recovery report), and an autotuned run.
 func TestGolden(t *testing.T) {
 	golden(t, "metrics", "-n", "32", "-sim", "64", "-gpus", "12,24", "-iters", "1", "-metrics")
+	golden(t, "columns", "-n", "32", "-sim", "64", "-gpus", "12,24", "-iters", "1", "-configs", "osc,fp64-32-2s", "-metrics")
 	golden(t, "recover", "-n", "32", "-sim", "64", "-gpus", "12", "-iters", "1", "-faults", "17", "-recover")
 	golden(t, "autotune", "-n", "32", "-sim", "64", "-gpus", "12,24", "-iters", "1", "-autotune")
 }

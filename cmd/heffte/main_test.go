@@ -11,9 +11,11 @@ import (
 	"repro/cmd/internal/driver"
 )
 
-// The golden cell: one compressed transform with the -metrics report.
+// The golden cells: one compressed transform with the -metrics report,
+// and one over the Bruck backend.
 func TestGolden(t *testing.T) {
 	golden(t, "metrics", "-n", "32", "-gpus", "12", "-iters", "1", "-metrics")
+	golden(t, "bruck", "-n", "32", "-gpus", "12", "-iters", "1", "-metrics", "-backend", "bruck")
 }
 
 func TestUsageErrors(t *testing.T) {

@@ -43,8 +43,7 @@ const (
 )
 
 // BackendRow is one row of the backend table: everything the tree
-// knows about a transport apart from how to build it, which is
-// reshape.newTransport's switch.
+// knows about a backend, down to the exchange algorithm it runs.
 type BackendRow struct {
 	Backend Backend
 	// Name is the display name (Backend.String, heffte's -backend).
@@ -63,17 +62,20 @@ type BackendRow struct {
 	OneSided bool
 	// Tunable backends are candidates of the autotuner.
 	Tunable bool
+	// algo is the exchange body the backend runs: with the choice's
+	// Method as its codec on Compressed rows, with none on the others.
+	algo *algorithm
 }
 
 // Backends is the backend table, one row per Backend. The row index is
 // the autotuner's tie-break: simpler transports come first and win ties.
 var Backends = []BackendRow{
-	{Backend: BackendAlltoallv, Name: "alltoallv", Plan: "twosided", Bench: exchange.AlgoLinear, Tunable: true},
-	{Backend: BackendBruck, Name: "bruck", Plan: "bruck", Bench: exchange.AlgoBruck, Tunable: true},
-	{Backend: BackendOSC, Name: "osc", Plan: "osc", Bench: exchange.AlgoOSC, OneSided: true, Tunable: true},
+	{Backend: BackendAlltoallv, Name: "alltoallv", Plan: "twosided", Bench: exchange.AlgoLinear, Tunable: true, algo: twoSided},
+	{Backend: BackendBruck, Name: "bruck", Plan: "bruck", Bench: exchange.AlgoBruck, Tunable: true, algo: bruck},
+	{Backend: BackendOSC, Name: "osc", Plan: "osc", Bench: exchange.AlgoOSC, OneSided: true, Tunable: true, algo: ring},
 	{Backend: BackendCompressed, Name: "osc+compression", Plan: "compressed-osc", Bench: exchange.AlgoOSCComp,
-		Compressed: true, OneSided: true, Tunable: true},
-	{Backend: BackendCompressedTwoSided, Name: "alltoallv+compression", Compressed: true},
+		Compressed: true, OneSided: true, Tunable: true, algo: ring},
+	{Backend: BackendCompressedTwoSided, Name: "alltoallv+compression", Compressed: true, algo: twoSided},
 }
 
 // Row returns b's row of the backend table; a value outside the table

@@ -229,8 +229,11 @@ func (pl *Plan[C]) ledgers() []ledgered {
 	var out []ledgered
 	for _, rs := range [2][4]*reshape[C]{pl.fwd, pl.bwd} {
 		for _, r := range rs {
-			if r != nil && r.x.ledger != nil {
-				out = append(out, r.x.ledger)
+			if r == nil {
+				continue
+			}
+			if l, ok := r.x.(ledgered); ok {
+				out = append(out, l)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/compress"
 	"repro/internal/exchange"
 	"repro/internal/gpu"
 	"repro/internal/grid"
@@ -21,15 +22,11 @@ type pipe struct {
 	precBits int
 	profile  Profile
 
-	// The per-destination headers the byte transports take: P-length,
-	// filled and cleared by each execute, so the plan's reshapes share
-	// one set, allocated by the first reshape that needs it. sendLease
-	// holds the lease ids beside sendBytes (all zero but for the
-	// two-sided all-to-all).
-	sendBytes [][]byte
-	sendLease []int
-	// scratch holds the one peer's values a compressed transport is
-	// encoding or decoding (reshape.Send and Recv).
+	// headers are the P-length arrays of the two-sided exchanges, which
+	// all of the plan's reshapes share.
+	headers exchange.Headers
+	// scratch holds the one peer's values a codec column is encoding or
+	// decoding (reshape.Send and Recv).
 	scratch []float64
 }
 
@@ -50,9 +47,7 @@ func (pp *pipe) kernel(phase obs.Phase, spent *float64, bytes int, cost float64,
 func maxCount(ts []grid.Transfer) int {
 	m := 0
 	for _, t := range ts {
-		if t.Count > m {
-			m = t.Count
-		}
+		m = max(m, t.Count)
 	}
 	return m
 }
@@ -105,29 +100,16 @@ func realCodec(precBits int) codec[float64] {
 	}
 }
 
-// ledgered is the checkpointable part of an exchange (OSC and
-// CompressedOSC implement it).
+// ledgered is the checkpointable part of an exchange (the ring's).
 type ledgered interface {
 	LedgerState() []byte
 	RestoreLedger([]byte) error
 }
 
-// transport is a reshape's resolved all-to-all. Exactly one of bytes and
-// vals is set — which one is all execute needs to know; ledger is the
-// exchange's healing ledger for the epoch checkpoints (nil for the
-// two-sided transports, which keep none). bytes takes the packed
-// payloads and their lease ids beside them (see mpi.AlltoallvLeased;
-// all zero when they carry none). vals, a compressed transport, takes
-// the reshape itself as its exchange.Payloads and packs and unpacks one
-// peer at a time through it.
-type transport struct {
-	bytes  func(send [][]byte, lease []int) [][]byte
-	vals   func(exchange.Payloads)
-	ledger ledgered
-}
-
 // reshape moves data of element type E between two decompositions
-// through its resolved all-to-all transport.
+// through its exchange, which it serves as the exchange.Payloads: the
+// exchange takes each destination's overlap as it sends it (Send) and
+// hands back each source's as it lands (Received).
 type reshape[E mem.Word] struct {
 	pp        *pipe
 	wire      codec[E]
@@ -150,22 +132,8 @@ type reshape[E mem.Word] struct {
 	// pl.decomp/orders).
 	toStage int
 
-	x transport
-	// block is the byte transports' send block: plan.Send[i]'s payload in
-	// wire format at byte wire.size·Offset (at slot·Rank when slot, the
-	// uniform block of Bruck, is set), allocated word-aligned (mem.Bytes)
-	// so that every payload views as its elements. Pack writes into that
-	// view, and the transport sends the same memory. It is materialised
-	// by the first execute and packed in place by every later one. lease
-	// is the id of plan.Send[0]'s send-completion lease (the others
-	// follow in order), or 0: only the two-sided all-to-all hands the
-	// payloads to their receivers as-is, every other transport is done
-	// with them when it returns.
-	block []byte
-	slot  int
-	lease int
-	// in is execute's input while a compressed transport runs: Send
-	// packs from it.
+	x exchange.Transport
+	// in is execute's input while the exchange runs: Send packs from it.
 	in []E
 	// stage is the narrowing codec's element scratch (nil otherwise).
 	stage  []E
@@ -189,30 +157,108 @@ func newReshape[E mem.Word](pp *pipe, wire codec[E], from, to layout, label stri
 	simPlan := grid.PlanFor(me, from.simDecomp, to.simDecomp)
 	r.simSendTotal, r.simRecvTotal = simPlan.SendTotal, simPlan.RecvTotal
 
-	// The transport keys off the resolved choice, never off pp.opts, so
+	// The exchange keys off the resolved choice, never off pp.opts, so
 	// a tuned stage is constructed and executed exactly like — and is
 	// bit-identical to — the same stage under fixed Options.
 	choice := pp.opts.choice(label)
-	if choice.Backend.compressed() {
+	row := choice.Backend.Row()
+	if row.algo == nil {
+		panic("core: unknown backend " + row.Name)
+	}
+	var method compress.Method
+	if row.Compressed {
 		if choice.Method == nil {
 			panic("core: compressed exchange choice for " + label + " has no method")
 		}
 		if pp.precBits == 32 {
 			panic("core: compressed backends require the FP64 pipeline")
 		}
+		method = choice.Method
+		if n := wire.size / 8 * max(maxCount(r.plan.Send), maxCount(r.plan.Recv)); len(pp.scratch) < n {
+			pp.scratch = make([]float64, n)
+		}
 	}
-	r.x = r.newTransport(choice, simPlan)
+	r.x = row.algo.build(wiring{pp: pp, plan: r.plan, simPlan: simPlan, elem: wire.size, label: label,
+		chunks: choice.Chunks, codec: exchange.Codec{Method: method, Stream: pp.stream, Label: label}})
 	return r
 }
 
-// pairCount(pl, me)(dst, src) is what src sends dst in rank me's plan
-// pl, found in pl.Send if src == me, else in pl.Recv (dst must be me).
-func pairCount(pl grid.Plan, me int) func(dst, src int) int {
+// wiring is what a backend row builds one reshape's exchange from.
+type wiring struct {
+	pp            *pipe
+	plan, simPlan grid.Plan // the data plane's plan, and the time plane's
+	elem          int       // wire bytes per element
+	label         string
+	chunks        int            // the choice's §V-B pipeline depth
+	codec         exchange.Codec // the row's codec column
+}
+
+// An algorithm is one exchange body, and build makes it for a reshape.
+type algorithm struct {
+	build func(w wiring) exchange.Transport
+}
+
+var (
+	twoSided = &algorithm{func(w wiring) exchange.Transport {
+		// The time plane's plan meets every rank the data plane's meets
+		// (its boxes are the same splits of a finer grid), and perhaps
+		// more: those go out as phantom messages.
+		send := make([]exchange.Peer, len(w.simPlan.Send))
+		for i, t := range w.simPlan.Send {
+			send[i] = exchange.Peer{Rank: t.Rank, Bytes: w.elem * transferWith(w.plan.Send, t.Rank).Count, Logical: w.elem * t.Count}
+		}
+		recv := make([]exchange.Peer, len(w.plan.Recv))
+		for i, t := range w.plan.Recv {
+			recv[i] = exchange.Peer{Rank: t.Rank, Bytes: w.elem * t.Count, Logical: w.elem * transferWith(w.simPlan.Recv, t.Rank).Count}
+		}
+		return exchange.NewTwoSided(w.pp.c, send, recv, w.codec, &w.pp.headers)
+	}}
+	ring = &algorithm{func(w wiring) exchange.Transport {
+		// Scale the pipeline depth to the payload: one chunk per 256 KB
+		// of send data (capped at the configured depth) so that tiny
+		// exchanges do not pay per-kernel overhead for overlap they
+		// cannot use.
+		chunks := 1
+		if w.codec.Method != nil {
+			chunks = min(max(w.simPlan.SendTotal*w.elem/(256<<10), 1), w.chunks)
+		}
+		me := w.pp.c.Rank()
+		x := exchange.NewRing(w.pp.c, pairBytes(w.plan, me, w.elem), true, w.codec, chunks)
+		x.Logical = pairBytes(w.simPlan, me, w.elem)
+		x.Pipelined = !w.pp.opts.DisablePipeline
+		return x
+	}}
+	bruck = &algorithm{func(w wiring) exchange.Transport {
+		// Bruck requires uniform blocks: pad every pairwise payload to
+		// the global maximum overlap. The maximum is reduced
+		// collectively (every pair appears in its source's send list, so
+		// the send-side maximum covers all pairs), which keeps the block
+		// size — and hence every round's message sizes — identical on
+		// all ranks.
+		c := w.pp.c
+		maxSend := func(pl grid.Plan) int {
+			return w.elem * int(c.AllreduceFloat64("max", float64(maxCount(pl.Send))))
+		}
+		block := maxSend(w.plan)
+		logical := block
+		if w.pp.opts.SimScale > 1 {
+			// A second reduction for the simulated plan: unconditional,
+			// it would add messages to unscaled runs.
+			logical = maxSend(w.simPlan)
+		}
+		return exchange.NewBruck(c, block, logical)
+	}}
+)
+
+// pairBytes(pl, me, elem)(dst, src) is the bytes src sends dst in rank
+// me's plan pl, found in pl.Send if src == me, else in pl.Recv (dst
+// must be me).
+func pairBytes(pl grid.Plan, me, elem int) exchange.SizeFn {
 	return func(dst, src int) int {
 		if src != me {
-			return transferWith(pl.Recv, src).Count
+			return elem * transferWith(pl.Recv, src).Count
 		}
-		return transferWith(pl.Send, dst).Count
+		return elem * transferWith(pl.Send, dst).Count
 	}
 }
 
@@ -226,173 +272,26 @@ func transferWith(ts []grid.Transfer, peer int) grid.Transfer {
 	return ts[i]
 }
 
-// newTransport builds the exchange a choice names — the one place that
-// maps a Backend onto an implementation. The two-sided all-to-all also
-// registers the reshape's send-completion leases, and a compressed
-// backend grows the plan's scratch to the reshape's largest transfer.
-func (r *reshape[E]) newTransport(choice ExchangeChoice, simPlan grid.Plan) transport {
-	pp := r.pp
-	c := pp.c
-	p := c.Size()
-	elem, vals := r.wire.size, r.wire.size/8
-	overlap, simOverlap := pairCount(r.plan, c.Rank()), pairCount(simPlan, c.Rank())
-	maxSend := func(pl grid.Plan) int {
-		return int(c.AllreduceFloat64("max", float64(maxCount(pl.Send))))
-	}
-
-	if n := vals * max(maxCount(r.plan.Send), maxCount(r.plan.Recv)); choice.Backend.compressed() && len(pp.scratch) < n {
-		pp.scratch = make([]float64, n)
-	}
-
-	switch choice.Backend {
-	case BackendAlltoallv:
-		recvNonzero := make([]bool, p)
-		for _, t := range r.plan.Recv {
-			recvNonzero[t.Rank] = true
-		}
-		// Per-destination wire bytes, from the simulated plan (the real
-		// one unless SimScale > 1).
-		logical := make([]int, p)
-		for _, t := range simPlan.Send {
-			logical[t.Rank] = elem * t.Count
-		}
-		r.lease = c.NewLeases(len(r.plan.Send))
-		return transport{bytes: func(send [][]byte, lease []int) [][]byte {
-			return c.AlltoallvLeased(send, lease, recvNonzero, logical)
-		}}
-	case BackendOSC:
-		osc := exchange.NewOSC(c, func(dst, src int) int { return elem * overlap(dst, src) }, true)
-		osc.Logical = func(dst, src int) int { return elem * simOverlap(dst, src) }
-		return transport{bytes: func(send [][]byte, _ []int) [][]byte { return osc.Exchange(send) }, ledger: osc}
-	case BackendBruck:
-		// Bruck requires uniform blocks: pad every pairwise payload to
-		// the global maximum overlap. The maximum is reduced
-		// collectively (every pair appears in its source's send list, so
-		// the send-side maximum covers all pairs), which keeps the block
-		// size — and hence every round's message sizes — identical on
-		// all ranks.
-		block := elem * maxSend(r.plan)
-		logical := block
-		if pp.opts.SimScale > 1 {
-			// A second reduction for the simulated plan: unconditional,
-			// it would add messages to unscaled runs.
-			logical = elem * maxSend(simPlan)
-		}
-		// Every payload is packed at the start of its destination's
-		// uniform slot of the block (bytes past the overlap travel but
-		// are never unpacked), and Bruck runs in place on the block.
-		r.slot = block
-		bruck := exchange.NewBruck(c, block, logical)
-		return transport{bytes: func([][]byte, []int) [][]byte {
-			if block == 0 {
-				return nil
-			}
-			return bruck.Exchange(r.block)
-		}}
-	case BackendCompressed:
-		// Scale the pipeline depth to the payload: one chunk per 256 KB
-		// of send data (capped at the configured depth) so that tiny
-		// exchanges do not pay per-kernel overhead for overlap they
-		// cannot use.
-		chunks := r.simSendTotal * elem / (256 << 10)
-		if chunks < 1 {
-			chunks = 1
-		}
-		if chunks > choice.Chunks {
-			chunks = choice.Chunks
-		}
-		cosc := exchange.NewCompressedOSC(c, choice.Method, pp.stream, chunks,
-			func(dst, src int) int { return vals * overlap(dst, src) })
-		cosc.SetLabel(r.label)
-		cosc.Pipelined = !pp.opts.DisablePipeline
-		cosc.SimCounts = func(dst, src int) int { return vals * simOverlap(dst, src) }
-		return transport{vals: cosc.ExchangeWith, ledger: cosc}
-	case BackendCompressedTwoSided:
-		c2s := exchange.NewTwoSidedCompressed(c, choice.Method, pp.stream,
-			func(dst, src int) int { return vals * overlap(dst, src) })
-		c2s.SetLabel(r.label)
-		c2s.SimCounts = func(dst, src int) int { return vals * simOverlap(dst, src) }
-		return transport{vals: c2s.ExchangeWith}
-	}
-	panic("core: unknown backend " + choice.Backend.String())
-}
-
-// execute performs the reshape: pack (GPU), exchange (transport), unpack
-// (GPU). The returned buffer is owned by the reshape and valid until its
-// next execution.
+// execute performs the reshape: pack (GPU), exchange, unpack (GPU). The
+// exchange packs and unpacks one peer at a time through Send and
+// Received, so the pack and unpack kernels charge their time with no
+// host work of their own. The returned buffer is owned by the reshape
+// and valid until its next execution.
 func (r *reshape[E]) execute(local []E) []E {
 	pp := r.pp
 	c := pp.c
 	dev := pp.opts.Device
 	rk := c.Obs()
-	byBytes := r.x.bytes != nil
 	sendWire, recvWire := r.simSendTotal*r.wire.size, r.simRecvTotal*r.wire.size
 	out := r.output()
 
-	// A compressed transport packs and unpacks one peer at a time inside
-	// its codec kernels (Send and Received below), so there the pack and
-	// unpack kernels charge their time with no host work of their own.
-	var pack, unpack func()
-	var recv [][]byte
-	if byBytes {
-		if r.block == nil {
-			r.materialize()
-		}
-		// Pack every destination's overlap, reordered to the target
-		// layout, straight into its payload of the send block — unless
-		// its receiver still holds that payload from the last call (the
-		// lease is busy), in which case it goes out in a fresh buffer.
-		// Destinations with no overlap keep nil payloads (the
-		// transports read them as zero-length).
-		pack = func() {
-			for i, t := range r.plan.Send {
-				lo := r.wire.size * t.Offset
-				if r.slot > 0 {
-					lo = r.slot * t.Rank
-				}
-				hi := lo + r.wire.size*t.Count
-				buf := r.block[lo:hi:hi]
-				if r.lease != 0 {
-					buf, pp.sendLease[t.Rank] = c.LeasedBuf(r.lease+i, buf)
-				}
-				if r.wire.narrow == nil {
-					grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, mem.View[E](buf))
-				} else {
-					grid.Pack(local, r.fromBox, r.fromOrder, t.Sub, r.toOrder, r.stage)
-					r.wire.narrow(buf, r.stage[:t.Count])
-				}
-				pp.sendBytes[t.Rank] = buf
-			}
-		}
-		// Unpack into the target layout.
-		unpack = func() {
-			for _, t := range r.plan.Recv {
-				wire := recv[t.Rank][:r.wire.size*t.Count]
-				var in []E
-				if r.wire.narrow == nil {
-					in = mem.View[E](wire)
-				} else {
-					in = r.stage[:t.Count]
-					r.wire.widen(wire, in)
-				}
-				grid.Unpack(in, t.Sub, out, r.toBox, r.toOrder)
-			}
-		}
-	}
-	pp.kernel(obs.PhasePack, &pp.profile.Pack, sendWire, dev.CopyCost(sendWire), pack)
+	pp.kernel(obs.PhasePack, &pp.profile.Pack, sendWire, dev.CopyCost(sendWire), nil)
 
 	tExchange := c.Now()
 	rk.Begin(obs.TrackHost, obs.PhaseExchange, tExchange)
-	if byBytes {
-		recv = r.x.bytes(pp.sendBytes, pp.sendLease)
-		for _, t := range r.plan.Send {
-			pp.sendBytes[t.Rank], pp.sendLease[t.Rank] = nil, 0
-		}
-	} else {
-		r.in = local
-		r.x.vals(r)
-		r.in = nil
-	}
+	r.in = local
+	r.x.ExchangeWith(r)
+	r.in = nil
 
 	tUnpack := c.Now()
 	pp.profile.Exchange += tUnpack - tExchange
@@ -405,58 +304,64 @@ func (r *reshape[E]) execute(local []E) []E {
 		Value: tUnpack - tExchange,
 	})
 
-	pp.kernel(obs.PhaseUnpack, &pp.profile.Unpack, recvWire, dev.CopyCost(recvWire), unpack)
-	// Hand the senders their leased buffers back.
-	if r.lease != 0 {
-		c.ReleaseRecv()
-	}
+	pp.kernel(obs.PhaseUnpack, &pp.profile.Unpack, recvWire, dev.CopyCost(recvWire), nil)
 	return out
 }
 
 // Send packs rank dst's overlap of the input, reordered to the target
-// layout, into the plan's scratch: the values a compressed transport
-// encodes next (exchange.Payloads).
-func (r *reshape[E]) Send(dst int) []float64 {
+// layout, into buf, or into the plan's value scratch when buf is nil (a
+// codec column encodes it from there), and returns its wire bytes.
+func (r *reshape[E]) Send(dst int, buf []byte) []byte {
 	t := transferWith(r.plan.Send, dst)
 	if t.Count == 0 {
-		return nil
+		return buf[:0]
 	}
-	buf := r.pp.scratch[:r.wire.size/8*t.Count]
-	grid.Pack(r.in, r.fromBox, r.fromOrder, t.Sub, r.toOrder, mem.View[E](buf))
+	if buf == nil {
+		buf = mem.View[byte](r.pp.scratch)
+	}
+	buf = buf[: r.wire.size*t.Count : r.wire.size*t.Count]
+	if r.wire.narrow == nil {
+		grid.Pack(r.in, r.fromBox, r.fromOrder, t.Sub, r.toOrder, mem.View[E](buf))
+	} else {
+		grid.Pack(r.in, r.fromBox, r.fromOrder, t.Sub, r.toOrder, r.stage)
+		r.wire.narrow(buf, r.stage[:t.Count])
+	}
 	return buf
 }
 
-// Recv returns the scratch that rank src's values decode into.
-func (r *reshape[E]) Recv(src int) []float64 {
-	return r.pp.scratch[:r.wire.size/8*transferWith(r.plan.Recv, src).Count]
+// Recv returns the plan's value scratch, which a codec column decodes
+// rank src's bytes into.
+func (r *reshape[E]) Recv(src int) []byte {
+	return mem.View[byte](r.pp.scratch)[:r.wire.size*transferWith(r.plan.Recv, src).Count]
 }
 
-// Received unpacks rank src's decoded values into the output.
-func (r *reshape[E]) Received(src int) {
+// Received unpacks rank src's bytes, which may run past its overlap,
+// into the output.
+func (r *reshape[E]) Received(src int, data []byte) {
 	t := transferWith(r.plan.Recv, src)
-	grid.Unpack(mem.View[E](r.Recv(src)), t.Sub, r.outBuf, r.toBox, r.toOrder)
+	if t.Count == 0 {
+		return
+	}
+	wire := data[:r.wire.size*t.Count]
+	var in []E
+	if r.wire.narrow == nil {
+		in = mem.View[E](wire)
+	} else {
+		in = r.stage[:t.Count]
+		r.wire.widen(wire, in)
+	}
+	grid.Unpack(in, t.Sub, r.outBuf, r.toBox, r.toOrder)
 }
 
-// output returns the reshape's output buffer, allocated on first use
-// like the send buffers, so a reshape that never runs holds none.
+// output returns the reshape's output buffer (and the narrowing codec's
+// stage scratch), allocated on first use like the exchange's buffers,
+// so a reshape that never runs holds none.
 func (r *reshape[E]) output() []E {
 	if r.outBuf == nil {
 		r.outBuf = make([]E, r.toBox.Count())
+		if r.wire.narrow != nil {
+			r.stage = make([]E, max(maxCount(r.plan.Send), maxCount(r.plan.Recv)))
+		}
 	}
 	return r.outBuf
-}
-
-// materialize allocates a byte transport's send block (p uniform slots
-// on Bruck), the narrowing codec's stage scratch, and the plan's headers
-// the first time one is needed.
-func (r *reshape[E]) materialize() {
-	pp := r.pp
-	p := pp.c.Size()
-	r.block = mem.Bytes(max(r.slot*p, r.wire.size*r.plan.SendTotal))
-	if r.wire.narrow != nil {
-		r.stage = make([]E, max(maxCount(r.plan.Send), maxCount(r.plan.Recv)))
-	}
-	if pp.sendBytes == nil {
-		pp.sendBytes, pp.sendLease = make([][]byte, p), make([]int, p)
-	}
 }

@@ -17,7 +17,7 @@ import (
 // asserted exactly, so a fix and a new drift both fail: Bruck pads to
 // the maximum pairwise count. In scaled mode each reshape reduces that
 // maximum twice at construction, for the data plan and for the
-// simulated plan (newTransport's maxSend), so the scaled run sends one
+// simulated plan (the bruck builder's maxSend), so the scaled run sends one
 // extra AllreduceFloat64 per reshape. Its forward time departs as well,
 // by ULPs to 0.03% at 12 ranks and by up to 4.7% at 24 ranks, for a
 // cause not isolated.

@@ -16,8 +16,9 @@ import (
 	"repro/internal/netsim"
 )
 
-// The reshapes pack straight into their wire blocks, which the
-// transports see through mem views. These tests pin that wire to the
+// A reshape packs each peer straight into the memory its exchange
+// offers and unpacks straight from the bytes the exchange hands back,
+// through mem views. These tests pin that wire to the
 // explicit little-endian encoders the reshapes used to run as a separate
 // pass (kept here as the reference), and hold every backend's reshape
 // output, with and without reliable-mode framing, to the field itself.
@@ -53,22 +54,6 @@ func refEncode[E mem.Word](src []E, size int) []byte {
 	return b
 }
 
-// refFloats is the reference float64 form the compressed transports
-// take: interleaved re/im for complex values, the values themselves for
-// real ones.
-func refFloats[E mem.Word](src []E) []float64 {
-	var f []float64
-	switch s := any(src).(type) {
-	case []complex128:
-		for _, v := range s {
-			f = append(f, real(v), imag(v))
-		}
-	case []float64:
-		f = append(f, s...)
-	}
-	return f
-}
-
 // fieldAt is the deterministic test field at c, as an element of type E
 // (the real part for real elements).
 func fieldAt[E mem.Word](c [3]int) E {
@@ -101,60 +86,39 @@ func fieldIn[E mem.Word](sub grid.Box, o grid.Order) []E {
 	return out
 }
 
-// wireTap wraps r's transport to record copies of every payload it is
-// handed and every payload it returns, as bytes: on the compressed
-// backends, every peer's values the codec takes from the reshape and
-// every peer's decoded values the reshape unpacks (payloadTap).
-type wireTap struct{ sent, recv [][]byte }
+// wireTap records copies of every payload a reshape's exchange takes
+// from it and hands back to it, as bytes.
+type wireTap struct {
+	exchange.Transport
+	sent, recv [][]byte
+}
 
-// payloadTap is the reshape's exchange.Payloads as a compressed
-// transport sees it, recording what passes through into w.
+func (w *wireTap) ExchangeWith(io exchange.Payloads) {
+	w.Transport.ExchangeWith(&payloadTap{Payloads: io, w: w})
+}
+
+// payloadTap is a reshape's exchange.Payloads, recording what passes
+// through it into w.
 type payloadTap struct {
 	exchange.Payloads
-	w    *wireTap
-	last []float64 // the buffer of the last Recv
+	w *wireTap
 }
 
-func (pt *payloadTap) Send(dst int) []float64 {
-	v := pt.Payloads.Send(dst)
-	pt.w.sent[dst] = refEncode(v, 8)
-	return v
+func (pt *payloadTap) Send(dst int, buf []byte) []byte {
+	b := pt.Payloads.Send(dst, buf)
+	pt.w.sent[dst] = slices.Clone(b)
+	return b
 }
 
-func (pt *payloadTap) Recv(src int) []float64 {
-	pt.last = pt.Payloads.Recv(src)
-	return pt.last
-}
-
-func (pt *payloadTap) Received(src int) {
-	pt.w.recv[src] = refEncode(pt.last, 8)
-	pt.Payloads.Received(src)
+func (pt *payloadTap) Received(src int, data []byte) {
+	pt.w.recv[src] = slices.Clone(data)
+	pt.Payloads.Received(src, data)
 }
 
 func tap[E mem.Word](r *reshape[E]) *wireTap {
-	w := &wireTap{}
-	clone := func(ps [][]byte) [][]byte {
-		out := make([][]byte, len(ps))
-		for i, p := range ps {
-			out[i] = slices.Clone(p)
-		}
-		return out
-	}
-	if bs := r.x.bytes; bs != nil {
-		r.x.bytes = func(send [][]byte, lease []int) [][]byte {
-			w.sent = clone(send)
-			recv := bs(send, lease)
-			w.recv = clone(recv)
-			return recv
-		}
-		return w
-	}
-	vs := r.x.vals
-	r.x.vals = func(io exchange.Payloads) {
-		p := r.pp.c.Size()
-		w.sent, w.recv = make([][]byte, p), make([][]byte, p)
-		vs(&payloadTap{Payloads: io, w: w})
-	}
+	p := r.pp.c.Size()
+	w := &wireTap{Transport: r.x, sent: make([][]byte, p), recv: make([][]byte, p)}
+	r.x = w
 	return w
 }
 
@@ -164,13 +128,7 @@ func tap[E mem.Word](r *reshape[E]) *wireTap {
 func checkWire[E mem.Word](t *testing.T, name string, r *reshape[E]) {
 	w := tap(r)
 	out := r.execute(fieldIn[E](r.fromBox, r.fromOrder))
-	want := func(sub grid.Box) []byte {
-		ref := fieldIn[E](sub, r.toOrder)
-		if r.x.vals != nil {
-			return refEncode(refFloats(ref), 8)
-		}
-		return refEncode(ref, r.wire.size)
-	}
+	want := func(sub grid.Box) []byte { return refEncode(fieldIn[E](sub, r.toOrder), r.wire.size) }
 	me := r.pp.c.Rank()
 	for _, tr := range r.plan.Send {
 		if got := w.sent[tr.Rank]; !bytes.Equal(got, want(tr.Sub)) {
@@ -195,12 +153,13 @@ func checkWire[E mem.Word](t *testing.T, name string, r *reshape[E]) {
 	}
 }
 
-// TestWireMatchesReferenceEncoding pins the bytes every transport is
-// handed and returns to the reference encoding, for each element format
-// the reshapes ship: complex128 and complex64 pencils, and the real
-// bricks of r2c at FP64 (8-byte wire) and FP32 (narrowed to 4 bytes).
-// The lossless backends carry bytes; the compressed ones carry float64
-// values, checked here through the lossless None method.
+// TestWireMatchesReferenceEncoding pins the bytes every exchange takes
+// from a reshape and hands back to it to the reference encoding, for
+// each element format the reshapes ship: complex128 and complex64
+// pencils, and the real bricks of r2c at FP64 (8-byte wire) and FP32
+// (narrowed to 4 bytes). The compressed backends' codec columns take
+// the same bytes as float64 values, checked here through the lossless
+// None method.
 func TestWireMatchesReferenceEncoding(t *testing.T) {
 	n := [3]int{8, 12, 10}
 	for _, row := range Backends {

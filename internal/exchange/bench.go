@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/gpu"
+	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -58,10 +59,10 @@ func (s Spec) resolve() (Spec, error) {
 
 // newCell builds one rank's side of a bandwidth cell: run performs one
 // uniform all-to-all of msgBytes per pair (phantom payloads, except the
-// compressed exchange, which needs real data); cosc is that compressed
-// exchange — the only algorithm here with a healing ledger to
-// checkpoint — and nil otherwise. Collective: everything sizes itself
-// off the live communicator.
+// compressed exchange, which needs real data, generated one peer at a
+// time); cosc is that compressed exchange — the only algorithm here
+// with a healing ledger to checkpoint — and nil otherwise. Collective:
+// everything sizes itself off the live communicator.
 func newCell(c *mpi.Comm, spec Spec, msgBytes int) (run func(), cosc *CompressedOSC) {
 	switch spec.Algo {
 	case AlgoLinear, AlgoPairwise:
@@ -75,7 +76,7 @@ func newCell(c *mpi.Comm, spec Spec, msgBytes int) (run func(), cosc *Compressed
 		return func() { PairwiseAlltoallv(c, nil, sizes) }, nil
 	case AlgoBruck:
 		b := NewBruck(c, msgBytes, msgBytes)
-		return func() { b.Exchange(nil) }, nil
+		return func() { b.ExchangeWith(nil) }, nil
 	case AlgoOSC, AlgoOSCNaive:
 		o := NewOSCPhantom(c, Uniform(msgBytes), spec.Algo == AlgoOSC)
 		return func() { o.Exchange(nil) }, nil
@@ -88,8 +89,8 @@ func newCell(c *mpi.Comm, spec Spec, msgBytes int) (run func(), cosc *Compressed
 		stream.SetObserver(c.Obs())
 		cosc = NewCompressedOSC(c, spec.Method, stream, spec.Chunks, UniformCount(count))
 		cosc.SetLabel("bench")
-		send := benchPayload(c.Rank(), c.Size(), count)
-		return func() { cosc.Exchange(send) }, cosc
+		io := &benchPayloads{rank: c.Rank(), vals: make([]float64, count)}
+		return func() { cosc.ExchangeWith(io) }, cosc
 	}
 	panic("exchange: unresolved algorithm " + spec.Algo)
 }
@@ -198,18 +199,28 @@ func NodeBandwidthRecoverableSpec(rec *obs.Recorder, cfg netsim.Config, spec Spe
 	return total / (end - start) / float64(cfg.Nodes), out, nil
 }
 
-// benchPayload builds deterministic pseudo-data in (-1, 1) for every
-// destination rank.
-func benchPayload(rank, p, count int) [][]float64 {
-	send := make([][]float64, p)
-	for d := range send {
-		send[d] = make([]float64, count)
-		for i := range send[d] {
-			send[d][i] = float64((rank*31+d*17+i*13)%2000-1000) / 1000
-		}
-	}
-	return send
+// benchPayloads are a bandwidth cell's Payloads: deterministic
+// pseudo-data in (-1, 1), generated for one destination at a time, and
+// a receive side that discards what arrives. A rank so holds one peer's
+// values, not p send and p output slices.
+type benchPayloads struct {
+	rank int
+	vals []float64
 }
+
+func (b *benchPayloads) Send(dst int, buf []byte) []byte {
+	v := b.vals
+	if buf != nil {
+		v = mem.View[float64](buf)
+	}
+	for i := range v {
+		v[i] = float64((b.rank*31+dst*17+i*13)%2000-1000) / 1000
+	}
+	return mem.View[byte](v)
+}
+
+func (b *benchPayloads) Recv(int) []byte      { return mem.View[byte](b.vals) }
+func (b *benchPayloads) Received(int, []byte) {}
 
 // CompressedExchangeTimeWith measures one compressed OSC exchange of
 // count float64 values per pair on real random-like data, with the
@@ -222,8 +233,8 @@ func CompressedExchangeTimeWith(rec *obs.Recorder, cfg netsim.Config, method com
 		stream.SetObserver(c.Obs())
 		x := NewCompressedOSC(c, method, stream, chunks, UniformCount(count))
 		x.Pipelined = pipelined
-		send := benchPayload(c.Rank(), c.Size(), count)
-		t0, t1 := timedLoop(c, iters, func(bool) { x.Exchange(send) })
+		io := &benchPayloads{rank: c.Rank(), vals: make([]float64, count)}
+		t0, t1 := timedLoop(c, iters, func(bool) { x.ExchangeWith(io) })
 		if c.Rank() == 0 {
 			start, end = t0, t1
 		}

@@ -3,6 +3,7 @@ package exchange
 import (
 	"math/bits"
 
+	"repro/internal/mem"
 	"repro/internal/mpi"
 )
 
@@ -18,17 +19,19 @@ const tagBruck = 104
 // mode: payloads stay real at blockSize while the time plane sees each
 // block as logicalBlock bytes; pass blockSize for an unscaled exchange.
 //
-// A Bruck keeps its state across calls: the rounds' messages and the
-// result table. A round's message reaches its receiver as-is, so it
-// goes out under a send-completion lease (mpi.LeasedBuf), which the
-// receiver frees once it has copied the blocks out; a message whose
-// lease is still busy goes out in a fresh buffer for that call.
+// A Bruck keeps its state across calls: its area, where the blocks are
+// packed and rotated in place, and the rounds' messages, each allocated
+// by the first exchange that needs it. A round's message reaches its
+// receiver as-is, so it goes out under a send-completion lease
+// (mpi.LeasedBuf), which the receiver frees once it has copied the
+// blocks out; a message whose lease is still busy goes out in a fresh
+// buffer for that call.
 type Bruck struct {
 	c              *mpi.Comm
 	block, logical int
 	lease          int      // round i's message goes out under lease+i
-	msgs           [][]byte // per-round messages, allocated by the first call
-	recv           [][]byte // per-source result views
+	msgs           [][]byte // per-round messages
+	area           []byte   // p blocks, block d bound for rank d
 }
 
 // NewBruck builds the exchange of blockSize-byte blocks (each charged
@@ -36,26 +39,41 @@ type Bruck struct {
 func NewBruck(c *mpi.Comm, blockSize, logicalBlock int) *Bruck {
 	rounds := bits.Len(uint(c.Size() - 1))
 	return &Bruck{c: c, block: blockSize, logical: logicalBlock, lease: c.NewLeases(rounds),
-		msgs: make([][]byte, rounds), recv: make([][]byte, c.Size())}
+		msgs: make([][]byte, rounds)}
 }
 
-// Exchange runs one all-to-all over area: p blocks of blockSize bytes,
-// block d bound for rank d. It works in place — area ends up holding the
-// blocks the other ranks sent — and returns one view of area per source
-// rank, reused by the next call, so a receiver whose block size is a
-// whole number of elements may view each as those elements when area is
-// word-aligned (mem.Bytes). A nil area is the phantom exchange: the same
-// rounds and wire sizes, no payloads, and a nil result.
-func (b *Bruck) Exchange(area []byte) [][]byte {
+// ExchangeWith runs one all-to-all over io: rank d's payload, at most
+// one block, is packed at the start of block d of the area (the bytes
+// past it travel but mean nothing), the rounds run in place, and each
+// source's block goes back through io.Received, which reads its own
+// payload's length from the front of it. A nil io is the phantom
+// exchange: the same rounds and wire sizes, with no payloads; with
+// blocks of no bytes, a real exchange moves nothing at all.
+func (b *Bruck) ExchangeWith(io Payloads) {
 	c, bs := b.c, b.block
 	p, r := c.Size(), c.Rank()
-	if area != nil && len(area) != p*bs {
-		panic("exchange: Bruck requires one uniform block per rank")
+	if io != nil {
+		if bs == 0 {
+			return
+		}
+		if b.area == nil {
+			b.area = mem.Bytes(p * bs)
+		}
+		for d := 0; d < p; d++ {
+			block := b.area[d*bs : (d+1)*bs : (d+1)*bs]
+			data := io.Send(d, block)
+			if len(data) > bs {
+				panic("exchange: Bruck requires one uniform block per rank")
+			}
+			if !sameMem(data, block) {
+				copy(block, data)
+			}
+		}
 	}
 	// Slot j of the rotation is the block bound for rank (r + j) mod p.
 	slot := func(j int) []byte {
 		d := (r + j) % p
-		return area[d*bs : (d+1)*bs : (d+1)*bs]
+		return b.area[d*bs : (d+1)*bs : (d+1)*bs]
 	}
 
 	// ⌈log2 p⌉ rounds: send every slot whose index has bit k set to rank
@@ -66,7 +84,7 @@ func (b *Bruck) Exchange(area []byte) [][]byte {
 		n := p/(2*k)*k + max(0, p%(2*k)-k)
 		var msg []byte
 		lease := 0
-		if area != nil {
+		if io != nil {
 			if b.msgs[round] == nil {
 				b.msgs[round] = make([]byte, n*bs)
 			}
@@ -77,21 +95,20 @@ func (b *Bruck) Exchange(area []byte) [][]byte {
 		}
 		c.SendLeased((r+k)%p, tagBruck+round, msg, n*b.logical, lease)
 		pkt := c.RecvPacket((r-k+p)%p, tagBruck+round)
-		if area != nil {
+		if io != nil {
 			for j, at := k, 0; j < p; j = (j + 1) | k {
 				at += copy(slot(j), pkt.Payload[at:])
 			}
 			c.ReleasePacket(pkt)
 		}
 	}
-	if area == nil {
-		return nil
+	if io == nil {
+		return
 	}
 
 	// Inverse rotation: slot j now holds the block that originated at
 	// rank (r − j) mod p.
 	for j := 0; j < p; j++ {
-		b.recv[(r-j+p)%p] = slot(j)
+		io.Received((r-j+p)%p, slot(j))
 	}
-	return b.recv
 }

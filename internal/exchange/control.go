@@ -13,18 +13,18 @@ const tagCtlOffset = 103
 // exchangeOffsets distributes window placement at plan time: every rank
 // tells each of its sources where that source's slot starts in this
 // rank's window, and learns from each of its destinations where its own
-// data must land there. recvOff[s] is the local window offset reserved
-// for source s (meaningful where recvSizes[s] > 0); sendSizes[d] > 0
-// marks the destinations this rank sends to. The returned slice holds
-// this rank's put offset per destination.
+// data must land there. Source s's slot of the local window is
+// [slotOff[s], slotOff[s+1]) (it has one if that is not empty);
+// sendSizes[d] > 0 marks the destinations this rank sends to. The
+// returned slice holds this rank's put offset per destination.
 //
 // This is the one-time handshake a cached-window implementation pays at
 // plan creation (§V-A); Exchange itself stays handshake-free.
-func exchangeOffsets(c *mpi.Comm, recvSizes, recvOff, sendSizes []int) []int {
+func exchangeOffsets(c *mpi.Comm, slotOff, sendSizes []int) []int {
 	var msg [8]byte
-	for s, n := range recvSizes {
-		if n > 0 {
-			binary.LittleEndian.PutUint64(msg[:], uint64(recvOff[s]))
+	for s := 0; s+1 < len(slotOff); s++ {
+		if slotOff[s+1] > slotOff[s] {
+			binary.LittleEndian.PutUint64(msg[:], uint64(slotOff[s]))
 			c.Send(s, tagCtlOffset, msg[:])
 		}
 	}

@@ -300,12 +300,27 @@ func TestSplitGroups(t *testing.T) {
 	}
 }
 
+// newTwoSidedCompressed builds the two-sided codec column for the
+// pattern counts, probing it at every rank.
+func newTwoSidedCompressed(c *mpi.Comm, m compress.Method, stream *gpu.Stream, counts CountFn) *TwoSided {
+	var send, recv []Peer
+	for r := 0; r < c.Size(); r++ {
+		if n := 8 * counts(r, c.Rank()); n > 0 {
+			send = append(send, Peer{Rank: r, Bytes: n, Logical: n})
+		}
+		if n := 8 * counts(c.Rank(), r); n > 0 {
+			recv = append(recv, Peer{Rank: r, Bytes: n, Logical: n})
+		}
+	}
+	return NewTwoSided(c, send, recv, Codec{Method: m, Stream: stream, Label: "exchange-2s"}, nil)
+}
+
 // Exchange drives x over whole per-peer slices, the form these tests
 // use; core drives it through a reshape's Payloads.
-func (x *TwoSidedCompressed) Exchange(send [][]float64) [][]float64 {
-	w := wholeSlices{send: send, out: make([][]float64, len(send))}
-	for s := range w.out {
-		w.out[s] = make([]float64, x.recvCounts[s])
+func (x *TwoSided) Exchange(send [][]float64) [][]float64 {
+	w := whole[float64]{send: send, out: make([][]float64, len(send))}
+	for _, pe := range x.recv {
+		w.out[pe.Rank] = make([]float64, pe.Bytes/8)
 	}
 	x.ExchangeWith(&w)
 	return w.out
@@ -316,7 +331,7 @@ func TestTwoSidedCompressedCorrectness(t *testing.T) {
 	p := cfg.Ranks()
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		count := 97
-		x := NewTwoSidedCompressed(c, compress.Cast32{}, gpu.NewStream(gpu.V100(), c), UniformCount(count))
+		x := newTwoSidedCompressed(c, compress.Cast32{}, gpu.NewStream(gpu.V100(), c), UniformCount(count))
 		send := make([][]float64, p)
 		for d := range send {
 			send[d] = make([]float64, count)
@@ -349,7 +364,7 @@ func TestTwoSidedCompressedEpochIsolation(t *testing.T) {
 	first := make([][][]float64, p)
 	mpi.Run(cfg, func(c *mpi.Comm) {
 		me := c.Rank()
-		x := NewTwoSidedCompressed(c, compress.Cast32{}, gpu.NewStream(gpu.V100(), c), UniformCount(count))
+		x := newTwoSidedCompressed(c, compress.Cast32{}, gpu.NewStream(gpu.V100(), c), UniformCount(count))
 		for epoch := 1; epoch <= 2; epoch++ {
 			send := make([][]float64, p)
 			for d := range send {
@@ -394,7 +409,7 @@ func TestTwoSidedCompressedSparsePattern(t *testing.T) {
 		return 0
 	}
 	mpi.Run(cfg, func(c *mpi.Comm) {
-		x := NewTwoSidedCompressed(c, compress.None{}, gpu.NewStream(gpu.V100(), c), counts)
+		x := newTwoSidedCompressed(c, compress.None{}, gpu.NewStream(gpu.V100(), c), counts)
 		send := make([][]float64, p)
 		for d := range send {
 			send[d] = make([]float64, counts(d, c.Rank()))
@@ -435,7 +450,7 @@ func TestOSCBeatsTwoSidedCompressed(t *testing.T) {
 			}
 		})
 		mpi.Run(cfg, func(c *mpi.Comm) {
-			x := NewTwoSidedCompressed(c, compress.Cast32{}, gpu.NewStream(gpu.V100(), c), UniformCount(count))
+			x := newTwoSidedCompressed(c, compress.Cast32{}, gpu.NewStream(gpu.V100(), c), UniformCount(count))
 			send := mkSend(c.Rank(), p, count)
 			x.Exchange(send)
 			c.Barrier()
@@ -453,9 +468,9 @@ func TestOSCBeatsTwoSidedCompressed(t *testing.T) {
 	}
 }
 
-// TestDefaultWireSizesAreReal: an exchange whose Logical or SimCounts
-// the caller leaves alone charges the real sizes — exactly what setting
-// them to the plan's own sizes charges, the form core uses whenever
+// TestDefaultWireSizesAreReal: an exchange whose logical sizes the
+// caller leaves alone charges the real sizes — exactly what setting
+// them to the pattern's own sizes charges, the form core uses whenever
 // SimScale is 1.
 func TestDefaultWireSizesAreReal(t *testing.T) {
 	cfg := machine(2)
@@ -486,13 +501,18 @@ func TestDefaultWireSizesAreReal(t *testing.T) {
 				case "compressed-osc":
 					x := NewCompressedOSC(c, compress.Cast32{}, stream, 2, counts)
 					if explicit {
-						x.SimCounts = counts
+						x.Logical = size
 					}
 					x.Exchange(vals)
 				default:
-					x := NewTwoSidedCompressed(c, compress.Cast32{}, stream, counts)
+					x := newTwoSidedCompressed(c, compress.Cast32{}, stream, counts)
 					if explicit {
-						x.SimCounts = counts
+						for i := range x.send {
+							x.send[i].Logical = size(x.send[i].Rank, me)
+						}
+						for i := range x.recv {
+							x.recv[i].Logical = size(me, x.recv[i].Rank)
+						}
 					}
 					x.Exchange(vals)
 				}
@@ -516,14 +536,20 @@ func mkSend(rank, p, count int) [][]float64 {
 	return send
 }
 
-// bruckAlltoall runs one Bruck exchange over send's blocks laid end to
-// end (nil: the phantom exchange).
+// bruckAlltoall runs one Bruck exchange of send's blocks (nil: the
+// phantom exchange) and returns the blocks received.
 func bruckAlltoall(c *mpi.Comm, send [][]byte, bs, logical int) [][]byte {
-	var area []byte
-	for _, b := range send {
-		area = append(area, b...)
+	b := NewBruck(c, bs, logical)
+	if send == nil {
+		b.ExchangeWith(nil)
+		return nil
 	}
-	return NewBruck(c, bs, logical).Exchange(area)
+	io := &whole[byte]{send: send, out: make([][]byte, len(send))}
+	for s := range io.out {
+		io.out[s] = make([]byte, bs)
+	}
+	b.ExchangeWith(io)
+	return io.out
 }
 
 func TestBruckAlltoallCorrectness(t *testing.T) {

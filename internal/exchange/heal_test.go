@@ -196,15 +196,13 @@ func TestOSCRepromotesAfterCleanProbe(t *testing.T) {
 	_, err := mpi.RunChecked(cfg, func(c *mpi.Comm) {
 		me := c.Rank()
 		o := NewOSC(c, Uniform(msg), true)
-		h := o.heal
+		h := o.ledger()
 		for d := 0; d < p; d++ {
 			if d == me {
 				continue
 			}
-			h.fellTo[d], h.failTo[d] = true, fallbackAfter
-			h.waitTo[d], h.probeTo[d] = repromoteAfter, repromoteAfter
-			h.fellFrom[d], h.failFrom[d] = true, fallbackAfter
-			h.waitFrom[d], h.probeFrom[d] = repromoteAfter, repromoteAfter
+			demoted := link{fail: fallbackAfter, fell: true, probe: repromoteAfter, wait: repromoteAfter}
+			h.to[d], h.from[d] = demoted, demoted
 		}
 		for iter := 0; iter <= repromoteAfter; iter++ {
 			send := make([][]byte, p)
@@ -229,7 +227,7 @@ func TestOSCRepromotesAfterCleanProbe(t *testing.T) {
 			if d == me {
 				continue
 			}
-			if h.failTo[d] != 0 || h.failFrom[d] != 0 || h.probeTo[d] != 0 || h.probeFrom[d] != 0 {
+			if h.to[d] != (link{}) || h.from[d] != (link{}) {
 				t.Errorf("rank %d peer %d: ledger not cleared after promotion", me, d)
 			}
 		}
@@ -266,7 +264,7 @@ func TestOSCFailedProbeDoublesWait(t *testing.T) {
 				}
 			}
 		}
-		h := o.heal
+		h := o.ledger()
 		hd := o.Health()
 		if len(hd.Fallback) != p-1 {
 			t.Errorf("rank %d fallback peers %v, want all %d partners re-demoted", me, hd.Fallback, p-1)
@@ -278,11 +276,11 @@ func TestOSCFailedProbeDoublesWait(t *testing.T) {
 			if d == me {
 				continue
 			}
-			if want := 2 * repromoteAfter; h.waitTo[d] != want {
-				t.Errorf("rank %d peer %d: probe wait %d, want doubled %d", me, d, h.waitTo[d], want)
+			if want := 2 * repromoteAfter; h.to[d].wait != want {
+				t.Errorf("rank %d peer %d: probe wait %d, want doubled %d", me, d, h.to[d].wait, want)
 			}
-			if want := probeAt + 2*repromoteAfter; h.probeTo[d] != want {
-				t.Errorf("rank %d peer %d: next probe at %d, want %d", me, d, h.probeTo[d], want)
+			if want := probeAt + 2*repromoteAfter; h.to[d].probe != want {
+				t.Errorf("rank %d peer %d: next probe at %d, want %d", me, d, h.to[d].probe, want)
 			}
 		}
 	})
@@ -299,14 +297,12 @@ func TestHealerLedgerRoundTrip(t *testing.T) {
 	p := cfg.Ranks()
 	_, err := mpi.RunChecked(cfg, func(c *mpi.Comm) {
 		o := NewOSC(c, Uniform(64), true)
-		h := o.heal
+		h := o.ledger()
 		h.epoch = 9
 		h.repairs, h.promotions = 5, 2
 		for d := 0; d < p; d++ {
-			h.failTo[d], h.failFrom[d] = d, d+1
-			h.fellTo[d], h.fellFrom[d] = d%2 == 0, d%3 == 0
-			h.probeTo[d], h.probeFrom[d] = 10+d, 20+d
-			h.waitTo[d], h.waitFrom[d] = 4+d, 8+d
+			h.to[d] = link{fail: d, fell: d%2 == 0, probe: 10 + d, wait: 4 + d}
+			h.from[d] = link{fail: d + 1, fell: d%3 == 0, probe: 20 + d, wait: 8 + d}
 		}
 		state := o.LedgerState()
 
@@ -314,15 +310,12 @@ func TestHealerLedgerRoundTrip(t *testing.T) {
 		if err := o2.RestoreLedger(state); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
-		h2 := o2.heal
+		h2 := o2.ledger()
 		if h2.epoch != 9 || h2.repairs != 5 || h2.promotions != 2 {
 			t.Errorf("scalars not restored: epoch %d repairs %d promotions %d", h2.epoch, h2.repairs, h2.promotions)
 		}
 		for d := 0; d < p; d++ {
-			if h2.failTo[d] != h.failTo[d] || h2.failFrom[d] != h.failFrom[d] ||
-				h2.fellTo[d] != h.fellTo[d] || h2.fellFrom[d] != h.fellFrom[d] ||
-				h2.probeTo[d] != h.probeTo[d] || h2.probeFrom[d] != h.probeFrom[d] ||
-				h2.waitTo[d] != h.waitTo[d] || h2.waitFrom[d] != h.waitFrom[d] {
+			if h2.to[d] != h.to[d] || h2.from[d] != h.from[d] {
 				t.Errorf("peer %d ledger mismatch after round trip", d)
 			}
 		}

@@ -3,166 +3,167 @@ package exchange
 import (
 	"encoding/binary"
 
-	"repro/internal/compress"
-	"repro/internal/gpu"
+	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
-// TwoSidedCompressed applies the same lossy compression as CompressedOSC
-// but ships the data through the classical two-sided all-to-all-v, with
-// no §V-B pipeline: compress everything, synchronize, exchange,
-// decompress. It exists to isolate the paper's two contributions — the
-// compression and the one-sided transport — in ablations.
-type TwoSidedCompressed struct {
-	c      *mpi.Comm
-	stream *gpu.Stream
-	counts CountFn
-	// SimCounts gives the value counts used for timing (see
-	// CompressedOSC.SimCounts).
-	SimCounts CountFn
+// TwoSided is the classical two-sided all-to-all-v
+// (mpi.Comm.AlltoallvLeased) over a fixed sparse pattern. Each
+// destination's payload goes out in its slot of a send block, allocated
+// by the first exchange and reused under a send-completion lease: a
+// slot whose receiver has not released it yet (that rank is still
+// reading the last call's payload) is not overwritten, and the payload
+// goes out in a fresh buffer instead.
+//
+// The raw column packs each destination straight into its slot and
+// hands each source's bytes back straight from the received packet.
+// The codec column compresses everything in one kernel, synchronizes,
+// exchanges and decompresses in a second kernel: no §V-B pipeline, by
+// design, which isolates the one-sided transport's share of the paper's
+// gain in ablations.
+type TwoSided struct {
+	c *mpi.Comm
+	column
+	// send and recv are the partners, rank-sorted; a send peer may have
+	// Logical > 0 with no real Bytes (the scaled-volume plan can meet a
+	// rank the real one does not), which goes out as a phantom message
+	// on the raw column.
+	send, recv []Peer
+	lease      int // send[i]'s slot goes out under lease+i
+	block      []byte
+	hdr        *Headers
+}
 
-	errAttr // the codec and its attribution under the label
-
-	recvCounts  []int
+// Headers are the P-length arrays an all-to-all-v takes: each
+// destination's payload, its lease and its wire bytes, and the sources
+// to drain. An exchange fills its peers' entries and clears them again,
+// so all the two-sided exchanges of a rank can share one set; it is
+// allocated by the first exchange that uses it.
+type Headers struct {
+	payload     [][]byte
+	lease       []int
+	logical     []int
 	recvNonzero []bool
-	// sendBufs[d] is the compressed staging for rank d, reused across
-	// calls once its receiver has released it: its send-completion lease
-	// is lease+d (mpi.AlltoallvLeased). payload and leases are the
-	// per-call headers handed to the all-to-all, and logical their wire
-	// bytes.
-	sendBufs [][]byte
-	lease    int
-	payload  [][]byte
-	leases   []int
-	logical  []int
 }
 
-// NewTwoSidedCompressed builds the exchange for the fixed pattern counts.
-func NewTwoSidedCompressed(c *mpi.Comm, method compress.Method, stream *gpu.Stream, counts CountFn) *TwoSidedCompressed {
-	p := c.Size()
-	me := c.Rank()
-	x := &TwoSidedCompressed{
-		c:           c,
-		errAttr:     errAttr{method: method},
-		stream:      stream,
-		counts:      counts,
-		SimCounts:   counts,
-		recvCounts:  make([]int, p),
-		recvNonzero: make([]bool, p),
-		sendBufs:    make([][]byte, p),
-		lease:       c.NewLeases(p),
-		payload:     make([][]byte, p),
-		leases:      make([]int, p),
-		logical:     make([]int, p),
+// NewTwoSided builds the exchange of the pattern send / recv with the
+// codec column col, sharing hdr (nil: its own).
+func NewTwoSided(c *mpi.Comm, send, recv []Peer, col Codec, hdr *Headers) *TwoSided {
+	if hdr == nil {
+		hdr = &Headers{}
 	}
-	for s := 0; s < p; s++ {
-		x.recvCounts[s] = counts(me, s)
-		x.recvNonzero[s] = x.recvCounts[s] > 0
+	return &TwoSided{c: c, column: newColumn(col), send: send, recv: recv, lease: c.NewLeases(len(send)), hdr: hdr}
+}
+
+// ExchangeWith runs the all-to-all over io: each destination's bytes
+// are packed into (raw) or compressed from (codec) io.Send(d), and each
+// source's go back through io.Received(s), decompressed into io.Recv(s)
+// on the codec column. On the raw column io must pack into the slot it
+// is offered: a receiver may read it after this call returns, which the
+// slot's lease covers.
+func (x *TwoSided) ExchangeWith(io Payloads) {
+	c, h := x.c, x.hdr
+	if h.payload == nil {
+		p := c.Size()
+		*h = Headers{make([][]byte, p), make([]int, p), make([]int, p), make([]bool, p)}
 	}
-	for d := 0; d < p; d++ {
-		if cv := counts(d, me); cv > 0 {
-			x.sendBufs[d] = make([]byte, 4+method.MaxCompressedLen(cv))
-		} else {
-			x.sendBufs[d] = []byte{}
+	if x.block == nil {
+		n := 0
+		for _, pe := range x.send {
+			n += x.slotBytes(pe.Bytes)
 		}
+		x.block = mem.Bytes(n)
 	}
-	x.SetLabel("exchange-2s")
-	return x
-}
-
-// SetLabel names this exchange in the metric registry (see
-// CompressedOSC.SetLabel).
-func (x *TwoSidedCompressed) SetLabel(label string) { x.errAttr.setLabel(label) }
-
-// ExchangeWith compresses the counts(d, me) float64 values io.Send(d)
-// gives for every rank d on the GPU, runs the two-sided all-to-all on
-// the compressed payloads, and decompresses each received slot into
-// io.Recv(s), handing it back through io.Received(s). A staging buffer
-// whose receiver has not yet released it (that rank is still
-// decompressing the previous call's payload) is not overwritten: this
-// call's payload for it goes out in a fresh buffer.
-func (x *TwoSidedCompressed) ExchangeWith(io Payloads) {
-	me := x.c.Rank()
-	p := x.c.Size()
-	dev := x.stream.Device()
-
-	// One compression kernel over the whole send buffer, then a full
-	// synchronization — no overlap with communication by design.
-	inBytes, outBytes := 0, 0
-	for d := 0; d < p; d++ {
-		cv := x.SimCounts(d, me)
-		inBytes += 8 * cv
-		outBytes += x.method.MaxCompressedLen(cv)
-	}
-	payload := x.payload
-	x.stream.LaunchTagged(obs.PhaseCompress, dev.CompressCost(inBytes, outBytes), func() {
-		for d := 0; d < p; d++ {
-			vals := io.Send(d)
-			if want := x.counts(d, me); len(vals) != want {
-				panic("exchange: send count does not match the two-sided compressed plan")
+	var raw, wire int64 // the codec column's volume
+	pack := func() {
+		at := 0
+		for i, pe := range x.send {
+			if x.method == nil {
+				h.logical[pe.Rank] = pe.Logical // with no Bytes, a phantom message
 			}
-			if len(vals) == 0 {
-				payload[d] = x.sendBufs[d]
+			if pe.Bytes == 0 {
 				continue
 			}
-			buf, lease := x.c.LeasedBuf(x.lease+d, x.sendBufs[d])
-			x.leases[d] = lease
-			clen := x.method.Compress(buf[4:], vals)
-			binary.LittleEndian.PutUint32(buf, uint32(clen))
-			payload[d] = buf[:4+clen]
-		}
-	})
-	x.stream.Synchronize()
-
-	var rawBytes, wireBytes int64
-	for d := 0; d < p; d++ {
-		x.logical[d] = 0
-		if cv := x.counts(d, me); cv > 0 {
-			sim := x.SimCounts(d, me)
-			x.logical[d] = slotWire(len(payload[d])-4, cv, sim)
-			rawBytes += 8 * int64(sim)
-			wireBytes += int64(x.logical[d])
+			n := x.slotBytes(pe.Bytes)
+			buf, lease := c.LeasedBuf(x.lease+i, x.block[at:at+n:at+n])
+			at += n
+			h.lease[pe.Rank] = lease
+			if x.method == nil {
+				h.payload[pe.Rank] = sendOf(io, pe.Rank, n, buf)
+				continue
+			}
+			data := encodeSlot(x.method, buf, mem.View[float64](sendOf(io, pe.Rank, pe.Bytes, nil)))
+			h.payload[pe.Rank], h.logical[pe.Rank] = data, slotWire(len(data)-4, pe.Bytes/8, pe.Logical/8)
+			raw += int64(8 * (pe.Logical / 8))
+			wire += int64(h.logical[pe.Rank])
 		}
 	}
+	if x.method == nil {
+		pack()
+	} else {
+		// One compression kernel over the whole send buffer (its volume
+		// counts every rank, partner or not), then a full synchronization.
+		in, out := 0, (c.Size()-len(x.send))*x.method.MaxCompressedLen(0)
+		for _, pe := range x.send {
+			in += 8 * (pe.Logical / 8)
+			out += x.method.MaxCompressedLen(pe.Logical / 8)
+		}
+		x.stream.LaunchTagged(obs.PhaseCompress, x.stream.Device().CompressCost(in, out), pack)
+		x.stream.Synchronize()
+		x.attribute(io, raw, wire)
+	}
+	for _, pe := range x.recv {
+		h.recvNonzero[pe.Rank] = true
+	}
+	recv := c.AlltoallvLeased(h.payload, h.lease, h.recvNonzero, h.logical)
+	for _, pe := range x.send {
+		h.payload[pe.Rank], h.lease[pe.Rank], h.logical[pe.Rank] = nil, 0, 0
+	}
+	for _, pe := range x.recv {
+		h.recvNonzero[pe.Rank] = false
+	}
+	if x.method == nil {
+		for _, pe := range x.recv {
+			io.Received(pe.Rank, recv[pe.Rank])
+		}
+	} else {
+		x.decode(io, recv)
+	}
+	c.ReleaseRecv()
+}
+
+// attribute records the codec column's epoch volume and, with an event
+// log attached, each payload's achieved error: the same per-peer
+// attribution the ring reports, so ablations compare stage for stage.
+func (x *TwoSided) attribute(io Payloads, raw, wire int64) {
 	rk := x.c.Obs()
-	x.volume(rk, rawBytes, wireBytes)
-
-	// With an event log attached, measure the error this epoch actually
-	// introduced by round-tripping each compressed payload on the host —
-	// the same per-peer attribution CompressedOSC reports, so ablations
-	// are comparable stage for stage.
-	if rk.EventsOn() {
-		for d := 0; d < p; d++ {
-			if x.counts(d, me) > 0 {
-				x.slot(rk, x.c.Now(), d, payload[d], io.Send(d))
-			}
-		}
-		x.achieved(rk, x.c.Now())
+	x.volume(rk, raw, wire)
+	if !rk.EventsOn() {
+		return
 	}
-
-	recv := x.c.AlltoallvLeased(payload, x.leases, x.recvNonzero, x.logical)
-
-	// Decompress the received slots in one kernel.
-	inBytes, outBytes = 0, 0
-	for s, cnt := range x.recvCounts {
-		if cnt == 0 {
-			continue
+	for _, pe := range x.send {
+		if pe.Bytes > 0 {
+			x.slot(rk, x.c.Now(), pe.Rank, x.hdr.payload[pe.Rank], mem.View[float64](sendOf(io, pe.Rank, pe.Bytes, nil)))
 		}
-		sc := x.SimCounts(me, s)
-		inBytes += x.method.MaxCompressedLen(sc)
-		outBytes += 8 * sc
 	}
-	x.stream.LaunchTagged(obs.PhaseDecompress, dev.CompressCost(inBytes, outBytes), func() {
-		for s, cnt := range x.recvCounts {
-			if cnt == 0 {
-				continue
-			}
-			clen := int(binary.LittleEndian.Uint32(recv[s]))
-			x.method.Decompress(io.Recv(s), recv[s][4:4+clen])
-			io.Received(s)
+	x.achieved(rk, x.c.Now())
+}
+
+// decode decompresses the received slots into io in one kernel.
+func (x *TwoSided) decode(io Payloads, recv [][]byte) {
+	in, out := 0, 0
+	for _, pe := range x.recv {
+		in += x.method.MaxCompressedLen(pe.Logical / 8)
+		out += 8 * (pe.Logical / 8)
+	}
+	x.stream.LaunchTagged(obs.PhaseDecompress, x.stream.Device().CompressCost(in, out), func() {
+		for _, pe := range x.recv {
+			slot := recv[pe.Rank]
+			dst := io.Recv(pe.Rank)
+			x.method.Decompress(mem.View[float64](dst), slot[4:4+binary.LittleEndian.Uint32(slot)])
+			io.Received(pe.Rank, dst)
 		}
 	})
 	x.stream.Synchronize()
-	x.c.ReleaseRecv()
 }

@@ -49,6 +49,12 @@ func (c *Comm) WinCreate(buf []byte) *Win {
 // Buffer returns the window's exposed memory.
 func (w *Win) Buffer() []byte { return w.buf }
 
+// Attach exposes buf through a window created over no memory. A cached
+// window may so get its memory from its first epoch instead of at
+// creation: puts toward it wait, undelivered, until the fence that
+// drains them, so buf must be attached before this rank's first fence.
+func (w *Win) Attach(buf []byte) { w.buf = buf }
+
 // PutLogical copies data into the target rank's window at the given byte
 // offset, one-sided: the target takes no action until its next Fence.
 // data must stay untouched until the epoch ends (GPU-direct zero-copy,
