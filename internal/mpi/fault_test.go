@@ -3,7 +3,9 @@ package mpi
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -279,5 +281,37 @@ func TestCrashedPeerTimesOutCollective(t *testing.T) {
 	}
 	if fe.Op != "collective" || fe.Rank != 0 {
 		t.Errorf("diagnostic %+v, want rank 0 collective timeout", fe)
+	}
+}
+
+// TestFenceShortDrainDeadlock: a fence that expects one put more than
+// was sent can never complete; the deadlock diagnostic names the rank,
+// the window tag and the puts landed against the puts expected.
+func TestFenceShortDrainDeadlock(t *testing.T) {
+	_, err := RunChecked(cfgN(2), func(c *Comm) {
+		win := c.WinCreate(make([]byte, 8))
+		if c.Rank() == 0 {
+			win.Put(1, 0, []byte{7})
+			win.Fence(nil)
+			return
+		}
+		win.Fence([]int{2, 0})
+	})
+	var re *netsim.RunError
+	if !errors.As(err, &re) || re.Deadlock == nil {
+		t.Fatalf("want a deadlock, got %v", err)
+	}
+	var got netsim.BlockedOp
+	for _, op := range re.Deadlock.Blocked {
+		if op.Rank == 1 {
+			got = op
+		}
+	}
+	if want := (netsim.BlockedOp{Rank: 1, Src: -1, Tag: tagWinBase, Landed: 1, Want: 2, Clock: got.Clock}); got != want {
+		t.Fatalf("blocked ops %+v, want rank 1 as %+v", re.Deadlock.Blocked, want)
+	}
+	msg := err.Error()
+	if line := fmt.Sprintf("rank 1 drains tag %d with 1 of 2 puts landed", tagWinBase); !strings.Contains(msg, line) || strings.Contains(msg, "src=-1") {
+		t.Errorf("diagnostic %q lacks %q or shows a (src=-1, tag) pair", msg, line)
 	}
 }

@@ -102,16 +102,12 @@ func (w *Win) PutN(target, offset, n int) (completion float64) {
 func (w *Win) Fence(expected []int) {
 	rep := w.FenceChecked(expected)
 	if !rep.OK() {
-		src := -1
-		kind := "corrupt"
-		if len(rep.Corrupt) > 0 {
-			src = rep.Corrupt[0]
-		} else {
-			src = rep.Missing[0]
-			kind = "lost"
+		kind, srcs := "corrupt", rep.Corrupt
+		if len(srcs) == 0 {
+			kind, srcs = "lost", rep.Missing
 		}
 		outstanding := append(append([]int(nil), rep.Corrupt...), rep.Missing...)
-		panic(w.c.noteFault(&FaultError{Rank: w.c.Rank(), Src: src, Tag: w.tag, Kind: kind, Op: "fence",
+		panic(w.c.noteFault(&FaultError{Rank: w.c.Rank(), Src: srcs[0], Tag: w.tag, Kind: kind, Op: "fence",
 			When: w.c.Now(), Outstanding: outstanding}))
 	}
 }
@@ -134,40 +130,33 @@ func (r FenceReport) OK() bool { return len(r.Corrupt) == 0 && len(r.Missing) ==
 // plan it is identical to the plain fence and always reports OK.
 func (w *Win) FenceChecked(expected []int) FenceReport {
 	w.c.obs.Begin(obs.TrackHost, obs.PhaseFence, w.c.Now())
-	latest := w.c.Now()
 	var drained int64
 	var rep FenceReport
-	if expected != nil {
-		for src, cnt := range expected {
-			if cnt == 0 {
-				continue
-			}
-			if w.c.reliable {
-				corrupt, missing := w.drainReliable(src, cnt, &latest, &drained)
-				if corrupt {
-					rep.Corrupt = append(rep.Corrupt, src)
-				}
-				if missing {
-					rep.Missing = append(rep.Missing, src)
-				}
-				continue
-			}
-			for i := 0; i < cnt; i++ {
-				pkt := w.c.recvInternal(src, w.tag)
-				if pkt.Arrival > latest {
-					latest = pkt.Arrival
-				}
-				drained += int64(pkt.Bytes)
-				if pkt.Payload != nil {
-					w.place(pkt.Meta, pkt.Payload)
-				}
-			}
+	if !w.c.reliable {
+		// One drain closes the epoch; each put that carries data is placed.
+		n := 0
+		for _, cnt := range expected {
+			n += cnt
+		}
+		var recs []netsim.PutRecord
+		recs, drained = w.c.p.DrainPuts(w.tag, n)
+		for _, r := range recs {
+			w.place(r.Offset, r.Payload)
 		}
 	}
-	w.c.AdvanceTo(latest)
-	for i := range w.puts {
-		w.puts[i] = 0
+	for src, cnt := range expected {
+		if !w.c.reliable || cnt == 0 {
+			continue
+		}
+		corrupt, missing := w.drainReliable(src, cnt, &drained)
+		if corrupt {
+			rep.Corrupt = append(rep.Corrupt, src)
+		}
+		if missing {
+			rep.Missing = append(rep.Missing, src)
+		}
 	}
+	clear(w.puts)
 	w.c.Barrier()
 	w.c.p.CountFence()
 	w.c.obs.Add(metricFences, 1)
@@ -193,7 +182,7 @@ func (w *Win) place(offset int, data []byte) {
 // epoch: stale duplicates from earlier epochs are skipped, duplicate
 // indices within the epoch discarded, checksum failures and off-window
 // offsets counted as corrupt, and a watchdog expiry as missing.
-func (w *Win) drainReliable(src, cnt int, latest *float64, drained *int64) (corrupt, missing bool) {
+func (w *Win) drainReliable(src, cnt int, drained *int64) (corrupt, missing bool) {
 	epoch := uint32(w.fenced)
 	seen := make([]bool, cnt)
 	deadline := w.c.deadline()
@@ -202,9 +191,6 @@ func (w *Win) drainReliable(src, cnt int, latest *float64, drained *int64) (corr
 		if !ok {
 			missing = true
 			break
-		}
-		if pkt.Arrival > *latest {
-			*latest = pkt.Arrival
 		}
 		e, idx, data, okf := deframePut(pkt.Payload)
 		if !okf {

@@ -6,7 +6,8 @@ import (
 	"runtime"
 )
 
-// Packet is a delivered message as seen by the receiver.
+// Packet is a delivered message as seen by the receiver; a fault-free
+// one-sided put is drained (DrainPuts), never received.
 type Packet struct {
 	Src     int
 	Tag     int
@@ -83,6 +84,7 @@ const (
 	// reqResolved marks a formerly blocked match whose packet has already
 	// been handed over by deliver; the scheduler only needs to resume it.
 	reqResolved
+	reqDrain // DrainPuts: wait for want puts on tag
 )
 
 type request struct {
@@ -97,6 +99,7 @@ type request struct {
 	proto     float64 // per-message resource occupancy (two-sided protocol processing)
 	deadline  float64 // match watchdog deadline (0 = wait forever)
 	unmatched bool
+	want      int // puts a drain waits for
 }
 
 // Proc is the handle a rank program uses to interact with the simulator.
@@ -120,8 +123,11 @@ type Proc struct {
 	// oldest packet with the tag, which is MPI's per-(src, tag) FIFO.
 	inbox    []*pktNode
 	buffered int // matchable packets queued (unexpected-queue length)
-	done     bool
-	err      interface{} // recovered panic value
+	// A put ledger per tag; held is the one a drain handed out.
+	ledgers []*putLedger
+	held    *putLedger
+	done    bool
+	err     interface{} // recovered panic value
 }
 
 // Rank returns this rank's id.
@@ -199,13 +205,14 @@ type SendOpts struct {
 	ProtoOverhead float64
 	// Unmatched marks one-sided transfers that bypass the receiver's
 	// message-matching engine: they neither occupy the unexpected queue
-	// nor pay the per-entry matching cost.
+	// nor pay the per-entry matching cost. Only under a FaultPlan are
+	// they received; otherwise they are drained (DrainPuts).
 	Unmatched bool
 }
 
 // SendMsg is the most general send. It returns the transfer's arrival
 // time at the destination, which higher layers may use to implement
-// flush-style completion waits.
+// flush-style completion waits. A fault-free put is drained, not received.
 func (p *Proc) SendMsg(dst, tag int, opts SendOpts) (arrival float64) {
 	if dst < 0 || dst >= len(p.eng.procs) {
 		panic(fmt.Sprintf("netsim: send to invalid rank %d", dst))
@@ -218,6 +225,35 @@ func (p *Proc) SendMsg(dst, tag int, opts SendOpts) (arrival float64) {
 		extra: opts.ExtraLatency, proto: opts.ProtoOverhead, unmatched: opts.Unmatched}
 	p.yield()
 	return p.resp.Arrival
+}
+
+// PutRecord is a drained put's source, Meta (window offset) and payload.
+type PutRecord struct {
+	Src, Offset int
+	Payload     []byte
+}
+
+// putLedger counts one tag's fault-free puts since the last drain.
+type putLedger struct {
+	tag, landed int
+	latest      float64
+	bytes       int64
+	recs        []PutRecord // one per put with a payload; reused across epochs
+}
+
+// DrainPuts closes an epoch of fault-free one-sided puts on tag: it
+// blocks until n have landed on this rank, raises the clock to the
+// latest arrival (puts pay no matching cost), and returns the records of
+// those with a payload, in landing order, and their logical bytes. The
+// rank's next request consumes the records. A drain is one epoch: n must
+// be exact, and the next epoch's puts must not land before the records
+// are consumed. The engine panics, naming the rank, the tag and both
+// counts, if a drain finds more than n puts or a put lands on unconsumed
+// records.
+func (p *Proc) DrainPuts(tag, n int) (recs []PutRecord, bytes int64) {
+	p.req = request{kind: reqDrain, tag: tag, want: n}
+	p.yield()
+	return p.held.recs, p.held.bytes
 }
 
 // Recv blocks until a message from src with the given tag arrives, and
@@ -252,6 +288,10 @@ func (p *Proc) RecvDeadline(src, tag int, deadline float64) (Packet, bool) {
 // once if that is p, else wakes it and parks. With nothing left to
 // process, the baton goes back to Run.
 func (p *Proc) yield() {
+	if l := p.held; l != nil {
+		clear(l.recs)
+		*l, p.held = putLedger{tag: l.tag, recs: l.recs[:0]}, nil
+	}
 	eng := p.eng
 	next := p
 	if eng.baton && eng.ready.Len() > 0 && earlier(eng.ready[0], p) {
@@ -433,7 +473,7 @@ func (eng *Engine) runSequential() (Result, error) {
 }
 
 // process handles p's pending request, returning true if p blocked on
-// an unmatched receive (and so must not be resumed).
+// an unmatched receive or drain (and so must not be resumed).
 func (eng *Engine) process(p *Proc) (blocked bool) {
 	switch p.req.kind {
 	case reqDeliver:
@@ -457,6 +497,16 @@ func (eng *Engine) process(p *Proc) (blocked bool) {
 			}
 			p.timedOut = true
 		}
+	case reqDrain:
+		l := p.ledger(p.req.tag)
+		if l.landed > p.req.want {
+			panic(fmt.Sprintf("netsim: rank %d drains %d puts on tag %d but %d landed", p.rank, p.req.want, l.tag, l.landed))
+		}
+		if p.blocked = l.landed < p.req.want; p.blocked {
+			p.pending = pktKey{-1, p.req.tag}
+			return true
+		}
+		p.clock, p.held = max(p.clock, l.latest), l
 	case reqResolved:
 	default:
 		panic("netsim: invalid request in scheduler")
@@ -652,6 +702,10 @@ func (eng *Engine) deliver(p *Proc) {
 	pkt := Packet{Src: p.rank, Tag: req.tag, Payload: payload, Bytes: req.bytes, Meta: req.meta, Arrival: end + latency + extra, unmatched: req.unmatched}
 	p.resp = pkt
 	p.clock = injected
+	if req.unmatched && inj == nil {
+		eng.land(eng.procs[req.dst], pkt)
+		return
+	}
 	if lost {
 		// The transport gave up: the sender proceeds (it cannot know),
 		// the receiver never sees the packet — its watchdog deadline or
@@ -677,6 +731,36 @@ func (eng *Engine) deliver(p *Proc) {
 		dst.req.kind = reqResolved
 		heap.Push(&eng.ready, dst)
 	}
+}
+
+// land counts a fault-free put in its target's ledger for the tag and
+// resolves the target's drain if this was the last put it waits for.
+func (eng *Engine) land(dst *Proc, pkt Packet) {
+	l := dst.ledger(pkt.Tag)
+	if dst.held == l {
+		panic(fmt.Sprintf("netsim: put %d lands on rank %d tag %d before its %d drained puts are consumed", l.landed+1, dst.rank, l.tag, l.landed))
+	}
+	l.landed++
+	l.latest, l.bytes = max(l.latest, pkt.Arrival), l.bytes+int64(pkt.Bytes)
+	if pkt.Payload != nil {
+		l.recs = append(l.recs, PutRecord{Src: pkt.Src, Offset: pkt.Meta, Payload: pkt.Payload})
+	}
+	if dst.blocked && dst.req.kind == reqDrain && dst.req.tag == pkt.Tag && l.landed == dst.req.want {
+		dst.blocked, dst.req.kind = false, reqResolved
+		dst.clock, dst.held = max(dst.clock, l.latest), l
+		heap.Push(&eng.ready, dst)
+	}
+}
+
+// ledger returns p's put ledger for tag, adding it on first use.
+func (p *Proc) ledger(tag int) *putLedger {
+	for _, l := range p.ledgers {
+		if l.tag == tag {
+			return l
+		}
+	}
+	p.ledgers = append(p.ledgers, &putLedger{tag: tag})
+	return p.ledgers[len(p.ledgers)-1]
 }
 
 // completeMatch takes the packet after prev into p.resp and raises p's
@@ -772,12 +856,16 @@ func (eng *Engine) take(p *Proc, src int, prev *pktNode) Packet {
 }
 
 // deadlockDiag builds the structural deadlock diagnostic: every blocked
-// rank's pending (src, tag) at its current clock, in rank order.
+// rank's pending (src, tag) or drain at its current clock, in rank order.
 func (eng *Engine) deadlockDiag() *DeadlockError {
 	d := &DeadlockError{}
 	for _, p := range eng.procs {
 		if p.blocked {
-			d.Blocked = append(d.Blocked, BlockedOp{Rank: p.rank, Src: p.pending.src, Tag: p.pending.tag, Clock: p.clock})
+			op := BlockedOp{Rank: p.rank, Src: p.pending.src, Tag: p.pending.tag, Clock: p.clock}
+			if p.req.kind == reqDrain {
+				op.Landed, op.Want = p.ledger(op.Tag).landed, p.req.want
+			}
+			d.Blocked = append(d.Blocked, op)
 		}
 	}
 	return d

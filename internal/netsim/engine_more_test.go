@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -64,6 +66,9 @@ func TestMatchingCostCharged(t *testing.T) {
 	}
 }
 
+// Puts neither pay the matching cost when drained nor deepen the
+// unexpected queue a two-sided receive pays for: the one queued message
+// is matched at depth 1.
 func TestUnmatchedPacketsSkipMatchingCost(t *testing.T) {
 	cfg := tiny()
 	cfg.MatchCost = 1e-3
@@ -74,16 +79,21 @@ func TestUnmatchedPacketsSkipMatchingCost(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				p.SendMsg(1, i, SendOpts{Bytes: 10, Unmatched: true})
 			}
+			p.Send(1, 9, nil, 10)
 		} else {
 			p.Elapse(1)
 			for i := 0; i < 5; i++ {
-				p.Recv(0, i)
+				p.DrainPuts(i, 1)
 			}
+			if p.Now() != 1 {
+				t.Errorf("drained puts paid matching cost: clock %g", p.Now())
+			}
+			p.Recv(0, 9)
 			clock = p.Now()
 		}
 	})
-	if clock > 1.0+1e-9 {
-		t.Errorf("unmatched packets paid matching cost: clock %g", clock)
+	if want := 1.0 + 1e-3; math.Abs(clock-want) > 1e-9 {
+		t.Errorf("receiver clock %g, want %g (puts counted in the match depth)", clock, want)
 	}
 }
 
@@ -283,5 +293,50 @@ func TestTracerReceivesEvents(t *testing.T) {
 	}
 	if kinds["intra"] != 1 || kinds["inter"] != 1 || kinds["local"] != 1 {
 		t.Errorf("kinds = %v", kinds)
+	}
+}
+
+// drainPanic runs body and returns what the engine panicked with.
+func drainPanic(body func(*Proc)) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	Run(tiny(), body)
+	return
+}
+
+// A drain that finds more puts landed than it asks for merges two
+// epochs: the engine panics, naming the rank, the tag and both counts.
+func TestDrainMorePutsThanExpectedPanics(t *testing.T) {
+	msg := drainPanic(func(p *Proc) {
+		if p.Rank() == 0 {
+			p.SendMsg(1, 5, SendOpts{Bytes: 10, Unmatched: true})
+			p.SendMsg(1, 5, SendOpts{Bytes: 10, Unmatched: true})
+			return
+		}
+		p.Elapse(1)
+		p.DrainPuts(5, 1)
+	})
+	if want := "netsim: rank 1 drains 1 puts on tag 5 but 2 landed"; !strings.Contains(msg, want) {
+		t.Errorf("panic %q, want %q", msg, want)
+	}
+}
+
+// A put that lands on a tag whose drained records the rank has not
+// consumed yet (it issued no request since its drain) merges two
+// epochs: the engine panics, naming the rank, the tag and both counts.
+func TestPutOnUnconsumedDrainPanics(t *testing.T) {
+	msg := drainPanic(func(p *Proc) {
+		if p.Rank() == 0 {
+			p.Elapse(1e-3)
+			// The first put resolves rank 1's drain at its arrival; the
+			// second is processed before rank 1 resumes.
+			p.SendMsg(1, 5, SendOpts{Bytes: 1000, Unmatched: true})
+			p.SendMsg(1, 5, SendOpts{Bytes: 1000, Unmatched: true})
+			return
+		}
+		p.DrainPuts(5, 1)
+		p.Elapse(1)
+	})
+	if want := "netsim: put 2 lands on rank 1 tag 5 before its 1 drained puts are consumed"; !strings.Contains(msg, want) {
+		t.Errorf("panic %q, want %q", msg, want)
 	}
 }

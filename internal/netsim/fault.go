@@ -402,9 +402,11 @@ func (p *FaultPlan) Scenario() string {
 	return strings.Join(parts, "+")
 }
 
-// BlockedOp describes one rank stuck in a receive when a run deadlocked.
+// BlockedOp describes one rank stuck in a receive of (Src, Tag) when a
+// run deadlocked, or, if Want > 0, in a drain of Tag with Landed puts.
 type BlockedOp struct {
 	Rank, Src, Tag int
+	Landed, Want   int
 	Clock          float64
 }
 
@@ -422,6 +424,10 @@ func (e *DeadlockError) Error() string {
 		if i == 16 {
 			fmt.Fprintf(&b, "\n  ... and %d more", len(e.Blocked)-16)
 			break
+		}
+		if op.Want > 0 {
+			fmt.Fprintf(&b, "\n  rank %d drains tag %d with %d of %d puts landed at t=%.3gs", op.Rank, op.Tag, op.Landed, op.Want, op.Clock)
+			continue
 		}
 		fmt.Fprintf(&b, "\n  rank %d waits for (src=%d, tag=%d) at t=%.3gs", op.Rank, op.Src, op.Tag, op.Clock)
 	}

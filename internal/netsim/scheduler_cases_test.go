@@ -98,11 +98,10 @@ func oscBody(p *Proc, sink [][]byte) {
 		}
 	}
 	p.CountFence()
-	for i := 0; i < n; i++ {
-		src := (p.Rank() - i + n) % n
-		pkt := p.Recv(src, 500)
-		sink[p.Rank()] = append(sink[p.Rank()], pkt.Payload...)
-		sink[p.Rank()] = append(sink[p.Rank()], byte(pkt.Meta))
+	recs, _ := p.DrainPuts(500, n)
+	for _, r := range recs {
+		sink[p.Rank()] = append(sink[p.Rank()], r.Payload...)
+		sink[p.Rank()] = append(sink[p.Rank()], byte(r.Offset), byte(r.Src))
 	}
 }
 

@@ -70,11 +70,12 @@ func (eng *Engine) refFireDeadline() bool {
 // list, so a receive op takes the oldest send op not yet received, which
 // every peer executed before it: programs cannot deadlock. A receive
 // with nothing left to take waits on a tag nobody sends, under a
-// deadline.
+// deadline. A drain has no deadline, so it skips a put whose sender
+// panicked first.
 const (
 	opSend    = iota // one message to rank+arg; x: size, put, latency, long payload
 	opA2A            // one message to every rank, tags tag+j; x as opSend
-	opRecv           // receive the oldest unreceived send op; x&4: deadline, x&8: absolute
+	opRecv           // receive (drain, if a fault-free put) the oldest unreceived send op; x&4: deadline, x&8: absolute
 	opElapse         // arg µs times 1 + rank*x mod 7
 	opCount          // CountFence (x&1 == 0) or CountFlush, 1 + rank*arg mod 4 times
 	opBarrier        // a zero-byte message to every other rank, then receive them all
@@ -156,11 +157,24 @@ func (prog schedProgram) run(p *Proc, out *[]byte) {
 			}
 			s := queue[0]
 			queue = queue[1:]
+			// A fault-free put is drained, not received; one whose
+			// sender panicked before sending it is never waited for.
+			take := func(src, tag int) {
+				switch {
+				case prog.ops[s]&(4<<3) == 0 || prog.cfg.Faults != nil:
+					recv(src, tag, dl)
+				case prog.panicked(src, s, n):
+					*out = append(*out, 0xEE)
+				default:
+					recs, _ := p.DrainPuts(tag, 1)
+					*out = append(append(*out, recs[0].Payload...), byte(recs[0].Offset), byte(recs[0].Src), byte(tag))
+				}
+			}
 			if sk, sarg := prog.ops[s]&7, int(prog.ops[s+1]); sk == opSend {
-				recv((r-sarg%n+n)%n, 16*(s+1), dl)
+				take((r-sarg%n+n)%n, 16*(s+1))
 			} else {
 				for j := 0; j < n; j++ {
-					recv((r-j+n)%n, 16*(s+1)+j, dl)
+					take((r-j+n)%n, 16*(s+1)+j)
 				}
 			}
 		case opElapse:
@@ -192,6 +206,16 @@ func (prog schedProgram) run(p *Proc, out *[]byte) {
 			p.AdvanceTo(float64(arg) * 10e-6)
 		}
 	}
+}
+
+// panicked reports whether rank src panics at an op before op s.
+func (prog schedProgram) panicked(src, s, n int) bool {
+	for k := 0; k < s; k += 2 {
+		if prog.timed && prog.ops[k]&7 == opPanic && int(prog.ops[k+1])%n == src {
+			return true
+		}
+	}
+	return false
 }
 
 // schedRun is everything a run shows: the Result, the error text, the
@@ -234,7 +258,8 @@ func runProgram(t *testing.T, data []byte, reference bool) schedRun {
 // fault events, and received bytes. The seeds are tagged all-to-alls of
 // three sizes, one-sided puts with flushes and a fence, deadlines that
 // fire on a tie, irregular compute, each RandomPlan scenario class
-// (crashes included) twice, and a panicking rank.
+// (crashes included) twice, a panicking rank, and a put drain resolved
+// at a clock tie.
 func FuzzScheduler(f *testing.F) {
 	op := func(kind, x byte) byte { return kind | x<<3 }
 	a2a := func(size byte, compute byte) []byte {
@@ -255,6 +280,10 @@ func FuzzScheduler(f *testing.F) {
 		seeds = append(seeds, []byte{0x0D, 2 * seed, op(opAdvance, 0), 1, op(opA2A, 21), 0,
 			op(opElapse, 6), 60, op(opRecv, 0), 255, op(opBarrier, 0), 100})
 	}
+	// Every rank puts to rank-1 after compute that repeats every 7
+	// ranks: rank r's drain waits for rank r+1's put, and ranks r+1 and
+	// r+8 issue theirs at one clock, so the drain is resolved at a tie.
+	seeds = append(seeds, []byte{0x0D, 0, op(opElapse, 1), 20, op(opSend, 4), 11, op(opRecv, 0), 0})
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
